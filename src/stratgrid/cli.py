@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _workers(ns) -> int:
-    if getattr(ns, "workers", None):
+    if getattr(ns, "workers", None) is not None:
         return ns.workers
     env = os.environ.get("TOOL_WORKERS")
     return max(1, int(env)) if env else 1

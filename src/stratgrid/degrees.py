@@ -106,6 +106,8 @@ class DegreeVector:
         if not isinstance(data, dict) or "deg" not in data:
             raise DegreeVectorError(f"degree JSON needs a 'deg' mapping, got {data!r}")
         deg = data["deg"]
+        if not isinstance(deg, dict):
+            raise DegreeVectorError(f"'deg' must map labels to degrees, got {deg!r}")
         entries = [None] * profile.g
         for label, val in deg.items():
             entries[profile.index_of_label(label)] = _as_fraction(val)

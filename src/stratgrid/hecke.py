@@ -9,6 +9,12 @@ the correspondence; the sweeps therefore prove universally quantified
 statements ("every surviving d lands in the canonical locus") but existence
 claims never rest on this set.
 
+The enumeration is integer-only: on the 1/den grid every window and bound of
+those families is an integer multiple of 1/den, so `_block_plan` restates them
+times den in a `BlockPlan`, and the range propagation below it does no
+`Fraction` arithmetic.  The `Fraction` definitions in `degrees` and `regions`
+stay the oracle; the tests check the plan and the enumeration against them.
+
 `verify_sigma_up` sweeps every grid point of the membership region and checks
 that all surviving d push the quotient into the canonical locus.  Only
 vertices and open edges of the cube are enumerated: a vector with two or more
@@ -246,40 +252,79 @@ def _quotient_vcan_failures(profile: PrimeProfile, scaled: tuple[int, ...], den:
 # feasible subgroup degrees on a grid
 
 
-def _floor_scaled(x: Fraction, den: int) -> int:
-    return (x.numerator * den) // x.denominator
+def _ceil_div(a: int, b: int) -> int:
+    """Ceiling of a / b for integers with b > 0; floor division is `//`."""
+    return -(-a // b)
 
 
-def _ceil_scaled(x: Fraction, den: int) -> int:
-    return -((-x.numerator * den) // x.denominator)
+def _on_grid(v: Fraction, den: int) -> int:
+    """v * den, which must be an integer: a plan is never rounded."""
+    x = v * den
+    if x.denominator != 1:
+        raise ValueError(f"degree {v} is not on the 1/{den} grid")
+    return x.numerator
 
 
-def _block_plan(h: DegreeVector, den: int, i: int, generic_active: bool, pin):
-    """Per-position candidate ranges and precomputed constants for one block."""
+@dataclass(frozen=True, slots=True)
+class BlockPlan:
+    """Integer data of one block of h on the 1/den grid.
+
+    Every entry is the matching rational times den: `block` holds h's
+    entries, `lo`/`hi` the candidate range of each entry of d, `wlo`/`whi`
+    the window of `degrees.hodge_height` at each position, and `rhs` the
+    weighted sum of 1 - h anchored at each position (the right-hand side of
+    `degrees.raynaud_feasible`).  `generic` says whether the genericity
+    families apply.
+    """
+
+    p: int
+    f: int
+    den: int
+    block: tuple[int, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    wlo: tuple[int, ...]
+    whi: tuple[int, ...]
+    rhs: tuple[int, ...]
+    generic: bool
+
+
+def _block_plan(
+    h: DegreeVector, den: int, i: int, generic_active: bool, pin
+) -> BlockPlan:
+    """Integer candidate ranges and constraint constants for block i of h.
+
+    h must lie on the 1/den grid, else ValueError.  The plan restates the
+    Fraction families of `degrees` (`hodge_height`, `raynaud_feasible`,
+    `genericity_constraints`) and the ordinary-block rule times den; those
+    definitions stay the oracle the plan is tested against.
+    """
     profile = h.profile
     p, f, off = profile.p, profile.f[i], profile.offsets[i]
-    tail = delta_star(p, f)
-    block = [h[off + pos] for pos in range(f)]
-    zero_one = all(v == 0 or v == 1 for v in block)
+    s = tuple(_on_grid(h[off + pos], den) for pos in range(f))
+    tail = delta_star(p, f) * den
+    tail_hi = tail.numerator // tail.denominator
+    zero_one = all(v == 0 or v == den for v in s)
+    rhs = tuple(
+        sum(p ** (f - 1 - k) * (den - s[(start + k) % f]) for k in range(f))
+        for start in range(f)
+    )
     lo = [0] * f
     hi = [den] * f
     for pos in range(f):
         pred = (pos - 1) % f
         if generic_active:
-            if block[pos] == 1:
-                hi[pos] = min(hi[pos], _floor_scaled(tail, den))
+            if s[pos] == den:
+                hi[pos] = min(hi[pos], tail_hi)
                 hi[pred] = min(hi[pred], 0)
             if zero_one:
-                if block[pos] == 1 and block[(pos + 1) % f] == 0:
-                    lo[pos] = max(lo[pos], _ceil_scaled(Fraction(1, p), den))
-                    hi[pos] = min(hi[pos], _floor_scaled(tail, den))
+                if s[pos] == den and s[(pos + 1) % f] == 0:
+                    lo[pos] = max(lo[pos], _ceil_div(den, p))
+                    hi[pos] = min(hi[pos], tail_hi)
                 else:
                     hi[pos] = min(hi[pos], 0)
         # self-anchored inequality bound: p^{f-1} d <= weighted rhs
-        rhs = sum(
-            (p ** (f - 1 - k) * (ONE - block[(pos + k) % f]) for k in range(f)), ZERO
-        )
-        hi[pos] = min(hi[pos], _floor_scaled(rhs / p ** (f - 1), den))
+        hi[pos] = min(hi[pos], rhs[pos] // p ** (f - 1))
     if pin is not None:
         pos0, plo, phi = pin
         lo[pos0] = max(lo[pos0], plo)
@@ -287,65 +332,42 @@ def _block_plan(h: DegreeVector, den: int, i: int, generic_active: bool, pin):
     wlo = []
     whi = []
     for pos in range(f):
-        w = hodge_height(h, off + pos)
-        wlo.append(w.lower * den)
-        whi.append(w.upper * den)
-    rhs_scaled = []
-    for start in range(f):
-        rhs = sum(
-            (p ** (f - 1 - k) * (ONE - block[(start + k) % f]) for k in range(f)), ZERO
-        )
-        rhs_scaled.append(rhs * den)
-    return {
-        "p": p,
-        "f": f,
-        "den": den,
-        "block": block,
-        "lo": lo,
-        "hi": hi,
-        "wlo": wlo,
-        "whi": whi,
-        "rhs": rhs_scaled,
-        "generic": generic_active,
-    }
+        # hodge_height times den: min(x, y) when they differ, else [x, den].
+        # Entries lie in [0, den], so both values do and its clamp never bites.
+        x = p * s[(pos - 1) % f]
+        y = den - s[pos]
+        wlo.append(min(x, y))
+        whi.append(min(x, y) if x != y else den)
+    return BlockPlan(
+        p, f, den, s, tuple(lo), tuple(hi), tuple(wlo), tuple(whi), rhs, generic_active
+    )
 
 
-def _floor_frac(x) -> int:
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
-def _ceil_frac(x) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
-
-
-def _hodge_edge_ok(plan, pos, a_prev, a_cur) -> bool:
+def _hodge_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
     # consistency of the d-side height interval at `pos` with the h-side one
-    den = plan["den"]
-    x = plan["p"] * a_prev
-    y = den - a_cur
+    x = plan.p * a_prev
+    y = plan.den - a_cur
     m = x if x < y else y
     if x != y:
-        return plan["wlo"][pos] <= m <= plan["whi"][pos]
-    return m <= plan["whi"][pos]
+        return plan.wlo[pos] <= m <= plan.whi[pos]
+    return m <= plan.whi[pos]
 
 
-def _hodge_edge_ranges(plan, pos, a_prev) -> list[tuple[int, int]]:
+def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
     """Disjoint closed ranges of a_cur passing the height edge at pos.
 
     With x = p*a_prev and y = den - a_cur the d-side height is min(x, y)
     exactly when x != y and the interval [x, den] otherwise; the three
     branches below solve each case against the h-side window.
     """
-    den = plan["den"]
-    x = plan["p"] * a_prev
-    wlo, whi = plan["wlo"][pos], plan["whi"][pos]
+    den = plan.den
+    x = plan.p * a_prev
+    wlo, whi = plan.wlo[pos], plan.whi[pos]
     ranges = []
     if x < den and wlo <= x <= whi:
         ranges.append((0, den - x - 1))
-    lo2 = max(_ceil_frac(den - whi), den - x + 1, 0)
-    hi2 = min(_floor_frac(den - wlo), den)
+    lo2 = max(den - whi, den - x + 1, 0)
+    hi2 = min(den - wlo, den)
     if lo2 <= hi2:
         ranges.append((lo2, hi2))
     if x <= den and x <= whi:
@@ -353,16 +375,16 @@ def _hodge_edge_ranges(plan, pos, a_prev) -> list[tuple[int, int]]:
     return ranges
 
 
-def _wrap_edge_ranges(plan, a_first) -> list[tuple[int, int]]:
+def _wrap_edge_ranges(plan: BlockPlan, a_first) -> list[tuple[int, int]]:
     """Ranges of the last entry passing the wrap-around height edge at pos 0."""
-    den, p = plan["den"], plan["p"]
+    den, p = plan.den, plan.p
     y = den - a_first
-    wlo, whi = plan["wlo"][0], plan["whi"][0]
+    wlo, whi = plan.wlo[0], plan.whi[0]
     ranges = []
     hi_x = min(whi, y - 1)
     if wlo <= hi_x:
-        lo1 = max(_ceil_frac(Fraction(wlo, p)), 0)
-        hi1 = _floor_frac(hi_x / p)
+        lo1 = max(_ceil_div(wlo, p), 0)
+        hi1 = hi_x // p
         if lo1 <= hi1:
             ranges.append((lo1, hi1))
     if wlo <= y <= whi:
@@ -382,38 +404,37 @@ def _intersect_ranges(r1, r2) -> list[tuple[int, int]]:
     return out
 
 
-def _gen3_edge_ok(plan, pos, a_prev, a_cur) -> bool:
+def _gen3_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
     # predecessor entry must vanish under a Zero predecessor with d below 1
-    if not plan["generic"]:
+    if not plan.generic:
         return True
-    pred = (pos - 1) % plan["f"]
-    if plan["block"][pred] == 0 and a_cur < plan["den"] and a_prev != 0:
+    pred = (pos - 1) % plan.f
+    if plan.block[pred] == 0 and a_cur < plan.den and a_prev != 0:
         return False
     return True
 
 
-def _raynaud_ok(plan, assign) -> bool:
-    p, f = plan["p"], plan["f"]
+def _raynaud_ok(plan: BlockPlan, assign) -> bool:
+    p, f = plan.p, plan.f
     for start in range(f):
         lhs = sum(p ** (f - 1 - k) * assign[(start + k) % f] for k in range(f))
-        if lhs > plan["rhs"][start]:
+        if lhs > plan.rhs[start]:
             return False
     return True
 
 
-def _self_edge_tuples(plan) -> list[tuple[int]]:
+def _self_edge_tuples(plan: BlockPlan) -> list[tuple[int]]:
     """Size-1 block: the height edge couples the single entry to itself."""
-    den, p = plan["den"], plan["p"]
-    lo0, hi0 = plan["lo"][0], plan["hi"][0]
-    wlo, whi = plan["wlo"][0], plan["whi"][0]
+    den, p = plan.den, plan.p
+    lo0, hi0 = plan.lo[0], plan.hi[0]
+    wlo, whi = plan.wlo[0], plan.whi[0]
     ranges = []
-    hi_x = min(whi, Fraction(p * den - 1, p + 1))  # x = p*a < y = den - a
-    if wlo <= hi_x:
-        r = (max(_ceil_frac(wlo / p), 0), _floor_frac(hi_x / p))
-        if r[0] <= r[1]:
-            ranges.append(r)
-    lo2 = max(_ceil_frac(den - whi), den // (p + 1) + 1)
-    hi2 = _floor_frac(den - wlo)
+    # x = p*a < y = den - a, i.e. (p + 1) a < den
+    r = (max(_ceil_div(wlo, p), 0), min(whi // p, (den - 1) // (p + 1)))
+    if r[0] <= r[1]:
+        ranges.append(r)
+    lo2 = max(den - whi, den // (p + 1) + 1)
+    hi2 = den - wlo
     if lo2 <= hi2:
         ranges.append((lo2, hi2))
     if den % (p + 1) == 0 and p * den // (p + 1) <= whi:
@@ -423,24 +444,24 @@ def _self_edge_tuples(plan) -> list[tuple[int]]:
     out = []
     for rlo, rhi in ranges:
         for a in range(max(rlo, lo0), min(rhi, hi0) + 1):
-            if plan["generic"] and plan["block"][0] == 0 and 0 != a < den:
+            if plan.generic and plan.block[0] == 0 and 0 != a < den:
                 continue
             out.append((a,))
     return sorted(set(out))
 
 
-def _block_tuples(plan) -> list[tuple[int, ...]]:
-    f = plan["f"]
-    den = plan["den"]
-    lo, hi = plan["lo"], plan["hi"]
+def _block_tuples(plan: BlockPlan) -> list[tuple[int, ...]]:
+    f = plan.f
+    den = plan.den
+    lo, hi = plan.lo, plan.hi
     if any(lo[pos] > hi[pos] for pos in range(f)):
         return []
     if f == 1:
         return _self_edge_tuples(plan)
     out: list[tuple[int, ...]] = []
     assign = [0] * f
-    gen = plan["generic"]
-    block = plan["block"]
+    gen = plan.generic
+    block = plan.block
 
     def descend(pos: int) -> None:
         if pos == f:
@@ -487,8 +508,8 @@ def _pin_for(h: DegreeVector, den: int, drop_genericity: bool):
     if res.kind == "exact":
         if num.denominator != 1:
             return case.beta0, 1, 0  # off-grid pin: empty range
-        return case.beta0, int(num), int(num)
-    return case.beta0, _ceil_scaled(res.value, den), den
+        return case.beta0, num.numerator, num.numerator
+    return case.beta0, _ceil_div(num.numerator, num.denominator), den
 
 
 def _block_lists(h: DegreeVector, den: int, drop_genericity: bool):
@@ -527,8 +548,11 @@ def feasible_d_grid(
     Hodge-interval consistency (always), and the pinned free coordinate on
     bad codimension-1 strata with partial eta (when h.generic and not
     dropped).  Membership here is necessary, not sufficient, for d to arise
-    from the correspondence.
+    from the correspondence.  h must lie on the 1/den grid and den must be
+    at least 1, else ValueError.
     """
+    if den < 1:
+        raise ValueError(f"den must be at least 1, got {den}")
     out = []
     for scaled in _iter_feasible_scaled(h, den, drop_genericity):
         out.append(
@@ -619,10 +643,13 @@ def _run_sweep(
     max_counterexamples: int,
     workers: int,
 ) -> dict:
+    if den < 1:
+        raise ValueError(f"den must be at least 1, got {den}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if profile.g * den > GRID_CAP:
         raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
     total = len(_grid_candidates(profile, den))
-    workers = max(1, int(workers))
     bounds = [total * k // workers for k in range(workers + 1)]
     args = [
         (

@@ -12,6 +12,15 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def assert_one_line_usage_error(capsys, code):
+    """Exit 2, no report, and exactly one `error:` line on stderr."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 # ---------------------------------------------------------------------------
 # strata
 
@@ -116,6 +125,18 @@ def test_regions_check_bad_point_is_usage_error(capsys):
     assert code == 2
 
 
+def test_regions_check_deg_not_a_mapping_is_usage_error(capsys):
+    code = cli.run(
+        [
+            "regions", "check",
+            "--profile", "p=3;f=2",
+            "--point", '{"deg":[1]}',
+            "--region", "sigma",
+        ]
+    )
+    assert_one_line_usage_error(capsys, code)
+
+
 def test_regions_coverage_pass_and_fail(capsys):
     code, rep = run_json(capsys, ["regions", "coverage", "--profile", "p=3;f=2,1"])
     assert code == 0 and rep["pass"] is True
@@ -158,6 +179,21 @@ def test_verify_sigma_up_oversized_grid_is_usage_error(capsys):
         ["verify", "sigma-up", "--profile", "p=3;f=3,3", "--den", "100000"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("check", ["sigma-up", "saturation"])
+@pytest.mark.parametrize("den", ["0", "-4"])
+def test_verify_den_below_one_is_usage_error(capsys, check, den):
+    code = cli.run(["verify", check, "--profile", "p=3;f=2", "--den", den])
+    assert_one_line_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_workers_below_one_is_usage_error(capsys, workers):
+    code = cli.run(
+        ["verify", "sigma-up", "--profile", "p=3;f=2", "--den", "6", "--workers", workers]
+    )
+    assert_one_line_usage_error(capsys, code)
 
 
 def test_verify_saturation(capsys):

@@ -77,6 +77,13 @@ def test_json_round_trip():
         DegreeVector.from_json_dict(profile, {"deg": {"0/0": "1/2"}})
 
 
+def test_from_json_dict_rejects_deg_that_is_not_a_mapping():
+    profile = PrimeProfile(3, (2,))
+    for deg in ([1], "1/2", 1, None):
+        with pytest.raises(DegreeVectorError):
+            DegreeVector.from_json_dict(profile, {"deg": deg})
+
+
 @given(degvec())
 def test_pair_of_degvec_always_admissible(h):
     pair = pair_of_degvec(h)  # constructor validates admissibility

@@ -133,6 +133,51 @@ def test_adding_families_never_enlarges_feasible_set(data):
     assert full <= relaxed
 
 
+def _vertex_and_edge_points(profile, den):
+    for scaled in product(range(den + 1), repeat=profile.g):
+        if sum(1 for a in scaled if 0 < a < den) <= 1:
+            yield DegreeVector(profile, tuple(F(a, den) for a in scaled), generic=True)
+
+
+def test_feasible_matches_brute_oracle_pinned_three_entry_block():
+    """p=5;f=3 at den 5: the threshold 1/5 is on the grid, 6/25 is not."""
+    profile = parse_profile("p=5;f=3")
+    for h in _vertex_and_edge_points(profile, 5):
+        for drop in (False, True):
+            got = sorted(tuple(d.entries) for d in feasible_d_grid(h, 5, drop))
+            assert got == brute_feasible(h, 5, drop), (h.entries, drop)
+
+
+def test_block_plan_matches_fraction_definitions():
+    """Each integer window and anchored sum is the Fraction family times den."""
+    for prof, den in [("p=3;f=2", 6), ("p=5;f=3", 10), ("p=3;f=2,1", 6)]:
+        profile = parse_profile(prof)
+        p = profile.p
+        for h in _vertex_and_edge_points(profile, den):
+            for i in range(profile.n_primes):
+                f, off = profile.f[i], profile.offsets[i]
+                plan = _block_plan(h, den, i, True, None)
+                assert plan.block == tuple(h[off + pos] * den for pos in range(f))
+                for pos in range(f):
+                    w = hodge_height(h, off + pos)
+                    assert (plan.wlo[pos], plan.whi[pos]) == (w.lower * den, w.upper * den)
+                    rhs = sum(
+                        p ** (f - 1 - k) * (1 - h[off + (pos + k) % f]) for k in range(f)
+                    )
+                    assert plan.rhs[pos] == rhs * den
+                    if h[off + pos] == 1:
+                        # off the grid the tail bound is floored, never rounded up
+                        assert F(plan.hi[pos], den) <= delta_star(p, f)
+
+
+def test_block_plan_rejects_off_grid_h():
+    h = DegreeVector(parse_profile("p=3;f=2"), (F(1, 4), F(0)), generic=True)
+    with pytest.raises(ValueError):
+        _block_plan(h, 6, 0, True, None)
+    with pytest.raises(ValueError):
+        feasible_d_grid(h, 6)
+
+
 def test_feasible_frozen_examples():
     P2 = parse_profile("p=3;f=2")
     h = DegreeVector(P2, (F(1), F(0)), generic=True)
@@ -162,6 +207,9 @@ def test_feasible_errors():
     h = DegreeVector(P2, (F(1), F(0)), generic=True)
     with pytest.raises(GridTooLarge):
         feasible_d_grid(h, 50_000)
+    for den in (0, -4):
+        with pytest.raises(ValueError):
+            feasible_d_grid(h, den)
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +218,19 @@ def test_feasible_errors():
 
 def _plans():
     for prof, den in [("p=3;f=2", 6), ("p=2;f=2", 5), ("p=5;f=3", 4)]:
-        profile = parse_profile(prof)
-        for scaled in product(range(den + 1), repeat=profile.g):
-            if sum(1 for a in scaled if 0 < a < den) > 1:
-                continue
-            h = DegreeVector(profile, tuple(F(a, den) for a in scaled), generic=True)
+        for h in _vertex_and_edge_points(parse_profile(prof), den):
             yield _block_plan(h, den, 0, True, None), den
 
 
 def test_hodge_edge_ranges_match_predicate():
     for plan, den in _plans():
-        for pos in range(1, plan["f"]):
+        for pos in range(1, plan.f):
             for a_prev in range(den + 1):
                 allowed = _hodge_edge_ranges(plan, pos, a_prev)
                 for a in range(den + 1):
                     want = _hodge_edge_ok(plan, pos, a_prev, a)
                     got = any(lo <= a <= hi for lo, hi in allowed)
-                    assert got == want, (plan["block"], pos, a_prev, a)
+                    assert got == want, (plan.block, pos, a_prev, a)
 
 
 def test_wrap_edge_ranges_match_predicate():
@@ -196,7 +240,7 @@ def test_wrap_edge_ranges_match_predicate():
             for a_last in range(den + 1):
                 want = _hodge_edge_ok(plan, 0, a_last, a_first)
                 got = any(lo <= a_last <= hi for lo, hi in allowed)
-                assert got == want, (plan["block"], a_first, a_last)
+                assert got == want, (plan.block, a_first, a_last)
 
 
 def test_self_edge_tuples_match_predicate():
@@ -207,8 +251,8 @@ def test_self_edge_tuples_match_predicate():
             plan = _block_plan(h, den, 0, True, None)
             got = {t[0] for t in _self_edge_tuples(plan)}
             want = set()
-            for a in range(plan["lo"][0], plan["hi"][0] + 1):
-                if plan["block"][0] == 0 and 0 != a < den:
+            for a in range(plan.lo[0], plan.hi[0] + 1):
+                if plan.block[0] == 0 and 0 != a < den:
                     continue
                 if _hodge_edge_ok(plan, 0, a, a):
                     want.add(a)
