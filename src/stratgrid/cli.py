@@ -96,7 +96,7 @@ def _workers(ns) -> int:
     if getattr(ns, "workers", None) is not None:
         return ns.workers
     env = os.environ.get("TOOL_WORKERS")
-    return max(1, int(env)) if env else 1
+    return int(env) if env else 1
 
 
 def _cmd_strata_enumerate(ns):

@@ -12,8 +12,10 @@ claims never rest on this set.
 The enumeration is integer-only: on the 1/den grid every window and bound of
 those families is an integer multiple of 1/den, so `_block_plan` restates them
 times den in a `BlockPlan`, and the range propagation below it does no
-`Fraction` arithmetic.  The `Fraction` definitions in `degrees` and `regions`
-stay the oracle; the tests check the plan and the enumeration against them.
+`Fraction` arithmetic.  One descent, `_block_tuples`, serves every block size;
+a bound another one implies (the genericity tail bound) is not restated.  The
+`Fraction` definitions in `degrees` and `regions` stay the oracle; the tests
+check the plan and the enumeration against them.
 
 `verify_sigma_up` sweeps every grid point of the membership region and checks
 that all surviving d push the quotient into the canonical locus.  Only
@@ -37,7 +39,7 @@ from .degrees import (
     raynaud_feasible,
 )
 from .embeddings import PrimeProfile, parse_profile
-from .regions import Verdict, delta, delta_star, in_interval_region, sigma_case
+from .regions import SigmaCase, Verdict, delta, in_interval_region, sigma_case
 
 __all__ = [
     "GridTooLarge",
@@ -297,13 +299,14 @@ def _block_plan(
     h must lie on the 1/den grid, else ValueError.  The plan restates the
     Fraction families of `degrees` (`hodge_height`, `raynaud_feasible`,
     `genericity_constraints`) and the ordinary-block rule times den; those
-    definitions stay the oracle the plan is tested against.
+    definitions stay the oracle the plan is tested against.  The genericity
+    tail bound (d <= delta_star where h = 1) is implied and not restated:
+    there the k = 0 term of the anchored sum is 0, so the self-anchored bound
+    caps d at sum_{k>=1} p^-k (1 - h_(pos+k)) <= delta_star(p, f).
     """
     profile = h.profile
     p, f, off = profile.p, profile.f[i], profile.offsets[i]
     s = tuple(_on_grid(h[off + pos], den) for pos in range(f))
-    tail = delta_star(p, f) * den
-    tail_hi = tail.numerator // tail.denominator
     zero_one = all(v == 0 or v == den for v in s)
     rhs = tuple(
         sum(p ** (f - 1 - k) * (den - s[(start + k) % f]) for k in range(f))
@@ -315,12 +318,10 @@ def _block_plan(
         pred = (pos - 1) % f
         if generic_active:
             if s[pos] == den:
-                hi[pos] = min(hi[pos], tail_hi)
                 hi[pred] = min(hi[pred], 0)
             if zero_one:
                 if s[pos] == den and s[(pos + 1) % f] == 0:
                     lo[pos] = max(lo[pos], _ceil_div(den, p))
-                    hi[pos] = min(hi[pos], tail_hi)
                 else:
                     hi[pos] = min(hi[pos], 0)
         # self-anchored inequality bound: p^{f-1} d <= weighted rhs
@@ -423,41 +424,17 @@ def _raynaud_ok(plan: BlockPlan, assign) -> bool:
     return True
 
 
-def _self_edge_tuples(plan: BlockPlan) -> list[tuple[int]]:
-    """Size-1 block: the height edge couples the single entry to itself."""
-    den, p = plan.den, plan.p
-    lo0, hi0 = plan.lo[0], plan.hi[0]
-    wlo, whi = plan.wlo[0], plan.whi[0]
-    ranges = []
-    # x = p*a < y = den - a, i.e. (p + 1) a < den
-    r = (max(_ceil_div(wlo, p), 0), min(whi // p, (den - 1) // (p + 1)))
-    if r[0] <= r[1]:
-        ranges.append(r)
-    lo2 = max(den - whi, den // (p + 1) + 1)
-    hi2 = den - wlo
-    if lo2 <= hi2:
-        ranges.append((lo2, hi2))
-    if den % (p + 1) == 0 and p * den // (p + 1) <= whi:
-        a = den // (p + 1)
-        if not any(r[0] <= a <= r[1] for r in ranges):
-            ranges.append((a, a))
-    out = []
-    for rlo, rhi in ranges:
-        for a in range(max(rlo, lo0), min(rhi, hi0) + 1):
-            if plan.generic and plan.block[0] == 0 and 0 != a < den:
-                continue
-            out.append((a,))
-    return sorted(set(out))
-
-
 def _block_tuples(plan: BlockPlan) -> list[tuple[int, ...]]:
+    """The block's candidates in lexicographic order, for every block size.
+
+    The leaf checks the wrap-around height edge: for f = 1 that is the self
+    edge; for f >= 2 `_wrap_edge_ranges` has already cut the last entry.
+    """
     f = plan.f
     den = plan.den
     lo, hi = plan.lo, plan.hi
     if any(lo[pos] > hi[pos] for pos in range(f)):
         return []
-    if f == 1:
-        return _self_edge_tuples(plan)
     out: list[tuple[int, ...]] = []
     assign = [0] * f
     gen = plan.generic
@@ -465,8 +442,10 @@ def _block_tuples(plan: BlockPlan) -> list[tuple[int, ...]]:
 
     def descend(pos: int) -> None:
         if pos == f:
-            if _gen3_edge_ok(plan, 0, assign[f - 1], assign[0]) and _raynaud_ok(
-                plan, assign
+            if (
+                _hodge_edge_ok(plan, 0, assign[f - 1], assign[0])
+                and _gen3_edge_ok(plan, 0, assign[f - 1], assign[0])
+                and _raynaud_ok(plan, assign)
             ):
                 out.append(tuple(assign))
             return
@@ -491,11 +470,8 @@ def _block_tuples(plan: BlockPlan) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _pin_for(h: DegreeVector, den: int, drop_genericity: bool):
-    """Pinned candidate range at the free coordinate of a 2c-type stratum."""
-    if drop_genericity or not h.generic:
-        return None
-    case = sigma_case(h)
+def _pin_for(h: DegreeVector, den: int, case: SigmaCase):
+    """Pinned candidate range at the free coordinate; `case` is `sigma_case(h)`."""
     if case.kind != "bad_partial_eta" or case.verdict is Verdict.OUT:
         return None
     res = bk_newton_degree(
@@ -512,14 +488,10 @@ def _pin_for(h: DegreeVector, den: int, drop_genericity: bool):
     return case.beta0, _ceil_div(num.numerator, num.denominator), den
 
 
-def _block_lists(h: DegreeVector, den: int, drop_genericity: bool):
-    if h.cusp:
-        raise CuspInput("feasible degrees are not defined for cusp vectors")
+def _block_lists(h: DegreeVector, den: int, drop_genericity: bool, case: SigmaCase):
     profile = h.profile
-    if profile.g * den > GRID_CAP:
-        raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
     generic_active = h.generic and not drop_genericity
-    pin = _pin_for(h, den, drop_genericity)
+    pin = _pin_for(h, den, case) if generic_active else None
     lists = []
     for i in range(profile.n_primes):
         local_pin = None
@@ -530,8 +502,10 @@ def _block_lists(h: DegreeVector, den: int, drop_genericity: bool):
     return lists
 
 
-def _iter_feasible_scaled(h: DegreeVector, den: int, drop_genericity: bool):
-    lists = _block_lists(h, den, drop_genericity)
+def _iter_feasible_scaled(
+    h: DegreeVector, den: int, drop_genericity: bool, case: SigmaCase
+):
+    lists = _block_lists(h, den, drop_genericity, case)
     if any(not lst for lst in lists):
         return
     for combo in product(*lists):
@@ -553,8 +527,12 @@ def feasible_d_grid(
     """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
+    if h.cusp:
+        raise CuspInput("feasible degrees are not defined for cusp vectors")
+    if h.profile.g * den > GRID_CAP:
+        raise GridTooLarge(f"{h.profile.g} * {den} exceeds cap {GRID_CAP}")
     out = []
-    for scaled in _iter_feasible_scaled(h, den, drop_genericity):
+    for scaled in _iter_feasible_scaled(h, den, drop_genericity, sigma_case(h)):
         out.append(
             DegreeVector(h.profile, tuple(Fraction(a, den) for a in scaled))
         )
@@ -603,7 +581,8 @@ def _sweep_chunk(args) -> dict:
         h = DegreeVector(
             profile, tuple(Fraction(a, den) for a in scaled), generic=True
         )
-        if sigma_case(h).verdict is not Verdict.IN:
+        case = sigma_case(h)
+        if case.verdict is not Verdict.IN:
             continue
         if saturation_only:
             # structural check: membership reads only the serialized data
@@ -613,7 +592,7 @@ def _sweep_chunk(args) -> dict:
             if not in_interval_region(h):
                 continue
         points_in += 1
-        for d_scaled in _iter_feasible_scaled(h, den, drop_genericity):
+        for d_scaled in _iter_feasible_scaled(h, den, drop_genericity, case):
             pairs += 1
             for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
                 cx_total += 1
@@ -647,6 +626,10 @@ def _run_sweep(
         raise ValueError(f"den must be at least 1, got {den}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if max_counterexamples < 0:
+        raise ValueError(
+            f"max_counterexamples must be at least 0, got {max_counterexamples}"
+        )
     if profile.g * den > GRID_CAP:
         raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
     total = len(_grid_candidates(profile, den))

@@ -103,6 +103,17 @@ def codim(pair: StratumPair) -> int:
     return pair.phi.bit_count() + pair.eta.bit_count() - pair.profile.g
 
 
+def _supersets(base: int, free: int) -> list[int]:
+    """base | s for every submask s of free, ascending; base and free are disjoint."""
+    out = []
+    sub = 0
+    while True:
+        out.append(base | sub)
+        if sub == free:
+            return out
+        sub = (sub - free) & free
+
+
 def enumerate_admissible(
     profile: PrimeProfile,
     codim_filter: int | None = None,
@@ -121,14 +132,7 @@ def enumerate_admissible(
     for phi in range(full + 1):
         required = shift_left(profile, full & ~phi)
         free = shift_left(profile, phi)
-        etas = []
-        sub = free
-        while True:
-            etas.append(required | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        for eta in sorted(etas):
+        for eta in _supersets(required, free):
             pair = StratumPair(profile, phi, eta)
             if codim_filter is not None and codim(pair) != codim_filter:
                 continue
@@ -142,23 +146,10 @@ def closure_set(pair: StratumPair) -> list[StratumPair]:
     """Admissible pairs (phi', eta') with phi' >= phi and eta' >= eta."""
     profile = pair.profile
     full = profile.full_mask
+    etas = _supersets(pair.eta, full & ~pair.eta)
     out = []
-    phis = []
-    sub = full & ~pair.phi
-    while True:
-        phis.append(pair.phi | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & full & ~pair.phi
-    for phi in sorted(phis):
-        sub = full & ~pair.eta
-        etas = []
-        while True:
-            etas.append(pair.eta | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & full & ~pair.eta
-        for eta in sorted(etas):
+    for phi in _supersets(pair.phi, full & ~pair.phi):
+        for eta in etas:
             if is_admissible(profile, phi, eta):
                 out.append(StratumPair(profile, phi, eta))
     return out
@@ -170,16 +161,7 @@ def pi_image(pair: StratumPair) -> list[int]:
     There are 2^|~phi & ~eta| of them.
     """
     full = pair.profile.full_mask
-    base = pair.phi & pair.eta
-    free = full & ~pair.phi & ~pair.eta
-    out = []
-    sub = free
-    while True:
-        out.append(base | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    return sorted(out)
+    return _supersets(pair.phi & pair.eta, full & ~pair.phi & ~pair.eta)
 
 
 def w_T_pair(pair: StratumPair, T) -> StratumPair:

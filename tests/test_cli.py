@@ -196,6 +196,21 @@ def test_verify_workers_below_one_is_usage_error(capsys, workers):
     assert_one_line_usage_error(capsys, code)
 
 
+@pytest.mark.parametrize("check", ["sigma-up", "saturation"])
+def test_verify_negative_max_counterexamples_is_usage_error(capsys, check):
+    code = cli.run(
+        ["verify", check, "--profile", "p=3;f=2", "--den", "6", "--max-counterexamples", "-2"]
+    )
+    assert_one_line_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_tool_workers_below_one_is_usage_error(capsys, monkeypatch, workers):
+    monkeypatch.setenv("TOOL_WORKERS", workers)
+    code = cli.run(["verify", "sigma-up", "--profile", "p=3;f=2", "--den", "6"])
+    assert_one_line_usage_error(capsys, code)
+
+
 def test_verify_saturation(capsys):
     code, rep = run_json(
         capsys, ["verify", "saturation", "--profile", "p=3;f=2", "--den", "12"]

@@ -37,7 +37,6 @@ from stratgrid.hecke import (
     _block_plan,
     _hodge_edge_ok,
     _hodge_edge_ranges,
-    _self_edge_tuples,
     _wrap_edge_ranges,
 )
 from stratgrid.regions import Verdict, delta, delta_star, sigma_case
@@ -139,13 +138,18 @@ def _vertex_and_edge_points(profile, den):
             yield DegreeVector(profile, tuple(F(a, den) for a in scaled), generic=True)
 
 
-def test_feasible_matches_brute_oracle_pinned_three_entry_block():
-    """p=5;f=3 at den 5: the threshold 1/5 is on the grid, 6/25 is not."""
-    profile = parse_profile("p=5;f=3")
-    for h in _vertex_and_edge_points(profile, 5):
+@pytest.mark.parametrize(
+    "prof,den",
+    [("p=5;f=3", 5), ("p=3;f=1", 6), ("p=2;f=1", 7), ("p=5;f=1", 4), ("p=3;f=2,1", 4)],
+)
+def test_feasible_matches_brute_oracle_exhaustive(prof, den):
+    """Every vertex and edge point against the oracle.  At p=5;f=3 den 5 the
+    threshold 1/5 is on the grid and 6/25 is not; the size-1 blocks check the
+    self edge, whose height window couples an entry to itself."""
+    for h in _vertex_and_edge_points(parse_profile(prof), den):
         for drop in (False, True):
-            got = sorted(tuple(d.entries) for d in feasible_d_grid(h, 5, drop))
-            assert got == brute_feasible(h, 5, drop), (h.entries, drop)
+            got = sorted(tuple(d.entries) for d in feasible_d_grid(h, den, drop))
+            assert got == brute_feasible(h, den, drop), (h.entries, drop)
 
 
 def test_block_plan_matches_fraction_definitions():
@@ -166,7 +170,7 @@ def test_block_plan_matches_fraction_definitions():
                     )
                     assert plan.rhs[pos] == rhs * den
                     if h[off + pos] == 1:
-                        # off the grid the tail bound is floored, never rounded up
+                        # the plan omits the tail bound: the self-anchored bound implies it
                         assert F(plan.hi[pos], den) <= delta_star(p, f)
 
 
@@ -241,22 +245,6 @@ def test_wrap_edge_ranges_match_predicate():
                 want = _hodge_edge_ok(plan, 0, a_last, a_first)
                 got = any(lo <= a_last <= hi for lo, hi in allowed)
                 assert got == want, (plan.block, a_first, a_last)
-
-
-def test_self_edge_tuples_match_predicate():
-    for prof, den in [("p=3;f=1", 6), ("p=2;f=1", 7), ("p=5;f=1", 4)]:
-        profile = parse_profile(prof)
-        for a_h in range(den + 1):
-            h = DegreeVector(profile, (F(a_h, den),), generic=True)
-            plan = _block_plan(h, den, 0, True, None)
-            got = {t[0] for t in _self_edge_tuples(plan)}
-            want = set()
-            for a in range(plan.lo[0], plan.hi[0] + 1):
-                if plan.block[0] == 0 and 0 != a < den:
-                    continue
-                if _hodge_edge_ok(plan, 0, a, a):
-                    want.add(a)
-            assert got == want, (prof, a_h)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +364,13 @@ def test_sweep_drop_genericity_finds_counterexamples():
         "beta": 0,
         "lhs": "3",
     }
-    # records come lexicographically ordered and are capped
-    capped = verify_sigma_up(
-        parse_profile("p=3;f=2"), 6, drop_genericity=True, max_counterexamples=1
-    )
-    assert len(capped["counterexamples"]) == 1
-    assert capped["counterexample_total"] == 2
-    assert capped["counterexamples"][0] == rep["counterexamples"][0]
+    # records come lexicographically ordered and are capped; the total is not
+    for cap in (0, 1):
+        capped = verify_sigma_up(
+            parse_profile("p=3;f=2"), 6, drop_genericity=True, max_counterexamples=cap
+        )
+        assert capped["counterexamples"] == rep["counterexamples"][:cap]
+        assert capped["counterexample_total"] == 2
 
 
 def test_sweep_p2_smallest_profile_finds_no_counterexamples():
