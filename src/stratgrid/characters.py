@@ -4,6 +4,10 @@ and the coefficientwise twist identity for companion coefficient families.
 Everything is computed in rings Z[x]/Phi_m(x) with integer coefficients; no
 floating point and no division.  The one inverse the twist identity would
 need, 1/W(psi), is removed by cross-multiplying both sides.
+
+Every term of a character sum is a power zeta_M^e, so the sums are counted in
+Z[x]/(x^M - 1), one counter per exponent e mod M, and reduced once modulo
+Phi_M.  That is exact because Phi_M divides x^M - 1.
 """
 from __future__ import annotations
 
@@ -77,17 +81,22 @@ def _poly_mul(a, b) -> tuple[int, ...]:
 
 
 def _poly_rem(a, b) -> tuple[int, ...]:
-    """Remainder of a by monic b, exact over the integers."""
+    """Remainder of a by monic b, exact over the integers.
+
+    Only the nonzero lower coefficients of b are visited: cyclotomic
+    polynomials are sparse (Phi_506 has 41 nonzero coefficients of 221).
+    """
     a = list(a)
     db = len(b) - 1
     assert b[-1] == 1
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
+    terms = [(j, y) for j, y in enumerate(b[:-1]) if y]
+    for top in range(len(a) - 1, db - 1, -1):
+        lead = a[top]
         if lead:
-            shift = len(a) - 1 - db
-            for j, y in enumerate(b):
+            shift = top - db
+            for j, y in terms:
                 a[shift + j] -= lead * y
-        a.pop()
+    del a[db:]
     return _poly_trim(a)
 
 
@@ -465,8 +474,8 @@ class FieldChar:
     def inverse(self) -> "FieldChar":
         return FieldChar(self.field, (-self.exp) % (self.field.q - 1))
 
-    def value(self, i: int, M: int) -> CyclotomicInt:
-        """Value at the nonzero element of index i, in the conductor-M ring."""
+    def exponent(self, i: int, M: int) -> int:
+        """e in [0, M) with value zeta_M^e at the nonzero element of index i."""
         if i == 0:
             raise ValueError("character not defined at zero")
         d = self.field.q - 1
@@ -474,7 +483,11 @@ class FieldChar:
             raise ValueError("conductor does not contain the character values")
         e = (self.field.dlog[i] * self.exp) % d
         num = e * self.order // d  # exact: d/order divides e
-        return CyclotomicInt.zeta(M, num * (M // self.order))
+        return num * (M // self.order)
+
+    def value(self, i: int, M: int) -> CyclotomicInt:
+        """Value at the nonzero element of index i, in the conductor-M ring."""
+        return CyclotomicInt.zeta(M, self.exponent(i, M))
 
     def at_minus_one(self, M: int) -> CyclotomicInt:
         return self.value(self.field.neg(1), M)
@@ -505,13 +518,17 @@ class UnitChar:
             tuple((-k) % d for (_, d), k in zip(self.group.gens, self.exps)),
         )
 
-    def value(self, u: int, M: int) -> CyclotomicInt:
+    def exponent(self, u: int, M: int) -> int:
+        """e in [0, M) with value zeta_M^e at the unit u."""
         e = 0
         for (_, d), k, x in zip(self.group.gens, self.exps, self.group.dlog(u)):
             if M % d:
                 raise ValueError("conductor does not contain the character values")
             e += x * k * (M // d)
-        return CyclotomicInt.zeta(M, e % M)
+        return e % M
+
+    def value(self, u: int, M: int) -> CyclotomicInt:
+        return CyclotomicInt.zeta(M, self.exponent(u, M))
 
 
 def all_field_chars(field: GF):
@@ -529,15 +546,17 @@ def all_unit_chars(group: UnitGroup):
 # Gauss sums
 
 
+def _zeta_sum(M: int, exponents) -> CyclotomicInt:
+    """Sum of zeta_M^e over the given exponents, reduced once."""
+    counts = [0] * M
+    for e in exponents:
+        counts[e % M] += 1
+    return CyclotomicInt.make(M, counts)
+
+
 def gauss_sum(psi: FieldChar, M: int | None = None) -> CyclotomicInt:
     """Sum of psi(j) zeta_p^Tr(j) over nonzero j, in conductor lcm(p, ord psi)."""
-    field = psi.field
-    if M is None:
-        M = conductor(field.p, psi.order)
-    out = CyclotomicInt.from_int(M, 0)
-    for j in range(1, field.q):
-        out = out + psi.value(j, M) * CyclotomicInt.zeta(M, field.trace(j) * (M // field.p))
-    return out
+    return twisted_sum(psi, 1, M)
 
 
 def twisted_sum(psi: FieldChar, t: int, M: int | None = None) -> CyclotomicInt:
@@ -545,25 +564,19 @@ def twisted_sum(psi: FieldChar, t: int, M: int | None = None) -> CyclotomicInt:
     field = psi.field
     if M is None:
         M = conductor(field.p, psi.order)
-    out = CyclotomicInt.from_int(M, 0)
-    for j in range(1, field.q):
-        tr = field.trace(field.mul(j, t))
-        out = out + psi.value(j, M) * CyclotomicInt.zeta(M, tr * (M // field.p))
-    return out
+    step = M // field.p
+    return _zeta_sum(
+        M,
+        (psi.exponent(j, M) + field.trace(field.mul(j, t)) * step for j in range(1, field.q)),
+    )
 
 
 def unit_twisted_sum(chi: UnitChar, v: int, M: int) -> CyclotomicInt:
     """Sum of chi(j) zeta_n^(jv) over units j of Z/n."""
     n = chi.group.n
-    out = CyclotomicInt.from_int(M, 0)
-    for j in chi.group.units:
-        zeta_pow = (
-            CyclotomicInt.zeta(M, (j * v % n) * (M // n))
-            if n > 1
-            else CyclotomicInt.from_int(M, 1)
-        )
-        out = out + chi.value(j, M) * zeta_pow
-    return out
+    return _zeta_sum(
+        M, (chi.exponent(j, M) + (j * v % n) * (M // n) for j in chi.group.units)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +729,9 @@ def verify_twist_identity(
     s_n = {v: unit_twisted_sum(psi_n.inverse(), v, M) for v in range(group.n)}
     mismatch = None
     for u in range(field.q):
+        w_tw = w_n_inv * twisted_sum(psi_p, u, M)
         for v in range(group.n):
-            lhs = w_n_inv * twisted_sum(psi_p, u, M) * a.at(u, v)
+            lhs = w_tw * a.at(u, v)
             core = s_n[v] * b_full[(u, v)]
             if u == 0 and v in b.reduced:
                 core = core - sc * s_n[v] * b.reduced[v]

@@ -166,6 +166,8 @@ def _cmd_verify_saturation(ns):
 
 
 def _twist_runs(q, n, trials, seed, corrupt, scalars=((2, 3, 1),)):
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     field, group = GF(q), UnitGroup(n)
     M = conductor(field.p, q - 1, n, group.exponent)
     failures = []

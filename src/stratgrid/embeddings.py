@@ -72,6 +72,18 @@ class PrimeProfile:
             "_block_masks",
             tuple(((1 << d) - 1) << off for d, off in zip(self.f, offsets)),
         )
+        # Shift tables: the first and last bit of every block, and per distinct
+        # block size d the first bits of the blocks of that size, which a
+        # rotation moves d - 1 places to the other end of their block.
+        firsts = [1 << off for off in offsets]
+        object.__setattr__(self, "_first_bits", sum(firsts))
+        object.__setattr__(
+            self, "_last_bits", sum(b << (d - 1) for b, d in zip(firsts, self.f))
+        )
+        wraps: dict[int, int] = {}
+        for b, d in zip(firsts, self.f):
+            wraps[d - 1] = wraps.get(d - 1, 0) | b
+        object.__setattr__(self, "_wraps", tuple(wraps.items()))
 
     def block_mask(self, i: int) -> int:
         """Bitmask of all embeddings of prime i."""
@@ -147,24 +159,18 @@ def shift_left(profile: PrimeProfile, mask: int) -> int:
     Blockwise this rotates each block's bits one position down.
     """
     _check_mask(profile, mask)
-    out = 0
-    for i, d in enumerate(profile.f):
-        off = profile.offsets[i]
-        b = (mask >> off) & ((1 << d) - 1)
-        b = (b >> 1) | ((b & 1) << (d - 1))
-        out |= b << off
+    out = (mask & ~profile._first_bits) >> 1
+    for s, firsts in profile._wraps:
+        out |= (mask & firsts) << s
     return out
 
 
 def shift_right(profile: PrimeProfile, mask: int) -> int:
     """Successor set, the inverse of shift_left."""
     _check_mask(profile, mask)
-    out = 0
-    for i, d in enumerate(profile.f):
-        off = profile.offsets[i]
-        b = (mask >> off) & ((1 << d) - 1)
-        b = ((b << 1) | (b >> (d - 1))) & ((1 << d) - 1)
-        out |= b << off
+    out = (mask & ~profile._last_bits) << 1
+    for s, firsts in profile._wraps:
+        out |= (mask >> s) & firsts
     return out
 
 

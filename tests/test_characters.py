@@ -1,4 +1,5 @@
 """Tests for exact cyclotomic arithmetic, Gauss sums, and the twist identity."""
+import functools
 import math
 
 import pytest
@@ -57,6 +58,19 @@ def test_cyclotomic_poly_degree_and_root(m):
     for i, c in enumerate(cyclotomic_poly(m)):
         acc = acc + c * z**i
     assert acc == 0
+
+
+@pytest.mark.parametrize("m", list(range(1, 131)) + [272, 342, 506])
+def test_zeta_ring_laws_sparse_reduction(m):
+    """Reduction by the sparse Phi_m: zeta has period m, zeta^m = 1, and the
+    m-th roots of unity sum to 0 (to 1 for m = 1)."""
+    for k in range(-2, m + 2):
+        assert CyclotomicInt.zeta(m, k + m) == CyclotomicInt.zeta(m, k)
+    assert CyclotomicInt.zeta(m) ** m == 1
+    total = CyclotomicInt.from_int(m, 0)
+    for k in range(m):
+        total = total + CyclotomicInt.zeta(m, k)
+    assert total == (1 if m == 1 else 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 6, 12, 20])
@@ -186,6 +200,71 @@ def test_gauss_sum_laws(q):
         assert W * Winv == psi.at_minus_one(M) * CyclotomicInt.from_int(M, q)
         # |W|^2 = q, conjugation realized by the galois map zeta -> zeta^-1
         assert W * W.galois(M - 1) == q
+
+
+# Term-by-term character sums in ring arithmetic: the oracle for the
+# exponent-counting sums.  Powers of zeta are memoised here only to keep the
+# oracle fast at M = 506.
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta(M, k):
+    return CyclotomicInt.zeta(M, k)
+
+
+def oracle_twisted_sum(psi, t, M):
+    field = psi.field
+    out = CyclotomicInt.from_int(M, 0)
+    for j in range(1, field.q):
+        tr = field.trace(field.mul(j, t))
+        out = out + psi.value(j, M) * _zeta(M, tr * (M // field.p))
+    return out
+
+
+def oracle_gauss_sum(psi, M):
+    field = psi.field
+    out = CyclotomicInt.from_int(M, 0)
+    for j in range(1, field.q):
+        out = out + psi.value(j, M) * _zeta(M, field.trace(j) * (M // field.p))
+    return out
+
+
+def oracle_unit_twisted_sum(chi, v, M):
+    n = chi.group.n
+    out = CyclotomicInt.from_int(M, 0)
+    for j in chi.group.units:
+        zeta_pow = (
+            _zeta(M, (j * v % n) * (M // n))
+            if n > 1
+            else CyclotomicInt.from_int(M, 1)
+        )
+        out = out + chi.value(j, M) * zeta_pow
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_character_sums_match_term_by_term_oracle(q):
+    """Every character, and every t for q <= 13 (t in {0, 1, 2} above)."""
+    F = GF(q)
+    ts = range(q) if q <= 13 else (0, 1, 2)
+    for psi in all_field_chars(F):
+        M = conductor(F.p, psi.order)
+        assert gauss_sum(psi) == oracle_gauss_sum(psi, M), (q, psi.exp)
+        for t in ts:
+            assert twisted_sum(psi, t) == oracle_twisted_sum(psi, t, M), (q, psi.exp, t)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_unit_twisted_sums_match_term_by_term_oracle(n):
+    U = UnitGroup(n)
+    M = conductor(n, U.exponent)
+    for chi in all_unit_chars(U):
+        for v in range(n):
+            assert unit_twisted_sum(chi, v, M) == oracle_unit_twisted_sum(chi, v, M), (
+                n,
+                chi.exps,
+                v,
+            )
 
 
 def test_gauss_sum_default_conductor():

@@ -240,6 +240,13 @@ def test_verify_twist_corrupt_control_fails(capsys):
     assert rep["failures"][0]["mismatch_index"] == [1, 1]
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_twist_trials_below_one_is_usage_error(capsys, trials):
+    """Zero runs would report a vacuous pass."""
+    code = cli.run(["verify", "twist", "--q", "3", "--n", "4", "--trials", trials])
+    assert_one_line_usage_error(capsys, code)
+
+
 def test_verify_twist_bad_q_is_usage_error(capsys):
     assert cli.run(["verify", "twist", "--q", "6", "--n", "4"]) == 2
 

@@ -37,6 +37,16 @@ def oracle_shift_left(profile: PrimeProfile, mask: int) -> int:
     return out
 
 
+def rotate_blocks(profile: PrimeProfile, mask: int, step: int) -> int:
+    # loop oracle: rotate each block's bits down (step = -1) or up (step = +1)
+    out = 0
+    for i, d in enumerate(profile.f):
+        for pos in range(d):
+            if mask >> profile.index(i, pos) & 1:
+                out |= 1 << profile.index(i, (pos + step) % d)
+    return out
+
+
 def profile_strategy():
     return st.sampled_from(PROFILES)
 
@@ -99,6 +109,17 @@ def test_shift_example():
 def test_shift_left_matches_oracle(pm):
     profile, mask = pm
     assert shift_left(profile, mask) == oracle_shift_left(profile, mask)
+
+
+@pytest.mark.parametrize("text", ["p=3;f=3,1,2,1", "p=2;f=1,4,1,1", "p=5;f=2,2,3"])
+def test_shifts_match_block_rotation_exhaustively(text):
+    """Every mask of profiles mixing block sizes, size-1 blocks included."""
+    profile = parse_profile(text)
+    for mask in range(profile.full_mask + 1):
+        left = shift_left(profile, mask)
+        assert left == rotate_blocks(profile, mask, -1), (text, mask)
+        assert shift_right(profile, mask) == rotate_blocks(profile, mask, 1), (text, mask)
+        assert shift_right(profile, left) == mask
 
 
 @given(profile_and_mask())
