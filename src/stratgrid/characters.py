@@ -669,7 +669,11 @@ def build_companion_coeffs(
             else:
                 bval = seed.b_full[(u, v)].embed(M)
                 b_full[(u, v)] = bval
-                a_full[(u, v)] = Cc * psi_p.value(u, M) * psi_n.value(v, M) * bval
+                a_full[(u, v)] = (
+                    Cc
+                    * CyclotomicInt.zeta(M, psi_p.exponent(u, M) + psi_n.exponent(v, M))
+                    * bval
+                )
     b_reduced = {v: seed.b_reduced[v].embed(M) for v in units}
     return (
         CoeffFamily(q, n, a_full, a_reduced),

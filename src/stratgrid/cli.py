@@ -2,7 +2,8 @@
 Gauss sums, and a one-shot suite runner with deterministic JSON reports.
 
 Exit codes: 0 success, 1 verification failure (counterexamples found),
-2 usage error.  Reports are valid JSON on every non-usage path.
+2 usage error.  Reports are valid JSON on every non-usage path.  A sweep that
+checks no pairs adds one `warning:` line on stderr and changes nothing else.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .strata import closure_set, codim, enumerate_admissible, pi_image, w_T_pair
 
 SCHEMA = "1"
 SUITE_RNG_SEED = 20240601
+_SWEEPS = ("sigma-up", "saturation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,6 +345,14 @@ _DISPATCH = {
 }
 
 
+def _vacuous_sweeps(report: dict) -> list[dict]:
+    """Sweep reports that checked no pairs: the report itself, or a suite's sweeps."""
+    sweeps = [c["report"] for c in report.get("checks", ()) if c["name"] in _SWEEPS]
+    if report.get("check") in _SWEEPS:
+        sweeps.append(report)
+    return [r for r in sweeps if r["pairs_checked"] == 0]
+
+
 def run(argv=None) -> int:
     """Parse argv, dispatch, emit the JSON report, and return the exit code."""
     parser = _build_parser()
@@ -356,6 +366,9 @@ def run(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for sweep in _vacuous_sweeps(report):
+        profile = parse_profile(sweep["profile"])
+        print(f"warning: {sweep['check']} on {profile} checked no pairs", file=sys.stderr)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:

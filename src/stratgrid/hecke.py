@@ -21,13 +21,18 @@ check the plan and the enumeration against them.
 that all surviving d push the quotient into the canonical locus.  Only
 vertices and open edges of the cube are enumerated: a vector with two or more
 fractional coordinates sits on a stratum of codimension at least 2 and is Out,
-so the restriction is exact.
+so the restriction is exact.  The sweep is lexicographic by construction: the
+points arrive as one ordered stream, one point is the unit of work, and each
+point's failures come ordered by d and then beta, so the capped records are
+the first ones by embedding index with no sort, whatever the worker count.
 """
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .degrees import (
@@ -38,7 +43,7 @@ from .degrees import (
     hodge_height,
     raynaud_feasible,
 )
-from .embeddings import PrimeProfile, parse_profile
+from .embeddings import PrimeProfile
 from .regions import SigmaCase, Verdict, delta, in_interval_region, sigma_case
 
 __all__ = [
@@ -355,11 +360,12 @@ def _hodge_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
 
 
 def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
-    """Disjoint closed ranges of a_cur passing the height edge at pos.
+    """Disjoint closed ranges of a_cur passing the height edge at pos, ascending.
 
     With x = p*a_prev and y = den - a_cur the d-side height is min(x, y)
     exactly when x != y and the interval [x, den] otherwise; the three
-    branches below solve each case against the h-side window.
+    branches below solve each case against the h-side window, in the order
+    y > x, y = x, y < x.
     """
     den = plan.den
     x = plan.p * a_prev
@@ -367,17 +373,18 @@ def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
     ranges = []
     if x < den and wlo <= x <= whi:
         ranges.append((0, den - x - 1))
+    if x <= den and x <= whi:
+        ranges.append((den - x, den - x))
     lo2 = max(den - whi, den - x + 1, 0)
     hi2 = min(den - wlo, den)
     if lo2 <= hi2:
         ranges.append((lo2, hi2))
-    if x <= den and x <= whi:
-        ranges.append((den - x, den - x))
     return ranges
 
 
 def _wrap_edge_ranges(plan: BlockPlan, a_first) -> list[tuple[int, int]]:
-    """Ranges of the last entry passing the wrap-around height edge at pos 0."""
+    """Ranges of the last entry passing the wrap-around height edge at pos 0,
+    disjoint and ascending."""
     den, p = plan.den, plan.p
     y = den - a_first
     wlo, whi = plan.wlo[0], plan.whi[0]
@@ -388,10 +395,10 @@ def _wrap_edge_ranges(plan: BlockPlan, a_first) -> list[tuple[int, int]]:
         hi1 = hi_x // p
         if lo1 <= hi1:
             ranges.append((lo1, hi1))
-    if wlo <= y <= whi:
-        ranges.append((y // p + 1, den))
     if y % p == 0 and y <= whi:
         ranges.append((y // p, y // p))
+    if wlo <= y <= whi:
+        ranges.append((y // p + 1, den))
     return ranges
 
 
@@ -427,8 +434,10 @@ def _raynaud_ok(plan: BlockPlan, assign) -> bool:
 def _block_tuples(plan: BlockPlan) -> list[tuple[int, ...]]:
     """The block's candidates in lexicographic order, for every block size.
 
-    The leaf checks the wrap-around height edge: for f = 1 that is the self
-    edge; for f >= 2 `_wrap_edge_ranges` has already cut the last entry.
+    The order comes from the descent itself: each entry runs through disjoint
+    ascending ranges (an intersection of two such lists is one).  The leaf checks the wrap-around height edge: for f = 1
+    that is the self edge; for f >= 2 `_wrap_edge_ranges` has already cut the
+    last entry.
     """
     f = plan.f
     den = plan.den
@@ -467,7 +476,7 @@ def _block_tuples(plan: BlockPlan) -> list[tuple[int, ...]]:
                 descend(pos + 1)
 
     descend(0)
-    return sorted(out)
+    return out
 
 
 def _pin_for(h: DegreeVector, den: int, case: SigmaCase):
@@ -543,75 +552,60 @@ def feasible_d_grid(
 # grid sweeps
 
 
-def _grid_candidates(profile: PrimeProfile, den: int) -> list[tuple[int, ...]]:
-    """Scaled degree vectors on vertices and open edges, in lexicographic order."""
-    g = profile.g
-    out = []
-    for bits in product((0, den), repeat=g):
-        out.append(bits)
-    for beta0 in range(g):
-        rest = [k for k in range(g) if k != beta0]
-        for bits in product((0, den), repeat=g - 1):
-            base = [0] * g
-            for k, b in zip(rest, bits):
-                base[k] = b
+def _grid_candidates(g: int, den: int):
+    """Scaled vertices and open-edge points of the cube, in lexicographic order.
+
+    Each coordinate takes 0, then 1..den-1 while no coordinate is fractional
+    yet, then den: 2**g + g * 2**(g-1) * (den-1) points, none held at once.
+    """
+
+    def extend(prefix: tuple[int, ...], fractional: bool):
+        if len(prefix) == g:
+            yield prefix
+            return
+        yield from extend(prefix + (0,), fractional)
+        if not fractional:
             for t in range(1, den):
-                base[beta0] = t
-                out.append(tuple(base))
-    return sorted(out)
+                yield from extend(prefix + (t,), True)
+        yield from extend(prefix + (den,), fractional)
+
+    return extend((), False)
 
 
-def _cx_record(profile: PrimeProfile, h_scaled, d_scaled, den, beta, lhs) -> dict:
+def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dict:
     def degs(scaled):
         return {profile.label(k): str(Fraction(a, den)) for k, a in enumerate(scaled)}
 
     return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": str(lhs)}
 
 
-def _sweep_chunk(args) -> dict:
-    (profile_text, den, drop_genericity, saturation_only, lo, hi, keep) = args
-    profile = parse_profile(profile_text)
-    cands = _grid_candidates(profile, den)[lo:hi]
-    points_in = 0
-    pairs = 0
-    cx = []
-    cx_total = 0
+def _sweep_point(profile, den, drop_genericity, saturation_only, keep, scaled):
+    """Sweep one grid point: (points_in, pure, pairs, cx_total, records).
+
+    `records` are the point's first `keep` failures as integer tuples
+    (h_scaled, d_scaled, beta, lhs), ordered by d and then beta.
+    """
+    h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
+    case = sigma_case(h)
+    if case.verdict is not Verdict.IN:
+        return 0, True, 0, 0, []
     pure = True
-    for scaled in cands:
-        h = DegreeVector(
-            profile, tuple(Fraction(a, den) for a in scaled), generic=True
-        )
-        case = sigma_case(h)
-        if case.verdict is not Verdict.IN:
-            continue
-        if saturation_only:
-            # structural check: membership reads only the serialized data
-            back = DegreeVector.from_json_dict(profile, h.to_json_dict())
-            if sigma_case(back).verdict is not Verdict.IN:
-                pure = False
-            if not in_interval_region(h):
-                continue
-        points_in += 1
-        for d_scaled in _iter_feasible_scaled(h, den, drop_genericity, case):
-            pairs += 1
-            for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
-                cx_total += 1
-                if len(cx) < keep:
-                    cx.append(_cx_record(profile, scaled, d_scaled, den, beta, lhs))
-    return {
-        "points_in": points_in,
-        "pairs": pairs,
-        "cx": cx,
-        "cx_total": cx_total,
-        "pure": pure,
-    }
-
-
-def _cx_sort_key(rec: dict):
-    def vec(m):
-        return tuple(Fraction(v) for _, v in sorted(m.items()))
-
-    return (vec(rec["h"]), vec(rec["d"]), rec["beta"])
+    if saturation_only:
+        # structural check: membership reads only the serialized data
+        back = DegreeVector.from_json_dict(profile, h.to_json_dict())
+        pure = sigma_case(back).verdict is Verdict.IN
+        if not in_interval_region(h):
+            return 0, pure, 0, 0, []
+    pairs = 0
+    cx_total = 0
+    records = []
+    for d_scaled in _iter_feasible_scaled(h, den, drop_genericity, case):
+        pairs += 1
+        for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
+            cx_total += 1
+            if len(records) < keep:
+                records.append((scaled, d_scaled, beta, lhs))
+    return 1, pure, pairs, cx_total, records
 
 
 def _run_sweep(
@@ -622,6 +616,15 @@ def _run_sweep(
     max_counterexamples: int,
     workers: int,
 ) -> dict:
+    """Sweep the grid points as one ordered stream and fold the results.
+
+    The points come from `_grid_candidates` in lexicographic order, and each
+    point's records are ordered by d and then beta, so the fold keeps the
+    first `max_counterexamples` records it sees: the lexicographically first
+    by embedding index.  With more than one worker a pool maps the same stream
+    with `imap`, which returns the results in order, so the report does not
+    depend on the worker count or the start method.
+    """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
     if workers < 1:
@@ -632,31 +635,26 @@ def _run_sweep(
         )
     if profile.g * den > GRID_CAP:
         raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
-    total = len(_grid_candidates(profile, den))
-    bounds = [total * k // workers for k in range(workers + 1)]
-    args = [
-        (
-            str(profile),
-            den,
-            drop_genericity,
-            saturation_only,
-            bounds[k],
-            bounds[k + 1],
-            max_counterexamples,
-        )
-        for k in range(workers)
-        if bounds[k] < bounds[k + 1]
-    ]
-    if len(args) <= 1:
-        results = [_sweep_chunk(a) for a in args]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(args)) as pool:
-            results = pool.map(_sweep_chunk, args)
-    cx = sorted(
-        (rec for r in results for rec in r["cx"]), key=_cx_sort_key
-    )[:max_counterexamples]
-    cx_total = sum(r["cx_total"] for r in results)
+    g = profile.g
+    total = 2**g + g * 2 ** (g - 1) * (den - 1)
+    sweep = partial(
+        _sweep_point, profile, den, drop_genericity, saturation_only, max_counterexamples
+    )
+    cands = _grid_candidates(g, den)
+    n = min(workers, total)
+    points_in = pairs = cx_total = 0
+    pure = True
+    cx = []
+    with multiprocessing.Pool(n) if n > 1 else nullcontext() as pool:
+        # about four chunks per worker, as `Pool.map` would choose
+        chunksize = _ceil_div(total, 4 * n)
+        results = pool.imap(sweep, cands, chunksize) if pool else map(sweep, cands)
+        for point_in, point_pure, point_pairs, point_cx, records in results:
+            points_in += point_in
+            pure = pure and point_pure
+            pairs += point_pairs
+            cx_total += point_cx
+            cx.extend(records[: max_counterexamples - len(cx)])
     report = {
         "schema": "1",
         "check": "saturation" if saturation_only else "sigma-up",
@@ -664,15 +662,15 @@ def _run_sweep(
         "den": den,
         "scenario": {"drop_genericity": drop_genericity, "generic": True},
         "grid_points": total,
-        "points_in": sum(r["points_in"] for r in results),
-        "pairs_checked": sum(r["pairs"] for r in results),
+        "points_in": points_in,
+        "pairs_checked": pairs,
         "counterexample_total": cx_total,
-        "counterexamples": cx,
+        "counterexamples": [_cx_record(profile, den, *rec) for rec in cx],
         "pass": cx_total == 0,
     }
     if saturation_only:
-        report["membership_pure"] = all(r["pure"] for r in results)
-        report["pass"] = report["pass"] and report["membership_pure"]
+        report["membership_pure"] = pure
+        report["pass"] = report["pass"] and pure
     return report
 
 
@@ -685,8 +683,8 @@ def verify_sigma_up(
 ) -> dict:
     """Sweep all In grid points; every feasible d must keep the quotient canonical.
 
-    Counterexamples are reported as (h, d, beta, lhs) records, lexicographically
-    first, capped at max_counterexamples; the total count is exact.
+    Counterexamples are reported as (h, d, beta, lhs) records, the first in
+    embedding-index order, capped at max_counterexamples; the total is exact.
     """
     return _run_sweep(profile, den, drop_genericity, False, max_counterexamples, workers)
 

@@ -220,6 +220,27 @@ def test_verify_saturation(capsys):
     assert rep["membership_pure"] is True
 
 
+@pytest.mark.parametrize(
+    "profile, warnings",
+    [("p=3;f=2,1", ["warning: saturation on p=3;f=2,1 checked no pairs"]), ("p=3;f=2", [])],
+)
+def test_sweep_warns_when_it_checks_no_pairs(capsys, profile, warnings):
+    code = cli.run(["verify", "saturation", "--profile", profile, "--den", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (json.loads(captured.out)["pairs_checked"] == 0) == bool(warnings)
+    assert captured.err.splitlines() == warnings
+
+
+def test_suite_warns_once_per_sweep_that_checks_no_pairs(capsys):
+    code = cli.run(["suite", "--profile", "p=3;f=2,1", "--den", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.splitlines() == [
+        "warning: saturation on p=3;f=2,1 checked no pairs"
+    ]
+
+
 def test_verify_twist_pass(capsys):
     code, rep = run_json(
         capsys,

@@ -4,6 +4,8 @@ The feasible-set enumerator is validated against a brute-force oracle that
 filters the full d-grid through direct evaluations of each constraint family,
 sharing no code with the range-propagating implementation.
 """
+import json
+import multiprocessing
 from fractions import Fraction as F
 from itertools import product
 
@@ -150,6 +152,18 @@ def test_feasible_matches_brute_oracle_exhaustive(prof, den):
         for drop in (False, True):
             got = sorted(tuple(d.entries) for d in feasible_d_grid(h, den, drop))
             assert got == brute_feasible(h, den, drop), (h.entries, drop)
+
+
+@pytest.mark.parametrize(
+    "prof,den", [("p=5;f=3", 10), ("p=3;f=2,1", 12), ("p=3;f=3", 9), ("p=2;f=1,3,1", 4)]
+)
+def test_feasible_comes_out_ascending(prof, den):
+    """The sweep keeps the first failures it meets, so the descent itself must
+    yield d in strictly ascending lexicographic order: no sort restores it."""
+    for h in _vertex_and_edge_points(parse_profile(prof), den):
+        for drop in (False, True):
+            got = [tuple(d.entries) for d in feasible_d_grid(h, den, drop)]
+            assert all(a < b for a, b in zip(got, got[1:])), (h.entries, drop)
 
 
 def test_block_plan_matches_fraction_definitions():
@@ -387,15 +401,47 @@ def test_sweep_p2_smallest_profile_finds_no_counterexamples():
     assert rep["points_in"] > 0 and rep["pairs_checked"] > 0
 
 
-def test_sweep_deterministic_across_workers():
-    import json
+@pytest.mark.parametrize(
+    "prof, den, caps, worker_counts",
+    [
+        pytest.param("p=3;f=2", 8, (5,), (2, 3, 5), id="p3f2-den8"),
+        # the cap bites: more failures than records at every cap
+        pytest.param("p=3;f=2,1", 12, (0, 1, 3), (2, 3, 5), id="p3f21-den12"),
+        # g = 11: label strings such as "0/10" and "0/2" sort apart from indices
+        pytest.param("p=2;f=11", 1, (1,), (4, 8), id="p2f11-den1"),
+    ],
+)
+def test_sweep_deterministic_across_workers(prof, den, caps, worker_counts):
+    profile = parse_profile(prof)
+    uncapped = verify_sigma_up(
+        profile, den, drop_genericity=True, max_counterexamples=10**6
+    )
+    assert len(uncapped["counterexamples"]) == uncapped["counterexample_total"]
+    for cap in caps:
+        base = verify_sigma_up(profile, den, drop_genericity=True, max_counterexamples=cap)
+        assert base["counterexamples"] == uncapped["counterexamples"][:cap]
+        assert base["counterexample_total"] == uncapped["counterexample_total"]
+        for workers in worker_counts:
+            rep = verify_sigma_up(
+                profile, den, drop_genericity=True, max_counterexamples=cap, workers=workers
+            )
+            assert json.dumps(rep, sort_keys=True) == json.dumps(base, sort_keys=True)
 
-    base = verify_sigma_up(parse_profile("p=3;f=2"), 8, drop_genericity=True)
-    for workers in (2, 3, 5):
-        rep = verify_sigma_up(
-            parse_profile("p=3;f=2"), 8, drop_genericity=True, workers=workers
-        )
-        assert json.dumps(rep, sort_keys=True) == json.dumps(base, sort_keys=True)
+
+def test_sweep_byte_identical_under_spawn(monkeypatch):
+    profile = parse_profile("p=3;f=2,1")
+    serial = verify_sigma_up(profile, 12, drop_genericity=True)
+    spawn_pool = multiprocessing.get_context("spawn").Pool
+    made = []
+
+    def pool(n):
+        made.append(n)
+        return spawn_pool(n)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    spawned = verify_sigma_up(profile, 12, drop_genericity=True, workers=2)
+    assert made == [2]
+    assert json.dumps(spawned, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
 def test_sweep_grid_cap():

@@ -1,0 +1,139 @@
+"""Capture the deterministic reports of a checkout, and byte-compare two captures.
+
+    python3 tools/golden.py capture DIR   # write every report below to DIR
+    python3 tools/golden.py compare A B   # exit 0 iff A and B hold the same bytes
+
+`capture` runs each command through `stratgrid.cli.run --out`, importing
+stratgrid from the `src` directory next to this script: a copy of the script
+placed in another checkout captures that checkout's reports.  Exit codes are
+written to `exit_codes.json` in DIR, so `compare` checks them too; stderr is
+not captured.  The report set:
+
+- the benchmark's sweeps (`bench/workloads.py` SWEEPS) at workers 1 and 2;
+- sigma-up with genericity on and dropped, and saturation, on the
+  criterion-4 profiles and p=2;f=2 at small dens, at workers 1 and 3;
+- `verify twist` on six (q, n) pairs, with and without `--corrupt`;
+- `gauss` for every q <= 27 except 16 and every character exponent;
+- `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
+- `suite` at workers 1 and 2.
+
+Stdlib only; tier-1 does not collect it.  A capture of the 562 reports takes
+about 15 s on two cores.
+"""
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import SWEEPS  # noqa: E402
+
+SMALL_DENS = {2: 24, 3: 54, 5: 50}
+SWEEP_PROFILES = [
+    f"p={p};f={f}" for p in (3, 5) for f in ("1", "2", "3", "1,1", "2,1")
+] + ["p=2;f=2"]
+TWISTS = ((3, 4), (5, 3), (9, 4), (4, 5), (7, 6), (8, 3))
+GAUSS_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
+COVERAGE_PRIMES = (2, 3, 5, 7, 11)
+MAX_G = 6
+SUITE_PROFILE = "p=3;f=2,1"
+EXIT_CODES = "exit_codes.json"
+
+
+def compositions(n: int):
+    """Ordered tuples of positive ints summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def commands():
+    """(file name, cli argv without --out) of every report in the set."""
+    for check, profile, den in SWEEPS:
+        for w in (1, 2):
+            yield (
+                f"bench-{check}-{profile}-d{den}-w{w}",
+                ["verify", check, "--profile", profile, "--den", str(den), "--workers", str(w)],
+            )
+    for profile in SWEEP_PROFILES:
+        den = str(SMALL_DENS[int(profile[2])])
+        for w in ("1", "3"):
+            common = ["--profile", profile, "--den", den, "--workers", w]
+            yield f"sigma-up-{profile}-d{den}-w{w}", ["verify", "sigma-up", *common]
+            yield (
+                f"sigma-up-dropped-{profile}-d{den}-w{w}",
+                ["verify", "sigma-up", *common, "--drop-genericity"],
+            )
+            yield f"saturation-{profile}-d{den}-w{w}", ["verify", "saturation", *common]
+    for q, n in TWISTS:
+        twist = ["verify", "twist", "--q", str(q), "--n", str(n)]
+        yield f"twist-q{q}-n{n}", twist
+        yield f"twist-q{q}-n{n}-corrupt", twist + ["--corrupt"]
+    for q in GAUSS_ORDERS:
+        for e in range(q - 1):
+            yield f"gauss-q{q}-e{e}", ["gauss", "--q", str(q), "--char-exp", str(e)]
+    for p in COVERAGE_PRIMES:
+        for g in range(1, MAX_G + 1):
+            for parts in compositions(g):
+                profile = f"p={p};f={','.join(map(str, parts))}"
+                yield f"coverage-{profile}", ["regions", "coverage", "--profile", profile]
+    for w in ("1", "2"):
+        yield (
+            f"suite-{SUITE_PROFILE}-w{w}",
+            ["suite", "--profile", SUITE_PROFILE, "--den", "24", "--workers", w],
+        )
+
+
+def _file_name(name: str) -> str:
+    return name.replace(";", "_").replace("=", "").replace(",", ".") + ".json"
+
+
+def capture(out_dir: str) -> int:
+    from stratgrid import cli
+
+    os.makedirs(out_dir, exist_ok=True)
+    codes = {}
+    for name, argv in commands():
+        path = os.path.join(out_dir, _file_name(name))
+        codes[name] = cli.run([*argv, "--out", path])
+    with open(os.path.join(out_dir, EXIT_CODES), "w", encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"captured {len(codes)} reports in {out_dir}")
+    return 0
+
+
+def compare(a: str, b: str) -> int:
+    names_a, names_b = set(os.listdir(a)), set(os.listdir(b))
+    for name in sorted(names_a ^ names_b):
+        print(f"only in {a if name in names_a else b}: {name}")
+    same = differ = 0
+    for name in sorted(names_a & names_b):
+        with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
+            if fa.read() == fb.read():
+                same += 1
+            else:
+                differ += 1
+                print(f"differs: {name}")
+    print(f"{same} identical, {differ} differing, {len(names_a ^ names_b)} unmatched")
+    return 0 if differ == 0 and names_a == names_b else 1
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "capture":
+        return capture(argv[1])
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print("usage: golden.py capture DIR | golden.py compare A B", file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
