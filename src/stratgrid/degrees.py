@@ -7,7 +7,7 @@ whole blocks).  All arithmetic is exact via Fraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .embeddings import PrimeProfile, shift_right
@@ -87,6 +87,20 @@ class DegreeVector:
                     )
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _trusted(cls, profile, entries, generic, cusp) -> "DegreeVector":
+        """A vector from entries already known valid, without `__post_init__`.
+
+        For the flips below: 1 - v of an entry in [0, 1] lies in [0, 1], and
+        flipping whole blocks keeps a cusp vector blockwise constant.
+        """
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "profile", profile)
+        object.__setattr__(vec, "entries", entries)
+        object.__setattr__(vec, "generic", generic)
+        object.__setattr__(vec, "cusp", cusp)
+        return vec
+
     def __getitem__(self, k: int) -> Fraction:
         return self.entries[k]
 
@@ -122,17 +136,23 @@ class DegreeVector:
         )
 
 
-def _pair_from_entries(h: DegreeVector) -> StratumPair:
+def _entry_masks(entries, one) -> tuple[int, int]:
+    """Masks of the entries above 0 and of those below `one`.
+
+    `one` is 1 for a vector's own entries and den for entries scaled by den.
+    """
     positive = 0
     below_one = 0
-    for k, v in enumerate(h.entries):
+    for k, v in enumerate(entries):
         if v > 0:
             positive |= 1 << k
-        if v < 1:
+        if v < one:
             below_one |= 1 << k
-    phi = shift_right(h.profile, positive)
-    eta = below_one
-    return StratumPair(h.profile, phi, eta)
+    return positive, below_one
+
+
+def _pair_from_masks(profile: PrimeProfile, positive: int, below_one: int) -> StratumPair:
+    return StratumPair(profile, shift_right(profile, positive), below_one)
 
 
 def pair_of_degvec(h: DegreeVector) -> StratumPair:
@@ -143,7 +163,7 @@ def pair_of_degvec(h: DegreeVector) -> StratumPair:
     """
     if h.cusp:
         raise CuspInput("cusp vectors do not define a stratum pair")
-    return _pair_from_entries(h)
+    return _pair_from_masks(h.profile, *_entry_masks(h.entries, 1))
 
 
 def face_of_degvec(h: DegreeVector) -> Face:
@@ -169,14 +189,16 @@ def w_T_deg(h: DegreeVector, T, generic: bool | None = None) -> DegreeVector:
         off = h.profile.offsets[i]
         for pos in range(h.profile.f[i]):
             entries[off + pos] = ONE - entries[off + pos]
-    return replace(
-        h, entries=tuple(entries), generic=h.generic if generic is None else generic
+    return DegreeVector._trusted(
+        h.profile, tuple(entries), h.generic if generic is None else generic, h.cusp
     )
 
 
 def one_minus(h: DegreeVector) -> DegreeVector:
     """Coordinatewise 1 - v, the degree vector of the quotient datum."""
-    return replace(h, entries=tuple(ONE - v for v in h.entries))
+    return DegreeVector._trusted(
+        h.profile, tuple(ONE - v for v in h.entries), h.generic, h.cusp
+    )
 
 
 @dataclass(frozen=True)

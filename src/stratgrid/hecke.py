@@ -11,20 +11,29 @@ claims never rest on this set.
 
 The enumeration is integer-only: on the 1/den grid every window and bound of
 those families is an integer multiple of 1/den, so `_block_plan` restates them
-times den in a `BlockPlan`, and the range propagation below it does no
-`Fraction` arithmetic.  One descent, `_block_tuples`, serves every block size;
-a bound another one implies (the genericity tail bound) is not restated.  The
-`Fraction` definitions in `degrees` and `regions` stay the oracle; the tests
-check the plan and the enumeration against them.
+times den in a `BlockPlan`, and nothing below it builds a `Fraction`.  Each
+block is solved in two steps.  `_prune` cuts the candidate ranges by bounds
+consistency around the cycle of height edges, so the first entry runs over
+its live interval only.  `_block_runs` descends through the middle entries
+and solves the last one as one to three ranges, yielding ascending runs
+(prefix, lo, hi).  A bound another one implies (the genericity tail bound) is
+not restated.  The `Fraction` definitions in `degrees` and `regions` stay the
+oracle; the tests check the plan, the range helpers and the enumeration
+against them.  `feasible_d_grid` and the sweeps share this one descent.
 
 `verify_sigma_up` sweeps every grid point of the membership region and checks
 that all surviving d push the quotient into the canonical locus.  Only
 vertices and open edges of the cube are enumerated: a vector with two or more
 fractional coordinates sits on a stratum of codimension at least 2 and is Out,
-so the restriction is exact.  The sweep is lexicographic by construction: the
-points arrive as one ordered stream, one point is the unit of work, and each
-point's failures come ordered by d and then beta, so the capped records are
-the first ones by embedding index with no sort, whatever the worker count.
+so the restriction is exact.  The stratum pair, and so most of `sigma_case`,
+is decided once per edge; each point compares only its free value.  The
+quotient test is blockwise, so a point counts its pairs as the product of the
+blocks' candidate counts and its failures on the runs, and expands the runs
+only to build the records it keeps.  The sweep is lexicographic by
+construction: the points arrive as one ordered stream, one point is the unit
+of work, and each point's failures come ordered by d and then beta, so the
+capped records are the first ones by embedding index with no sort, whatever
+the worker count.
 """
 from __future__ import annotations
 
@@ -34,17 +43,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import prod
 
 from .degrees import (
     CuspInput,
     DegreeVector,
     ProfileMismatch,
+    _entry_masks,
     genericity_constraints,
     hodge_height,
     raynaud_feasible,
 )
 from .embeddings import PrimeProfile
-from .regions import SigmaCase, Verdict, delta, in_interval_region, sigma_case
+from .regions import (
+    SigmaCase,
+    Verdict,
+    delta,
+    in_interval_region,
+    sigma_case,
+    stratum_case,
+)
 
 __all__ = [
     "GridTooLarge",
@@ -264,12 +282,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _on_grid(v: Fraction, den: int) -> int:
-    """v * den, which must be an integer: a plan is never rounded."""
-    x = v * den
-    if x.denominator != 1:
-        raise ValueError(f"degree {v} is not on the 1/{den} grid")
-    return x.numerator
+def _on_grid(h: DegreeVector, den: int) -> tuple[int, ...]:
+    """h's entries times den, which must be integers: a plan is never rounded."""
+    out = []
+    for v in h.entries:
+        if den % v.denominator:
+            raise ValueError(f"degree {v} is not on the 1/{den} grid")
+        out.append(v.numerator * (den // v.denominator))
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,21 +317,25 @@ class BlockPlan:
 
 
 def _block_plan(
-    h: DegreeVector, den: int, i: int, generic_active: bool, pin
+    p: int, den: int, s: tuple[int, ...], generic_active: bool, pin
 ) -> BlockPlan:
-    """Integer candidate ranges and constraint constants for block i of h.
+    """Integer candidate ranges and constraint constants for one block of h.
 
-    h must lie on the 1/den grid, else ValueError.  The plan restates the
-    Fraction families of `degrees` (`hodge_height`, `raynaud_feasible`,
+    `s` is the block of h times den, and `pin` is None or the pinned range
+    (pos, lo, hi) inside the block.  The plan restates the Fraction families
+    of `degrees` (`hodge_height`, `raynaud_feasible`,
     `genericity_constraints`) and the ordinary-block rule times den; those
-    definitions stay the oracle the plan is tested against.  The genericity
-    tail bound (d <= delta_star where h = 1) is implied and not restated:
-    there the k = 0 term of the anchored sum is 0, so the self-anchored bound
-    caps d at sum_{k>=1} p^-k (1 - h_(pos+k)) <= delta_star(p, f).
+    definitions stay the oracle the plan is tested against.  Two genericity
+    rules are implied and not restated.  The tail bound (d <= delta_star
+    where h = 1): there the k = 0 term of the anchored sum is 0, so the
+    self-anchored bound caps d at sum_{k>=1} p^-k (1 - h_(pos+k)) <=
+    delta_star(p, f).  The vanishing rule (`_gen3_edge_ok`: where h's
+    predecessor entry is 0 and d < 1, d's predecessor entry is 0): there the
+    h-side height window is {0} unless h = 1, and a d-side height of 0 with
+    d < 1 needs p times the predecessor entry to be 0; where h = 1 the plan
+    caps the predecessor entry at 0.
     """
-    profile = h.profile
-    p, f, off = profile.p, profile.f[i], profile.offsets[i]
-    s = tuple(_on_grid(h[off + pos], den) for pos in range(f))
+    f = len(s)
     zero_one = all(v == 0 or v == den for v in s)
     rhs = tuple(
         sum(p ** (f - 1 - k) * (den - s[(start + k) % f]) for k in range(f))
@@ -349,6 +373,11 @@ def _block_plan(
     )
 
 
+# Per-value predicates of the families that couple a block's entries: the
+# direct definitions the range helpers below are tested against.  The
+# vanishing rule is implied by the others (see `_block_plan`).
+
+
 def _hodge_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
     # consistency of the d-side height interval at `pos` with the h-side one
     x = plan.p * a_prev
@@ -357,6 +386,25 @@ def _hodge_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
     if x != y:
         return plan.wlo[pos] <= m <= plan.whi[pos]
     return m <= plan.whi[pos]
+
+
+def _gen3_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
+    # predecessor entry must vanish under a Zero predecessor with d below 1
+    if not plan.generic:
+        return True
+    pred = (pos - 1) % plan.f
+    if plan.block[pred] == 0 and a_cur < plan.den and a_prev != 0:
+        return False
+    return True
+
+
+def _raynaud_ok(plan: BlockPlan, assign) -> bool:
+    p, f = plan.p, plan.f
+    for start in range(f):
+        lhs = sum(p ** (f - 1 - k) * assign[(start + k) % f] for k in range(f))
+        if lhs > plan.rhs[start]:
+            return False
+    return True
 
 
 def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
@@ -382,24 +430,139 @@ def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
     return ranges
 
 
+def _pred_ranges(plan: BlockPlan, pos, clo, chi) -> list[tuple[int, int]]:
+    """Ranges of the entry before pos passing the height edge at pos with
+    some entry at pos in [clo, chi].
+
+    With x = p*a_prev and y = den - a_cur as in `_hodge_edge_ranges`, the
+    branches solve y > x, y = x and y < x for a_prev.  For one a_cur
+    (clo == chi) the ranges are disjoint and ascending.
+    """
+    den, p = plan.den, plan.p
+    wlo, whi = plan.wlo[pos], plan.whi[pos]
+    ranges = []
+    lo1, hi1 = _ceil_div(wlo, p), min(whi, den - clo - 1) // p
+    if lo1 <= hi1:
+        ranges.append((lo1, hi1))
+    lo1, hi1 = _ceil_div(den - chi, p), min(whi, den - clo) // p
+    if lo1 <= hi1:
+        ranges.append((lo1, hi1))
+    y = max(wlo, den - chi)  # the least y in the window
+    if y <= min(whi, den - clo):
+        ranges.append((y // p + 1, den))
+    return ranges
+
+
 def _wrap_edge_ranges(plan: BlockPlan, a_first) -> list[tuple[int, int]]:
     """Ranges of the last entry passing the wrap-around height edge at pos 0,
     disjoint and ascending."""
+    return _pred_ranges(plan, 0, a_first, a_first)
+
+
+def _prune(plan: BlockPlan) -> BlockPlan:
+    """`plan` with lo/hi cut by bounds consistency around the cycle.
+
+    A round first caps each entry by every anchored inequality with the other
+    entries at their lower bounds.  Then, from the last entry back to the
+    first, entry q keeps the values that some value of entry q + 1 within its
+    bounds supports across the height edge at q + 1 (`_pred_ranges`; the wrap
+    edge for q = f - 1).  Rounds repeat until no bound moves or a range is
+    empty.  Only values that start no feasible tuple are cut; the bounds may
+    stay wider than that.
+    """
+    p, f, rhs = plan.p, plan.f, plan.rhs
+    lo, hi = list(plan.lo), list(plan.hi)
+    moved = all(lo[q] <= hi[q] for q in range(f))
+    while moved:
+        moved = False
+        for start in range(f):
+            total = 0
+            for k in range(f):
+                total = total * p + lo[(start + k) % f]
+            w = p ** (f - 1)
+            for k in range(f):
+                q = (start + k) % f
+                cap = (rhs[start] - total) // w + lo[q]
+                if cap < hi[q]:
+                    hi[q] = cap
+                    moved = True
+                w //= p
+        for q in reversed(range(f)):
+            nxt = (q + 1) % f
+            new_lo, new_hi = hi[q] + 1, lo[q] - 1
+            if lo[nxt] <= hi[nxt]:
+                for rlo, rhi in _pred_ranges(plan, nxt, lo[nxt], hi[nxt]):
+                    rlo, rhi = max(rlo, lo[q]), min(rhi, hi[q])
+                    if rlo <= rhi:
+                        new_lo, new_hi = min(new_lo, rlo), max(new_hi, rhi)
+            if new_lo != lo[q] or new_hi != hi[q]:
+                lo[q], hi[q] = new_lo, new_hi
+                moved = new_lo <= new_hi
+                if not moved:
+                    break
+    return BlockPlan(
+        p, f, plan.den, plan.block, tuple(lo), tuple(hi), plan.wlo, plan.whi, rhs,
+        plan.generic,
+    )
+
+
+def _self_edge_ranges(plan: BlockPlan) -> list[tuple[int, int]]:
+    """Ranges of the entry of a size-1 block passing its self edge, ascending.
+
+    The edge at pos 0 couples the entry a with itself: x = p*a and
+    y = den - a, so y > x, y = x and y < x hold for a below, at and above
+    den / (p + 1).
+    """
     den, p = plan.den, plan.p
-    y = den - a_first
     wlo, whi = plan.wlo[0], plan.whi[0]
+    cut = den // (p + 1)
     ranges = []
-    hi_x = min(whi, y - 1)
-    if wlo <= hi_x:
-        lo1 = max(_ceil_div(wlo, p), 0)
-        hi1 = hi_x // p
-        if lo1 <= hi1:
-            ranges.append((lo1, hi1))
-    if y % p == 0 and y <= whi:
-        ranges.append((y // p, y // p))
-    if wlo <= y <= whi:
-        ranges.append((y // p + 1, den))
+    lo1, hi1 = _ceil_div(wlo, p), min(whi // p, (den - 1) // (p + 1))
+    if lo1 <= hi1:
+        ranges.append((lo1, hi1))
+    if (p + 1) * cut == den and p * cut <= whi:
+        ranges.append((cut, cut))
+    lo3, hi3 = max(cut + 1, den - whi), den - wlo
+    if lo3 <= hi3:
+        ranges.append((lo3, hi3))
     return ranges
+
+
+def _last_ranges(plan: BlockPlan, assign) -> list[tuple[int, int]]:
+    """Ranges of the last entry that complete assign[:f-1], ascending.
+
+    The height edges into the last entry and around the wrap (the self edge
+    when f = 1) give one to three ranges.  The bounds and one upper bound per
+    anchored inequality clip them, so every value left passes every family
+    when the prefix lies within the bounds.  assign[f-1] must be 0.
+    """
+    p, f = plan.p, plan.f
+    last = f - 1
+    lo, hi = plan.lo[last], plan.hi[last]
+    if f == 1:
+        ranges = _self_edge_ranges(plan)
+    else:
+        ranges = _intersect_ranges(
+            _hodge_edge_ranges(plan, last, assign[last - 1]),
+            _wrap_edge_ranges(plan, assign[0]),
+        )
+    # assign[last] is 0, and the last entry's weight in the sum anchored at
+    # start is p^start
+    w = 1
+    for start in range(f):
+        total = 0
+        for k in range(f):
+            total = total * p + assign[(start + k) % f]
+        cap = (plan.rhs[start] - total) // w
+        if cap < hi:
+            hi = cap
+        w *= p
+    out = []
+    for rlo, rhi in ranges:
+        rlo, rhi = max(rlo, lo), min(rhi, hi)
+        if rlo <= rhi:
+            out.append((rlo, rhi))
+    return out
 
 
 def _intersect_ranges(r1, r2) -> list[tuple[int, int]]:
@@ -412,111 +575,109 @@ def _intersect_ranges(r1, r2) -> list[tuple[int, int]]:
     return out
 
 
-def _gen3_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
-    # predecessor entry must vanish under a Zero predecessor with d below 1
-    if not plan.generic:
-        return True
-    pred = (pos - 1) % plan.f
-    if plan.block[pred] == 0 and a_cur < plan.den and a_prev != 0:
-        return False
-    return True
+Run = tuple[tuple[int, ...], int, int]
 
 
-def _raynaud_ok(plan: BlockPlan, assign) -> bool:
-    p, f = plan.p, plan.f
-    for start in range(f):
-        lhs = sum(p ** (f - 1 - k) * assign[(start + k) % f] for k in range(f))
-        if lhs > plan.rhs[start]:
-            return False
-    return True
+def _block_runs(plan: BlockPlan) -> list[Run]:
+    """The block's candidates as runs (prefix, lo, hi), in lexicographic order.
 
-
-def _block_tuples(plan: BlockPlan) -> list[tuple[int, ...]]:
-    """The block's candidates in lexicographic order, for every block size.
-
-    The order comes from the descent itself: each entry runs through disjoint
-    ascending ranges (an intersection of two such lists is one).  The leaf checks the wrap-around height edge: for f = 1
-    that is the self edge; for f >= 2 `_wrap_edge_ranges` has already cut the
-    last entry.
+    A run stands for the tuples prefix + (a,) with lo <= a <= hi.  The first
+    entry loops over its bounds (pruned by `_prune` first), a middle entry
+    over the disjoint ascending ranges `_hodge_edge_ranges` leaves, and the
+    last entry is solved as ranges by `_last_ranges`.
     """
     f = plan.f
-    den = plan.den
     lo, hi = plan.lo, plan.hi
     if any(lo[pos] > hi[pos] for pos in range(f)):
         return []
-    out: list[tuple[int, ...]] = []
+    last = f - 1
+    runs: list[Run] = []
     assign = [0] * f
-    gen = plan.generic
-    block = plan.block
 
     def descend(pos: int) -> None:
-        if pos == f:
-            if (
-                _hodge_edge_ok(plan, 0, assign[f - 1], assign[0])
-                and _gen3_edge_ok(plan, 0, assign[f - 1], assign[0])
-                and _raynaud_ok(plan, assign)
-            ):
-                out.append(tuple(assign))
+        if pos == last:
+            prefix = tuple(assign[:last])
+            for rlo, rhi in _last_ranges(plan, assign):
+                runs.append((prefix, rlo, rhi))
             return
         if pos == 0:
             for a in range(lo[0], hi[0] + 1):
                 assign[0] = a
                 descend(1)
             return
-        a_prev = assign[pos - 1]
-        ranges = _hodge_edge_ranges(plan, pos, a_prev)
-        if pos == f - 1:
-            ranges = _intersect_ranges(ranges, _wrap_edge_ranges(plan, assign[0]))
-        for rlo, rhi in ranges:
+        for rlo, rhi in _hodge_edge_ranges(plan, pos, assign[pos - 1]):
             rlo, rhi = max(rlo, lo[pos]), min(rhi, hi[pos])
-            if gen and block[pos - 1] == 0 and a_prev != 0:
-                rlo = max(rlo, den)  # forced a_cur = den by the vanishing rule
             for a in range(rlo, rhi + 1):
                 assign[pos] = a
                 descend(pos + 1)
 
     descend(0)
+    return runs
+
+
+def _run_failures(plan: BlockPlan, prefix, lo, hi) -> int:
+    """`_quotient_vcan_failures` summed over the run's tuples.
+
+    Each test is linear in the last entry, so it fails on a tail of the run.
+    """
+    p, f, den = plan.p, plan.f, plan.den
+    if f == 1:
+        return 1 if lo <= den <= hi else 0
+    pden = p * den
+    n = hi - lo + 1
+    fails = 0
+    for pos in range(f - 2):
+        if p * prefix[pos] + prefix[pos + 1] >= pden:
+            fails += n
+    # p * (entry f-2) + a >= p*den, and p * a + (entry 0) >= p*den
+    fails += max(0, hi - max(lo, pden - p * prefix[-1]) + 1)
+    fails += max(0, hi - max(lo, _ceil_div(pden - prefix[0], p)) + 1)
+    return fails
+
+
+def _pin_for(case: SigmaCase, scaled, den: int):
+    """Pinned range (beta0, lo, hi) at the free coordinate, or None.
+
+    `case` is the point's `sigma_case`.  The range is `bk_newton_degree`'s
+    value times den, compared in integers: the threshold delta_j when the
+    free value lies above it (empty when delta_j is off the grid), the free
+    value below it, and at least the free value at it.
+    """
+    if case.kind != "bad_partial_eta" or case.verdict is Verdict.OUT:
+        return None
+    beta0, s = case.beta0, scaled[case.beta0]
+    q = case.threshold.denominator
+    pinned = case.threshold.numerator * den  # delta_j * den, times q
+    if s * q > pinned:
+        if pinned % q:
+            return beta0, 1, 0  # off-grid pin: empty range
+        return beta0, pinned // q, pinned // q
+    if s * q < pinned:
+        return beta0, s, s
+    return beta0, s, den
+
+
+def _blocks(profile: PrimeProfile, scaled, den: int, generic_active: bool, case: SigmaCase):
+    """(plan, runs) of every block of the scaled h, the plans pruned."""
+    pin = _pin_for(case, scaled, den) if generic_active else None
+    out = []
+    for i in range(profile.n_primes):
+        f, off = profile.f[i], profile.offsets[i]
+        local_pin = None
+        if pin is not None and off <= pin[0] < off + f:
+            local_pin = (pin[0] - off, pin[1], pin[2])
+        plan = _block_plan(profile.p, den, scaled[off : off + f], generic_active, local_pin)
+        plan = _prune(plan)
+        out.append((plan, _block_runs(plan)))
     return out
 
 
-def _pin_for(h: DegreeVector, den: int, case: SigmaCase):
-    """Pinned candidate range at the free coordinate; `case` is `sigma_case(h)`."""
-    if case.kind != "bad_partial_eta" or case.verdict is Verdict.OUT:
-        return None
-    res = bk_newton_degree(
-        h.profile.p,
-        h.profile.f[h.profile.prime_of(case.beta0)],
-        case.j,
-        h[case.beta0],
-    )
-    num = res.value * den
-    if res.kind == "exact":
-        if num.denominator != 1:
-            return case.beta0, 1, 0  # off-grid pin: empty range
-        return case.beta0, num.numerator, num.numerator
-    return case.beta0, _ceil_div(num.numerator, num.denominator), den
-
-
-def _block_lists(h: DegreeVector, den: int, drop_genericity: bool, case: SigmaCase):
-    profile = h.profile
-    generic_active = h.generic and not drop_genericity
-    pin = _pin_for(h, den, case) if generic_active else None
-    lists = []
-    for i in range(profile.n_primes):
-        local_pin = None
-        if pin is not None and profile.prime_of(pin[0]) == i:
-            local_pin = (pin[0] - profile.offsets[i], pin[1], pin[2])
-        plan = _block_plan(h, den, i, generic_active, local_pin)
-        lists.append(_block_tuples(plan))
-    return lists
-
-
-def _iter_feasible_scaled(
-    h: DegreeVector, den: int, drop_genericity: bool, case: SigmaCase
-):
-    lists = _block_lists(h, den, drop_genericity, case)
-    if any(not lst for lst in lists):
-        return
+def _feasible_tuples(blocks):
+    """The scaled d of the blocks' runs, in lexicographic order."""
+    lists = [
+        [prefix + (a,) for prefix, lo, hi in runs for a in range(lo, hi + 1)]
+        for _, runs in blocks
+    ]
     for combo in product(*lists):
         yield tuple(a for blk in combo for a in blk)
 
@@ -540,12 +701,14 @@ def feasible_d_grid(
         raise CuspInput("feasible degrees are not defined for cusp vectors")
     if h.profile.g * den > GRID_CAP:
         raise GridTooLarge(f"{h.profile.g} * {den} exceeds cap {GRID_CAP}")
-    out = []
-    for scaled in _iter_feasible_scaled(h, den, drop_genericity, sigma_case(h)):
-        out.append(
-            DegreeVector(h.profile, tuple(Fraction(a, den) for a in scaled))
-        )
-    return out
+    scaled = _on_grid(h, den)
+    blocks = _blocks(
+        h.profile, scaled, den, h.generic and not drop_genericity, sigma_case(h)
+    )
+    return [
+        DegreeVector(h.profile, tuple(Fraction(a, den) for a in d))
+        for d in _feasible_tuples(blocks)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -579,33 +742,56 @@ def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dic
     return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": str(lhs)}
 
 
-def _sweep_point(profile, den, drop_genericity, saturation_only, keep, scaled):
+def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
     """Sweep one grid point: (points_in, pure, pairs, cx_total, records).
 
-    `records` are the point's first `keep` failures as integer tuples
-    (h_scaled, d_scaled, beta, lhs), ordered by d and then beta.
+    `point` is the scaled h and its `StratumCase`.  The quotient test is
+    blockwise, so over the blocks' candidate lists L_i, pairs = prod |L_i|
+    and cx_total = sum_i fail_i * prod_{k != i} |L_k|, counted on the runs.
+    Only when there are failures to keep are the runs expanded, to build
+    `records`: the point's first `keep` failures as integer tuples (h_scaled,
+    d_scaled, beta, lhs), ordered by d and then beta.
     """
-    h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
-    case = sigma_case(h)
+    scaled, stratum = point
+    free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
+    case = stratum.decide(True, free, den)
     if case.verdict is not Verdict.IN:
         return 0, True, 0, 0, []
     pure = True
     if saturation_only:
         # structural check: membership reads only the serialized data
+        h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
         back = DegreeVector.from_json_dict(profile, h.to_json_dict())
         pure = sigma_case(back).verdict is Verdict.IN
         if not in_interval_region(h):
             return 0, pure, 0, 0, []
-    pairs = 0
+    blocks = _blocks(profile, scaled, den, not drop_genericity, case)
+    sizes = [sum(hi - lo + 1 for _, lo, hi in runs) for _, runs in blocks]
     cx_total = 0
+    for i, (plan, runs) in enumerate(blocks):
+        fails = sum(_run_failures(plan, *run) for run in runs)
+        if fails:
+            cx_total += fails * prod(sizes[:i]) * prod(sizes[i + 1 :])
     records = []
-    for d_scaled in _iter_feasible_scaled(h, den, drop_genericity, case):
-        pairs += 1
-        for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
-            cx_total += 1
-            if len(records) < keep:
+    if cx_total and keep:
+        for d_scaled in _feasible_tuples(blocks):
+            for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
                 records.append((scaled, d_scaled, beta, lhs))
-    return 1, pure, pairs, cx_total, records
+            if len(records) >= keep:
+                break
+    return 1, pure, prod(sizes), cx_total, records[:keep]
+
+
+def _sweep_points(profile: PrimeProfile, den: int):
+    """`_grid_candidates` paired with their `StratumCase`, decided once per
+    stratum pair: once per open edge and once per vertex."""
+    strata = {}
+    for scaled in _grid_candidates(profile.g, den):
+        masks = _entry_masks(scaled, den)
+        stratum = strata.get(masks)
+        if stratum is None:
+            stratum = strata[masks] = stratum_case(profile, *masks)
+        yield scaled, stratum
 
 
 def _run_sweep(
@@ -640,7 +826,7 @@ def _run_sweep(
     sweep = partial(
         _sweep_point, profile, den, drop_genericity, saturation_only, max_counterexamples
     )
-    cands = _grid_candidates(g, den)
+    cands = _sweep_points(profile, den)
     n = min(workers, total)
     points_in = pairs = cx_total = 0
     pure = True

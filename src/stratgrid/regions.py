@@ -13,19 +13,21 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .degrees import DegreeVector, _pair_from_entries, w_T_deg
+from .degrees import DegreeVector, _entry_masks, _pair_from_masks, w_T_deg
 from .embeddings import PrimeProfile, shift_right
 from .strata import Badness, StratumPair, classify, codim
 
 __all__ = [
     "Verdict",
     "SigmaCase",
+    "StratumCase",
     "IntervalQ",
     "delta",
     "delta_star",
     "istar_interval",
     "in_interval_region",
     "in_vcan",
+    "stratum_case",
     "sigma_case",
     "in_sigma",
     "in_sigma_S",
@@ -121,32 +123,68 @@ class SigmaCase:
     threshold: Fraction | None = None  # delta_star for 2b, delta_j for 2c
 
 
-def sigma_case(h: DegreeVector) -> SigmaCase:
-    pair = _pair_from_entries(h)
+@dataclass(frozen=True)
+class StratumCase:
+    """The part of a `SigmaCase` that the stratum pair alone decides.
+
+    The pair is read off two masks: the entries above 0 and the entries below
+    1.  They are the same at every point of an open edge of the cube, so a
+    sweep decides this once per edge and leaves only the free value at beta0,
+    which `decide` compares with the threshold in integers.
+    """
+
+    kind: str
+    beta0: int | None = None
+    j: int | None = None
+    threshold: Fraction | None = None
+
+    def decide(self, generic: bool, num: int, den: int) -> SigmaCase:
+        """The case at a point whose free value, at beta0, is num / den (den > 0)."""
+        kind = self.kind
+        if kind in ("etale", "codim_ge2"):
+            verdict = Verdict.OUT
+        elif kind in ("codim0", "good"):
+            verdict = Verdict.IN if generic else Verdict.OUT
+        else:
+            free = num * self.threshold.denominator
+            thr = self.threshold.numerator * den
+            if kind == "bad_full_eta":
+                # membership is the open interval above the tail sum and needs
+                # no generic flag
+                verdict = Verdict.IN if free > thr else Verdict.OUT
+            elif not generic:
+                verdict = Verdict.OUT
+            else:
+                verdict = Verdict.INDETERMINATE if free == thr else Verdict.IN
+        return SigmaCase(kind, verdict, self.beta0, self.j, self.threshold)
+
+
+def stratum_case(profile: PrimeProfile, positive: int, below_one: int) -> StratumCase:
+    """Stratum data of the points whose entries are above 0 on `positive` and
+    below 1 on `below_one`."""
+    pair = _pair_from_masks(profile, positive, below_one)
     cls = classify(pair)
     if not cls.nowhere_etale:
-        return SigmaCase("etale", Verdict.OUT)
+        return StratumCase("etale")
     c = codim(pair)
     if c >= 2:
-        return SigmaCase("codim_ge2", Verdict.OUT)
+        return StratumCase("codim_ge2")
     if c == 0:
-        return SigmaCase("codim0", Verdict.IN if h.generic else Verdict.OUT)
+        return StratumCase("codim0")
     beta0 = cls.beta0
-    p = h.profile.p
-    f0 = h.profile.f[h.profile.prime_of(beta0)]
     if cls.badness is Badness.GOOD:
-        return SigmaCase("good", Verdict.IN if h.generic else Verdict.OUT, beta0)
+        return StratumCase("good", beta0)
+    p = profile.p
     if cls.j is None:
-        # eta fills the block; membership is the open interval above the tail
-        # sum and needs no generic flag
-        thr = delta_star(p, f0)
-        verdict = Verdict.IN if h[beta0] > thr else Verdict.OUT
-        return SigmaCase("bad_full_eta", verdict, beta0, None, thr)
-    thr = delta(p, cls.j)
-    if not h.generic:
-        return SigmaCase("bad_partial_eta", Verdict.OUT, beta0, cls.j, thr)
-    verdict = Verdict.INDETERMINATE if h[beta0] == thr else Verdict.IN
-    return SigmaCase("bad_partial_eta", verdict, beta0, cls.j, thr)
+        thr = delta_star(p, profile.f[profile.prime_of(beta0)])
+        return StratumCase("bad_full_eta", beta0, None, thr)
+    return StratumCase("bad_partial_eta", beta0, cls.j, delta(p, cls.j))
+
+
+def sigma_case(h: DegreeVector) -> SigmaCase:
+    stratum = stratum_case(h.profile, *_entry_masks(h.entries, 1))
+    free = ZERO if stratum.beta0 is None else h[stratum.beta0]
+    return stratum.decide(h.generic, free.numerator, free.denominator)
 
 
 def in_sigma(h: DegreeVector) -> Verdict:

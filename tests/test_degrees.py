@@ -41,6 +41,18 @@ def dv(profile, *vals, generic=False, cusp=False):
 
 
 @st.composite
+def cusp_or_degvec(draw):
+    """A degree vector, or a cusp vector: 0/1 and constant on every block."""
+    if not draw(st.booleans()):
+        return draw(degvec())
+    profile = draw(st.sampled_from(PROFILES))
+    vals = []
+    for f in profile.f:
+        vals += [F(draw(st.integers(0, 1)))] * f
+    return DegreeVector(profile, tuple(vals), generic=draw(st.booleans()), cusp=True)
+
+
+@st.composite
 def degvec(draw, profiles=PROFILES):
     profile = draw(st.sampled_from(profiles))
     den = draw(st.sampled_from([1, 2, 3, 6, 12]))
@@ -189,3 +201,22 @@ def test_one_minus():
 def test_deg_prime_totals(h):
     total = sum((h.deg_prime(i) for i in range(h.profile.n_primes)), F(0))
     assert total == sum(h.entries, F(0))
+
+
+@given(cusp_or_degvec(), st.data())
+def test_flips_equal_validated_vectors(h, data):
+    """`w_T_deg` and `one_minus` skip `__post_init__`; what they return must
+    equal the vector built through it, cusp vectors included."""
+    profile = h.profile
+    T = data.draw(st.sets(st.integers(0, profile.n_primes - 1)))
+    flag = data.draw(st.sampled_from([None, False, True]))
+    flipped = tuple(
+        1 - v if profile.prime_of(k) in T else v for k, v in enumerate(h.entries)
+    )
+    generic = h.generic if flag is None else flag
+    assert w_T_deg(h, T, generic=flag) == DegreeVector(
+        profile, flipped, generic=generic, cusp=h.cusp
+    )
+    assert one_minus(h) == DegreeVector(
+        profile, tuple(1 - v for v in h.entries), generic=h.generic, cusp=h.cusp
+    )

@@ -37,8 +37,22 @@ from stratgrid.hecke import (
 )
 from stratgrid.hecke import (
     _block_plan,
+    _block_runs,
+    _blocks,
+    _gen3_edge_ok,
     _hodge_edge_ok,
     _hodge_edge_ranges,
+    _last_ranges,
+    _on_grid,
+    _pred_ranges,
+    _pin_for,
+    _prune,
+    _quotient_vcan_failures,
+    _raynaud_ok,
+    _run_failures,
+    _self_edge_ranges,
+    _sweep_point,
+    _sweep_points,
     _wrap_edge_ranges,
 )
 from stratgrid.regions import Verdict, delta, delta_star, sigma_case
@@ -142,12 +156,21 @@ def _vertex_and_edge_points(profile, den):
 
 @pytest.mark.parametrize(
     "prof,den",
-    [("p=5;f=3", 5), ("p=3;f=1", 6), ("p=2;f=1", 7), ("p=5;f=1", 4), ("p=3;f=2,1", 4)],
+    [
+        ("p=5;f=3", 5),
+        ("p=3;f=1", 6),
+        ("p=2;f=1", 7),
+        ("p=5;f=1", 4),
+        ("p=3;f=2,1", 4),
+        ("p=2;f=4", 3),
+    ],
 )
 def test_feasible_matches_brute_oracle_exhaustive(prof, den):
     """Every vertex and edge point against the oracle.  At p=5;f=3 den 5 the
     threshold 1/5 is on the grid and 6/25 is not; the size-1 blocks check the
-    self edge, whose height window couples an entry to itself."""
+    self edge, whose height window couples an entry to itself.  At p=2;f=4
+    den 3 a free value below delta_2 = 3/4 pins d to it, and delta_1 = 1/2
+    and delta_2 are off the grid."""
     for h in _vertex_and_edge_points(parse_profile(prof), den):
         for drop in (False, True):
             got = sorted(tuple(d.entries) for d in feasible_d_grid(h, den, drop))
@@ -174,7 +197,7 @@ def test_block_plan_matches_fraction_definitions():
         for h in _vertex_and_edge_points(profile, den):
             for i in range(profile.n_primes):
                 f, off = profile.f[i], profile.offsets[i]
-                plan = _block_plan(h, den, i, True, None)
+                plan = _block_plan(p, den, _on_grid(h, den)[off : off + f], True, None)
                 assert plan.block == tuple(h[off + pos] * den for pos in range(f))
                 for pos in range(f):
                     w = hodge_height(h, off + pos)
@@ -191,7 +214,7 @@ def test_block_plan_matches_fraction_definitions():
 def test_block_plan_rejects_off_grid_h():
     h = DegreeVector(parse_profile("p=3;f=2"), (F(1, 4), F(0)), generic=True)
     with pytest.raises(ValueError):
-        _block_plan(h, 6, 0, True, None)
+        _on_grid(h, 6)
     with pytest.raises(ValueError):
         feasible_d_grid(h, 6)
 
@@ -217,6 +240,29 @@ def test_feasible_frozen_examples():
     assert min(firsts) == F(1, 3) and all(v >= F(1, 3) for v in firsts)
 
 
+@pytest.mark.parametrize(
+    "prof,den", [("p=3;f=3", 12), ("p=2;f=4", 6), ("p=3;f=4", 10), ("p=2;f=4", 7)]
+)
+def test_pin_matches_bk_newton_degree(prof, den):
+    """The integer pin is `bk_newton_degree` times den: exact values, empty
+    when off the grid, and a lower bound at the threshold."""
+    profile = parse_profile(prof)
+    for h in _vertex_and_edge_points(profile, den):
+        case = sigma_case(h)
+        scaled = _on_grid(h, den)
+        pin = _pin_for(case, scaled, den)
+        if case.kind != "bad_partial_eta" or case.verdict is Verdict.OUT:
+            assert pin is None
+            continue
+        b = case.beta0
+        res = bk_newton_degree(profile.p, profile.f[profile.prime_of(b)], case.j, h[b])
+        if res.kind == "lower_bound":
+            want = {v for v in range(den + 1) if F(v, den) >= res.value}
+        else:
+            want = {v for v in range(den + 1) if F(v, den) == res.value}
+        assert pin[0] == b and set(range(pin[1], pin[2] + 1)) == want, (h.entries, pin)
+
+
 def test_feasible_errors():
     P2 = parse_profile("p=3;f=2")
     cusp = DegreeVector(P2, (F(1), F(1)), cusp=True)
@@ -235,9 +281,33 @@ def test_feasible_errors():
 
 
 def _plans():
-    for prof, den in [("p=3;f=2", 6), ("p=2;f=2", 5), ("p=5;f=3", 4)]:
-        for h in _vertex_and_edge_points(parse_profile(prof), den):
-            yield _block_plan(h, den, 0, True, None), den
+    """Plans of the first block, genericity on and off.  (p + 1) divides 8, so
+    the self edge of p=3;f=1 has a value where x = y; at p=5;f=1 den 7 it has
+    none.  At p=2;f=3 den 4 the anchored inequalities cap the last entry below
+    its edges and bounds."""
+    for prof, den in [
+        ("p=3;f=2", 6),
+        ("p=2;f=2", 5),
+        ("p=5;f=3", 4),
+        ("p=2;f=3", 4),
+        ("p=3;f=1", 8),
+        ("p=5;f=1", 7),
+    ]:
+        profile = parse_profile(prof)
+        f = profile.f[0]
+        for h in _vertex_and_edge_points(profile, den):
+            for generic in (True, False):
+                yield _block_plan(profile.p, den, _on_grid(h, den)[:f], generic, None), den
+
+
+def _in_ranges(a, ranges) -> bool:
+    return any(lo <= a <= hi for lo, hi in ranges)
+
+
+def _ascending(ranges) -> bool:
+    return all(lo <= hi for lo, hi in ranges) and all(
+        r1[1] < r2[0] for r1, r2 in zip(ranges, ranges[1:])
+    )
 
 
 def test_hodge_edge_ranges_match_predicate():
@@ -259,6 +329,119 @@ def test_wrap_edge_ranges_match_predicate():
                 want = _hodge_edge_ok(plan, 0, a_last, a_first)
                 got = any(lo <= a_last <= hi for lo, hi in allowed)
                 assert got == want, (plan.block, a_first, a_last)
+
+
+def test_pred_ranges_match_predicate():
+    """Every entry before pos and every interval of the entry at pos."""
+    for plan, den in _plans():
+        for pos in range(plan.f):
+            for clo in range(den + 1):
+                for chi in range(clo, den + 1):
+                    allowed = _pred_ranges(plan, pos, clo, chi)
+                    for a in range(den + 1):
+                        want = any(
+                            _hodge_edge_ok(plan, pos, a, b) for b in range(clo, chi + 1)
+                        )
+                        assert _in_ranges(a, allowed) == want, (plan, pos, clo, chi, a)
+
+
+def test_vanishing_rule_is_implied():
+    """The descent does not restate the vanishing rule: within a generic
+    plan's bounds, every pair passing the height edge at pos passes it."""
+    for plan, den in _plans():
+        if not plan.generic:
+            continue
+        for pos in range(plan.f):
+            prev = (pos - 1) % plan.f
+            for a in range(plan.lo[prev], plan.hi[prev] + 1):
+                for b in range(plan.lo[pos], plan.hi[pos] + 1):
+                    if plan.f == 1 and a != b:
+                        continue  # a size-1 block couples its entry with itself
+                    if _hodge_edge_ok(plan, pos, a, b):
+                        assert _gen3_edge_ok(plan, pos, a, b), (plan, pos, a, b)
+
+
+def test_self_edge_ranges_match_predicate():
+    for plan, den in _plans():
+        if plan.f == 1:
+            allowed = _self_edge_ranges(plan)
+            assert _ascending(allowed), (plan, allowed)
+            for a in range(den + 1):
+                assert _in_ranges(a, allowed) == _hodge_edge_ok(plan, 0, a, a), (plan, a)
+
+
+def test_last_ranges_match_predicates():
+    """The last entry's ranges hold exactly the values that complete a prefix
+    within the bounds: its bounds, the height edge and vanishing rule into it
+    and around the wrap (the self edge when f = 1), and every anchored
+    inequality."""
+    for unpruned, den in _plans():
+        for plan in (unpruned, _prune(unpruned)):
+            f = plan.f
+            bounds = [range(plan.lo[q], plan.hi[q] + 1) for q in range(f - 1)]
+            for prefix in product(*bounds):
+                allowed = _last_ranges(plan, [*prefix, 0])
+                assert _ascending(allowed), (plan, prefix, allowed)
+                for a in range(den + 1):
+                    d = (*prefix, a)
+                    want = (
+                        plan.lo[-1] <= a <= plan.hi[-1]
+                        and _hodge_edge_ok(plan, f - 1, d[(f - 2) % f], a)
+                        and _gen3_edge_ok(plan, f - 1, d[(f - 2) % f], a)
+                        and _hodge_edge_ok(plan, 0, a, d[0])
+                        and _gen3_edge_ok(plan, 0, a, d[0])
+                        and _raynaud_ok(plan, d)
+                    )
+                    assert _in_ranges(a, allowed) == want, (plan, d)
+
+
+def test_run_failures_match_quotient_test():
+    """A run's failure count is the quotient test summed over its tuples."""
+    for plan, den in _plans():
+        profile = parse_profile(f"p={plan.p};f={plan.f}")
+        for prefix, lo, hi in _block_runs(plan):
+            want = sum(
+                len(_quotient_vcan_failures(profile, (*prefix, a), den))
+                for a in range(lo, hi + 1)
+            )
+            assert _run_failures(plan, prefix, lo, hi) == want, (plan, prefix, lo, hi)
+
+
+def test_prune_keeps_every_live_entry():
+    """Every entry of every candidate the unpruned descent keeps lies inside
+    the pruned bounds, and the descent over them finds the same runs."""
+    for plan, den in _plans():
+        runs = _block_runs(plan)
+        pruned = _prune(plan)
+        assert _block_runs(pruned) == runs, plan
+        for prefix, lo, hi in runs:
+            for d in ((*prefix, lo), (*prefix, hi)):
+                assert all(pruned.lo[q] <= d[q] <= pruned.hi[q] for q in range(plan.f))
+
+
+@pytest.mark.parametrize(
+    "prof,den",
+    [("p=3;f=2", 27), ("p=5;f=3", 25), ("p=3;f=3", 27), ("p=3;f=2,1", 27), ("p=2;f=3", 8)],
+)
+def test_prune_cuts_first_entry_to_live_interval(prof, den):
+    """On the plans a sweep builds with genericity on, the first entries that
+    start a candidate of a block of size >= 2 form one interval, and the
+    pruned bounds are exactly that interval (or some range is empty)."""
+    profile = parse_profile(prof)
+    for point in _sweep_points(profile, den):
+        scaled, stratum = point
+        free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
+        case = stratum.decide(True, free, den)
+        if case.verdict is not Verdict.IN:
+            continue
+        for plan, runs in _blocks(profile, scaled, den, True, case):
+            if plan.f == 1:
+                continue
+            firsts = {prefix[0] for prefix, _, _ in runs}
+            if firsts:
+                assert firsts == set(range(plan.lo[0], plan.hi[0] + 1)), (scaled, plan)
+            else:
+                assert any(lo > hi for lo, hi in zip(plan.lo, plan.hi)), (scaled, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +625,44 @@ def test_sweep_byte_identical_under_spawn(monkeypatch):
     spawned = verify_sigma_up(profile, 12, drop_genericity=True, workers=2)
     assert made == [2]
     assert json.dumps(spawned, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "prof,den",
+    [
+        ("p=3;f=2,1", 12),
+        ("p=5;f=3", 10),
+        ("p=3;f=3", 9),
+        ("p=2;f=1,3,1", 4),
+        ("p=5;f=1", 25),
+    ],
+)
+def test_sweep_counts_match_enumeration(prof, den):
+    """The sweep counts pairs and failures on the runs; they must equal those
+    of the enumerated candidates, and its records the first failures."""
+    profile = parse_profile(prof)
+    for point in _sweep_points(profile, den):
+        scaled = point[0]
+        h = DegreeVector(profile, tuple(F(a, den) for a in scaled), generic=True)
+        for drop in (False, True):
+            found = []
+            if sigma_case(h).verdict is Verdict.IN:
+                found = [
+                    tuple(int(v * den) for v in d.entries)
+                    for d in feasible_d_grid(h, den, drop)
+                ]
+            failures = [
+                (scaled, d, beta, lhs)
+                for d in found
+                for beta, lhs in _quotient_vcan_failures(profile, d, den)
+            ]
+            for keep in (0, 1, 3):
+                _, _, pairs, cx_total, records = _sweep_point(
+                    profile, den, drop, False, keep, point
+                )
+                assert pairs == len(found), (scaled, drop)
+                assert cx_total == len(failures), (scaled, drop)
+                assert records == failures[:keep], (scaled, drop, keep)
 
 
 def test_sweep_grid_cap():

@@ -7,7 +7,8 @@
 stratgrid from the `src` directory next to this script: a copy of the script
 placed in another checkout captures that checkout's reports.  Exit codes are
 written to `exit_codes.json` in DIR, so `compare` checks them too; stderr is
-not captured.  The report set:
+not captured.  The feasible sets are written by calling `feasible_d_grid`
+directly.  The report set:
 
 - the benchmark's sweeps (`bench/workloads.py` SWEEPS) at workers 1 and 2;
 - sigma-up with genericity on and dropped, and saturation, on the
@@ -15,10 +16,13 @@ not captured.  The report set:
 - `verify twist` on six (q, n) pairs, with and without `--corrupt`;
 - `gauss` for every q <= 27 except 16 and every character exponent;
 - `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
-- `suite` at workers 1 and 2.
+- `suite` at workers 1 and 2;
+- `feasible_d_grid` on every vertex and edge h of p=3;f=2,1 at den 18 and
+  p=5;f=3 at den 10, with the generic flag on and off and genericity on and
+  dropped, one file per profile; an error is recorded as data.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 562 reports takes
-about 15 s on two cores.
+Stdlib only; tier-1 does not collect it.  A capture of the 562 reports and
+the 2 feasible sets takes about 15 s on two cores.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ GAUSS_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
 COVERAGE_PRIMES = (2, 3, 5, 7, 11)
 MAX_G = 6
 SUITE_PROFILE = "p=3;f=2,1"
+FEASIBLE = (("p=3;f=2,1", 18), ("p=5;f=3", 10))
 EXIT_CODES = "exit_codes.json"
 
 
@@ -91,6 +96,36 @@ def commands():
         )
 
 
+def feasible_records(profile_text: str, den: int) -> list[dict]:
+    """`feasible_d_grid` on every vertex and edge h, each generic flag and each
+    genericity setting: the d found, or the error raised."""
+    from fractions import Fraction
+    from itertools import product
+
+    from stratgrid.degrees import DegreeVector
+    from stratgrid.embeddings import parse_profile
+    from stratgrid.hecke import feasible_d_grid
+
+    profile = parse_profile(profile_text)
+    records = []
+    for scaled in product(range(den + 1), repeat=profile.g):
+        if sum(0 < a < den for a in scaled) > 1:
+            continue
+        entries = tuple(Fraction(a, den) for a in scaled)
+        for generic in (True, False):
+            h = DegreeVector(profile, entries, generic=generic)
+            for drop in (False, True):
+                rec = {"h": [str(v) for v in entries], "generic": generic, "drop": drop}
+                try:
+                    found = feasible_d_grid(h, den, drop)
+                except ValueError as e:
+                    rec["error"] = f"{type(e).__name__}: {e}"
+                else:
+                    rec["d"] = [[str(v) for v in d.entries] for d in found]
+                records.append(rec)
+    return records
+
+
 def _file_name(name: str) -> str:
     return name.replace(";", "_").replace("=", "").replace(",", ".") + ".json"
 
@@ -106,7 +141,12 @@ def capture(out_dir: str) -> int:
     with open(os.path.join(out_dir, EXIT_CODES), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"captured {len(codes)} reports in {out_dir}")
+    for profile, den in FEASIBLE:
+        path = os.path.join(out_dir, _file_name(f"feasible-{profile}-d{den}"))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(feasible_records(profile, den), fh, indent=1)
+            fh.write("\n")
+    print(f"captured {len(codes)} reports and {len(FEASIBLE)} feasible sets in {out_dir}")
     return 0
 
 
