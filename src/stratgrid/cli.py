@@ -167,7 +167,7 @@ def _cmd_verify_saturation(ns):
     return report, not report["pass"]
 
 
-def _twist_runs(q, n, trials, seed, corrupt, scalars=((2, 3, 1),)):
+def _twist_runs(q, n, trials, seed, corrupt):
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     field, group = GF(q), UnitGroup(n)
@@ -182,20 +182,19 @@ def _twist_runs(q, n, trials, seed, corrupt, scalars=((2, 3, 1),)):
                 continue
             for k in range(trials):
                 twist_seed = random_twist_seed(field, group, M, seed + k)
-                for r, s, C in scalars:
-                    rep = verify_twist_identity(
-                        field, group, psi_p, psi_n, r, s, C, twist_seed, corrupt=corrupt
+                rep = verify_twist_identity(
+                    field, group, psi_p, psi_n, 2, 3, 1, twist_seed, corrupt=corrupt
+                )  # r = 2, s = 3, C = 1
+                runs += 1
+                if not rep.passed:
+                    failures.append(
+                        {
+                            "psi_p": psi_p.exp,
+                            "psi_n": list(psi_n.exps),
+                            "seed": seed + k,
+                            "mismatch_index": list(rep.mismatch_index),
+                        }
                     )
-                    runs += 1
-                    if not rep.passed:
-                        failures.append(
-                            {
-                                "psi_p": psi_p.exp,
-                                "psi_n": list(psi_n.exps),
-                                "seed": seed + k,
-                                "mismatch_index": list(rep.mismatch_index),
-                            }
-                        )
     return runs, failures, M
 
 

@@ -7,7 +7,7 @@ whole blocks).  All arithmetic is exact via Fraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .embeddings import PrimeProfile, shift_right
@@ -62,6 +62,14 @@ def _as_fraction(v) -> Fraction:
     raise DegreeVectorError(f"cannot interpret {v!r} as an exact rational")
 
 
+def _json_flag(data: dict, name: str) -> bool:
+    """A JSON boolean flag of a serialized vector; a missing flag is false."""
+    v = data.get(name, False)
+    if not isinstance(v, bool):
+        raise DegreeVectorError(f"{name!r} must be true or false, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class DegreeVector:
     profile: PrimeProfile
@@ -87,20 +95,6 @@ class DegreeVector:
                     )
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def _trusted(cls, profile, entries, generic, cusp) -> "DegreeVector":
-        """A vector from entries already known valid, without `__post_init__`.
-
-        For the flips below: 1 - v of an entry in [0, 1] lies in [0, 1], and
-        flipping whole blocks keeps a cusp vector blockwise constant.
-        """
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "profile", profile)
-        object.__setattr__(vec, "entries", entries)
-        object.__setattr__(vec, "generic", generic)
-        object.__setattr__(vec, "cusp", cusp)
-        return vec
-
     def __getitem__(self, k: int) -> Fraction:
         return self.entries[k]
 
@@ -124,15 +118,18 @@ class DegreeVector:
             raise DegreeVectorError(f"'deg' must map labels to degrees, got {deg!r}")
         entries = [None] * profile.g
         for label, val in deg.items():
-            entries[profile.index_of_label(label)] = _as_fraction(val)
+            k = profile.index_of_label(label)
+            if entries[k] is not None:
+                raise DegreeVectorError(f"two labels name embedding {profile.label(k)}")
+            entries[k] = _as_fraction(val)
         if any(e is None for e in entries):
             missing = [profile.label(k) for k, e in enumerate(entries) if e is None]
             raise DegreeVectorError(f"missing degree entries for {missing}")
         return cls(
             profile,
             tuple(entries),
-            generic=bool(data.get("generic", False)),
-            cusp=bool(data.get("cusp", False)),
+            generic=_json_flag(data, "generic"),
+            cusp=_json_flag(data, "cusp"),
         )
 
 
@@ -189,16 +186,14 @@ def w_T_deg(h: DegreeVector, T, generic: bool | None = None) -> DegreeVector:
         off = h.profile.offsets[i]
         for pos in range(h.profile.f[i]):
             entries[off + pos] = ONE - entries[off + pos]
-    return DegreeVector._trusted(
-        h.profile, tuple(entries), h.generic if generic is None else generic, h.cusp
+    return replace(
+        h, entries=tuple(entries), generic=h.generic if generic is None else generic
     )
 
 
 def one_minus(h: DegreeVector) -> DegreeVector:
     """Coordinatewise 1 - v, the degree vector of the quotient datum."""
-    return DegreeVector._trusted(
-        h.profile, tuple(ONE - v for v in h.entries), h.generic, h.cusp
-    )
+    return replace(h, entries=tuple(ONE - v for v in h.entries))
 
 
 @dataclass(frozen=True)

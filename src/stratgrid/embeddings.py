@@ -115,7 +115,10 @@ class PrimeProfile:
         m = re.fullmatch(r"(\d+)/(\d+)", s.strip())
         if not m:
             raise ProfileError(f"bad embedding label {s!r}, expected 'prime/pos'")
-        return self.index(int(m.group(1)), int(m.group(2)))
+        try:
+            return self.index(int(m.group(1)), int(m.group(2)))
+        except IndexError:
+            raise ProfileError(f"label {s!r} names no embedding of {self}") from None
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "f": list(self.f)}

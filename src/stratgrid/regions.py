@@ -5,6 +5,10 @@ qualifies only when its stratum has codimension at most 1 and no block is
 entirely Zero; codimension-1 points split by goodness, and the bad cases gate
 on the free coordinate against geometric series thresholds.  Everything is
 exact rational arithmetic.
+
+Charts are decided on masks: the chart of T flips v -> 1 - v on T's blocks,
+which swaps a point's above-0 and below-1 masks there, or a face's Zero and
+One masks (`_swap_on`), so no flipped vector is built.
 """
 from __future__ import annotations
 
@@ -13,9 +17,9 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .degrees import DegreeVector, _entry_masks, _pair_from_masks, w_T_deg
-from .embeddings import PrimeProfile, shift_right
-from .strata import Badness, StratumPair, classify, codim
+from .degrees import DegreeVector, _entry_masks, _pair_from_masks
+from .embeddings import PrimeProfile
+from .strata import Badness, classify, codim
 
 __all__ = [
     "Verdict",
@@ -202,8 +206,17 @@ def _combine(verdicts) -> Verdict:
     return out
 
 
+def _swap_on(a: int, b: int, flip: int) -> tuple[int, int]:
+    """Masks a and b with their bits on `flip` exchanged: v -> 1 - v there turns
+    v > 0 into v < 1, and v == 0 into v == 1."""
+    return (a & ~flip) | (b & flip), (b & ~flip) | (a & flip)
+
+
 def in_sigma_S(h: DegreeVector, S, generic_by_T=None) -> Verdict:
     """Union of transported regions over all subsets T of S.
+
+    Each chart is decided on h's masks swapped on T's blocks, with free value
+    1 - h at beta0 in a flipped block; the first In chart ends the union.
 
     generic_by_T optionally maps frozenset(T) to the generic flag assumed for
     the transported vector; by default the flag carries over, so a vector
@@ -213,14 +226,18 @@ def in_sigma_S(h: DegreeVector, S, generic_by_T=None) -> Verdict:
     for i in S:
         if not (0 <= i < h.profile.n_primes):
             raise ValueError(f"prime index {i} out of range for {h.profile}")
-    verdicts = []
-    for r in range(len(S) + 1):
-        for T in combinations(S, r):
-            flag = None
-            if generic_by_T is not None:
-                flag = generic_by_T.get(frozenset(T))
-            verdicts.append(in_sigma(w_T_deg(h, T, generic=flag)))
-    return _combine(verdicts)
+    masks = _entry_masks(h.entries, 1)
+
+    def chart(T) -> Verdict:
+        flip = sum(h.profile.block_mask(i) for i in T)  # blocks are disjoint
+        stratum = stratum_case(h.profile, *_swap_on(*masks, flip))
+        b = stratum.beta0
+        free = ZERO if b is None else ONE - h[b] if flip >> b & 1 else h[b]
+        flag = (generic_by_T or {}).get(frozenset(T))
+        generic = h.generic if flag is None else flag
+        return stratum.decide(generic, free.numerator, free.denominator).verdict
+
+    return _combine(chart(T) for r in range(len(S) + 1) for T in combinations(S, r))
 
 
 @dataclass(frozen=True)
@@ -268,18 +285,16 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     which fails exactly when p = 2 and the free block has size >= 2.
 
     A face is held as its Zero and One bitmasks; flipping the primes in T
-    swaps the two masks on the union of their blocks.  Whether a flipped face
-    is nowhere-etale is decided by `classify` on its stratum pair.
+    swaps the two masks on the union of their blocks (`_swap_on`).  Whether a
+    flipped face is nowhere-etale is decided by `classify` on its stratum pair.
     """
     g = profile.g
     full = profile.full_mask
     blocks = [profile.block_mask(i) for i in range(profile.n_primes)]
 
     def flips_to_etale(zeros: int, ones: int, flip: int) -> bool:
-        z = (zeros & ~flip) | (ones & flip)
-        o = (ones & ~flip) | (zeros & flip)
-        pair = StratumPair(profile, shift_right(profile, full & ~z), full & ~o)
-        return not classify(pair).nowhere_etale
+        z, o = _swap_on(zeros, ones, flip)
+        return not classify(_pair_from_masks(profile, full & ~z, full & ~o)).nowhere_etale
 
     vertex_failures = []
     for ones in _corner_masks(range(g)):

@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface and its exit codes."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratgrid import cli
 
@@ -135,6 +138,93 @@ def test_regions_check_deg_not_a_mapping_is_usage_error(capsys):
         ]
     )
     assert_one_line_usage_error(capsys, code)
+
+
+def test_regions_check_unknown_label_is_usage_error(capsys):
+    code = cli.run(
+        [
+            "regions", "check",
+            "--profile", "p=3;f=2",
+            "--point", '{"deg":{"9/9":"1/2","0/0":"0","0/1":"1"}}',
+            "--region", "sigma",
+        ]
+    )
+    assert_one_line_usage_error(capsys, code)
+
+
+def test_regions_check_string_flag_is_usage_error(capsys):
+    code = cli.run(
+        [
+            "regions", "check",
+            "--profile", "p=3;f=2",
+            "--point", '{"deg":{"0/0":"1/2","0/1":"1"},"generic":"false"}',
+            "--region", "sigma",
+        ]
+    )
+    assert_one_line_usage_error(capsys, code)
+
+
+FUZZ_PROFILES = ("p=3;f=2", "p=3;f=2,1", "p=2;f=1,1", "p=5;f=1,1,1")
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=6)
+)
+
+
+@st.composite
+def fuzz_points(draw):
+    """A profile and point JSON: mostly the profile's own labels with degrees
+    in [0, 1], sometimes other labels, values, flags or shapes."""
+    profile = draw(st.sampled_from(FUZZ_PROFILES))
+    f = [int(d) for d in profile.split("f=")[1].split(",")]
+    own = [f"{i}/{pos}" for i, d in enumerate(f) for pos in range(d)]
+
+    def often(good, bad):
+        return draw(good if draw(st.integers(0, 9)) else bad)
+
+    degree = st.integers(1, 6).flatmap(
+        lambda b: st.integers(0, b).map(lambda a: f"{a}/{b}")
+    )
+    odd_value = st.one_of(
+        st.builds("{}/{}".format, st.integers(-1, 7), st.integers(0, 6)), JSON_SCALARS
+    )
+    label = st.one_of(
+        st.builds("{}/{}".format, st.integers(0, 12), st.integers(0, 12)),
+        st.sampled_from(["0/1 ", " 0/0", "0/01", "00/0", "0/-1", "/", "a/b"]),
+        st.text(max_size=5),
+    )
+    deg = {lab: often(degree, odd_value) for lab in own if draw(st.integers(0, 19))}
+    if not draw(st.integers(0, 3)):
+        deg.update(draw(st.dictionaries(label, st.one_of(degree, odd_value), max_size=2)))
+    point = {"deg": often(st.just(deg), st.one_of(JSON_SCALARS, st.lists(degree)))}
+    for flag in ("generic", "cusp"):
+        if draw(st.booleans()):
+            point[flag] = often(st.booleans(), JSON_SCALARS)
+    return profile, json.dumps(often(st.just(point), JSON_SCALARS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fuzz_points(),
+    st.sampled_from(["sigma", "vcan", "sigmaS"]),
+    st.sampled_from(["0", "0,1", "1,2", "2", "7", "x", ""]),
+)
+def test_regions_check_fuzz_keeps_the_exit_contract(case, region, s_arg):
+    """Any point JSON ends in exit 0 with a JSON report, or exit 2 with one
+    `error:` line, and never raises."""
+    profile, point_json = case
+    # `--opt=value`, so that argparse never reads a point such as -1 as an option
+    argv = ["regions", "check", f"--profile={profile}", f"--point={point_json}"]
+    argv += [f"--region={region}", f"--S={s_arg}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["check"] == "region"
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 def test_regions_coverage_pass_and_fail(capsys):

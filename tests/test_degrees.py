@@ -96,6 +96,27 @@ def test_from_json_dict_rejects_deg_that_is_not_a_mapping():
             DegreeVector.from_json_dict(profile, {"deg": deg})
 
 
+@pytest.mark.parametrize("twin", ["0/1 ", "0/01", " 0/1", "00/1"])
+def test_from_json_dict_rejects_two_labels_for_one_embedding(twin):
+    profile = PrimeProfile(3, (2, 1))
+    deg = {"0/0": "1/2", "0/1": "0", "1/0": "1", twin: "1/3"}
+    with pytest.raises(DegreeVectorError, match="0/1"):
+        DegreeVector.from_json_dict(profile, {"deg": deg})
+
+
+def test_from_json_dict_flags_are_json_booleans():
+    profile = PrimeProfile(3, (2,))
+    deg = {"0/0": "1", "0/1": "1"}
+    h = DegreeVector.from_json_dict(profile, {"deg": deg})
+    assert h.generic is False and h.cusp is False
+    h = DegreeVector.from_json_dict(profile, {"deg": deg, "generic": True, "cusp": True})
+    assert h.generic is True and h.cusp is True
+    for flag in ("generic", "cusp"):
+        for bad in ("false", "true", 1, 0, None, [], {}):
+            with pytest.raises(DegreeVectorError, match=flag):
+                DegreeVector.from_json_dict(profile, {"deg": deg, flag: bad})
+
+
 @given(degvec())
 def test_pair_of_degvec_always_admissible(h):
     pair = pair_of_degvec(h)  # constructor validates admissibility
@@ -205,8 +226,8 @@ def test_deg_prime_totals(h):
 
 @given(cusp_or_degvec(), st.data())
 def test_flips_equal_validated_vectors(h, data):
-    """`w_T_deg` and `one_minus` skip `__post_init__`; what they return must
-    equal the vector built through it, cusp vectors included."""
+    """What `w_T_deg` and `one_minus` return equals the vector built through
+    the validated constructor, cusp vectors included."""
     profile = h.profile
     T = data.draw(st.sets(st.integers(0, profile.n_primes - 1)))
     flag = data.draw(st.sampled_from([None, False, True]))

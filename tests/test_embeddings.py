@@ -95,6 +95,12 @@ def test_indexing_round_trip():
         profile.emb(6)
 
 
+@pytest.mark.parametrize("label", ["9/9", "0/2", "1/1", "3/0", "0/10"])
+def test_index_of_label_rejects_labels_naming_no_embedding(label):
+    with pytest.raises(ProfileError, match="names no embedding"):
+        PrimeProfile(3, (2, 1)).index_of_label(label)
+
+
 def test_shift_example():
     # f=3 block: the predecessor set of {pos 1} is {pos 0}
     profile = PrimeProfile(3, (3,))

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stratgrid.embeddings import PrimeProfile
 from stratgrid.degrees import DegreeVector, w_T_deg
@@ -152,6 +153,58 @@ def test_sigma_S_monotone_in_S(data):
     big = small | data.draw(st.sets(st.integers(0, 1)))
     rank = {Verdict.OUT: 0, Verdict.INDETERMINATE: 1, Verdict.IN: 2}
     assert rank[in_sigma_S(h, big)] >= rank[in_sigma_S(h, small)]
+
+
+CHART_PROFILES = [
+    PrimeProfile(3, (2, 1)),
+    PrimeProfile(3, (3, 1)),
+    PrimeProfile(5, (1, 1, 1)),
+    PrimeProfile(5, (2, 2)),
+    PrimeProfile(2, (2, 1)),
+    PrimeProfile(7, (3,)),
+]
+
+
+@st.composite
+def chart_points(draw):
+    """Degree or cusp vectors on multi-prime profiles, with entries on a small
+    grid or exactly at the thresholds delta(p, j) and 1 - delta(p, 1)."""
+    profile = draw(st.sampled_from(CHART_PROFILES))
+    generic = draw(st.booleans())
+    if draw(st.integers(0, 4)) == 0:
+        vals = []
+        for f in profile.f:
+            vals += [F(draw(st.integers(0, 1)))] * f
+        return DegreeVector(profile, tuple(vals), generic=generic, cusp=True)
+    p = profile.p
+    specials = [delta(p, j) for j in range(1, max(profile.f) + 1)] + [1 - delta(p, 1)]
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 25]))
+    grid = st.integers(0, den).map(lambda a: F(a, den))
+    entry = st.one_of(grid, st.sampled_from(specials))
+    vals = tuple(draw(entry) for _ in range(profile.g))
+    return DegreeVector(profile, vals, generic=generic)
+
+
+@settings(max_examples=300)
+@given(chart_points(), st.data())
+def test_sigma_S_matches_flipped_vectors(h, data):
+    """Deciding each chart on swapped masks agrees with the union of `in_sigma`
+    over the flipped vectors `w_T_deg(h, T)`."""
+    n = h.profile.n_primes
+    S = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    subsets = [frozenset(T) for r in range(len(S) + 1) for T in combinations(S, r)]
+    generic_by_T = data.draw(
+        st.none()
+        | st.dictionaries(st.sampled_from(subsets), st.sampled_from([True, False, None]))
+    )
+    verdicts = set()
+    for T in subsets:
+        flag = None if generic_by_T is None else generic_by_T.get(T)
+        verdicts.add(in_sigma(w_T_deg(h, T, generic=flag)))
+    expected = next(
+        v for v in (Verdict.IN, Verdict.INDETERMINATE, Verdict.OUT) if v in verdicts
+    )
+    assert in_sigma_S(h, S, generic_by_T) is expected
 
 
 def test_w_equivariance_of_sigma_on_vertices():

@@ -19,10 +19,15 @@ directly.  The report set:
 - `suite` at workers 1 and 2;
 - `feasible_d_grid` on every vertex and edge h of p=3;f=2,1 at den 18 and
   p=5;f=3 at den 10, with the generic flag on and off and genericity on and
-  dropped, one file per profile; an error is recorded as data.
+  dropped, one file per profile; an error is recorded as data;
+- `in_sigma`, `in_sigma_S` (S every prime, and each single prime) and
+  `in_vcan`, called directly on every vertex and edge h of p=3;f=2,1 and
+  p=3;f=3,1 at den 6, p=2;f=2,1 at den 8 and p=5;f=1,1,1 at den 5, and on the
+  edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
+  generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 562 reports and
-the 2 feasible sets takes about 15 s on two cores.
+Stdlib only; tier-1 does not collect it.  A capture of the 562 reports, the
+2 feasible sets and the 4 region-query sets takes about 11 s on two cores.
 """
 from __future__ import annotations
 
@@ -46,6 +51,14 @@ COVERAGE_PRIMES = (2, 3, 5, 7, 11)
 MAX_G = 6
 SUITE_PROFILE = "p=3;f=2,1"
 FEASIBLE = (("p=3;f=2,1", 18), ("p=5;f=3", 10))
+# p=3;f=3,1 has the bad partial-eta strata, where a point at delta(p, j) is
+# indeterminate.
+REGION_QUERIES = (
+    ("p=3;f=2,1", 6),
+    ("p=2;f=2,1", 8),
+    ("p=5;f=1,1,1", 5),
+    ("p=3;f=3,1", 6),
+)
 EXIT_CODES = "exit_codes.json"
 
 
@@ -96,22 +109,31 @@ def commands():
         )
 
 
-def feasible_records(profile_text: str, den: int) -> list[dict]:
-    """`feasible_d_grid` on every vertex and edge h, each generic flag and each
-    genericity setting: the d found, or the error raised."""
+def _vertex_and_edge_points(g: int, den: int, free_values=()):
+    """Entries of every vertex and open-edge point of the grid at den, then of
+    every edge point whose one free entry is in `free_values`."""
     from fractions import Fraction
     from itertools import product
 
+    for scaled in product(range(den + 1), repeat=g):
+        if sum(0 < a < den for a in scaled) <= 1:
+            yield tuple(Fraction(a, den) for a in scaled)
+    for k in range(g):
+        for v in free_values:
+            for corner in product((0, 1), repeat=g - 1):
+                yield tuple(map(Fraction, corner[:k] + (v,) + corner[k:]))
+
+
+def feasible_records(profile_text: str, den: int) -> list[dict]:
+    """`feasible_d_grid` on every vertex and edge h, each generic flag and each
+    genericity setting: the d found, or the error raised."""
     from stratgrid.degrees import DegreeVector
     from stratgrid.embeddings import parse_profile
     from stratgrid.hecke import feasible_d_grid
 
     profile = parse_profile(profile_text)
     records = []
-    for scaled in product(range(den + 1), repeat=profile.g):
-        if sum(0 < a < den for a in scaled) > 1:
-            continue
-        entries = tuple(Fraction(a, den) for a in scaled)
+    for entries in _vertex_and_edge_points(profile.g, den):
         for generic in (True, False):
             h = DegreeVector(profile, entries, generic=generic)
             for drop in (False, True):
@@ -123,6 +145,30 @@ def feasible_records(profile_text: str, den: int) -> list[dict]:
                 else:
                     rec["d"] = [[str(v) for v in d.entries] for d in found]
                 records.append(rec)
+    return records
+
+
+def region_records(profile_text: str, den: int) -> list[dict]:
+    """`in_sigma`, `in_sigma_S` and `in_vcan` on every vertex and edge h and
+    on the edge points at the thresholds, each generic flag."""
+    from stratgrid.degrees import DegreeVector
+    from stratgrid.embeddings import parse_profile
+    from stratgrid.regions import delta, in_sigma, in_sigma_S, in_vcan
+
+    profile = parse_profile(profile_text)
+    p, n = profile.p, profile.n_primes
+    thresholds = {delta(p, j) for j in range(1, max(profile.f) + 1)} | {1 - delta(p, 1)}
+    charts = [tuple(range(n))] + [(i,) for i in range(n)]
+    records = []
+    for entries in _vertex_and_edge_points(profile.g, den, sorted(thresholds)):
+        for generic in (True, False):
+            h = DegreeVector(profile, entries, generic=generic)
+            rec = {"h": [str(v) for v in entries], "generic": generic}
+            rec["in_sigma"] = in_sigma(h).value
+            for S in charts:
+                rec[f"in_sigma_S {','.join(map(str, S))}"] = in_sigma_S(h, S).value
+            rec["in_vcan"] = in_vcan(h)
+            records.append(rec)
     return records
 
 
@@ -141,12 +187,20 @@ def capture(out_dir: str) -> int:
     with open(os.path.join(out_dir, EXIT_CODES), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for profile, den in FEASIBLE:
-        path = os.path.join(out_dir, _file_name(f"feasible-{profile}-d{den}"))
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(feasible_records(profile, den), fh, indent=1)
-            fh.write("\n")
-    print(f"captured {len(codes)} reports and {len(FEASIBLE)} feasible sets in {out_dir}")
+    record_sets = (
+        ("feasible", feasible_records, FEASIBLE),
+        ("regions", region_records, REGION_QUERIES),
+    )
+    for prefix, make, cases in record_sets:
+        for profile, den in cases:
+            path = os.path.join(out_dir, _file_name(f"{prefix}-{profile}-d{den}"))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(make(profile, den), fh, indent=1)
+                fh.write("\n")
+    print(
+        f"captured {len(codes)} reports, {len(FEASIBLE)} feasible sets and "
+        f"{len(REGION_QUERIES)} region-query sets in {out_dir}"
+    )
     return 0
 
 
