@@ -252,12 +252,12 @@ class CyclotomicInt:
         return " + ".join(terms) if terms else "0"
 
 
-def conductor(*orders: int, cap: int = COEFF_CAP) -> int:
-    """lcm of the given orders, rejected when the ring would exceed the cap."""
+def conductor(*orders: int) -> int:
+    """lcm of the given orders, rejected when the ring would exceed COEFF_CAP."""
     M = 1
     for d in orders:
         M = lcm(M, d)
-    if _phi_deg(M) > cap:
+    if _phi_deg(M) > COEFF_CAP:
         raise ConductorTooLarge(f"conductor {M} needs {_phi_deg(M)} coefficients")
     return M
 

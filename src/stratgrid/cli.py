@@ -37,8 +37,16 @@ SUITE_RNG_SEED = 20240601
 _SWEEPS = ("sigma-up", "saturation")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit 2; the subparsers
+    inherit it through `parser_class`."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="stratgrid", description=__doc__)
+    top = _Parser(prog="stratgrid", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p, profile=True):
@@ -261,7 +269,8 @@ def _suite_poset(profile):
     return {"name": "poset-laws", "pairs": len(pairs), "violations": bad, "pass": bad == 0}
 
 
-def _suite_atkin_lehner(profile, den, rng, samples=100):
+def _suite_atkin_lehner(profile, den, rng):
+    samples = 100
     bad = 0
     n = profile.n_primes
     for _ in range(samples):
@@ -276,7 +285,8 @@ def _suite_atkin_lehner(profile, den, rng, samples=100):
     return {"name": "atkin-lehner", "samples": samples, "violations": bad, "pass": bad == 0}
 
 
-def _suite_gauss_laws(orders=(3, 4, 5, 7, 8, 9)):
+def _suite_gauss_laws():
+    orders = (3, 4, 5, 7, 8, 9)
     bad = 0
     for q in orders:
         field = GF(q)

@@ -3,15 +3,16 @@
 A degree vector assigns each embedding a rational in [0, 1].  Two flags ride
 along: `generic` (the specialization hypothesis several constraint families
 need) and `cusp` (degenerate boundary points whose One-set must be a union of
-whole blocks).  All arithmetic is exact via Fraction.
+whole blocks).  All arithmetic is exact via Fraction.  A vector's stratum is
+named by its face masks, the entries equal to 0 and to 1 (`_entry_masks`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .embeddings import PrimeProfile, shift_right
-from .strata import Face, FaceCoord, StratumPair
+from .embeddings import PrimeProfile
+from .strata import Face, FaceCoord, StratumPair, pair_of_masks
 
 __all__ = [
     "DegreeVectorError",
@@ -50,11 +51,15 @@ class ProfileMismatch(ValueError):
 
 
 def _as_fraction(v) -> Fraction:
+    """A Fraction, an int or a fraction string as an exact rational.  Booleans
+    are refused, and so is exponent notation: "1e-2000000" is slow to read."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
+        if "e" in v or "E" in v:
+            raise DegreeVectorError(f"bad fraction string {v!r}: no exponent notation")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -134,22 +139,18 @@ class DegreeVector:
 
 
 def _entry_masks(entries, one) -> tuple[int, int]:
-    """Masks of the entries above 0 and of those below `one`.
+    """Face masks of the entries: those equal to 0 and those equal to `one`.
 
     `one` is 1 for a vector's own entries and den for entries scaled by den.
     """
-    positive = 0
-    below_one = 0
+    zeros = 0
+    ones = 0
     for k, v in enumerate(entries):
-        if v > 0:
-            positive |= 1 << k
-        if v < one:
-            below_one |= 1 << k
-    return positive, below_one
-
-
-def _pair_from_masks(profile: PrimeProfile, positive: int, below_one: int) -> StratumPair:
-    return StratumPair(profile, shift_right(profile, positive), below_one)
+        if v == 0:
+            zeros |= 1 << k
+        elif v == one:
+            ones |= 1 << k
+    return zeros, ones
 
 
 def pair_of_degvec(h: DegreeVector) -> StratumPair:
@@ -160,7 +161,7 @@ def pair_of_degvec(h: DegreeVector) -> StratumPair:
     """
     if h.cusp:
         raise CuspInput("cusp vectors do not define a stratum pair")
-    return _pair_from_masks(h.profile, *_entry_masks(h.entries, 1))
+    return pair_of_masks(h.profile, *_entry_masks(h.entries, 1))
 
 
 def face_of_degvec(h: DegreeVector) -> Face:

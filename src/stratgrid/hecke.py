@@ -25,15 +25,16 @@ against them.  `feasible_d_grid` and the sweeps share this one descent.
 that all surviving d push the quotient into the canonical locus.  Only
 vertices and open edges of the cube are enumerated: a vector with two or more
 fractional coordinates sits on a stratum of codimension at least 2 and is Out,
-so the restriction is exact.  The stratum pair, and so most of `sigma_case`,
-is decided once per edge; each point compares only its free value.  The
-quotient test is blockwise, so a point counts its pairs as the product of the
-blocks' candidate counts and its failures on the runs, and expands the runs
-only to build the records it keeps.  The sweep is lexicographic by
-construction: the points arrive as one ordered stream, one point is the unit
-of work, and each point's failures come ordered by d and then beta, so the
-capped records are the first ones by embedding index with no sort, whatever
-the worker count.
+so the restriction is exact.  A point's stratum is named by its face masks,
+its entries at 0 and at 1, which are the same along an edge, so most of
+`sigma_case` is decided once per edge; each point compares only its free
+value.  The quotient test is blockwise, so a point counts its pairs as the
+product of the blocks' candidate counts and its failures on the runs, and
+expands the runs only to build the records it keeps.  The sweep is
+lexicographic by construction: the points arrive as one ordered stream, one
+point is the unit of work, and each point's failures come ordered by d and
+then beta, so the capped records are the first ones by embedding index with
+no sort, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ from .degrees import (
 )
 from .embeddings import PrimeProfile
 from .regions import (
-    SigmaCase,
+    StratumCase,
     Verdict,
     delta,
     in_interval_region,
@@ -635,19 +636,19 @@ def _run_failures(plan: BlockPlan, prefix, lo, hi) -> int:
     return fails
 
 
-def _pin_for(case: SigmaCase, scaled, den: int):
+def _pin_for(stratum: StratumCase, verdict: Verdict, scaled, den: int):
     """Pinned range (beta0, lo, hi) at the free coordinate, or None.
 
-    `case` is the point's `sigma_case`.  The range is `bk_newton_degree`'s
-    value times den, compared in integers: the threshold delta_j when the
-    free value lies above it (empty when delta_j is off the grid), the free
-    value below it, and at least the free value at it.
+    (`stratum`, `verdict`) is the point's `sigma_case`.  The range is
+    `bk_newton_degree`'s value times den, compared in integers: the threshold
+    delta_j when the free value lies above it (empty when delta_j is off the
+    grid), the free value below it, and at least the free value at it.
     """
-    if case.kind != "bad_partial_eta" or case.verdict is Verdict.OUT:
+    if stratum.kind != "bad_partial_eta" or verdict is Verdict.OUT:
         return None
-    beta0, s = case.beta0, scaled[case.beta0]
-    q = case.threshold.denominator
-    pinned = case.threshold.numerator * den  # delta_j * den, times q
+    beta0, s = stratum.beta0, scaled[stratum.beta0]
+    q = stratum.threshold.denominator
+    pinned = stratum.threshold.numerator * den  # delta_j * den, times q
     if s * q > pinned:
         if pinned % q:
             return beta0, 1, 0  # off-grid pin: empty range
@@ -657,9 +658,11 @@ def _pin_for(case: SigmaCase, scaled, den: int):
     return beta0, s, den
 
 
-def _blocks(profile: PrimeProfile, scaled, den: int, generic_active: bool, case: SigmaCase):
+def _blocks(
+    profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum, verdict
+):
     """(plan, runs) of every block of the scaled h, the plans pruned."""
-    pin = _pin_for(case, scaled, den) if generic_active else None
+    pin = _pin_for(stratum, verdict, scaled, den) if generic_active else None
     out = []
     for i in range(profile.n_primes):
         f, off = profile.f[i], profile.offsets[i]
@@ -703,7 +706,7 @@ def feasible_d_grid(
         raise GridTooLarge(f"{h.profile.g} * {den} exceeds cap {GRID_CAP}")
     scaled = _on_grid(h, den)
     blocks = _blocks(
-        h.profile, scaled, den, h.generic and not drop_genericity, sigma_case(h)
+        h.profile, scaled, den, h.generic and not drop_genericity, *sigma_case(h)
     )
     return [
         DegreeVector(h.profile, tuple(Fraction(a, den) for a in d))
@@ -754,18 +757,18 @@ def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
     """
     scaled, stratum = point
     free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
-    case = stratum.decide(True, free, den)
-    if case.verdict is not Verdict.IN:
+    verdict = stratum.decide(True, free, den)
+    if verdict is not Verdict.IN:
         return 0, True, 0, 0, []
     pure = True
     if saturation_only:
         # structural check: membership reads only the serialized data
         h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
         back = DegreeVector.from_json_dict(profile, h.to_json_dict())
-        pure = sigma_case(back).verdict is Verdict.IN
+        pure = sigma_case(back)[1] is Verdict.IN
         if not in_interval_region(h):
             return 0, pure, 0, 0, []
-    blocks = _blocks(profile, scaled, den, not drop_genericity, case)
+    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, verdict)
     sizes = [sum(hi - lo + 1 for _, lo, hi in runs) for _, runs in blocks]
     cx_total = 0
     for i, (plan, runs) in enumerate(blocks):
@@ -784,7 +787,7 @@ def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
 
 def _sweep_points(profile: PrimeProfile, den: int):
     """`_grid_candidates` paired with their `StratumCase`, decided once per
-    stratum pair: once per open edge and once per vertex."""
+    stratum, named by its face masks: once per open edge and once per vertex."""
     strata = {}
     for scaled in _grid_candidates(profile.g, den):
         masks = _entry_masks(scaled, den)

@@ -6,9 +6,10 @@ entirely Zero; codimension-1 points split by goodness, and the bad cases gate
 on the free coordinate against geometric series thresholds.  Everything is
 exact rational arithmetic.
 
-Charts are decided on masks: the chart of T flips v -> 1 - v on T's blocks,
-which swaps a point's above-0 and below-1 masks there, or a face's Zero and
-One masks (`_swap_on`), so no flipped vector is built.
+A point's stratum is named by its face masks, the entries equal to 0 and
+those equal to 1, and `strata.classify_face` decides it on them.  Charts are
+decided on the same masks: the chart of T flips v -> 1 - v on T's blocks,
+which swaps the two masks there (`_swap_on`), so no flipped vector is built.
 """
 from __future__ import annotations
 
@@ -17,13 +18,12 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .degrees import DegreeVector, _entry_masks, _pair_from_masks
+from .degrees import DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
-from .strata import Badness, classify, codim
+from .strata import Badness, classify_face
 
 __all__ = [
     "Verdict",
-    "SigmaCase",
     "StratumCase",
     "IntervalQ",
     "delta",
@@ -63,23 +63,13 @@ def delta_star(p: int, f: int) -> Fraction:
 
 @dataclass(frozen=True)
 class IntervalQ:
+    """The open interval (lo, hi)."""
+
     lo: Fraction
     hi: Fraction
-    lo_open: bool = True
-    hi_open: bool = True
 
     def contains(self, v: Fraction) -> bool:
-        if self.lo_open:
-            if v <= self.lo:
-                return False
-        elif v < self.lo:
-            return False
-        if self.hi_open:
-            if v >= self.hi:
-                return False
-        elif v > self.hi:
-            return False
-        return True
+        return self.lo < v < self.hi
 
     def to_json_list(self) -> list:
         return [str(self.lo), str(self.hi)]
@@ -117,64 +107,46 @@ def in_vcan(h: DegreeVector) -> bool:
 
 
 @dataclass(frozen=True)
-class SigmaCase:
-    """Resolved case data for a degree vector, reused by the sweeps."""
+class StratumCase:
+    """What a point's stratum alone decides of its membership.
+
+    The stratum is named by two masks: the entries equal to 0 and the entries
+    equal to 1.  They are the same at every point of an open edge of the
+    cube, so a sweep decides this once per edge and leaves only the free
+    value at beta0, which `decide` compares with the threshold in integers.
+    """
 
     kind: str  # etale | codim_ge2 | codim0 | good | bad_full_eta | bad_partial_eta
-    verdict: Verdict
     beta0: int | None = None
     j: int | None = None
     threshold: Fraction | None = None  # delta_star for 2b, delta_j for 2c
 
-
-@dataclass(frozen=True)
-class StratumCase:
-    """The part of a `SigmaCase` that the stratum pair alone decides.
-
-    The pair is read off two masks: the entries above 0 and the entries below
-    1.  They are the same at every point of an open edge of the cube, so a
-    sweep decides this once per edge and leaves only the free value at beta0,
-    which `decide` compares with the threshold in integers.
-    """
-
-    kind: str
-    beta0: int | None = None
-    j: int | None = None
-    threshold: Fraction | None = None
-
-    def decide(self, generic: bool, num: int, den: int) -> SigmaCase:
-        """The case at a point whose free value, at beta0, is num / den (den > 0)."""
+    def decide(self, generic: bool, num: int, den: int) -> Verdict:
+        """The verdict at a point whose free value, at beta0, is num / den (den > 0)."""
         kind = self.kind
         if kind in ("etale", "codim_ge2"):
-            verdict = Verdict.OUT
-        elif kind in ("codim0", "good"):
-            verdict = Verdict.IN if generic else Verdict.OUT
-        else:
-            free = num * self.threshold.denominator
-            thr = self.threshold.numerator * den
-            if kind == "bad_full_eta":
-                # membership is the open interval above the tail sum and needs
-                # no generic flag
-                verdict = Verdict.IN if free > thr else Verdict.OUT
-            elif not generic:
-                verdict = Verdict.OUT
-            else:
-                verdict = Verdict.INDETERMINATE if free == thr else Verdict.IN
-        return SigmaCase(kind, verdict, self.beta0, self.j, self.threshold)
+            return Verdict.OUT
+        if kind in ("codim0", "good"):
+            return Verdict.IN if generic else Verdict.OUT
+        free = num * self.threshold.denominator
+        thr = self.threshold.numerator * den
+        if kind == "bad_full_eta":
+            # membership is the open interval above the tail sum and needs no
+            # generic flag
+            return Verdict.IN if free > thr else Verdict.OUT
+        if not generic:
+            return Verdict.OUT
+        return Verdict.INDETERMINATE if free == thr else Verdict.IN
 
 
-def stratum_case(profile: PrimeProfile, positive: int, below_one: int) -> StratumCase:
-    """Stratum data of the points whose entries are above 0 on `positive` and
-    below 1 on `below_one`."""
-    pair = _pair_from_masks(profile, positive, below_one)
-    cls = classify(pair)
+def stratum_case(profile: PrimeProfile, zeros: int, ones: int) -> StratumCase:
+    """Stratum data of the points whose entries are 0 on `zeros`, 1 on `ones`
+    and strictly between on the rest."""
+    cls = classify_face(profile, zeros, ones)
     if not cls.nowhere_etale:
         return StratumCase("etale")
-    c = codim(pair)
-    if c >= 2:
-        return StratumCase("codim_ge2")
-    if c == 0:
-        return StratumCase("codim0")
+    if cls.badness is Badness.NOT_CODIM1:
+        return StratumCase("codim0" if zeros | ones == profile.full_mask else "codim_ge2")
     beta0 = cls.beta0
     if cls.badness is Badness.GOOD:
         return StratumCase("good", beta0)
@@ -185,15 +157,16 @@ def stratum_case(profile: PrimeProfile, positive: int, below_one: int) -> Stratu
     return StratumCase("bad_partial_eta", beta0, cls.j, delta(p, cls.j))
 
 
-def sigma_case(h: DegreeVector) -> SigmaCase:
+def sigma_case(h: DegreeVector) -> tuple[StratumCase, Verdict]:
+    """The stratum data of h and its verdict."""
     stratum = stratum_case(h.profile, *_entry_masks(h.entries, 1))
     free = ZERO if stratum.beta0 is None else h[stratum.beta0]
-    return stratum.decide(h.generic, free.numerator, free.denominator)
+    return stratum, stratum.decide(h.generic, free.numerator, free.denominator)
 
 
 def in_sigma(h: DegreeVector) -> Verdict:
     """Three-valued membership of a degree vector in the base region."""
-    return sigma_case(h).verdict
+    return sigma_case(h)[1]
 
 
 def _combine(verdicts) -> Verdict:
@@ -208,7 +181,7 @@ def _combine(verdicts) -> Verdict:
 
 def _swap_on(a: int, b: int, flip: int) -> tuple[int, int]:
     """Masks a and b with their bits on `flip` exchanged: v -> 1 - v there turns
-    v > 0 into v < 1, and v == 0 into v == 1."""
+    v == 0 into v == 1 and back."""
     return (a & ~flip) | (b & flip), (b & ~flip) | (a & flip)
 
 
@@ -235,7 +208,7 @@ def in_sigma_S(h: DegreeVector, S, generic_by_T=None) -> Verdict:
         free = ZERO if b is None else ONE - h[b] if flip >> b & 1 else h[b]
         flag = (generic_by_T or {}).get(frozenset(T))
         generic = h.generic if flag is None else flag
-        return stratum.decide(generic, free.numerator, free.denominator).verdict
+        return stratum.decide(generic, free.numerator, free.denominator)
 
     return _combine(chart(T) for r in range(len(S) + 1) for T in combinations(S, r))
 
@@ -286,15 +259,14 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
 
     A face is held as its Zero and One bitmasks; flipping the primes in T
     swaps the two masks on the union of their blocks (`_swap_on`).  Whether a
-    flipped face is nowhere-etale is decided by `classify` on its stratum pair.
+    flipped face is nowhere-etale is decided by `classify_face` on its masks.
     """
     g = profile.g
     full = profile.full_mask
     blocks = [profile.block_mask(i) for i in range(profile.n_primes)]
 
     def flips_to_etale(zeros: int, ones: int, flip: int) -> bool:
-        z, o = _swap_on(zeros, ones, flip)
-        return not classify(_pair_from_masks(profile, full & ~z, full & ~o)).nowhere_etale
+        return not classify_face(profile, *_swap_on(zeros, ones, flip)).nowhere_etale
 
     vertex_failures = []
     for ones in _corner_masks(range(g)):

@@ -6,6 +6,9 @@ in eta.  Admissible pairs index strata; their codimension is
 |phi| + |eta| - g.  Each pair corresponds to a face of the unit degree cube:
 coordinates are One on the complement of eta, Zero on the predecessor set of
 the complement of phi, and Open (free in (0,1)) on the rest.
+
+A stratum is named by its face's Zero and One bitmasks, which are disjoint
+exactly when the pair is admissible; `classify_face` works on them.
 """
 from __future__ import annotations
 
@@ -35,7 +38,9 @@ __all__ = [
     "pi_image",
     "w_T_pair",
     "classify",
+    "classify_face",
     "face_of_pair",
+    "pair_of_masks",
     "pair_of_face",
     "flip_face",
     "vertex_of_primes",
@@ -194,34 +199,29 @@ class StratumClass:
     j: int | None = None
 
 
-def classify(pair: StratumPair) -> StratumClass:
-    """Nowhere-etale test plus goodness of codimension-1 strata.
+def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
+    """Nowhere-etale test plus goodness of codimension-1 strata, on the face
+    whose Zero and One coordinates are the bitmasks `zeros` and `ones`.
 
-    On a codim-1 pair exactly one embedding beta0 is Open.  The stratum is bad
-    when the successor of beta0 is a Zero coordinate.  Bad strata split by
-    whether eta fills beta0's whole block; when it does not, j >= 1 counts the
-    run of Zeros after beta0 before the first One.
+    The stratum is etale when some block is all Zero.  On a codim-1 face
+    exactly one embedding beta0 is Open.  The stratum is bad when the
+    successor of beta0 is a Zero coordinate.  Bad strata split by whether
+    beta0's block has a One; when it does, j >= 1 counts the run of Zeros
+    after beta0 before the first One.
     """
-    profile = pair.profile
     full = profile.full_mask
-    zeros = shift_left(profile, full & ~pair.phi)
-    ones = full & ~pair.eta
-    nowhere = True
-    for i in range(profile.n_primes):
-        b = profile.block_mask(i)
-        if pair.phi & b == 0 and pair.eta & b == b:
-            nowhere = False
-            break
-    if codim(pair) != 1:
+    if (zeros | ones) & ~full or zeros & ones:
+        raise InadmissiblePair(f"face masks overlap or leave {profile}")
+    blocks = map(profile.block_mask, range(profile.n_primes))
+    nowhere = all(zeros & b != b for b in blocks)
+    opens = full & ~(zeros | ones)
+    if opens.bit_count() != 1:
         return StratumClass(nowhere, Badness.NOT_CODIM1)
-    opens = pair.eta & shift_left(profile, pair.phi)
     beta0 = opens.bit_length() - 1
-    succ = shift_right(profile, 1 << beta0)
+    succ = shift_right(profile, opens)
     if succ & zeros == 0:
         return StratumClass(nowhere, Badness.GOOD, beta0)
-    i0 = profile.prime_of(beta0)
-    b = profile.block_mask(i0)
-    if pair.eta & b == b:
+    if ones & profile.block_mask(profile.prime_of(beta0)) == 0:
         return StratumClass(nowhere, Badness.BAD, beta0, None)
     cur = succ
     j = 0
@@ -230,6 +230,17 @@ def classify(pair: StratumPair) -> StratumClass:
         cur = shift_right(profile, cur)
     assert cur & ones, "walk must stop at a One inside the block"
     return StratumClass(nowhere, Badness.BAD, beta0, j)
+
+
+def _face_masks(pair: StratumPair) -> tuple[int, int]:
+    """Zero and One masks of the pair's face."""
+    full = pair.profile.full_mask
+    return shift_left(pair.profile, full & ~pair.phi), full & ~pair.eta
+
+
+def classify(pair: StratumPair) -> StratumClass:
+    """`classify_face` on the pair's face."""
+    return classify_face(pair.profile, *_face_masks(pair))
 
 
 class FaceCoord(IntEnum):
@@ -261,9 +272,7 @@ class Face:
 
 
 def face_of_pair(pair: StratumPair) -> Face:
-    full = pair.profile.full_mask
-    ones = full & ~pair.eta
-    zeros = shift_left(pair.profile, full & ~pair.phi)
+    zeros, ones = _face_masks(pair)
     coords = []
     for k in range(pair.profile.g):
         bit = 1 << k
@@ -276,13 +285,16 @@ def face_of_pair(pair: StratumPair) -> Face:
     return Face(pair.profile, tuple(coords))
 
 
+def pair_of_masks(profile: PrimeProfile, zeros: int, ones: int) -> StratumPair:
+    """The pair whose face has Zero mask `zeros` and One mask `ones`."""
+    full = profile.full_mask
+    return StratumPair(profile, shift_right(profile, full & ~zeros), full & ~ones)
+
+
 def pair_of_face(face: Face) -> StratumPair:
-    full = face.profile.full_mask
-    zeros = face.mask_of(FaceCoord.ZERO)
-    ones = face.mask_of(FaceCoord.ONE)
-    eta = full & ~ones
-    phi = shift_right(face.profile, full & ~zeros)
-    return StratumPair(face.profile, phi, eta)
+    return pair_of_masks(
+        face.profile, face.mask_of(FaceCoord.ZERO), face.mask_of(FaceCoord.ONE)
+    )
 
 
 def flip_face(face: Face, T) -> Face:

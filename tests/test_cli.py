@@ -164,6 +164,35 @@ def test_regions_check_string_flag_is_usage_error(capsys):
     assert_one_line_usage_error(capsys, code)
 
 
+@pytest.mark.parametrize("value", ["true", "false", '"1e-200000"'])
+def test_regions_check_boolean_or_exponent_degree_is_usage_error(capsys, value):
+    """A JSON boolean is no degree, and an exponent string could be made as
+    costly to read as its exponent is long."""
+    code = cli.run(
+        [
+            "regions", "check",
+            "--profile", "p=3;f=2",
+            "--point", '{"deg":{"0/0":%s,"0/1":"0"}}' % value,
+            "--region", "sigma",
+        ]
+    )
+    assert_one_line_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an option value starting with '-' reads as an option
+        ["--profile", "p=3;f=2", "--point", "-1e+16", "--region", "sigma"],
+        ["--profile", "p=3;f=2", "--region", "sigma"],
+        ["--profile", "p=3;f=2", "--point", '{"deg":{}}', "--region", "sigmaT"],
+    ],
+    ids=["dash-value", "missing-option", "bad-choice"],
+)
+def test_argparse_errors_are_one_line(capsys, argv):
+    assert_one_line_usage_error(capsys, cli.run(["regions", "check", *argv]))
+
+
 FUZZ_PROFILES = ("p=3;f=2", "p=3;f=2,1", "p=2;f=1,1", "p=5;f=1,1,1")
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=6)

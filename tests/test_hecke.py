@@ -81,8 +81,8 @@ def ordinary_block_ok(h: DegreeVector, d: DegreeVector) -> bool:
 
 
 def pinned_coordinate_ok(h: DegreeVector, d: DegreeVector) -> bool:
-    case = sigma_case(h)
-    if case.kind != "bad_partial_eta" or case.verdict is Verdict.OUT:
+    case, verdict = sigma_case(h)
+    if case.kind != "bad_partial_eta" or verdict is Verdict.OUT:
         return True
     res = bk_newton_degree(
         h.profile.p, h.profile.f[h.profile.prime_of(case.beta0)], case.j, h[case.beta0]
@@ -248,10 +248,10 @@ def test_pin_matches_bk_newton_degree(prof, den):
     when off the grid, and a lower bound at the threshold."""
     profile = parse_profile(prof)
     for h in _vertex_and_edge_points(profile, den):
-        case = sigma_case(h)
+        case, verdict = sigma_case(h)
         scaled = _on_grid(h, den)
-        pin = _pin_for(case, scaled, den)
-        if case.kind != "bad_partial_eta" or case.verdict is Verdict.OUT:
+        pin = _pin_for(case, verdict, scaled, den)
+        if case.kind != "bad_partial_eta" or verdict is Verdict.OUT:
             assert pin is None
             continue
         b = case.beta0
@@ -431,10 +431,10 @@ def test_prune_cuts_first_entry_to_live_interval(prof, den):
     for point in _sweep_points(profile, den):
         scaled, stratum = point
         free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
-        case = stratum.decide(True, free, den)
-        if case.verdict is not Verdict.IN:
+        verdict = stratum.decide(True, free, den)
+        if verdict is not Verdict.IN:
             continue
-        for plan, runs in _blocks(profile, scaled, den, True, case):
+        for plan, runs in _blocks(profile, scaled, den, True, stratum, verdict):
             if plan.f == 1:
                 continue
             firsts = {prefix[0] for prefix, _, _ in runs}
@@ -646,7 +646,7 @@ def test_sweep_counts_match_enumeration(prof, den):
         h = DegreeVector(profile, tuple(F(a, den) for a in scaled), generic=True)
         for drop in (False, True):
             found = []
-            if sigma_case(h).verdict is Verdict.IN:
+            if sigma_case(h)[1] is Verdict.IN:
                 found = [
                     tuple(int(v * den) for v in d.entries)
                     for d in feasible_d_grid(h, den, drop)

@@ -71,20 +71,20 @@ def test_sigma_codim0_needs_generic():
     assert in_sigma(dv(profile, 1, 0, generic=False)) is Verdict.OUT
     # all-Zero block is etale: Out regardless
     assert in_sigma(dv(profile, 0, 0)) is Verdict.OUT
-    assert sigma_case(dv(profile, 0, 0)).kind == "etale"
+    assert sigma_case(dv(profile, 0, 0))[0].kind == "etale"
 
 
 def test_sigma_codim2_out():
     profile = PrimeProfile(3, (2,))
     assert in_sigma(dv(profile, "1/2", "1/2")) is Verdict.OUT
-    assert sigma_case(dv(profile, "1/2", "1/2")).kind == "codim_ge2"
+    assert sigma_case(dv(profile, "1/2", "1/2"))[0].kind == "codim_ge2"
 
 
 def test_sigma_good_case():
     profile = PrimeProfile(3, (2,))
     h = dv(profile, "1/2", 1)  # successor of the free coordinate is One
-    case = sigma_case(h)
-    assert case.kind == "good" and case.verdict is Verdict.IN
+    case, verdict = sigma_case(h)
+    assert case.kind == "good" and verdict is Verdict.IN
     assert in_sigma(dv(profile, "1/2", 1, generic=False)) is Verdict.OUT
 
 
@@ -96,16 +96,16 @@ def test_sigma_2b_interval():
     assert in_sigma(dv(profile, "1/4", 0)) is Verdict.OUT
     # no generic flag needed in this case
     assert in_sigma(dv(profile, "1/2", 0, generic=False)) is Verdict.IN
-    case = sigma_case(dv(profile, "1/2", 0))
+    case = sigma_case(dv(profile, "1/2", 0))[0]
     assert case.kind == "bad_full_eta" and case.threshold == F(1, 3)
 
 
 def test_sigma_2c_threshold():
     profile = PrimeProfile(3, (3,))
     base = ("1/2", 0, 1)  # free at 0, Zero run of length 1, then One: j = 1
-    case = sigma_case(dv(profile, *base))
+    case, verdict = sigma_case(dv(profile, *base))
     assert case.kind == "bad_partial_eta" and case.j == 1 and case.threshold == F(1, 3)
-    assert case.verdict is Verdict.IN
+    assert verdict is Verdict.IN
     assert in_sigma(dv(profile, "1/4", 0, 1)) is Verdict.IN
     assert in_sigma(dv(profile, "1/3", 0, 1)) is Verdict.INDETERMINATE
     assert in_sigma(dv(profile, "1/3", 0, 1, generic=False)) is Verdict.OUT

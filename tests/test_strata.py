@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratgrid.embeddings import PrimeProfile, shift_left, subset_to_indices
+from stratgrid.embeddings import PrimeProfile, shift_left, shift_right, subset_to_indices
 from stratgrid.strata import (
     Badness,
     EnumerationBound,
@@ -12,8 +12,10 @@ from stratgrid.strata import (
     FaceCoord,
     InadmissiblePair,
     NotAVertex,
+    StratumClass,
     StratumPair,
     classify,
+    classify_face,
     closure_set,
     codim,
     enumerate_admissible,
@@ -195,6 +197,58 @@ def test_classify_j_range(profile):
         if cls.j is not None:
             f0 = profile.f[profile.prime_of(cls.beta0)]
             assert 1 <= cls.j <= f0 - 2
+
+
+def classify_oracle(pair: StratumPair) -> StratumClass:
+    """The pair-based classification, read off phi and eta directly."""
+    profile = pair.profile
+    full = profile.full_mask
+    zeros = shift_left(profile, full & ~pair.phi)
+    ones = full & ~pair.eta
+    nowhere = True
+    for i in range(profile.n_primes):
+        b = profile.block_mask(i)
+        if pair.phi & b == 0 and pair.eta & b == b:
+            nowhere = False
+            break
+    if codim(pair) != 1:
+        return StratumClass(nowhere, Badness.NOT_CODIM1)
+    opens = pair.eta & shift_left(profile, pair.phi)
+    beta0 = opens.bit_length() - 1
+    succ = shift_right(profile, 1 << beta0)
+    if succ & zeros == 0:
+        return StratumClass(nowhere, Badness.GOOD, beta0)
+    b = profile.block_mask(profile.prime_of(beta0))
+    if pair.eta & b == b:
+        return StratumClass(nowhere, Badness.BAD, beta0, None)
+    cur = succ
+    j = 0
+    while cur & zeros:
+        j += 1
+        cur = shift_right(profile, cur)
+    return StratumClass(nowhere, Badness.BAD, beta0, j)
+
+
+@pytest.mark.parametrize(
+    "profile", PROFILES + [PrimeProfile(2, (4,)), PrimeProfile(3, (5, 1))]
+)  # blocks of size 4 and 5 give Zero runs j = 2 and 3
+def test_classify_face_matches_pair_oracle_on_every_face(profile):
+    import itertools
+
+    for coords in itertools.product(list(FaceCoord), repeat=profile.g):
+        face = Face(profile, coords)
+        zeros, ones = face.mask_of(FaceCoord.ZERO), face.mask_of(FaceCoord.ONE)
+        pair = pair_of_face(face)
+        want = classify_oracle(pair)
+        assert classify_face(profile, zeros, ones) == want, coords
+        assert classify(pair) == want, coords
+
+
+def test_classify_face_rejects_inadmissible_masks():
+    profile = PrimeProfile(3, (2, 1))
+    for zeros, ones in ((0b001, 0b011), (0b111, 0b100), (0b1000, 0), (0, 0b1000), (-1, 0)):
+        with pytest.raises(InadmissiblePair):
+            classify_face(profile, zeros, ones)
 
 
 def test_etale_detection():

@@ -16,6 +16,9 @@ directly.  The report set:
 - `verify twist` on six (q, n) pairs, with and without `--corrupt`;
 - `gauss` for every q <= 27 except 16 and every character exponent;
 - `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
+- `strata enumerate`, plain, with `--codim 1` and with `--nowhere-etale`, on
+  every profile of the coverage reports with g <= 4 and on p=3;f=3,2,1 and
+  p=2;f=1,4,1;
 - `suite` at workers 1 and 2;
 - `feasible_d_grid` on every vertex and edge h of p=3;f=2,1 at den 18 and
   p=5;f=3 at den 10, with the generic flag on and off and genericity on and
@@ -26,8 +29,8 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 562 reports, the
-2 feasible sets and the 4 region-query sets takes about 11 s on two cores.
+Stdlib only; tier-1 does not collect it.  A capture of the 793 reports, the
+2 feasible sets and the 4 region-query sets takes about 12 s on two cores.
 """
 from __future__ import annotations
 
@@ -49,6 +52,9 @@ TWISTS = ((3, 4), (5, 3), (9, 4), (4, 5), (7, 6), (8, 3))
 GAUSS_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
 COVERAGE_PRIMES = (2, 3, 5, 7, 11)
 MAX_G = 6
+STRATA_MAX_G = 4
+STRATA_EXTRA = ("p=3;f=3,2,1", "p=2;f=1,4,1")
+STRATA_FILTERS = {"": [], "-codim1": ["--codim", "1"], "-nowhere-etale": ["--nowhere-etale"]}
 SUITE_PROFILE = "p=3;f=2,1"
 FEASIBLE = (("p=3;f=2,1", 18), ("p=5;f=3", 10))
 # p=3;f=3,1 has the bad partial-eta strata, where a point at delta(p, j) is
@@ -97,11 +103,20 @@ def commands():
     for q in GAUSS_ORDERS:
         for e in range(q - 1):
             yield f"gauss-q{q}-e{e}", ["gauss", "--q", str(q), "--char-exp", str(e)]
+    strata_profiles = list(STRATA_EXTRA)
     for p in COVERAGE_PRIMES:
         for g in range(1, MAX_G + 1):
             for parts in compositions(g):
                 profile = f"p={p};f={','.join(map(str, parts))}"
                 yield f"coverage-{profile}", ["regions", "coverage", "--profile", profile]
+                if g <= STRATA_MAX_G:
+                    strata_profiles.append(profile)
+    for profile in strata_profiles:
+        for tag, extra in STRATA_FILTERS.items():
+            yield (
+                f"strata{tag}-{profile}",
+                ["strata", "enumerate", "--profile", profile, *extra],
+            )
     for w in ("1", "2"):
         yield (
             f"suite-{SUITE_PROFILE}-w{w}",
