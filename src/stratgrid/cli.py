@@ -30,7 +30,7 @@ from .degrees import DegreeVector, pair_of_degvec, w_T_deg
 from .embeddings import parse_profile
 from .hecke import saturation_check, verify_sigma_up
 from .regions import coverage_check, in_sigma, in_sigma_S, in_vcan, Verdict
-from .strata import closure_set, codim, enumerate_admissible, pi_image, w_T_pair
+from .strata import _face_masks, closure_set, codim, enumerate_admissible, pi_image, w_T_pair
 
 SCHEMA = "1"
 SUITE_RNG_SEED = 20240601
@@ -264,7 +264,8 @@ def _suite_poset(profile):
         if len(pi_image(pair)) != 2 ** free.bit_count():
             bad += 1
             continue
-        if codim(pair) != pair.phi.bit_count() + pair.eta.bit_count() - profile.g:
+        zeros, ones = _face_masks(pair)
+        if codim(pair) != profile.g - (zeros | ones).bit_count():  # Open coordinates
             bad += 1
     return {"name": "poset-laws", "pairs": len(pairs), "violations": bad, "pass": bad == 0}
 

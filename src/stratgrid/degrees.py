@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .embeddings import PrimeProfile
-from .strata import Face, FaceCoord, StratumPair, pair_of_masks
+from .strata import StratumPair, _whole_blocks, pair_of_masks
 
 __all__ = [
     "DegreeVectorError",
@@ -22,7 +22,6 @@ __all__ = [
     "DegreeVector",
     "HodgeInterval",
     "pair_of_degvec",
-    "face_of_degvec",
     "w_T_deg",
     "one_minus",
     "hodge_height",
@@ -91,13 +90,11 @@ class DegreeVector:
         if any(v < 0 or v > 1 for v in entries):
             raise DegreeVectorError("degree entries must lie in [0, 1]")
         if self.cusp:
-            for i in range(self.profile.n_primes):
-                off = self.profile.offsets[i]
-                block = entries[off : off + self.profile.f[i]]
-                if not (all(v == ONE for v in block) or all(v == ZERO for v in block)):
-                    raise DegreeVectorError(
-                        "cusp vectors are 0/1 with blockwise-constant One-set"
-                    )
+            profile = self.profile
+            zeros, ones = _entry_masks(entries, 1)
+            whole = _whole_blocks(profile, zeros) | _whole_blocks(profile, ones)
+            if whole != profile.full_mask:
+                raise DegreeVectorError("cusp vectors are 0/1 with blockwise-constant One-set")
         object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, k: int) -> Fraction:
@@ -162,14 +159,6 @@ def pair_of_degvec(h: DegreeVector) -> StratumPair:
     if h.cusp:
         raise CuspInput("cusp vectors do not define a stratum pair")
     return pair_of_masks(h.profile, *_entry_masks(h.entries, 1))
-
-
-def face_of_degvec(h: DegreeVector) -> Face:
-    coords = tuple(
-        FaceCoord.ZERO if v == 0 else FaceCoord.ONE if v == 1 else FaceCoord.OPEN
-        for v in h.entries
-    )
-    return Face(h.profile, coords)
 
 
 def w_T_deg(h: DegreeVector, T, generic: bool | None = None) -> DegreeVector:

@@ -454,12 +454,6 @@ def _pred_ranges(plan: BlockPlan, pos, clo, chi) -> list[tuple[int, int]]:
     return ranges
 
 
-def _wrap_edge_ranges(plan: BlockPlan, a_first) -> list[tuple[int, int]]:
-    """Ranges of the last entry passing the wrap-around height edge at pos 0,
-    disjoint and ascending."""
-    return _pred_ranges(plan, 0, a_first, a_first)
-
-
 def _prune(plan: BlockPlan) -> BlockPlan:
     """`plan` with lo/hi cut by bounds consistency around the cycle.
 
@@ -545,7 +539,7 @@ def _last_ranges(plan: BlockPlan, assign) -> list[tuple[int, int]]:
     else:
         ranges = _intersect_ranges(
             _hodge_edge_ranges(plan, last, assign[last - 1]),
-            _wrap_edge_ranges(plan, assign[0]),
+            _pred_ranges(plan, 0, assign[0], assign[0]),  # the wrap edge
         )
     # assign[last] is 0, and the last entry's weight in the sum anchored at
     # start is p^start

@@ -7,9 +7,10 @@ on the free coordinate against geometric series thresholds.  Everything is
 exact rational arithmetic.
 
 A point's stratum is named by its face masks, the entries equal to 0 and
-those equal to 1, and `strata.classify_face` decides it on them.  Charts are
-decided on the same masks: the chart of T flips v -> 1 - v on T's blocks,
-which swaps the two masks there (`_swap_on`), so no flipped vector is built.
+those equal to 1, and `strata.classify_face` decides it on them.  Charts and
+the coverage check work on the same masks: the chart of T flips v -> 1 - v
+on T's blocks, which `strata._swap_on` does by swapping the two masks there,
+so no flipped vector is built.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from itertools import combinations
 
 from .degrees import DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
-from .strata import Badness, classify_face
+from .strata import Badness, _swap_on, _whole_blocks, classify_face
 
 __all__ = [
     "Verdict",
@@ -179,12 +180,6 @@ def _combine(verdicts) -> Verdict:
     return out
 
 
-def _swap_on(a: int, b: int, flip: int) -> tuple[int, int]:
-    """Masks a and b with their bits on `flip` exchanged: v -> 1 - v there turns
-    v == 0 into v == 1 and back."""
-    return (a & ~flip) | (b & flip), (b & ~flip) | (a & flip)
-
-
 def in_sigma_S(h: DegreeVector, S, generic_by_T=None) -> Verdict:
     """Union of transported regions over all subsets T of S.
 
@@ -257,13 +252,13 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     with t the tail sum of the free block; these cover (0,1) iff 1-t > t,
     which fails exactly when p = 2 and the free block has size >= 2.
 
-    A face is held as its Zero and One bitmasks; flipping the primes in T
-    swaps the two masks on the union of their blocks (`_swap_on`).  Whether a
-    flipped face is nowhere-etale is decided by `classify_face` on its masks.
+    A face is held as its Zero and One bitmasks.  T0 is `_whole_blocks` of
+    the Zero mask and T0 + T2 the complement of `_whole_blocks` of the One
+    mask; flipping them swaps the two masks there (`strata._swap_on`), and
+    `classify_face` decides whether the flipped face is nowhere-etale.
     """
     g = profile.g
     full = profile.full_mask
-    blocks = [profile.block_mask(i) for i in range(profile.n_primes)]
 
     def flips_to_etale(zeros: int, ones: int, flip: int) -> bool:
         return not classify_face(profile, *_swap_on(zeros, ones, flip)).nowhere_etale
@@ -271,13 +266,8 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     vertex_failures = []
     for ones in _corner_masks(range(g)):
         zeros = full & ~ones
-        t0 = 0  # blocks of T0: all Zero
-        t0_t2 = 0  # blocks of T0 + T2: all Zero or mixed
-        for b in blocks:
-            if ones & b == 0:
-                t0 |= b
-            if ones & b != b:
-                t0_t2 |= b
+        t0 = _whole_blocks(profile, zeros)  # blocks of T0: all Zero
+        t0_t2 = full & ~_whole_blocks(profile, ones)  # T0 + T2: not all One
         for tag, flip in (("T0", t0), ("T0+T2", t0_t2)):
             if flips_to_etale(zeros, ones, flip):
                 vertex_failures.append({"vertex": _coords_json(g, zeros, ones), "flip": tag})
@@ -285,18 +275,16 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     tails = {f: delta_star(profile.p, f) for f in set(profile.f)}
     for beta0 in range(g):
         i0 = profile.prime_of(beta0)
+        b0 = profile.block_mask(i0)
         t = tails[profile.f[i0]]
         gap = not ONE - t > t
         closed = full & ~(1 << beta0)
         for ones in _corner_masks(k for k in range(g) if k != beta0):
             zeros = closed & ~ones
-            t0 = 0
-            for i, b in enumerate(blocks):
-                if i != i0 and zeros & b == b:
-                    t0 |= b
+            t0 = _whole_blocks(profile, zeros)  # beta0 is Open: never its block
             issues = [
                 {"flip": tag, "issue": "etale"}
-                for tag, flip in (("T0", t0), ("T0+p0", t0 | blocks[i0]))
+                for tag, flip in (("T0", t0), ("T0+p0", t0 | b0))
                 if flips_to_etale(zeros, ones, flip)
             ]
             if gap:

@@ -7,13 +7,17 @@ in eta.  Admissible pairs index strata; their codimension is
 coordinates are One on the complement of eta, Zero on the predecessor set of
 the complement of phi, and Open (free in (0,1)) on the rest.
 
-A stratum is named by its face's Zero and One bitmasks, which are disjoint
-exactly when the pair is admissible; `classify_face` works on them.
+A face exists only as its Zero and One bitmasks (`_face_masks`, and
+`pair_of_masks` back), which are disjoint exactly when the pair is
+admissible; `classify_face` works on them.  Two mask operations serve strata,
+regions and degree vectors alike: `_whole_blocks`, the blocks lying wholly
+inside a mask (an all-Zero block makes a stratum etale), and `_swap_on`, the
+flip v -> 1 - v on a union of blocks, which exchanges the two masks there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 from .embeddings import (
     PrimeProfile,
@@ -25,12 +29,9 @@ from .embeddings import (
 __all__ = [
     "InadmissiblePair",
     "EnumerationBound",
-    "NotAVertex",
     "Badness",
     "StratumPair",
     "StratumClass",
-    "FaceCoord",
-    "Face",
     "is_admissible",
     "codim",
     "enumerate_admissible",
@@ -39,12 +40,7 @@ __all__ = [
     "w_T_pair",
     "classify",
     "classify_face",
-    "face_of_pair",
     "pair_of_masks",
-    "pair_of_face",
-    "flip_face",
-    "vertex_of_primes",
-    "vertex_decomposition",
     "ENUMERATION_MAX_G",
 ]
 
@@ -57,10 +53,6 @@ class InadmissiblePair(ValueError):
 
 class EnumerationBound(ValueError):
     """Profile too large for exhaustive enumeration."""
-
-
-class NotAVertex(ValueError):
-    """Face has an Open coordinate where a vertex is required."""
 
 
 class Badness(Enum):
@@ -212,8 +204,7 @@ def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
     full = profile.full_mask
     if (zeros | ones) & ~full or zeros & ones:
         raise InadmissiblePair(f"face masks overlap or leave {profile}")
-    blocks = map(profile.block_mask, range(profile.n_primes))
-    nowhere = all(zeros & b != b for b in blocks)
+    nowhere = not _whole_blocks(profile, zeros)
     opens = full & ~(zeros | ones)
     if opens.bit_count() != 1:
         return StratumClass(nowhere, Badness.NOT_CODIM1)
@@ -238,101 +229,28 @@ def _face_masks(pair: StratumPair) -> tuple[int, int]:
     return shift_left(pair.profile, full & ~pair.phi), full & ~pair.eta
 
 
+def _swap_on(zeros: int, ones: int, flip: int) -> tuple[int, int]:
+    """Face masks with their bits on `flip` exchanged: v -> 1 - v there turns
+    v == 0 into v == 1 and back."""
+    return (zeros & ~flip) | (ones & flip), (ones & ~flip) | (zeros & flip)
+
+
+def _whole_blocks(profile: PrimeProfile, mask: int) -> int:
+    """Union of the blocks that lie wholly inside `mask`."""
+    out = 0
+    for i in range(profile.n_primes):
+        b = profile.block_mask(i)
+        if mask & b == b:
+            out |= b
+    return out
+
+
 def classify(pair: StratumPair) -> StratumClass:
     """`classify_face` on the pair's face."""
     return classify_face(pair.profile, *_face_masks(pair))
-
-
-class FaceCoord(IntEnum):
-    ZERO = 0
-    ONE = 1
-    OPEN = 2
-
-
-@dataclass(frozen=True)
-class Face:
-    profile: PrimeProfile
-    coords: tuple[FaceCoord, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.profile.g:
-            raise ValueError(f"face needs {self.profile.g} coordinates")
-        object.__setattr__(self, "coords", tuple(FaceCoord(c) for c in self.coords))
-
-    @property
-    def dim(self) -> int:
-        return sum(1 for c in self.coords if c is FaceCoord.OPEN)
-
-    def mask_of(self, which: FaceCoord) -> int:
-        m = 0
-        for k, c in enumerate(self.coords):
-            if c is which:
-                m |= 1 << k
-        return m
-
-
-def face_of_pair(pair: StratumPair) -> Face:
-    zeros, ones = _face_masks(pair)
-    coords = []
-    for k in range(pair.profile.g):
-        bit = 1 << k
-        if bit & ones:
-            coords.append(FaceCoord.ONE)
-        elif bit & zeros:
-            coords.append(FaceCoord.ZERO)
-        else:
-            coords.append(FaceCoord.OPEN)
-    return Face(pair.profile, tuple(coords))
 
 
 def pair_of_masks(profile: PrimeProfile, zeros: int, ones: int) -> StratumPair:
     """The pair whose face has Zero mask `zeros` and One mask `ones`."""
     full = profile.full_mask
     return StratumPair(profile, shift_right(profile, full & ~zeros), full & ~ones)
-
-
-def pair_of_face(face: Face) -> StratumPair:
-    return pair_of_masks(
-        face.profile, face.mask_of(FaceCoord.ZERO), face.mask_of(FaceCoord.ONE)
-    )
-
-
-def flip_face(face: Face, T) -> Face:
-    """Swap Zero and One coordinates on the blocks of the primes in T."""
-    tset = set(T)
-    coords = list(face.coords)
-    for i in tset:
-        off = face.profile.offsets[i]
-        for pos in range(face.profile.f[i]):
-            c = coords[off + pos]
-            if c is FaceCoord.ZERO:
-                coords[off + pos] = FaceCoord.ONE
-            elif c is FaceCoord.ONE:
-                coords[off + pos] = FaceCoord.ZERO
-    return Face(face.profile, tuple(coords))
-
-
-def vertex_of_primes(profile: PrimeProfile, T) -> Face:
-    """Vertex with One on every block of the primes in T, Zero elsewhere."""
-    tset = set(T)
-    coords = []
-    for i in range(profile.n_primes):
-        coords.extend([FaceCoord.ONE if i in tset else FaceCoord.ZERO] * profile.f[i])
-    return Face(profile, tuple(coords))
-
-
-def vertex_decomposition(face: Face) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Split the primes of a vertex into all-Zero, all-One and mixed blocks."""
-    if face.dim != 0:
-        raise NotAVertex("vertex decomposition needs a 0-dimensional face")
-    t0, t1, t2 = [], [], []
-    for i in range(face.profile.n_primes):
-        off = face.profile.offsets[i]
-        block = face.coords[off : off + face.profile.f[i]]
-        if all(c is FaceCoord.ZERO for c in block):
-            t0.append(i)
-        elif all(c is FaceCoord.ONE for c in block):
-            t1.append(i)
-        else:
-            t2.append(i)
-    return tuple(t0), tuple(t1), tuple(t2)

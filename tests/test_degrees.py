@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from stratgrid.embeddings import PrimeProfile
+from stratgrid.embeddings import PrimeProfile, parse_profile
 from stratgrid.degrees import (
     CuspInput,
     DegreeVector,
@@ -14,7 +15,7 @@ from stratgrid.degrees import (
     GenericFlagRequired,
     HodgeInterval,
     ProfileMismatch,
-    face_of_degvec,
+    _entry_masks,
     genericity_constraints,
     hodge_height,
     one_minus,
@@ -22,7 +23,7 @@ from stratgrid.degrees import (
     raynaud_feasible,
     w_T_deg,
 )
-from stratgrid.strata import codim, face_of_pair, w_T_pair
+from stratgrid.strata import _face_masks, codim, w_T_pair
 
 PROFILES = [
     PrimeProfile(3, (1,)),
@@ -75,6 +76,23 @@ def test_validation():
     DegreeVector(PrimeProfile(3, (2, 1)), (F(1), F(1), F(0)), cusp=True)
 
 
+@pytest.mark.parametrize("text", ["p=3;f=2,1", "p=2;f=1,3"])
+def test_cusp_accepts_exactly_the_blockwise_constant_vertices(text):
+    profile = parse_profile(text)
+    accepted = 0
+    for vals in product((0, 1), repeat=profile.g):
+        blocks = [vals[off : off + f] for off, f in zip(profile.offsets, profile.f)]
+        want = all(len(set(block)) == 1 for block in blocks)
+        try:
+            dv(profile, *vals, cusp=True)
+        except DegreeVectorError:
+            assert not want, vals
+        else:
+            assert want, vals
+            accepted += 1
+    assert accepted == 2**profile.n_primes
+
+
 def test_json_round_trip():
     profile = PrimeProfile(3, (2, 1))
     h = dv(profile, "1/2", 0, 1, generic=True)
@@ -121,7 +139,7 @@ def test_from_json_dict_flags_are_json_booleans():
 def test_pair_of_degvec_always_admissible(h):
     pair = pair_of_degvec(h)  # constructor validates admissibility
     assert codim(pair) == sum(1 for v in h.entries if 0 < v < 1)
-    assert face_of_pair(pair) == face_of_degvec(h)
+    assert _face_masks(pair) == _entry_masks(h.entries, 1)
 
 
 def test_pair_of_degvec_example():

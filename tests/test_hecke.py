@@ -53,7 +53,6 @@ from stratgrid.hecke import (
     _self_edge_ranges,
     _sweep_point,
     _sweep_points,
-    _wrap_edge_ranges,
 )
 from stratgrid.regions import Verdict, delta, delta_star, sigma_case
 
@@ -319,16 +318,6 @@ def test_hodge_edge_ranges_match_predicate():
                     want = _hodge_edge_ok(plan, pos, a_prev, a)
                     got = any(lo <= a <= hi for lo, hi in allowed)
                     assert got == want, (plan.block, pos, a_prev, a)
-
-
-def test_wrap_edge_ranges_match_predicate():
-    for plan, den in _plans():
-        for a_first in range(den + 1):
-            allowed = _wrap_edge_ranges(plan, a_first)
-            for a_last in range(den + 1):
-                want = _hodge_edge_ok(plan, 0, a_last, a_first)
-                got = any(lo <= a_last <= hi for lo, hi in allowed)
-                assert got == want, (plan.block, a_first, a_last)
 
 
 def test_pred_ranges_match_predicate():

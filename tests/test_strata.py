@@ -1,31 +1,30 @@
 """Stratum pairs against a brute-force oracle, plus face and transport laws."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratgrid.embeddings import PrimeProfile, shift_left, shift_right, subset_to_indices
+from stratgrid.regions import coverage_check
 from stratgrid.strata import (
     Badness,
     EnumerationBound,
-    Face,
-    FaceCoord,
     InadmissiblePair,
-    NotAVertex,
     StratumClass,
     StratumPair,
+    _face_masks,
+    _swap_on,
+    _whole_blocks,
     classify,
     classify_face,
     closure_set,
     codim,
     enumerate_admissible,
-    face_of_pair,
-    flip_face,
     is_admissible,
-    pair_of_face,
+    pair_of_masks,
     pi_image,
-    vertex_decomposition,
-    vertex_of_primes,
     w_T_pair,
 )
 
@@ -38,6 +37,20 @@ PROFILES = [
     PrimeProfile(5, (2, 2)),
     PrimeProfile(2, (2, 1)),
 ]
+
+
+def face(text: str) -> tuple[int, int]:
+    """Zero and One masks of a face written as coverage reports write it: one
+    of "0", "1" and "*" (Open) per coordinate, embedding 0 first."""
+    zeros = sum(1 << k for k, c in enumerate(text) if c == "0")
+    ones = sum(1 << k for k, c in enumerate(text) if c == "1")
+    return zeros, ones
+
+
+def all_faces(profile: PrimeProfile):
+    """The masks of all 3^g faces."""
+    for coords in itertools.product("01*", repeat=profile.g):
+        yield face("".join(coords))
 
 
 def oracle_admissible(profile: PrimeProfile, phi: int, eta: int) -> bool:
@@ -99,7 +112,8 @@ def test_codim_bounds(pair):
     c = codim(pair)
     assert 0 <= c <= pair.profile.g
     # codim equals the number of Open face coordinates
-    assert c == face_of_pair(pair).dim
+    zeros, ones = _face_masks(pair)
+    assert c == pair.profile.g - (zeros | ones).bit_count()
 
 
 @given(admissible_pair())
@@ -140,52 +154,44 @@ def test_w_T_involution_and_result_admissible(pair, data):
 @given(admissible_pair(), st.data())
 def test_w_T_intertwines_face_flip(pair, data):
     T = data.draw(st.sets(st.integers(0, pair.profile.n_primes - 1)))
-    lhs = face_of_pair(w_T_pair(pair, T))
-    rhs = flip_face(face_of_pair(pair), T)
-    assert lhs == rhs
+    # w_T_pair is the paper's (phi, eta) -> (r(eta), l(phi)) on T's blocks;
+    # on faces it must be the production flip, a mask swap there
+    flip = sum(pair.profile.block_mask(i) for i in T)
+    assert _face_masks(w_T_pair(pair, T)) == _swap_on(*_face_masks(pair), flip)
 
 
 @pytest.mark.parametrize("profile", PROFILES[:5])
 def test_face_round_trip_over_census(profile):
     for pair in enumerate_admissible(profile):
-        face = face_of_pair(pair)
-        assert pair_of_face(face) == pair
+        assert pair_of_masks(profile, *_face_masks(pair)) == pair
     # and the other direction over all 3^g faces
-    import itertools
-
-    for coords in itertools.product(list(FaceCoord), repeat=profile.g):
-        face = Face(profile, coords)
-        assert face_of_pair(pair_of_face(face)) == face
+    for masks in all_faces(profile):
+        assert _face_masks(pair_of_masks(profile, *masks)) == masks
 
 
 def test_classify_examples():
     profile = PrimeProfile(3, (3,))
     # face (Open, Zero, One): bad with a single Zero after beta0, so j = 1
-    face = Face(profile, (FaceCoord.OPEN, FaceCoord.ZERO, FaceCoord.ONE))
-    cls = classify(pair_of_face(face))
+    cls = classify(pair_of_masks(profile, *face("*01")))
     assert cls.badness is Badness.BAD and cls.beta0 == 0 and cls.j == 1
     assert cls.nowhere_etale
     # face (Open, Zero, Zero): eta fills the block, no j
-    face2 = Face(profile, (FaceCoord.OPEN, FaceCoord.ZERO, FaceCoord.ZERO))
-    cls2 = classify(pair_of_face(face2))
+    cls2 = classify(pair_of_masks(profile, *face("*00")))
     assert cls2.badness is Badness.BAD and cls2.beta0 == 0 and cls2.j is None
     # face (Open, One, Zero): successor of beta0 is One, good
-    face3 = Face(profile, (FaceCoord.OPEN, FaceCoord.ONE, FaceCoord.ZERO))
-    cls3 = classify(pair_of_face(face3))
+    cls3 = classify(pair_of_masks(profile, *face("*10")))
     assert cls3.badness is Badness.GOOD and cls3.beta0 == 0 and cls3.j is None
 
 
 def test_classify_f1_always_good():
     profile = PrimeProfile(3, (1, 1))
-    face = Face(profile, (FaceCoord.OPEN, FaceCoord.ONE))
-    assert classify(pair_of_face(face)).badness is Badness.GOOD
+    assert classify(pair_of_masks(profile, *face("*1"))).badness is Badness.GOOD
 
 
 def test_classify_f2_bad_has_no_j():
     # with a block of size 2 the Zero run after beta0 fills the block
     profile = PrimeProfile(3, (2,))
-    face = Face(profile, (FaceCoord.OPEN, FaceCoord.ZERO))
-    cls = classify(pair_of_face(face))
+    cls = classify(pair_of_masks(profile, *face("*0")))
     assert cls.badness is Badness.BAD and cls.j is None
 
 
@@ -233,15 +239,11 @@ def classify_oracle(pair: StratumPair) -> StratumClass:
     "profile", PROFILES + [PrimeProfile(2, (4,)), PrimeProfile(3, (5, 1))]
 )  # blocks of size 4 and 5 give Zero runs j = 2 and 3
 def test_classify_face_matches_pair_oracle_on_every_face(profile):
-    import itertools
-
-    for coords in itertools.product(list(FaceCoord), repeat=profile.g):
-        face = Face(profile, coords)
-        zeros, ones = face.mask_of(FaceCoord.ZERO), face.mask_of(FaceCoord.ONE)
-        pair = pair_of_face(face)
+    for zeros, ones in all_faces(profile):
+        pair = pair_of_masks(profile, zeros, ones)
         want = classify_oracle(pair)
-        assert classify_face(profile, zeros, ones) == want, coords
-        assert classify(pair) == want, coords
+        assert classify_face(profile, zeros, ones) == want, (zeros, ones)
+        assert classify(pair) == want, (zeros, ones)
 
 
 def test_classify_face_rejects_inadmissible_masks():
@@ -254,50 +256,44 @@ def test_classify_face_rejects_inadmissible_masks():
 def test_etale_detection():
     profile = PrimeProfile(3, (2, 1))
     # all-Zero block on prime 0: phi empty there, eta full there
-    face = Face(profile, (FaceCoord.ZERO, FaceCoord.ZERO, FaceCoord.ONE))
-    assert not classify(pair_of_face(face)).nowhere_etale
-    face2 = Face(profile, (FaceCoord.ONE, FaceCoord.ZERO, FaceCoord.ONE))
-    assert classify(pair_of_face(face2)).nowhere_etale
+    assert not classify(pair_of_masks(profile, *face("001"))).nowhere_etale
+    assert classify(pair_of_masks(profile, *face("101"))).nowhere_etale
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_whole_blocks_matches_per_block_oracle(profile):
+    blocks = [profile.block_mask(i) for i in range(profile.n_primes)]
+    for mask in range(profile.full_mask + 1):
+        want = 0
+        for b in blocks:
+            if all(mask >> k & 1 for k in range(profile.g) if b >> k & 1):
+                want |= b
+        assert _whole_blocks(profile, mask) == want, mask
 
 
 def test_vertex_decomposition_and_transport():
     profile = PrimeProfile(3, (2, 1, 2))
-    face = Face(
-        profile,
-        (FaceCoord.ZERO, FaceCoord.ZERO, FaceCoord.ONE, FaceCoord.ONE, FaceCoord.ZERO),
-    )
-    t0, t1, t2 = vertex_decomposition(face)
-    assert (t0, t1, t2) == ((0,), (1,), (2,))
-    with pytest.raises(NotAVertex):
-        vertex_decomposition(Face(profile, (FaceCoord.OPEN,) + face.coords[1:]))
+    zeros, ones = face("00110")
+    # prime 0 is all Zero (T0), prime 1 all One, prime 2 mixed (T2)
+    t0 = _whole_blocks(profile, zeros)
+    t0_t2 = profile.full_mask & ~_whole_blocks(profile, ones)
+    assert t0 == profile.block_mask(0)
+    assert t0_t2 == profile.block_mask(0) | profile.block_mask(2)
     # flipping the all-Zero blocks makes every block carry a One: nowhere etale
-    fixed = flip_face(face, t0)
-    assert classify(pair_of_face(fixed)).nowhere_etale
-    fixed2 = flip_face(face, t0 + t2)
-    assert classify(pair_of_face(fixed2)).nowhere_etale
+    assert classify_face(profile, *_swap_on(zeros, ones, t0)).nowhere_etale
+    assert classify_face(profile, *_swap_on(zeros, ones, t0_t2)).nowhere_etale
+    assert coverage_check(profile).vertex_failures == ()
 
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_vertex_transport_nowhere_etale_exhaustive(profile):
     # for every vertex, flipping T0 or T0 | T2 yields a nowhere-etale stratum
-    import itertools
-
-    for bits in itertools.product((FaceCoord.ZERO, FaceCoord.ONE), repeat=profile.g):
-        face = Face(profile, bits)
-        t0, t1, t2 = vertex_decomposition(face)
-        assert classify(pair_of_face(flip_face(face, t0))).nowhere_etale
-        assert classify(pair_of_face(flip_face(face, t0 + t2))).nowhere_etale
-
-
-def test_vertex_of_primes():
-    profile = PrimeProfile(3, (2, 1))
-    face = vertex_of_primes(profile, {1})
-    assert face.coords == (FaceCoord.ZERO, FaceCoord.ZERO, FaceCoord.ONE)
+    assert coverage_check(profile).vertex_failures == ()
 
 
 def test_pair_json_record():
     profile = PrimeProfile(3, (2,))
-    pair = pair_of_face(Face(profile, (FaceCoord.OPEN, FaceCoord.ZERO)))
+    pair = pair_of_masks(profile, *face("*0"))
     rec = pair.to_json_dict()
     assert rec == {
         "phi": subset_to_indices(pair.phi),

@@ -20,6 +20,9 @@ directly.  The report set:
   every profile of the coverage reports with g <= 4 and on p=3;f=3,2,1 and
   p=2;f=1,4,1;
 - `suite` at workers 1 and 2;
+- `regions check --region sigma` on every 0/1 point of p=3;f=2,1 and
+  p=2;f=1,3 flagged `"cusp": true`: the blockwise-constant points are
+  reports, the mixed ones exit 2;
 - `feasible_d_grid` on every vertex and edge h of p=3;f=2,1 at den 18 and
   p=5;f=3 at den 10, with the generic flag on and off and genericity on and
   dropped, one file per profile; an error is recorded as data;
@@ -29,8 +32,9 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 793 reports, the
-2 feasible sets and the 4 region-query sets takes about 12 s on two cores.
+Stdlib only; tier-1 does not collect it.  A capture of the 817 commands (801
+reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
+sets takes about 12 s on two cores.
 """
 from __future__ import annotations
 
@@ -56,6 +60,7 @@ STRATA_MAX_G = 4
 STRATA_EXTRA = ("p=3;f=3,2,1", "p=2;f=1,4,1")
 STRATA_FILTERS = {"": [], "-codim1": ["--codim", "1"], "-nowhere-etale": ["--nowhere-etale"]}
 SUITE_PROFILE = "p=3;f=2,1"
+CUSP_PROFILES = ("p=3;f=2,1", "p=2;f=1,3")
 FEASIBLE = (("p=3;f=2,1", 18), ("p=5;f=3", 10))
 # p=3;f=3,1 has the bad partial-eta strata, where a point at delta(p, j) is
 # indeterminate.
@@ -122,6 +127,19 @@ def commands():
             f"suite-{SUITE_PROFILE}-w{w}",
             ["suite", "--profile", SUITE_PROFILE, "--den", "24", "--workers", w],
         )
+    from itertools import product
+
+    from stratgrid.embeddings import parse_profile
+
+    for text in CUSP_PROFILES:
+        profile = parse_profile(text)
+        for bits in product("01", repeat=profile.g):
+            deg = {profile.label(k): v for k, v in enumerate(bits)}
+            point = json.dumps({"deg": deg, "cusp": True})
+            yield (
+                f"cusp-sigma-{text}-{''.join(bits)}",
+                ["regions", "check", "--profile", text, "--point", point, "--region", "sigma"],
+            )
 
 
 def _vertex_and_edge_points(g: int, den: int, free_values=()):
