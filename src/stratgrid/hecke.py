@@ -30,11 +30,47 @@ its entries at 0 and at 1, which are the same along an edge, so most of
 `sigma_case` is decided once per edge; each point compares only its free
 value.  The quotient test is blockwise, so a point counts its pairs as the
 product of the blocks' candidate counts and its failures on the runs, and
-expands the runs only to build the records it keeps.  The sweep is
-lexicographic by construction: the points arrive as one ordered stream, one
-point is the unit of work, and each point's failures come ordered by d and
-then beta, so the capped records are the first ones by embedding index with
-no sort, whatever the worker count.
+expands the runs only to build the records it keeps.
+
+The sweep enumerates each symmetry orbit once.  The profile has one p, so
+the group G = (prod_i Z_{f_i}) x| (permutations of the blocks of equal size)
+acts on h and d alike, rotating each block and moving whole blocks between
+positions of equal size, and every family the sweep applies is equivariant
+under it:
+
+- the height edges couple pos - 1 to pos inside a block, cyclically;
+- the anchored sums run once from each start of a block, so a rotation
+  permutes them;
+- the genericity rules and the ordinary-block rule read a position, its
+  predecessor and its successor inside the block;
+- `classify_face` walks `shift_right`, which is cyclic inside a block, so
+  the stratum kind, j and the threshold (a function of p, j and f) stay, and
+  beta0 moves with the point;
+- the pin sits at beta0 and reads the free value there;
+- the quotient test reads beta and its successor inside the block, or one
+  size-1 block on its own;
+- the saturation window reads a block's sum and size.
+
+So the feasible set of g.h is g applied to that of h, the verdict is the
+same, and (points_in, pure, pairs, cx_total) is constant on an orbit.  Every
+point is still decided, and on saturation gets its purity round trip, but
+only the canonical point of an orbit, its least image under G, enumerates
+blocks, and its counts are multiplied by the orbit size (canonical
+representatives as in McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998); the weight is the orbit-stabiliser count).  The
+least image is built block by block, without listing G: least rotations,
+sorted within each size class.
+
+The records are lexicographic by construction.  The points arrive as one
+ordered stream, and each point's failures come ordered by d and then beta,
+so the first records of the stream are the first by embedding index.  A
+point fails exactly when its canonical point does, and the canonical point
+is the least of its orbit, so the first failure of an orbit in the stream
+sits at its canonical point.  After the counting pass has named the failing
+canonical points, a record pass in the parent walks the stream again and
+expands only the points whose canonical point failed, each giving at least
+one record, until the cap is reached: at most that many expansions, with no
+sort, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -60,7 +96,7 @@ from .regions import (
     StratumCase,
     Verdict,
     delta,
-    in_interval_region,
+    istar_interval,
     sigma_case,
     stratum_case,
 )
@@ -739,36 +775,66 @@ def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dic
     return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": str(lhs)}
 
 
-def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
-    """Sweep one grid point: (points_in, pure, pairs, cx_total, records).
+def _in_windows(profile: PrimeProfile, scaled, den: int) -> bool:
+    """`in_interval_region` of the scaled point, in integers: each block's sum
+    over den lies strictly inside the block's `istar_interval`."""
+    for f, off in zip(profile.f, profile.offsets):
+        window = istar_interval(profile.p, f)
+        lo, hi = window.lo, window.hi
+        s = sum(scaled[off : off + f])
+        if not lo.numerator * den < s * lo.denominator:
+            return False
+        if not s * hi.denominator < hi.numerator * den:
+            return False
+    return True
 
-    `point` is the scaled h and its `StratumCase`.  The quotient test is
-    blockwise, so over the blocks' candidate lists L_i, pairs = prod |L_i|
-    and cx_total = sum_i fail_i * prod_{k != i} |L_k|, counted on the runs.
-    Only when there are failures to keep are the runs expanded, to build
-    `records`: the point's first `keep` failures as integer tuples (h_scaled,
-    d_scaled, beta, lhs), ordered by d and then beta.
-    """
+
+def _point_in(profile, den, saturation_only, point) -> tuple[bool, bool]:
+    """(in, pure) of one grid point: its `StratumCase` verdict and, on a
+    saturation sweep, the window test and the purity round trip."""
     scaled, stratum = point
     free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
-    verdict = stratum.decide(True, free, den)
-    if verdict is not Verdict.IN:
-        return 0, True, 0, 0, []
-    pure = True
-    if saturation_only:
-        # structural check: membership reads only the serialized data
-        h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
-        back = DegreeVector.from_json_dict(profile, h.to_json_dict())
-        pure = sigma_case(back)[1] is Verdict.IN
-        if not in_interval_region(h):
-            return 0, pure, 0, 0, []
-    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, verdict)
+    if stratum.decide(True, free, den) is not Verdict.IN:
+        return False, True
+    if not saturation_only:
+        return True, True
+    # structural check: membership reads only the serialized data
+    h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
+    back = DegreeVector.from_json_dict(profile, h.to_json_dict())
+    pure = sigma_case(back)[1] is Verdict.IN
+    return _in_windows(profile, scaled, den), pure
+
+
+def _counts(blocks) -> tuple[int, int]:
+    """(pairs, cx_total) of a point from its blocks' runs.
+
+    The quotient test is blockwise, so over the blocks' candidate lists L_i,
+    pairs = prod |L_i| and cx_total = sum_i fail_i * prod_{k != i} |L_k|.
+    """
     sizes = [sum(hi - lo + 1 for _, lo, hi in runs) for _, runs in blocks]
     cx_total = 0
     for i, (plan, runs) in enumerate(blocks):
         fails = sum(_run_failures(plan, *run) for run in runs)
         if fails:
             cx_total += fails * prod(sizes[:i]) * prod(sizes[i + 1 :])
+    return prod(sizes), cx_total
+
+
+def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
+    """Sweep one grid point: (points_in, pure, pairs, cx_total, records).
+
+    `point` is the scaled h and its `StratumCase`.  Pairs and failures are
+    counted on the runs (`_counts`).  Only when there are failures to keep
+    are the runs expanded, to build `records`: the point's first `keep`
+    failures as integer tuples (h_scaled, d_scaled, beta, lhs), ordered by d
+    and then beta.
+    """
+    point_in, pure = _point_in(profile, den, saturation_only, point)
+    if not point_in:
+        return 0, pure, 0, 0, []
+    scaled, stratum = point
+    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
+    pairs, cx_total = _counts(blocks)
     records = []
     if cx_total and keep:
         for d_scaled in _feasible_tuples(blocks):
@@ -776,7 +842,61 @@ def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
                 records.append((scaled, d_scaled, beta, lhs))
             if len(records) >= keep:
                 break
-    return 1, pure, prod(sizes), cx_total, records[:keep]
+    return 1, pure, pairs, cx_total, records[:keep]
+
+
+def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
+    """The least image of `scaled` under G, and the size of its orbit.
+
+    Each block is rotated to its least rotation; within each class of
+    equal-size blocks those contents are sorted and put back on the class's
+    positions in ascending order.  By orbit-stabiliser the orbit has
+    prod_i (distinct rotations of block i) * prod_classes n! / prod mult!
+    points, where mult counts the blocks of a class with equal least
+    rotations; over a sorted class that multinomial is the product of
+    k / (length of the run of equal contents ending at k).  No image other
+    than the least one is built.
+    """
+    classes: dict[int, list] = {}
+    size = 1
+    for f, off in zip(profile.f, profile.offsets):
+        block = scaled[off : off + f]
+        if f > 1:
+            rotations = {block[k:] + block[:k] for k in range(f)}
+            size *= len(rotations)
+            block = min(rotations)
+        classes.setdefault(f, []).append((off, block))
+    out = list(scaled)
+    for f, members in classes.items():
+        contents = sorted(block for _, block in members)
+        run = 1
+        for k, (off, _) in enumerate(members):
+            out[off : off + f] = contents[k]
+            if k:
+                run = run + 1 if contents[k] == contents[k - 1] else 1
+                size = size * (k + 1) // run
+    return tuple(out), size
+
+
+def _orbit_point(profile, den, drop_genericity, saturation_only, point):
+    """One point of the counting pass: (points_in, pure, pairs, cx_total, failed).
+
+    Every point gets its own verdict, and on saturation its window test and
+    purity round trip.  Only the canonical point of an orbit enumerates its
+    blocks, and it counts the pairs and failures of the whole orbit: its own
+    times the orbit size.  `failed` is the point when it is canonical and
+    has failures, else None.
+    """
+    point_in, pure = _point_in(profile, den, saturation_only, point)
+    if not point_in:
+        return 0, pure, 0, 0, None
+    scaled, stratum = point
+    canon, size = _canonical(profile, scaled)
+    if canon != scaled:
+        return 1, pure, 0, 0, None
+    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
+    pairs, cx_total = _counts(blocks)
+    return 1, pure, size * pairs, size * cx_total, scaled if cx_total else None
 
 
 def _sweep_points(profile: PrimeProfile, den: int):
@@ -799,14 +919,18 @@ def _run_sweep(
     max_counterexamples: int,
     workers: int,
 ) -> dict:
-    """Sweep the grid points as one ordered stream and fold the results.
+    """Sweep the grid points in two ordered passes and fold the results.
 
-    The points come from `_grid_candidates` in lexicographic order, and each
-    point's records are ordered by d and then beta, so the fold keeps the
-    first `max_counterexamples` records it sees: the lexicographically first
-    by embedding index.  With more than one worker a pool maps the same stream
-    with `imap`, which returns the results in order, so the report does not
-    depend on the worker count or the start method.
+    The counting pass maps `_orbit_point` over the ordered stream of
+    `_sweep_points`: every point is decided, and each orbit's pairs and
+    failures are counted once, at its canonical point.  With more than one
+    worker a pool maps the stream with `imap`; the counts are sums, so they
+    do not depend on the worker count or the start method.  When there are
+    failures to keep, the record pass walks the same stream in the parent and
+    expands, with `_sweep_point`, only the points whose canonical point
+    failed, until `max_counterexamples` records are kept.  Each point's
+    records are ordered by d and then beta, so these are the
+    lexicographically first by embedding index, with no sort.
     """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
@@ -820,24 +944,33 @@ def _run_sweep(
         raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
     g = profile.g
     total = 2**g + g * 2 ** (g - 1) * (den - 1)
-    sweep = partial(
-        _sweep_point, profile, den, drop_genericity, saturation_only, max_counterexamples
-    )
+    sweep = partial(_orbit_point, profile, den, drop_genericity, saturation_only)
     cands = _sweep_points(profile, den)
     n = min(workers, total)
     points_in = pairs = cx_total = 0
     pure = True
-    cx = []
+    failed = set()
     with multiprocessing.Pool(n) if n > 1 else nullcontext() as pool:
         # about four chunks per worker, as `Pool.map` would choose
         chunksize = _ceil_div(total, 4 * n)
         results = pool.imap(sweep, cands, chunksize) if pool else map(sweep, cands)
-        for point_in, point_pure, point_pairs, point_cx, records in results:
+        for point_in, point_pure, point_pairs, point_cx, failing in results:
             points_in += point_in
             pure = pure and point_pure
             pairs += point_pairs
             cx_total += point_cx
-            cx.extend(records[: max_counterexamples - len(cx)])
+            if failing is not None:
+                failed.add(failing)
+    cx = []
+    if failed and max_counterexamples:
+        for point in _sweep_points(profile, den):
+            if _canonical(profile, point[0])[0] in failed:
+                keep = max_counterexamples - len(cx)
+                cx.extend(
+                    _sweep_point(profile, den, drop_genericity, saturation_only, keep, point)[4]
+                )
+                if len(cx) == max_counterexamples:
+                    break
     report = {
         "schema": "1",
         "check": "saturation" if saturation_only else "sigma-up",

@@ -7,7 +7,7 @@ sharing no code with the range-propagating implementation.
 import json
 import multiprocessing
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,13 +35,17 @@ from stratgrid.hecke import (
     saturation_check,
     verify_sigma_up,
 )
+from stratgrid import hecke
 from stratgrid.hecke import (
     _block_plan,
     _block_runs,
     _blocks,
+    _canonical,
+    _cx_record,
     _gen3_edge_ok,
     _hodge_edge_ok,
     _hodge_edge_ranges,
+    _in_windows,
     _last_ranges,
     _on_grid,
     _pred_ranges,
@@ -54,7 +58,7 @@ from stratgrid.hecke import (
     _sweep_point,
     _sweep_points,
 )
-from stratgrid.regions import Verdict, delta, delta_star, sigma_case
+from stratgrid.regions import Verdict, delta, delta_star, in_interval_region, sigma_case
 
 
 # ---------------------------------------------------------------------------
@@ -674,3 +678,171 @@ def test_saturation_vacuous_on_mixed_profile():
     # so no grid point meets all of them at once
     rep = saturation_check(parse_profile("p=3;f=2,1"), 6)
     assert rep["pass"] and rep["points_in"] == 0
+
+
+# ---------------------------------------------------------------------------
+# symmetry orbits
+
+
+def _group(profile):
+    """Every element of G, listed explicitly: per-block rotations and a
+    permutation of the blocks that keeps each block's size."""
+    n = profile.n_primes
+    perms = [
+        perm
+        for perm in permutations(range(n))
+        if all(profile.f[perm[i]] == profile.f[i] for i in range(n))
+    ]
+    for rots in product(*(range(f) for f in profile.f)):
+        for perm in perms:
+            yield rots, perm
+
+
+def _act(profile, element, entries):
+    """element . entries: block i rotated left by rots[i], moved to block perm[i]."""
+    rots, perm = element
+    out = list(entries)
+    for i, (r, j) in enumerate(zip(rots, perm)):
+        f, off, dest = profile.f[i], profile.offsets[i], profile.offsets[j]
+        block = tuple(entries[off : off + f])
+        out[dest : dest + f] = block[r:] + block[:r]
+    return tuple(out)
+
+
+def _act_index(profile, element, beta):
+    """Where element moves the entry at embedding beta."""
+    rots, perm = element
+    i = profile.prime_of(beta)
+    f = profile.f[i]
+    return profile.offsets[perm[i]] + (beta - profile.offsets[i] - rots[i]) % f
+
+
+EQUIVARIANCE_PROFILES = [
+    parse_profile(s)
+    for s in ("p=2;f=1,3,1", "p=3;f=2,2", "p=3;f=1,1,1", "p=3;f=3", "p=5;f=2,1,2", "p=2;f=4")
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_feasible_set_and_sigma_case_are_equivariant(data):
+    """For g in G and a vertex or edge point h: the feasible set of g.h is g
+    applied to that of h, and sigma_case keeps its kind, j, threshold and
+    verdict with beta0 moved by g, genericity on and dropped."""
+    profile = data.draw(st.sampled_from(EQUIVARIANCE_PROFILES))
+    den = data.draw(st.sampled_from([2, 3, 4]))
+    corner = data.draw(st.tuples(*[st.sampled_from((0, den)) for _ in range(profile.g)]))
+    k = data.draw(st.integers(0, profile.g - 1))
+    scaled = corner[:k] + (data.draw(st.integers(0, den)),) + corner[k + 1 :]
+    generic = data.draw(st.booleans())
+    drop = data.draw(st.booleans())
+    element = data.draw(st.sampled_from(list(_group(profile))))
+    h = DegreeVector(profile, tuple(F(a, den) for a in scaled), generic=generic)
+    gh = DegreeVector(profile, _act(profile, element, h.entries), generic=generic)
+    moved = {_act(profile, element, d.entries) for d in feasible_d_grid(h, den, drop)}
+    assert {tuple(d.entries) for d in feasible_d_grid(gh, den, drop)} == moved
+    (case, verdict), (g_case, g_verdict) = sigma_case(h), sigma_case(gh)
+    assert (g_case.kind, g_case.j, g_case.threshold, g_verdict) == (
+        case.kind, case.j, case.threshold, verdict
+    )
+    if case.beta0 is None:
+        assert g_case.beta0 is None
+    else:
+        assert g_case.beta0 == _act_index(profile, element, case.beta0)
+
+
+@pytest.mark.parametrize(
+    "prof,den,order",
+    [("p=3;f=2,2", 6, 8), ("p=2;f=1,3,1", 4, 6), ("p=5;f=1,1,1", 5, 6), ("p=3;f=3", 9, 3)],
+)
+def test_canonical_point_and_orbit_size_match_brute_force(prof, den, order):
+    """The least image and the orbit size, built without listing G, equal
+    the least and the count of all images over the listed group; the orbit
+    sizes of the canonical points sum to the grid."""
+    profile = parse_profile(prof)
+    group = list(_group(profile))
+    assert len(group) == order
+    weights = 0
+    for scaled, _ in _sweep_points(profile, den):
+        orbit = {_act(profile, element, scaled) for element in group}
+        assert _canonical(profile, scaled) == (min(orbit), len(orbit)), scaled
+        if min(orbit) == scaled:
+            weights += len(orbit)
+    assert weights == verify_sigma_up(profile, den)["grid_points"]
+
+
+def _full_stream_report(profile, den, drop, saturation_only, keep):
+    """The report fields a sweep folds, from `_sweep_point` on every point of
+    the full stream: no orbit is used."""
+    results = [
+        _sweep_point(profile, den, drop, saturation_only, keep, point)
+        for point in _sweep_points(profile, den)
+    ]
+    records = [rec for res in results for rec in res[4]][:keep]
+    return {
+        "grid_points": len(results),
+        "points_in": sum(res[0] for res in results),
+        "pairs_checked": sum(res[2] for res in results),
+        "counterexample_total": sum(res[3] for res in results),
+        "counterexamples": [_cx_record(profile, den, *rec) for rec in records],
+    }
+
+
+@pytest.mark.parametrize(
+    "prof,den",
+    [
+        ("p=3;f=3", 27),
+        ("p=3;f=2,2", 9),
+        # size-1 blocks of equal size that are not adjacent
+        ("p=3;f=1,2,1", 9),
+        # no failures: a size-1 block fails only at d = 1, which the anchored
+        # bound allows only where h = 0, a whole Zero block
+        ("p=3;f=1,1", 12),
+    ],
+)
+def test_orbit_sweep_matches_full_stream(prof, den, monkeypatch):
+    """The orbit sweep reports what the full stream folds, with genericity
+    dropped so that there are failures, at every cap and worker count.  The
+    record pass must reach failing points that are not canonical and lie
+    between canonical ones, and expands at most `keep` points."""
+    profile = parse_profile(prof)
+    uncapped = _full_stream_report(profile, den, True, False, 1000)
+    if uncapped["counterexample_total"]:
+        hs = [
+            tuple(int(F(v) * den) for v in rec["h"].values())
+            for rec in uncapped["counterexamples"]
+        ]
+        assert any(_canonical(profile, h)[0] != h for h in hs)
+    expand = hecke._sweep_point
+    expanded = []
+
+    def counted(*args):
+        expanded.append(args[-1][0])
+        return expand(*args)
+
+    # the sweep's record pass looks `_sweep_point` up in the module; the
+    # oracle fold calls the function imported above, which stays uncounted
+    monkeypatch.setattr(hecke, "_sweep_point", counted)
+    for keep in (0, 1, 5, 20, 1000):
+        want = _full_stream_report(profile, den, True, False, keep)
+        for workers in (1, 3):
+            expanded.clear()
+            rep = verify_sigma_up(
+                profile, den, drop_genericity=True, max_counterexamples=keep, workers=workers
+            )
+            assert {k: rep[k] for k in want} == want, (keep, workers)
+            assert len(expanded) <= keep
+        sat = saturation_check(profile, den, max_counterexamples=keep)
+        assert {k: sat[k] for k in want} == _full_stream_report(profile, den, False, True, keep)
+
+
+@pytest.mark.parametrize("prof,den", [("p=3;f=2", 27), ("p=5;f=3", 25), ("p=3;f=2,1", 27)])
+def test_integer_window_matches_in_interval_region(prof, den):
+    profile = parse_profile(prof)
+    seen = set()
+    for h in _vertex_and_edge_points(profile, den):
+        got = _in_windows(profile, _on_grid(h, den), den)
+        assert got == in_interval_region(h), h.entries
+        seen.add(got)
+    # the single-prime profiles meet both sides of their windows
+    assert seen == ({False} if profile.n_primes > 1 else {True, False})

@@ -11,8 +11,10 @@ not captured.  The feasible sets are written by calling `feasible_d_grid`
 directly.  The report set:
 
 - the benchmark's sweeps (`bench/workloads.py` SWEEPS) at workers 1 and 2;
-- sigma-up with genericity on and dropped, and saturation, on the
-  criterion-4 profiles and p=2;f=2 at small dens, at workers 1 and 3;
+- sigma-up with genericity on, dropped, and dropped with
+  `--max-counterexamples 50`, and saturation, on the criterion-4 profiles,
+  p=2;f=2 and the block-swap profiles p=3;f=2,2, p=3;f=1,1,1 and
+  p=2;f=1,3,1 at small dens, at workers 1 and 3;
 - `verify twist` on six (q, n) pairs, with and without `--corrupt`;
 - `gauss` for every q <= 27 except 16 and every character exponent;
 - `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
@@ -32,9 +34,9 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 817 commands (801
+Stdlib only; tier-1 does not collect it.  A capture of the 863 commands (847
 reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
-sets takes about 12 s on two cores.
+sets takes about 13 s on two cores.
 """
 from __future__ import annotations
 
@@ -49,9 +51,14 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 from workloads import SWEEPS  # noqa: E402
 
 SMALL_DENS = {2: 24, 3: 54, 5: 50}
+# The criterion-4 profiles, p=2;f=2, and profiles whose blocks of equal size
+# can be swapped, so that the sweeps pin down the block-swap orbits.
 SWEEP_PROFILES = [
     f"p={p};f={f}" for p in (3, 5) for f in ("1", "2", "3", "1,1", "2,1")
-] + ["p=2;f=2"]
+] + ["p=2;f=2", "p=3;f=2,2", "p=3;f=1,1,1", "p=2;f=1,3,1"]
+# With genericity dropped and this cap, the records of the sweeps with
+# failures run past the first failing orbit.
+MANY_COUNTEREXAMPLES = "50"
 TWISTS = ((3, 4), (5, 3), (9, 4), (4, 5), (7, 6), (8, 3))
 GAUSS_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
 COVERAGE_PRIMES = (2, 3, 5, 7, 11)
@@ -99,6 +106,13 @@ def commands():
             yield (
                 f"sigma-up-dropped-{profile}-d{den}-w{w}",
                 ["verify", "sigma-up", *common, "--drop-genericity"],
+            )
+            yield (
+                f"sigma-up-dropped-cx{MANY_COUNTEREXAMPLES}-{profile}-d{den}-w{w}",
+                [
+                    "verify", "sigma-up", *common, "--drop-genericity",
+                    "--max-counterexamples", MANY_COUNTEREXAMPLES,
+                ],
             )
             yield f"saturation-{profile}-d{den}-w{w}", ["verify", "saturation", *common]
     for q, n in TWISTS:
