@@ -30,7 +30,14 @@ its entries at 0 and at 1, which are the same along an edge, so most of
 `sigma_case` is decided once per edge; each point compares only its free
 value.  The quotient test is blockwise, so a point counts its pairs as the
 product of the blocks' candidate counts and its failures on the runs, and
-expands the runs only to build the records it keeps.
+expands the runs only to build the records it keeps.  A block's
+(candidates, failures) depends on nothing but `_block_plan`'s arguments, and
+within one sweep only two of them vary: the block of the scaled h and its
+local pin (p, den and the genericity flag are fixed).  So the counting pass
+keeps a table keyed by those two, plans and counts each distinct block once,
+and folds a point's counts from its blocks' entries; the table is exact
+because the key is everything the count reads.  It lives for one sweep, or
+for one pool chunk, and nothing outlives the sweep.
 
 The sweep enumerates each symmetry orbit once.  The profile has one p, so
 the group G = (prod_i Z_{f_i}) x| (permutations of the blocks of equal size)
@@ -688,21 +695,31 @@ def _pin_for(stratum: StratumCase, verdict: Verdict, scaled, den: int):
     return beta0, s, den
 
 
+def _block_keys(
+    profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum, verdict
+):
+    """(block of scaled, local pin) of every block: what `_block_plan` reads
+    of the point, p, den and the genericity flag aside."""
+    pin = _pin_for(stratum, verdict, scaled, den) if generic_active else None
+    for f, off in zip(profile.f, profile.offsets):
+        local_pin = None
+        if pin is not None and off <= pin[0] < off + f:
+            local_pin = (pin[0] - off, pin[1], pin[2])
+        yield scaled[off : off + f], local_pin
+
+
+def _block(p: int, den: int, generic_active: bool, s, pin) -> tuple[BlockPlan, list[Run]]:
+    """(plan, runs) of one block, the plan pruned."""
+    plan = _prune(_block_plan(p, den, s, generic_active, pin))
+    return plan, _block_runs(plan)
+
+
 def _blocks(
     profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum, verdict
 ):
     """(plan, runs) of every block of the scaled h, the plans pruned."""
-    pin = _pin_for(stratum, verdict, scaled, den) if generic_active else None
-    out = []
-    for i in range(profile.n_primes):
-        f, off = profile.f[i], profile.offsets[i]
-        local_pin = None
-        if pin is not None and off <= pin[0] < off + f:
-            local_pin = (pin[0] - off, pin[1], pin[2])
-        plan = _block_plan(profile.p, den, scaled[off : off + f], generic_active, local_pin)
-        plan = _prune(plan)
-        out.append((plan, _block_runs(plan)))
-    return out
+    keys = _block_keys(profile, scaled, den, generic_active, stratum, verdict)
+    return [_block(profile.p, den, generic_active, *key) for key in keys]
 
 
 def _feasible_tuples(blocks):
@@ -775,46 +792,65 @@ def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dic
     return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": str(lhs)}
 
 
-def _in_windows(profile: PrimeProfile, scaled, den: int) -> bool:
-    """`in_interval_region` of the scaled point, in integers: each block's sum
-    over den lies strictly inside the block's `istar_interval`."""
+def _windows(profile: PrimeProfile, den: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Saturation's window of each block in integers: (off, f, lo, hi) such
+    that the block's sum s of the scaled h, over den, lies strictly inside
+    the block's `istar_interval` exactly when lo < s < hi.  For an integer s,
+    s > x * den iff s > floor(x * den), and s < y * den iff s < ceil(y * den).
+    """
+    out = []
     for f, off in zip(profile.f, profile.offsets):
         window = istar_interval(profile.p, f)
-        lo, hi = window.lo, window.hi
-        s = sum(scaled[off : off + f])
-        if not lo.numerator * den < s * lo.denominator:
-            return False
-        if not s * hi.denominator < hi.numerator * den:
-            return False
-    return True
+        lo = window.lo.numerator * den // window.lo.denominator
+        hi = _ceil_div(window.hi.numerator * den, window.hi.denominator)
+        out.append((off, f, lo, hi))
+    return tuple(out)
 
 
-def _point_in(profile, den, saturation_only, point) -> tuple[bool, bool]:
+def _within(windows, scaled) -> bool:
+    return all(lo < sum(scaled[off : off + f]) < hi for off, f, lo, hi in windows)
+
+
+def _in_windows(profile: PrimeProfile, scaled, den: int) -> bool:
+    """`in_interval_region` of the scaled point, in integers.  A sweep builds
+    `_windows` once and tests each point with `_within`."""
+    return _within(_windows(profile, den), scaled)
+
+
+def _point_in(profile, den, windows, point) -> tuple[bool, bool]:
     """(in, pure) of one grid point: its `StratumCase` verdict and, on a
-    saturation sweep, the window test and the purity round trip."""
+    saturation sweep (`windows` is the sweep's `_windows`, else None), the
+    window test and the purity round trip."""
     scaled, stratum = point
     free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
     if stratum.decide(True, free, den) is not Verdict.IN:
         return False, True
-    if not saturation_only:
+    if windows is None:
         return True, True
     # structural check: membership reads only the serialized data
     h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
     back = DegreeVector.from_json_dict(profile, h.to_json_dict())
     pure = sigma_case(back)[1] is Verdict.IN
-    return _in_windows(profile, scaled, den), pure
+    return _within(windows, scaled), pure
 
 
-def _counts(blocks) -> tuple[int, int]:
-    """(pairs, cx_total) of a point from its blocks' runs.
+def _block_count(plan: BlockPlan, runs) -> tuple[int, int]:
+    """(candidates, failures) of one block, counted on its runs."""
+    return (
+        sum(hi - lo + 1 for _, lo, hi in runs),
+        sum(_run_failures(plan, *run) for run in runs),
+    )
+
+
+def _fold(counts) -> tuple[int, int]:
+    """(pairs, cx_total) of a point from its blocks' (candidates, failures).
 
     The quotient test is blockwise, so over the blocks' candidate lists L_i,
     pairs = prod |L_i| and cx_total = sum_i fail_i * prod_{k != i} |L_k|.
     """
-    sizes = [sum(hi - lo + 1 for _, lo, hi in runs) for _, runs in blocks]
+    sizes = [n for n, _ in counts]
     cx_total = 0
-    for i, (plan, runs) in enumerate(blocks):
-        fails = sum(_run_failures(plan, *run) for run in runs)
+    for i, (_, fails) in enumerate(counts):
         if fails:
             cx_total += fails * prod(sizes[:i]) * prod(sizes[i + 1 :])
     return prod(sizes), cx_total
@@ -824,17 +860,18 @@ def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
     """Sweep one grid point: (points_in, pure, pairs, cx_total, records).
 
     `point` is the scaled h and its `StratumCase`.  Pairs and failures are
-    counted on the runs (`_counts`).  Only when there are failures to keep
+    counted on the runs (`_fold`).  Only when there are failures to keep
     are the runs expanded, to build `records`: the point's first `keep`
     failures as integer tuples (h_scaled, d_scaled, beta, lhs), ordered by d
     and then beta.
     """
-    point_in, pure = _point_in(profile, den, saturation_only, point)
+    windows = _windows(profile, den) if saturation_only else None
+    point_in, pure = _point_in(profile, den, windows, point)
     if not point_in:
         return 0, pure, 0, 0, []
     scaled, stratum = point
     blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
-    pairs, cx_total = _counts(blocks)
+    pairs, cx_total = _fold([_block_count(*block) for block in blocks])
     records = []
     if cx_total and keep:
         for d_scaled in _feasible_tuples(blocks):
@@ -878,24 +915,35 @@ def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
     return tuple(out), size
 
 
-def _orbit_point(profile, den, drop_genericity, saturation_only, point):
+def _orbit_point(profile, den, drop_genericity, windows, orbits, table, point):
     """One point of the counting pass: (points_in, pure, pairs, cx_total, failed).
 
     Every point gets its own verdict, and on saturation its window test and
-    purity round trip.  Only the canonical point of an orbit enumerates its
+    purity round trip.  Only the canonical point of an orbit counts its
     blocks, and it counts the pairs and failures of the whole orbit: its own
-    times the orbit size.  `failed` is the point when it is canonical and
-    has failures, else None.
+    times the orbit size.  `orbits` is False when G is trivial, and then
+    every point is canonical with weight 1.  Each block's (candidates,
+    failures) is looked up in `table` by its `_block_keys` key, and planned
+    and counted only on a miss.  `failed` is the point when it is canonical
+    and has failures, else None.
     """
-    point_in, pure = _point_in(profile, den, saturation_only, point)
+    point_in, pure = _point_in(profile, den, windows, point)
     if not point_in:
         return 0, pure, 0, 0, None
     scaled, stratum = point
-    canon, size = _canonical(profile, scaled)
-    if canon != scaled:
-        return 1, pure, 0, 0, None
-    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
-    pairs, cx_total = _counts(blocks)
+    size = 1
+    if orbits:
+        canon, size = _canonical(profile, scaled)
+        if canon != scaled:
+            return 1, pure, 0, 0, None
+    generic = not drop_genericity
+    counts = []
+    for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
+        count = table.get(key)
+        if count is None:
+            count = table[key] = _block_count(*_block(profile.p, den, generic, *key))
+        counts.append(count)
+    pairs, cx_total = _fold(counts)
     return 1, pure, size * pairs, size * cx_total, scaled if cx_total else None
 
 
@@ -923,9 +971,16 @@ def _run_sweep(
 
     The counting pass maps `_orbit_point` over the ordered stream of
     `_sweep_points`: every point is decided, and each orbit's pairs and
-    failures are counted once, at its canonical point.  With more than one
-    worker a pool maps the stream with `imap`; the counts are sums, so they
-    do not depend on the worker count or the start method.  When there are
+    failures are counted once, at its canonical point.  A canonical point
+    folds its blocks' (candidates, failures) from a table keyed by (block of
+    the scaled h, local pin), the arguments of `_block_plan` that vary
+    within a sweep; p, den and the genericity flag are the sweep's own.  The
+    table is an empty dict in the pass's `partial`, so it lives for one
+    sweep serially and for one chunk in a pool, where `imap` pickles the
+    function with each chunk.  Saturation's windows, and whether G is
+    trivial, are also decided once here.  With more than one worker a pool
+    maps the stream with `imap`; the counts are sums, so they do not depend
+    on the worker count or the start method.  When there are
     failures to keep, the record pass walks the same stream in the parent and
     expands, with `_sweep_point`, only the points whose canonical point
     failed, until `max_counterexamples` records are kept.  Each point's
@@ -944,7 +999,11 @@ def _run_sweep(
         raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
     g = profile.g
     total = 2**g + g * 2 ** (g - 1) * (den - 1)
-    sweep = partial(_orbit_point, profile, den, drop_genericity, saturation_only)
+    windows = _windows(profile, den) if saturation_only else None
+    # G is trivial exactly when the profile is one block of size 1
+    orbits = profile.f != (1,)
+    # the last argument is the sweep's table of block counts
+    sweep = partial(_orbit_point, profile, den, drop_genericity, windows, orbits, {})
     cands = _sweep_points(profile, den)
     n = min(workers, total)
     points_in = pairs = cx_total = 0

@@ -836,6 +836,56 @@ def test_orbit_sweep_matches_full_stream(prof, den, monkeypatch):
         assert {k: sat[k] for k in want} == _full_stream_report(profile, den, False, True, keep)
 
 
+@pytest.mark.parametrize("prof,plans", [("p=3;f=2,1", 360), ("p=3;f=2", 225)])
+def test_sweep_plans_each_block_once(prof, plans, monkeypatch):
+    """A serial sweep plans each distinct (block, local pin) once; every
+    other point reads that block's counts from the sweep's table."""
+    keys = []
+    plan = hecke._block_plan
+
+    def counted(p, den, s, generic_active, pin):
+        keys.append((s, pin))
+        return plan(p, den, s, generic_active, pin)
+
+    monkeypatch.setattr(hecke, "_block_plan", counted)
+    verify_sigma_up(parse_profile(prof), 135)
+    assert len(keys) == len(set(keys)) == plans
+
+
+@pytest.mark.parametrize(
+    "prof,den",
+    [
+        # a pinned three-entry block beside a size-1 block
+        ("p=3;f=3,1", 27),
+        # products whose blocks recur from point to point
+        ("p=5;f=2,1", 25),
+        ("p=3;f=2,1", 27),
+    ],
+)
+def test_block_table_sweep_matches_full_stream(prof, den):
+    """Folding each point's counts from the sweep's table of block counts
+    reports what the full stream folds, genericity on and dropped, at every
+    cap and worker count."""
+    profile = parse_profile(prof)
+    for drop in (False, True):
+        for keep in (0, 5, 1000):
+            want = _full_stream_report(profile, den, drop, False, keep)
+            for workers in (1, 3):
+                rep = hecke._run_sweep(profile, den, drop, False, keep, workers)
+                assert {k: rep[k] for k in want} == want, (drop, keep, workers)
+
+
+def test_block_table_lives_for_one_sweep():
+    """Sweeps in one process share no block counts: a table that outlived
+    its sweep, or was keyed without the genericity flag or den, would hand
+    the next sweep counts of blocks it plans differently."""
+    profile = parse_profile("p=3;f=2,1")
+    for drop, den in ((True, 27), (False, 27), (True, 27), (True, 54)):
+        want = _full_stream_report(profile, den, drop, False, 5)
+        rep = verify_sigma_up(profile, den, drop_genericity=drop)
+        assert {k: rep[k] for k in want} == want, (drop, den)
+
+
 @pytest.mark.parametrize("prof,den", [("p=3;f=2", 27), ("p=5;f=3", 25), ("p=3;f=2,1", 27)])
 def test_integer_window_matches_in_interval_region(prof, den):
     profile = parse_profile(prof)

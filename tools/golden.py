@@ -13,8 +13,8 @@ directly.  The report set:
 - the benchmark's sweeps (`bench/workloads.py` SWEEPS) at workers 1 and 2;
 - sigma-up with genericity on, dropped, and dropped with
   `--max-counterexamples 50`, and saturation, on the criterion-4 profiles,
-  p=2;f=2 and the block-swap profiles p=3;f=2,2, p=3;f=1,1,1 and
-  p=2;f=1,3,1 at small dens, at workers 1 and 3;
+  p=2;f=2, the block-swap profiles p=3;f=2,2, p=3;f=1,1,1 and p=2;f=1,3,1,
+  and p=3;f=3,1 at small dens, at workers 1 and 3;
 - `verify twist` on six (q, n) pairs, with and without `--corrupt`;
 - `gauss` for every q <= 27 except 16 and every character exponent;
 - `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
@@ -34,7 +34,7 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 863 commands (847
+Stdlib only; tier-1 does not collect it.  A capture of the 871 commands (855
 reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
 sets takes about 13 s on two cores.
 """
@@ -51,11 +51,13 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 from workloads import SWEEPS  # noqa: E402
 
 SMALL_DENS = {2: 24, 3: 54, 5: 50}
-# The criterion-4 profiles, p=2;f=2, and profiles whose blocks of equal size
-# can be swapped, so that the sweeps pin down the block-swap orbits.
+# The criterion-4 profiles, p=2;f=2, profiles whose blocks of equal size can
+# be swapped, so that the sweeps pin down the block-swap orbits, and
+# p=3;f=3,1, whose pinned three-entry block sits beside a size-1 block (at den
+# 54, delta(3, 1) and delta(3, 2) lie on the grid).
 SWEEP_PROFILES = [
     f"p={p};f={f}" for p in (3, 5) for f in ("1", "2", "3", "1,1", "2,1")
-] + ["p=2;f=2", "p=3;f=2,2", "p=3;f=1,1,1", "p=2;f=1,3,1"]
+] + ["p=2;f=2", "p=3;f=2,2", "p=3;f=1,1,1", "p=2;f=1,3,1", "p=3;f=3,1"]
 # With genericity dropped and this cap, the records of the sweeps with
 # failures run past the first failing orbit.
 MANY_COUNTEREXAMPLES = "50"
