@@ -812,8 +812,10 @@ def _within(windows, scaled) -> bool:
 
 
 def _in_windows(profile: PrimeProfile, scaled, den: int) -> bool:
-    """`in_interval_region` of the scaled point, in integers.  A sweep builds
-    `_windows` once and tests each point with `_within`."""
+    """`in_interval_region` of the scaled point, in integers.  No sweep calls
+    it: a sweep builds `_windows` once and tests each point with `_within`.
+    It is the entry point of the test that checks the integer windows against
+    `in_interval_region`."""
     return _within(_windows(profile, den), scaled)
 
 
@@ -915,27 +917,24 @@ def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
     return tuple(out), size
 
 
-def _orbit_point(profile, den, drop_genericity, windows, orbits, table, point):
+def _orbit_point(profile, den, drop_genericity, windows, table, point):
     """One point of the counting pass: (points_in, pure, pairs, cx_total, failed).
 
     Every point gets its own verdict, and on saturation its window test and
     purity round trip.  Only the canonical point of an orbit counts its
     blocks, and it counts the pairs and failures of the whole orbit: its own
-    times the orbit size.  `orbits` is False when G is trivial, and then
-    every point is canonical with weight 1.  Each block's (candidates,
-    failures) is looked up in `table` by its `_block_keys` key, and planned
-    and counted only on a miss.  `failed` is the point when it is canonical
-    and has failures, else None.
+    times the orbit size.  Each block's (candidates, failures) is looked up
+    in `table` by its `_block_keys` key, and planned and counted only on a
+    miss.  `failed` is the point when it is canonical and has failures, else
+    None.
     """
     point_in, pure = _point_in(profile, den, windows, point)
     if not point_in:
         return 0, pure, 0, 0, None
     scaled, stratum = point
-    size = 1
-    if orbits:
-        canon, size = _canonical(profile, scaled)
-        if canon != scaled:
-            return 1, pure, 0, 0, None
+    canon, size = _canonical(profile, scaled)
+    if canon != scaled:
+        return 1, pure, 0, 0, None
     generic = not drop_genericity
     counts = []
     for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
@@ -977,8 +976,8 @@ def _run_sweep(
     within a sweep; p, den and the genericity flag are the sweep's own.  The
     table is an empty dict in the pass's `partial`, so it lives for one
     sweep serially and for one chunk in a pool, where `imap` pickles the
-    function with each chunk.  Saturation's windows, and whether G is
-    trivial, are also decided once here.  With more than one worker a pool
+    function with each chunk.  Saturation's windows are also built once
+    here.  With more than one worker a pool
     maps the stream with `imap`; the counts are sums, so they do not depend
     on the worker count or the start method.  When there are
     failures to keep, the record pass walks the same stream in the parent and
@@ -1000,10 +999,8 @@ def _run_sweep(
     g = profile.g
     total = 2**g + g * 2 ** (g - 1) * (den - 1)
     windows = _windows(profile, den) if saturation_only else None
-    # G is trivial exactly when the profile is one block of size 1
-    orbits = profile.f != (1,)
     # the last argument is the sweep's table of block counts
-    sweep = partial(_orbit_point, profile, den, drop_genericity, windows, orbits, {})
+    sweep = partial(_orbit_point, profile, den, drop_genericity, windows, {})
     cands = _sweep_points(profile, den)
     n = min(workers, total)
     points_in = pairs = cx_total = 0
