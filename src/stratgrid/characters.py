@@ -8,6 +8,19 @@ need, 1/W(psi), is removed by cross-multiplying both sides.
 Every term of a character sum is a power zeta_M^e, so the sums are counted in
 Z[x]/(x^M - 1), one counter per exponent e mod M, and reduced once modulo
 Phi_M.  That is exact because Phi_M divides x^M - 1.
+
+The twist identity is linear in the seed, and at every index both of its
+sides are the seed coefficient times a factor free of the seed.  Every seed
+coefficient is nonzero and Z[zeta_M] is a domain, so the factors decide the
+identity for every seed.  They come down to two classical laws (Ireland and
+Rosen, *A Classical Introduction to Modern Number Theory*, chapter 8):
+
+    T(u) psi_p(u) = W(psi_p)        for u != 0,
+    S_n(v) = psi_n(v) W(psi_n^-1)   for units v,
+
+where T(u) is the psi_p-twisted sum at u and S_n(v) the psi_n^-1-twisted sum
+over units; T(0) = 0 when psi_p is nontrivial.  `twist_laws` checks the
+factors; `verify_twist_identity` checks the identity on one seed.
 """
 from __future__ import annotations
 
@@ -41,6 +54,7 @@ __all__ = [
     "build_companion_coeffs",
     "TwistReport",
     "verify_twist_identity",
+    "twist_laws",
     "COEFF_CAP",
 ]
 
@@ -253,12 +267,19 @@ class CyclotomicInt:
 
 
 def conductor(*orders: int) -> int:
-    """lcm of the given orders, rejected when the ring would exceed COEFF_CAP."""
+    """lcm of the given orders, rejected when the ring would exceed COEFF_CAP.
+
+    The ring Z[x]/Phi_M has phi(M) coefficients, counted without building
+    Phi_M: a rejected conductor costs no polynomial division.
+    """
     M = 1
     for d in orders:
         M = lcm(M, d)
-    if _phi_deg(M) > COEFF_CAP:
-        raise ConductorTooLarge(f"conductor {M} needs {_phi_deg(M)} coefficients")
+    size = M
+    for _, p in _prime_power_factors(M):
+        size -= size // p
+    if size > COEFF_CAP:
+        raise ConductorTooLarge(f"conductor {M} needs {size} coefficients")
     return M
 
 
@@ -746,6 +767,37 @@ def verify_twist_identity(
         if mismatch:
             break
     return TwistReport(mismatch is None, mismatch, M)
+
+
+def twist_laws(
+    field: GF, group: UnitGroup, psi_p: FieldChar, psi_n: UnitChar, M: int
+) -> tuple | None:
+    """First index (u, v), in the order `verify_twist_identity` walks, where
+    the seed-free factor of the twist identity fails; None if none does.
+
+    The factor at (u, v) is
+    - on row u = 0: W(psi_n^-1) T(0) = 0;
+    - for u != 0 and a unit v:
+      W(psi_n^-1) T(u) psi_p(u) psi_n(v) = W(psi_p) S_n(v);
+    - at a non-unit v: none, both sides of the identity are zero.
+    psi_n(v) is a unit of Z[zeta_M], so the second factor is checked as
+    W(psi_n^-1) [T(u) psi_p(u)] = W(psi_p) [S_n(v) psi_n^-1(v)]: one side
+    per u and one per v.  The two laws make both brackets constant.
+    """
+    chi = psi_n.inverse()
+    w_n_inv = unit_twisted_sum(chi, 1 % group.n, M)
+    if not (w_n_inv * twisted_sum(psi_p, 0, M)).is_zero():
+        return (0, group.units[0])
+    w_p = gauss_sum(psi_p, M)
+    rhs = [
+        (v, w_p * (unit_twisted_sum(chi, v, M) * chi.value(v, M))) for v in group.units
+    ]
+    for u in range(1, field.q):
+        lhs = w_n_inv * (twisted_sum(psi_p, u, M) * psi_p.value(u, M))
+        for v, side in rhs:
+            if lhs != side:
+                return (u, v)
+    return None
 
 
 def _detectable_index(group: UnitGroup, psi_n: UnitChar, M: int):

@@ -3,7 +3,8 @@ Gauss sums, and a one-shot suite runner with deterministic JSON reports.
 
 Exit codes: 0 success, 1 verification failure (counterexamples found),
 2 usage error.  Reports are valid JSON on every non-usage path.  A sweep that
-checks no pairs adds one `warning:` line on stderr and changes nothing else.
+checks no pairs, or a twist that runs no trials, adds one `warning:` line on
+stderr and changes nothing else.
 """
 from __future__ import annotations
 
@@ -23,8 +24,10 @@ from .characters import (
     conductor,
     gauss_sum,
     random_twist_seed,
+    twist_laws,
     UnitGroup,
     verify_twist_identity,
+    _detectable_index,
 )
 from .degrees import DegreeVector, pair_of_degvec, w_T_deg
 from .embeddings import parse_profile
@@ -175,7 +178,22 @@ def _cmd_verify_saturation(ns):
     return report, not report["pass"]
 
 
+def _twist_mismatch(field, group, psi_p, psi_n, M, seed, corrupt):
+    """Mismatch index of one real trial (r = 2, s = 3, C = 1), or None."""
+    twist_seed = random_twist_seed(field, group, M, seed)
+    rep = verify_twist_identity(field, group, psi_p, psi_n, 2, 3, 1, twist_seed, corrupt=corrupt)
+    return rep.mismatch_index
+
+
 def _twist_runs(q, n, trials, seed, corrupt):
+    """Trials of the twist identity on every character pair: (runs, failures, M).
+
+    Trial 0 of a pair runs for real.  When `twist_laws` hold, every trial of
+    the pair passes, or with `corrupt` fails at `_detectable_index`: C = 1,
+    W(psi_p) != 0 and S_n(v) != 0 there, so no seed hides the perturbation.
+    The other trials take that answer if trial 0 agrees with it.  If a law
+    fails or trial 0 disagrees, every trial runs for real.
+    """
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     field, group = GF(q), UnitGroup(n)
@@ -188,19 +206,24 @@ def _twist_runs(q, n, trials, seed, corrupt):
         for psi_n in all_unit_chars(group):
             if corrupt and psi_n.is_trivial():
                 continue
-            for k in range(trials):
-                twist_seed = random_twist_seed(field, group, M, seed + k)
-                rep = verify_twist_identity(
-                    field, group, psi_p, psi_n, 2, 3, 1, twist_seed, corrupt=corrupt
-                )  # r = 2, s = 3, C = 1
-                runs += 1
-                if not rep.passed:
+            first = _twist_mismatch(field, group, psi_p, psi_n, M, seed, corrupt)
+            predicted = _detectable_index(group, psi_n, M) if corrupt else None
+            if first == predicted and twist_laws(field, group, psi_p, psi_n, M) is None:
+                mismatches = [first] * trials
+            else:
+                mismatches = [first] + [
+                    _twist_mismatch(field, group, psi_p, psi_n, M, seed + k, corrupt)
+                    for k in range(1, trials)
+                ]
+            runs += trials
+            for k, index in enumerate(mismatches):
+                if index is not None:
                     failures.append(
                         {
                             "psi_p": psi_p.exp,
                             "psi_n": list(psi_n.exps),
                             "seed": seed + k,
-                            "mismatch_index": list(rep.mismatch_index),
+                            "mismatch_index": list(index),
                         }
                     )
     return runs, failures, M
@@ -379,6 +402,8 @@ def run(argv=None) -> int:
     for sweep in _vacuous_sweeps(report):
         profile = parse_profile(sweep["profile"])
         print(f"warning: {sweep['check']} on {profile} checked no pairs", file=sys.stderr)
+    if report.get("check") == "twist" and report["runs"] == 0:
+        print(f"warning: twist on q={report['q']}, n={report['n']} ran no trials", file=sys.stderr)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:

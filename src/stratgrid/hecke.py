@@ -811,14 +811,6 @@ def _within(windows, scaled) -> bool:
     return all(lo < sum(scaled[off : off + f]) < hi for off, f, lo, hi in windows)
 
 
-def _in_windows(profile: PrimeProfile, scaled, den: int) -> bool:
-    """`in_interval_region` of the scaled point, in integers.  No sweep calls
-    it: a sweep builds `_windows` once and tests each point with `_within`.
-    It is the entry point of the test that checks the integer windows against
-    `in_interval_region`."""
-    return _within(_windows(profile, den), scaled)
-
-
 def _point_in(profile, den, windows, point) -> tuple[bool, bool]:
     """(in, pure) of one grid point: its `StratumCase` verdict and, on a
     saturation sweep (`windows` is the sweep's `_windows`, else None), the

@@ -24,10 +24,12 @@ from stratgrid.characters import (
     cyclotomic_poly,
     gauss_sum,
     random_twist_seed,
+    twist_laws,
     twisted_sum,
     unit_twisted_sum,
     verify_twist_identity,
 )
+from stratgrid.characters import _detectable_index
 
 GAUSS_ORDERS = (3, 4, 5, 7, 8, 9, 11, 13)
 
@@ -351,6 +353,46 @@ def test_twist_identity_all_characters(q, n):
                 rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, 1, seed)
                 assert rep.passed, (psi_p.exp, psi_n.exps, sd, rep.mismatch_index)
                 assert rep.conductor == M
+
+
+TWIST_PAIRS = [(3, 4), (5, 3), (9, 4), (4, 5), (7, 6), (8, 3)]
+
+
+@pytest.mark.parametrize("q,n", TWIST_PAIRS)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_twist_laws_decide_the_identity_for_every_seed(q, n, seed):
+    """The laws hold on every character pair; so the seed passes, and with
+    `corrupt` it fails at `_detectable_index` or the identity raises where
+    that index does."""
+    F, U, M = _setup(q, n)
+    for psi_p in all_field_chars(F):
+        if psi_p.is_trivial():
+            continue
+        for psi_n in all_unit_chars(U):
+            assert twist_laws(F, U, psi_p, psi_n, M) is None, (psi_p.exp, psi_n.exps)
+            twist_seed = random_twist_seed(F, U, M, seed)
+            for corrupt in (False, True):
+                try:
+                    want = _detectable_index(U, psi_n, M) if corrupt else None
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        verify_twist_identity(F, U, psi_p, psi_n, 2, 3, 1, twist_seed, True)
+                    continue
+                rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, 1, twist_seed, corrupt)
+                assert rep.mismatch_index == want, (psi_p.exp, psi_n.exps, corrupt)
+                assert rep.passed is (want is None)
+
+
+@pytest.mark.parametrize("q,n", TWIST_PAIRS)
+def test_twist_laws_find_row_zero_of_trivial_psi_p(q, n):
+    """T(0) = q - 1 for trivial psi_p, so the factor fails on row 0, at the
+    first unit, exactly when W(psi_n^-1) != 0; the other rows hold."""
+    F, U, M = _setup(q, n)
+    for psi_n in all_unit_chars(U):
+        vanishes = unit_twisted_sum(psi_n.inverse(), 1 % n, M).is_zero()
+        want = None if vanishes else (0, U.units[0])
+        assert twist_laws(F, U, FieldChar(F, 0), psi_n, M) == want, psi_n.exps
 
 
 def test_twist_identity_root_of_unity_scalars():

@@ -2,11 +2,13 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stratgrid import cli
+from stratgrid.characters import GF, UnitGroup, conductor
 
 
 def run_json(capsys, argv):
@@ -391,6 +393,64 @@ def test_verify_twist_bad_q_is_usage_error(capsys):
     assert cli.run(["verify", "twist", "--q", "6", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--q", "2", "--n", "3"],  # GF(2) has no nontrivial psi_p
+        ["--q", "3", "--n", "2", "--corrupt"],  # every psi_n mod 2 is trivial
+        ["--q", "4", "--n", "1", "--corrupt"],  # so is the one psi_n mod 1
+    ],
+)
+def test_verify_twist_warns_when_it_runs_no_trials(capsys, args):
+    """A twist over no character pair keeps its report and exit code, and
+    says so on stderr."""
+    code = cli.run(["verify", "twist", *args])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 0
+    assert rep["runs"] == 0 and rep["pass"] is True
+    assert captured.err.splitlines() == [
+        f"warning: twist on q={args[1]}, n={args[3]} ran no trials"
+    ]
+
+
+def _twist_bytes(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("q,n", [(5, 3), (9, 4), (4, 5)])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_twist_reads_trials_off_the_laws(monkeypatch, q, n, corrupt):
+    """Only trial 0 of a character pair runs, and the report is the one that
+    running every trial gives: a failing law, or with `--corrupt` a trial 0
+    that misses the predicted index, makes every trial run."""
+    argv = ["verify", "twist", "--q", str(q), "--n", str(n), "--seed", "7", "--trials", "3"]
+    argv += ["--corrupt"] if corrupt else []
+    calls = []
+    real = cli.verify_twist_identity
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_twist_identity", counted)
+    derived = _twist_bytes(argv)
+    runs = json.loads(derived[1])["runs"]
+    assert runs == 3 * len(calls) == 3 * len(set(calls)) > 0
+    fallbacks = [("twist_laws", lambda *args: (0, 0))]
+    if corrupt:
+        fallbacks.append(("_detectable_index", lambda *args: (0, 0)))
+    for name, stub in fallbacks:
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, stub)
+            calls.clear()
+            assert _twist_bytes(argv) == derived, name
+            assert len(calls) == runs, name
+
+
 # ---------------------------------------------------------------------------
 # gauss
 
@@ -405,6 +465,60 @@ def test_gauss_quadratic(capsys):
 
 def test_gauss_bad_q(capsys):
     assert cli.run(["gauss", "--q", "6", "--char-exp", "1"]) == 2
+
+
+# A real twist trial costs about pairs * q * n * phi(M)^2 coefficient
+# products; inputs above this (a fifth of a second) are drawn and not run.
+TWIST_FUZZ_PRODUCTS = 200_000
+
+
+def _twist_products(q: int, n: int) -> int:
+    """Rough cost of `verify twist --q q --n n`; 0 on a usage error."""
+    try:
+        field, group = GF(q), UnitGroup(n)
+        M = conductor(field.p, q - 1, n, group.exponent)
+    except ValueError:
+        return 0
+    phi = sum(1 for k in range(M) if math.gcd(k, M) == 1)
+    return (q - 2) * len(group.units) * q * n * phi**2
+
+
+@st.composite
+def gauss_or_twist_argv(draw):
+    q = draw(st.integers(0, 32))
+    if draw(st.booleans()):
+        return ["gauss", f"--q={q}", f"--char-exp={draw(st.integers())}"]
+    n = draw(st.integers(-2, 12))
+    assume(_twist_products(q, n) <= TWIST_FUZZ_PRODUCTS)
+    argv = ["verify", "twist", f"--q={q}", f"--n={n}", f"--trials={draw(st.integers(1, 2))}"]
+    return argv + (["--corrupt"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=120, deadline=None)
+@given(gauss_or_twist_argv())
+@example(["verify", "twist", "--q=5", "--n=3", "--trials=2", "--corrupt"])  # exit 1
+@example(["verify", "twist", "--q=3", "--n=9", "--trials=1", "--corrupt"])  # sums vanish
+@example(["verify", "twist", "--q=2", "--n=3", "--trials=1"])  # no trial
+@example(["verify", "twist", "--q=13", "--n=11", "--trials=1"])  # conductor too large
+@example(["gauss", "--q=16", "--char-exp=1"])  # degree 4
+def test_gauss_and_twist_fuzz_keep_the_exit_contract(argv):
+    """Exit 0 or 1 with a JSON report (and the zero-trial warning when a
+    twist runs no trial), or exit 2 with one `error:` line; never a raise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        return
+    rep = json.loads(out.getvalue())
+    assert rep["check"] == ("gauss" if argv[0] == "gauss" else "twist")
+    assert code == (0 if rep.get("pass", True) else 1)
+    warnings = []
+    if rep["check"] == "twist" and rep["runs"] == 0:
+        warnings.append(f"warning: twist on q={rep['q']}, n={rep['n']} ran no trials")
+    assert lines == warnings
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from stratgrid.hecke import (
     _gen3_edge_ok,
     _hodge_edge_ok,
     _hodge_edge_ranges,
-    _in_windows,
     _last_ranges,
     _on_grid,
     _pred_ranges,
@@ -57,6 +56,8 @@ from stratgrid.hecke import (
     _self_edge_ranges,
     _sweep_point,
     _sweep_points,
+    _windows,
+    _within,
 )
 from stratgrid.regions import Verdict, delta, delta_star, in_interval_region, sigma_case
 
@@ -889,9 +890,10 @@ def test_block_table_lives_for_one_sweep():
 @pytest.mark.parametrize("prof,den", [("p=3;f=2", 27), ("p=5;f=3", 25), ("p=3;f=2,1", 27)])
 def test_integer_window_matches_in_interval_region(prof, den):
     profile = parse_profile(prof)
+    windows = _windows(profile, den)
     seen = set()
     for h in _vertex_and_edge_points(profile, den):
-        got = _in_windows(profile, _on_grid(h, den), den)
+        got = _within(windows, _on_grid(h, den))
         assert got == in_interval_region(h), h.entries
         seen.add(got)
     # the single-prime profiles meet both sides of their windows

@@ -15,7 +15,10 @@ directly.  The report set:
   `--max-counterexamples 50`, and saturation, on the criterion-4 profiles,
   p=2;f=2, the block-swap profiles p=3;f=2,2, p=3;f=1,1,1 and p=2;f=1,3,1,
   and p=3;f=3,1 at small dens, at workers 1 and 3;
-- `verify twist` on six (q, n) pairs, with and without `--corrupt`;
+- `verify twist` on six (q, n) pairs, with and without `--corrupt`, at the
+  default seed and trials and at `--seed 7 --trials 3`;
+- `verify twist` on the inputs that run no trial: q=2, n=3, and q=3, n=2 and
+  q=4, n=1 with `--corrupt`;
 - `gauss` for every q <= 27 except 16 and every character exponent;
 - `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
 - `strata enumerate`, plain, with `--codim 1` and with `--nowhere-etale`, on
@@ -34,7 +37,7 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 871 commands (855
+Stdlib only; tier-1 does not collect it.  A capture of the 886 commands (870
 reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
 sets takes about 13 s on two cores.
 """
@@ -62,6 +65,11 @@ SWEEP_PROFILES = [
 # failures run past the first failing orbit.
 MANY_COUNTEREXAMPLES = "50"
 TWISTS = ((3, 4), (5, 3), (9, 4), (4, 5), (7, 6), (8, 3))
+# Trials past the first at a nonzero seed.
+TWIST_SEEDED = ["--seed", "7", "--trials", "3"]
+# GF(2) has no nontrivial character; mod 2 and mod 1 every character is
+# trivial, which `--corrupt` skips.
+TWISTS_WITHOUT_TRIALS = ((2, 3, []), (3, 2, ["--corrupt"]), (4, 1, ["--corrupt"]))
 GAUSS_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
 COVERAGE_PRIMES = (2, 3, 5, 7, 11)
 MAX_G = 6
@@ -121,6 +129,13 @@ def commands():
         twist = ["verify", "twist", "--q", str(q), "--n", str(n)]
         yield f"twist-q{q}-n{n}", twist
         yield f"twist-q{q}-n{n}-corrupt", twist + ["--corrupt"]
+        yield f"twist-q{q}-n{n}-seed7-trials3", twist + TWIST_SEEDED
+        yield f"twist-q{q}-n{n}-seed7-trials3-corrupt", twist + TWIST_SEEDED + ["--corrupt"]
+    for q, n, extra in TWISTS_WITHOUT_TRIALS:
+        yield (
+            f"twist-q{q}-n{n}{'-corrupt' if extra else ''}",
+            ["verify", "twist", "--q", str(q), "--n", str(n), *extra],
+        )
     for q in GAUSS_ORDERS:
         for e in range(q - 1):
             yield f"gauss-q{q}-e{e}", ["gauss", "--q", str(q), "--char-exp", str(e)]
