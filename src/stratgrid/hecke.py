@@ -37,7 +37,7 @@ local pin (p, den and the genericity flag are fixed).  So the counting pass
 keeps a table keyed by those two, plans and counts each distinct block once,
 and folds a point's counts from its blocks' entries; the table is exact
 because the key is everything the count reads.  It lives for one sweep, or
-for one pool chunk, and nothing outlives the sweep.
+for one cell in a pool, and nothing outlives the sweep.
 
 The sweep enumerates each symmetry orbit once.  The profile has one p, so
 the group G = (prod_i Z_{f_i}) x| (permutations of the blocks of equal size)
@@ -59,22 +59,27 @@ under it:
 - the saturation window reads a block's sum and size.
 
 So the feasible set of g.h is g applied to that of h, the verdict is the
-same, and (points_in, pure, pairs, cx_total) is constant on an orbit.  Every
-point is still decided, and on saturation gets its purity round trip, but
-only the canonical point of an orbit, its least image under G, enumerates
-blocks, and its counts are multiplied by the orbit size (canonical
-representatives as in McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26 (1998); the weight is the orbit-stabiliser count).  The
-least image is built block by block, without listing G: least rotations,
-sorted within each size class.
+same, and (points_in, pure, pairs, cx_total) is constant on an orbit.  Only
+the canonical point of an orbit, its least image under G, enumerates blocks,
+and its counts are multiplied by the orbit size (canonical representatives
+as in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26 (1998);
+the weight is the orbit-stabiliser count).  The least image is built block
+by block, without listing G: least rotations, sorted within each size class.
 
-The records are lexicographic by construction.  The points arrive as one
-ordered stream, and each point's failures come ordered by d and then beta,
-so the first records of the stream are the first by embedding index.  A
-point fails exactly when its canonical point does, and the canonical point
-is the least of its orbit, so the first failure of an orbit in the stream
-sits at its canonical point.  After the counting pass has named the failing
-canonical points, a record pass in the parent walks the stream again and
+The counting pass works one cell of the cube at a time: a vertex, or an open
+edge with its free value t in 1..den-1.  The stratum, the canonical flag and
+the orbit size are the same at every point of a cell (`_cell_orbit` gives
+the argument), so a cell decides them once.  Every point is still decided by
+its own free value, and on saturation gets its window test and purity round
+trip, since a verdict can change along an edge at a threshold.
+
+The records are lexicographic by construction.  The record pass walks the
+points as one ordered stream, and each point's failures come ordered by d
+and then beta, so the first records of the stream are the first by
+embedding index.  A point fails exactly when its canonical point does, and
+the canonical point is the least of its orbit, so the first failure of an
+orbit in the stream sits at its canonical point.  After the counting pass
+has named the failing canonical points, the record pass in the parent
 expands only the points whose canonical point failed, each giving at least
 one record, until the cap is reached: at most that many expansions, with no
 sort, whatever the worker count.
@@ -909,33 +914,88 @@ def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
     return tuple(out), size
 
 
-def _orbit_point(profile, den, drop_genericity, windows, table, point):
-    """One point of the counting pass: (points_in, pure, pairs, cx_total, failed).
+def _cells(g: int, den: int):
+    """The cells of the cube as (first point, free coordinate), scaled.
 
-    Every point gets its own verdict, and on saturation its window test and
-    purity round trip.  Only the canonical point of an orbit counts its
-    blocks, and it counts the pairs and failures of the whole orbit: its own
-    times the orbit size.  Each block's (candidates, failures) is looked up
-    in `table` by its `_block_keys` key, and planned and counted only on a
-    miss.  `failed` is the point when it is canonical and has failures, else
-    None.
+    A cell is one of the 2**g vertices (free coordinate None), or, when
+    den >= 2, one of the g * 2**(g-1) open edges: a base of 0/den entries
+    and the free coordinate beta, whose points take 1..den-1 at beta.  The
+    first point of an edge takes 1.  The cells partition `_grid_candidates`.
     """
-    point_in, pure = _point_in(profile, den, windows, point)
-    if not point_in:
-        return 0, pure, 0, 0, None
-    scaled, stratum = point
-    canon, size = _canonical(profile, scaled)
-    if canon != scaled:
-        return 1, pure, 0, 0, None
+    for vertex in product((0, den), repeat=g):
+        yield vertex, None
+    if den >= 2:
+        for beta in range(g):
+            for corner in product((0, den), repeat=g - 1):
+                yield corner[:beta] + (1,) + corner[beta:], beta
+
+
+def _cell_points(cell, den: int):
+    """The scaled points of a cell, the free value ascending."""
+    first, beta = cell
+    if beta is None:
+        return (first,)
+    return (first[:beta] + (t,) + first[beta + 1 :] for t in range(1, den))
+
+
+def _cell_orbit(profile: PrimeProfile, cell) -> tuple[bool, int]:
+    """(canonical flag, orbit size) of every point of the cell.
+
+    `_canonical` is called once, on the cell's first point.  Off the free
+    coordinate every entry is 0 or den, and the free value t lies strictly
+    between, 0 < t < den.  An image of an edge point under G moves t to
+    some position and keeps the other entries 0 or den, and where t sits
+    does not depend on t.  So whether two images agree at a position does
+    not depend on t, and where they first differ, their two entries are two
+    of 0, t and den, whose order is the same for every t in (0, den).  Which
+    image is least, and how many images are distinct, are therefore the
+    same at every t: the cell's points are all canonical or none is, and
+    they share one orbit size.
+    """
+    first = cell[0]
+    canon, size = _canonical(profile, first)
+    return canon == first, size
+
+
+def _orbit_cell(profile, den, drop_genericity, windows, table, cell):
+    """One cell of the counting pass: (points_in, pure, pairs, cx_total, failed).
+
+    The cell's stratum is decided once from its face masks, and its
+    canonical flag and orbit size once by `_cell_orbit`.  Every point of the
+    cell then gets its own verdict, and on saturation its window test and
+    purity round trip.  Only a canonical cell counts blocks, at each of its
+    In points, and it counts the pairs and failures of the whole orbit: its
+    own times the orbit size.  Each block's (candidates, failures) is looked
+    up in `table` by its `_block_keys` key, and planned and counted only on a
+    miss.  `failed` lists the cell's points that have failures, when the
+    cell is canonical.
+    """
+    stratum = stratum_case(profile, *_entry_masks(cell[0], den))
+    canonical, size = _cell_orbit(profile, cell)
     generic = not drop_genericity
-    counts = []
-    for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
-        count = table.get(key)
-        if count is None:
-            count = table[key] = _block_count(*_block(profile.p, den, generic, *key))
-        counts.append(count)
-    pairs, cx_total = _fold(counts)
-    return 1, pure, size * pairs, size * cx_total, scaled if cx_total else None
+    points_in = pairs = cx_total = 0
+    pure = True
+    failed = []
+    for scaled in _cell_points(cell, den):
+        point_in, point_pure = _point_in(profile, den, windows, (scaled, stratum))
+        pure = pure and point_pure
+        if not point_in:
+            continue
+        points_in += 1
+        if not canonical:
+            continue
+        counts = []
+        for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
+            count = table.get(key)
+            if count is None:
+                count = table[key] = _block_count(*_block(profile.p, den, generic, *key))
+            counts.append(count)
+        point_pairs, point_cx = _fold(counts)
+        pairs += size * point_pairs
+        cx_total += size * point_cx
+        if point_cx:
+            failed.append(scaled)
+    return points_in, pure, pairs, cx_total, failed
 
 
 def _sweep_points(profile: PrimeProfile, den: int):
@@ -958,25 +1018,27 @@ def _run_sweep(
     max_counterexamples: int,
     workers: int,
 ) -> dict:
-    """Sweep the grid points in two ordered passes and fold the results.
+    """Sweep the grid points in two passes and fold the results.
 
-    The counting pass maps `_orbit_point` over the ordered stream of
-    `_sweep_points`: every point is decided, and each orbit's pairs and
-    failures are counted once, at its canonical point.  A canonical point
-    folds its blocks' (candidates, failures) from a table keyed by (block of
-    the scaled h, local pin), the arguments of `_block_plan` that vary
-    within a sweep; p, den and the genericity flag are the sweep's own.  The
-    table is an empty dict in the pass's `partial`, so it lives for one
-    sweep serially and for one chunk in a pool, where `imap` pickles the
-    function with each chunk.  Saturation's windows are also built once
-    here.  With more than one worker a pool
-    maps the stream with `imap`; the counts are sums, so they do not depend
-    on the worker count or the start method.  When there are
-    failures to keep, the record pass walks the same stream in the parent and
-    expands, with `_sweep_point`, only the points whose canonical point
-    failed, until `max_counterexamples` records are kept.  Each point's
-    records are ordered by d and then beta, so these are the
-    lexicographically first by embedding index, with no sort.
+    The counting pass maps `_orbit_cell` over the cells of the cube
+    (`_cells`): each cell decides its stratum and its orbit once, every
+    point is decided, and each orbit's pairs and failures are counted once,
+    at its canonical point.  A canonical point folds its blocks'
+    (candidates, failures) from a table keyed by (block of the scaled h,
+    local pin), the arguments of `_block_plan` that vary within a sweep; p,
+    den and the genericity flag are the sweep's own.  The table is an empty
+    dict in the pass's `partial`, so it lives for one sweep serially and for
+    one cell in a pool, which pickles the function with each task.
+    Saturation's windows are also built once here.  With more than one
+    worker a pool maps the cells with `imap_unordered`: the counts are sums,
+    an AND and a set of failing canonical points, so they depend neither on
+    the order the cells come back in nor on the worker count or the start
+    method.  When there are failures to keep, the record pass walks the
+    ordered stream of `_sweep_points` in the parent and expands, with
+    `_sweep_point`, only the points whose canonical point failed, until
+    `max_counterexamples` records are kept.  Each point's records are
+    ordered by d and then beta, so these are the lexicographically first by
+    embedding index, with no sort.
     """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
@@ -992,23 +1054,20 @@ def _run_sweep(
     total = 2**g + g * 2 ** (g - 1) * (den - 1)
     windows = _windows(profile, den) if saturation_only else None
     # the last argument is the sweep's table of block counts
-    sweep = partial(_orbit_point, profile, den, drop_genericity, windows, {})
-    cands = _sweep_points(profile, den)
-    n = min(workers, total)
+    sweep = partial(_orbit_cell, profile, den, drop_genericity, windows, {})
+    cells = list(_cells(g, den))
+    n = min(workers, len(cells))
     points_in = pairs = cx_total = 0
     pure = True
     failed = set()
     with multiprocessing.Pool(n) if n > 1 else nullcontext() as pool:
-        # about four chunks per worker, as `Pool.map` would choose
-        chunksize = _ceil_div(total, 4 * n)
-        results = pool.imap(sweep, cands, chunksize) if pool else map(sweep, cands)
-        for point_in, point_pure, point_pairs, point_cx, failing in results:
-            points_in += point_in
-            pure = pure and point_pure
-            pairs += point_pairs
-            cx_total += point_cx
-            if failing is not None:
-                failed.add(failing)
+        results = pool.imap_unordered(sweep, cells) if pool else map(sweep, cells)
+        for cell_in, cell_pure, cell_pairs, cell_cx, failing in results:
+            points_in += cell_in
+            pure = pure and cell_pure
+            pairs += cell_pairs
+            cx_total += cell_cx
+            failed.update(failing)
     cx = []
     if failed and max_counterexamples:
         for point in _sweep_points(profile, den):

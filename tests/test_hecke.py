@@ -41,8 +41,12 @@ from stratgrid.hecke import (
     _block_runs,
     _blocks,
     _canonical,
+    _cell_orbit,
+    _cell_points,
+    _cells,
     _cx_record,
     _gen3_edge_ok,
+    _grid_candidates,
     _hodge_edge_ok,
     _hodge_edge_ranges,
     _last_ranges,
@@ -752,10 +756,15 @@ def test_feasible_set_and_sigma_case_are_equivariant(data):
         assert g_case.beta0 == _act_index(profile, element, case.beta0)
 
 
-@pytest.mark.parametrize(
-    "prof,den,order",
-    [("p=3;f=2,2", 6, 8), ("p=2;f=1,3,1", 4, 6), ("p=5;f=1,1,1", 5, 6), ("p=3;f=3", 9, 3)],
-)
+CANONICAL_CASES = [
+    ("p=3;f=2,2", 6, 8),
+    ("p=2;f=1,3,1", 4, 6),
+    ("p=5;f=1,1,1", 5, 6),
+    ("p=3;f=3", 9, 3),
+]
+
+
+@pytest.mark.parametrize("prof,den,order", CANONICAL_CASES)
 def test_canonical_point_and_orbit_size_match_brute_force(prof, den, order):
     """The least image and the orbit size, built without listing G, equal
     the least and the count of all images over the listed group; the orbit
@@ -770,6 +779,25 @@ def test_canonical_point_and_orbit_size_match_brute_force(prof, den, order):
         if min(orbit) == scaled:
             weights += len(orbit)
     assert weights == verify_sigma_up(profile, den)["grid_points"]
+
+
+@pytest.mark.parametrize(
+    "prof,den", [(prof, d) for prof, den, _ in CANONICAL_CASES for d in (1, 2, den)]
+)
+def test_cells_partition_the_grid(prof, den):
+    """The cells' points are the grid's points, each once, and a cell's
+    canonical flag and orbit size, decided once, are those `_canonical` gives
+    at every one of its points."""
+    profile = parse_profile(prof)
+    points = []
+    for cell in _cells(profile.g, den):
+        canonical, size = _cell_orbit(profile, cell)
+        for scaled in _cell_points(cell, den):
+            canon, want = _canonical(profile, scaled)
+            assert (canon == scaled, want) == (canonical, size), (cell, scaled)
+            points.append(scaled)
+    assert sorted(points) == list(_grid_candidates(profile.g, den))
+    assert len(points) == verify_sigma_up(profile, den)["grid_points"]
 
 
 def _full_stream_report(profile, den, drop, saturation_only, keep):

@@ -15,6 +15,9 @@ directly.  The report set:
   `--max-counterexamples 50`, and saturation, on the criterion-4 profiles,
   p=2;f=2, the block-swap profiles p=3;f=2,2, p=3;f=1,1,1 and p=2;f=1,3,1,
   and p=3;f=3,1 at small dens, at workers 1 and 3;
+- sigma-up with genericity on and dropped, and saturation, on p=3;f=2,1 and
+  p=3;f=2,2 at den 1 (vertices only) and den 2 (one point per open edge), at
+  workers 1 and 3;
 - `verify twist` on six (q, n) pairs, with and without `--corrupt`, at the
   default seed and trials and at `--seed 7 --trials 3`;
 - `verify twist` on the inputs that run no trial: q=2, n=3, and q=3, n=2 and
@@ -37,7 +40,7 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 886 commands (870
+Stdlib only; tier-1 does not collect it.  A capture of the 910 commands (894
 reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
 sets takes about 13 s on two cores.
 """
@@ -54,6 +57,9 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 from workloads import SWEEPS  # noqa: E402
 
 SMALL_DENS = {2: 24, 3: 54, 5: 50}
+# The dens at which a sweep's cells have one point each.
+TINY_DENS = (1, 2)
+TINY_PROFILES = ("p=3;f=2,1", "p=3;f=2,2")
 # The criterion-4 profiles, p=2;f=2, profiles whose blocks of equal size can
 # be swapped, so that the sweeps pin down the block-swap orbits, and
 # p=3;f=3,1, whose pinned three-entry block sits beside a size-1 block (at den
@@ -125,6 +131,16 @@ def commands():
                 ],
             )
             yield f"saturation-{profile}-d{den}-w{w}", ["verify", "saturation", *common]
+    for profile in TINY_PROFILES:
+        for den in TINY_DENS:
+            for w in ("1", "3"):
+                common = ["--profile", profile, "--den", str(den), "--workers", w]
+                yield f"sigma-up-{profile}-d{den}-w{w}", ["verify", "sigma-up", *common]
+                yield (
+                    f"sigma-up-dropped-{profile}-d{den}-w{w}",
+                    ["verify", "sigma-up", *common, "--drop-genericity"],
+                )
+                yield f"saturation-{profile}-d{den}-w{w}", ["verify", "saturation", *common]
     for q, n in TWISTS:
         twist = ["verify", "twist", "--q", str(q), "--n", str(n)]
         yield f"twist-q{q}-n{n}", twist
