@@ -37,7 +37,7 @@ local pin (p, den and the genericity flag are fixed).  So the counting pass
 keeps a table keyed by those two, plans and counts each distinct block once,
 and folds a point's counts from its blocks' entries; the table is exact
 because the key is everything the count reads.  It lives for one sweep, or
-for one cell in a pool, and nothing outlives the sweep.
+for one share of a sweep split over workers, and nothing outlives the sweep.
 
 The sweep enumerates each symmetry orbit once.  The profile has one p, so
 the group G = (prod_i Z_{f_i}) x| (permutations of the blocks of equal size)
@@ -71,7 +71,11 @@ edge with its free value t in 1..den-1.  The stratum, the canonical flag and
 the orbit size are the same at every point of a cell (`_cell_orbit` gives
 the argument), so a cell decides them once.  Every point is still decided by
 its own free value, and on saturation gets its window test and purity round
-trip, since a verdict can change along an edge at a threshold.
+trip, since a verdict can change along an edge at a threshold.  With n
+workers the pass is cut into n shares of every n-th point, taken in cell
+order, so the shares hold near-equal parts of every edge.  A share decides a
+cell only where it holds one of its points; the parent runs one share and a
+child process each of the others.
 
 The records are lexicographic by construction.  The record pass walks the
 points as one ordered stream, and each point's failures come ordered by d
@@ -87,10 +91,8 @@ sort, whatever the worker count.
 from __future__ import annotations
 
 import multiprocessing
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import prod
 
@@ -930,12 +932,15 @@ def _cells(g: int, den: int):
                 yield corner[:beta] + (1,) + corner[beta:], beta
 
 
-def _cell_points(cell, den: int):
-    """The scaled points of a cell, the free value ascending."""
+def _cell_points(cell, den: int, start: int = 0, step: int = 1):
+    """The scaled points of a cell, the free value ascending: from its
+    start-th point, every step-th."""
     first, beta = cell
     if beta is None:
-        return (first,)
-    return (first[:beta] + (t,) + first[beta + 1 :] for t in range(1, den))
+        return (first,)[start::step]
+    return (
+        first[:beta] + (t,) + first[beta + 1 :] for t in range(1, den)[start::step]
+    )
 
 
 def _cell_orbit(profile: PrimeProfile, cell) -> tuple[bool, int]:
@@ -957,17 +962,18 @@ def _cell_orbit(profile: PrimeProfile, cell) -> tuple[bool, int]:
     return canon == first, size
 
 
-def _orbit_cell(profile, den, drop_genericity, windows, table, cell):
-    """One cell of the counting pass: (points_in, pure, pairs, cx_total, failed).
+def _orbit_cell(profile, den, drop_genericity, windows, table, cell, start, step):
+    """Some points of one cell in the counting pass: (points_in, pure, pairs,
+    cx_total, failed) of the cell's points from its start-th, every step-th.
 
     The cell's stratum is decided once from its face masks, and its
-    canonical flag and orbit size once by `_cell_orbit`.  Every point of the
-    cell then gets its own verdict, and on saturation its window test and
-    purity round trip.  Only a canonical cell counts blocks, at each of its
+    canonical flag and orbit size once by `_cell_orbit`.  Every point taken
+    then gets its own verdict, and on saturation its window test and purity
+    round trip.  Only a canonical cell counts blocks, at each of its
     In points, and it counts the pairs and failures of the whole orbit: its
     own times the orbit size.  Each block's (candidates, failures) is looked
     up in `table` by its `_block_keys` key, and planned and counted only on a
-    miss.  `failed` lists the cell's points that have failures, when the
+    miss.  `failed` lists the points taken that have failures, when the
     cell is canonical.
     """
     stratum = stratum_case(profile, *_entry_masks(cell[0], den))
@@ -976,7 +982,7 @@ def _orbit_cell(profile, den, drop_genericity, windows, table, cell):
     points_in = pairs = cx_total = 0
     pure = True
     failed = []
-    for scaled in _cell_points(cell, den):
+    for scaled in _cell_points(cell, den, start, step):
         point_in, point_pure = _point_in(profile, den, windows, (scaled, stratum))
         pure = pure and point_pure
         if not point_in:
@@ -996,6 +1002,56 @@ def _orbit_cell(profile, den, drop_genericity, windows, table, cell):
         if point_cx:
             failed.append(scaled)
     return points_in, pure, pairs, cx_total, failed
+
+
+def _held_cells(g: int, den: int, n: int, k: int):
+    """(cell, start) of each cell, in `_cells` order, holding points of share
+    k of n.  Numbered in `_cells` order, the cube's points of index k mod n
+    are the share's, and start is the index within the cell of its first."""
+    index = 0  # of the cell's first point
+    for cell in _cells(g, den):
+        size = 1 if cell[1] is None else den - 1
+        start = (k - index) % n
+        if start < size:
+            yield cell, start
+        index += size
+
+
+def _total(results) -> tuple[int, bool, int, int, set]:
+    """Fold counting-pass results: sums, an AND, and a set of the failing
+    canonical points.  None of these depends on the order of `results`."""
+    points_in = pairs = cx_total = 0
+    pure = True
+    failed = set()
+    for part_in, part_pure, part_pairs, part_cx, part_failed in results:
+        points_in += part_in
+        pure = pure and part_pure
+        pairs += part_pairs
+        cx_total += part_cx
+        failed.update(part_failed)
+    return points_in, pure, pairs, cx_total, failed
+
+
+def _share(profile, den, drop_genericity, windows, n, k):
+    """Share k of n of the counting pass, folded by `_total`: `_orbit_cell`
+    on the points of each cell the share holds (`_held_cells`), with one
+    table of block counts for the whole share."""
+    table = {}
+    return _total(
+        _orbit_cell(profile, den, drop_genericity, windows, table, cell, start, n)
+        for cell, start in _held_cells(profile.g, den, n, k)
+    )
+
+
+def _share_child(conn, *args) -> None:
+    """Process entry of a share: send (True, result), or (False, the
+    exception) when the share raises, and close the pipe."""
+    try:
+        conn.send((True, _share(*args)))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
 
 
 def _sweep_points(profile: PrimeProfile, den: int):
@@ -1020,25 +1076,27 @@ def _run_sweep(
 ) -> dict:
     """Sweep the grid points in two passes and fold the results.
 
-    The counting pass maps `_orbit_cell` over the cells of the cube
+    The counting pass runs `_orbit_cell` over the cells of the cube
     (`_cells`): each cell decides its stratum and its orbit once, every
     point is decided, and each orbit's pairs and failures are counted once,
     at its canonical point.  A canonical point folds its blocks'
     (candidates, failures) from a table keyed by (block of the scaled h,
     local pin), the arguments of `_block_plan` that vary within a sweep; p,
-    den and the genericity flag are the sweep's own.  The table is an empty
-    dict in the pass's `partial`, so it lives for one sweep serially and for
-    one cell in a pool, which pickles the function with each task.
-    Saturation's windows are also built once here.  With more than one
-    worker a pool maps the cells with `imap_unordered`: the counts are sums,
-    an AND and a set of failing canonical points, so they depend neither on
-    the order the cells come back in nor on the worker count or the start
-    method.  When there are failures to keep, the record pass walks the
-    ordered stream of `_sweep_points` in the parent and expands, with
-    `_sweep_point`, only the points whose canonical point failed, until
-    `max_counterexamples` records are kept.  Each point's records are
-    ordered by d and then beta, so these are the lexicographically first by
-    embedding index, with no sort.
+    den and the genericity flag are the sweep's own.  Saturation's windows
+    are built once here.  The pass is split into n = min(workers, cells)
+    shares (`_share`): share k takes every n-th point of the cube from the
+    k-th, so each edge is spread over all shares, and keeps one block table.
+    The parent runs share 0 itself and starts one process with a one-way
+    pipe for each other share, so one worker starts no process.  The counts
+    fold by `_total`, so they depend neither on the order the shares finish
+    in nor on the worker count or the start method.  A share's exception is
+    raised again in the parent, and every child is joined before the sweep
+    returns or raises, terminated first if anything raised.  When there are
+    failures to keep, the record pass walks the ordered stream of
+    `_sweep_points` in the parent and expands, with `_sweep_point`, only the
+    points whose canonical point failed, until `max_counterexamples` records
+    are kept.  Each point's records are ordered by d and then beta, so these
+    are the lexicographically first by embedding index, with no sort.
     """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
@@ -1053,21 +1111,31 @@ def _run_sweep(
     g = profile.g
     total = 2**g + g * 2 ** (g - 1) * (den - 1)
     windows = _windows(profile, den) if saturation_only else None
-    # the last argument is the sweep's table of block counts
-    sweep = partial(_orbit_cell, profile, den, drop_genericity, windows, {})
-    cells = list(_cells(g, den))
-    n = min(workers, len(cells))
-    points_in = pairs = cx_total = 0
-    pure = True
-    failed = set()
-    with multiprocessing.Pool(n) if n > 1 else nullcontext() as pool:
-        results = pool.imap_unordered(sweep, cells) if pool else map(sweep, cells)
-        for cell_in, cell_pure, cell_pairs, cell_cx, failing in results:
-            points_in += cell_in
-            pure = pure and cell_pure
-            pairs += cell_pairs
-            cx_total += cell_cx
-            failed.update(failing)
+    n = min(workers, 2**g + (g * 2 ** (g - 1) if den >= 2 else 0))  # at most the cells
+    args = (profile, den, drop_genericity, windows, n)
+    children = []
+    try:
+        for k in range(1, n):
+            conn, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_share_child, args=(send, *args, k))
+            child.start()
+            send.close()
+            children.append((child, conn))
+        results = [_share(*args, 0)]
+        for _, conn in children:
+            ok, result = conn.recv()
+            if not ok:
+                raise result
+            results.append(result)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, conn in children:
+            child.join()
+            conn.close()
+    points_in, pure, pairs, cx_total, failed = _total(results)
     cx = []
     if failed and max_counterexamples:
         for point in _sweep_points(profile, den):

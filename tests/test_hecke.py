@@ -20,6 +20,7 @@ from stratgrid.degrees import (
     hodge_height,
     raynaud_feasible,
 )
+from stratgrid.cli import run
 from stratgrid.embeddings import parse_profile
 from stratgrid.hecke import (
     BkResult,
@@ -47,6 +48,7 @@ from stratgrid.hecke import (
     _cx_record,
     _gen3_edge_ok,
     _grid_candidates,
+    _held_cells,
     _hodge_edge_ok,
     _hodge_edge_ranges,
     _last_ranges,
@@ -58,8 +60,10 @@ from stratgrid.hecke import (
     _raynaud_ok,
     _run_failures,
     _self_edge_ranges,
+    _share,
     _sweep_point,
     _sweep_points,
+    _total,
     _windows,
     _within,
 )
@@ -610,19 +614,74 @@ def test_sweep_deterministic_across_workers(prof, den, caps, worker_counts):
 
 
 def test_sweep_byte_identical_under_spawn(monkeypatch):
+    """Children started by spawn, in fresh interpreters: exactly workers - 1
+    of them run to the end, and the report is the serial one."""
     profile = parse_profile("p=3;f=2,1")
     serial = verify_sigma_up(profile, 12, drop_genericity=True)
-    spawn_pool = multiprocessing.get_context("spawn").Pool
+    spawn_process = multiprocessing.get_context("spawn").Process
     made = []
 
-    def pool(n):
-        made.append(n)
-        return spawn_pool(n)
+    def process(*args, **kwargs):
+        made.append(spawn_process(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
-    spawned = verify_sigma_up(profile, 12, drop_genericity=True, workers=2)
-    assert made == [2]
+    monkeypatch.setattr(multiprocessing, "Process", process)
+    spawned = verify_sigma_up(profile, 12, drop_genericity=True, workers=3)
+    assert [child.exitcode for child in made] == [0, 0]
     assert json.dumps(spawned, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+@pytest.mark.parametrize("failing", [0, 2])
+def test_share_error_exits_2_and_leaves_no_child(failing, monkeypatch, capsys):
+    """A share that raises, in the parent (share 0) or in a child, raises
+    the same exception type from the sweep, so the CLI exits 2 with one
+    line, and every child has been joined."""
+    # forked children run the stubbed share too
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    share = hecke._share
+
+    def stub(*args):
+        if args[-1] == failing:
+            raise ValueError(f"share {failing} failed")
+        return share(*args)
+
+    monkeypatch.setattr(hecke, "_share", stub)
+    with pytest.raises(ValueError, match=f"share {failing} failed"):
+        verify_sigma_up(parse_profile("p=3;f=2"), 24, workers=3)
+    assert multiprocessing.active_children() == []
+    argv = ["verify", "sigma-up", "--profile", "p=3;f=2", "--den", "24", "--workers", "3"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: share {failing} failed\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_starts_fewer_children_than_cells(monkeypatch):
+    """p=3;f=2 at den 4 has 8 cells, so workers=50 makes 8 shares: 7
+    children, counted by a fake that runs each share in-process."""
+    started = []
+
+    class Counted:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self.args[-1])
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Process", Counted)
+    profile = parse_profile("p=3;f=2")
+    rep = verify_sigma_up(profile, 4, drop_genericity=True, workers=50)
+    assert started == list(range(1, 8))
+    assert rep == verify_sigma_up(profile, 4, drop_genericity=True)
 
 
 @pytest.mark.parametrize(
@@ -798,6 +857,39 @@ def test_cells_partition_the_grid(prof, den):
             points.append(scaled)
     assert sorted(points) == list(_grid_candidates(profile.g, den))
     assert len(points) == verify_sigma_up(profile, den)["grid_points"]
+
+
+@pytest.mark.parametrize("prof,den", [(prof, den) for prof, den, _ in CANONICAL_CASES])
+def test_shares_partition_the_grid(prof, den, monkeypatch):
+    """For n = 1..5, share k visits every n-th point of the cells' points
+    from the k-th, so the shares visit the grid's points each once; their
+    counts fold to the one-share sweep's; and each share plans a distinct
+    block at most once."""
+    profile = parse_profile(prof)
+    stream = [pt for cell in _cells(profile.g, den) for pt in _cell_points(cell, den)]
+    assert sorted(stream) == list(_grid_candidates(profile.g, den))
+    keys = []
+    plan = hecke._block_plan
+
+    def counted(p, den, s, generic_active, pin):
+        keys.append((s, pin))
+        return plan(p, den, s, generic_active, pin)
+
+    monkeypatch.setattr(hecke, "_block_plan", counted)
+    for drop, windows in ((True, None), (False, _windows(profile, den))):
+        whole = _share(profile, den, drop, windows, 1, 0)
+        if windows is None:
+            assert whole[2] > 0  # pairs are counted
+        for n in range(1, 6):
+            parts = []
+            for k in range(n):
+                held = _held_cells(profile.g, den, n, k)
+                points = [pt for cell, start in held for pt in _cell_points(cell, den, start, n)]
+                assert points == stream[k::n], (n, k)
+                keys.clear()
+                parts.append(_share(profile, den, drop, windows, n, k))
+                assert len(keys) == len(set(keys)), (n, k)
+            assert _total(parts) == whole, (drop, n)
 
 
 def _full_stream_report(profile, den, drop, saturation_only, keep):
