@@ -9,6 +9,23 @@ Every term of a character sum is a power zeta_M^e, so the sums are counted in
 Z[x]/(x^M - 1), one counter per exponent e mod M, and reduced once modulo
 Phi_M.  That is exact because Phi_M divides x^M - 1.
 
+The ring arithmetic runs in C big-integer operations:
+
+- Phi_m is the Mobius product of (1 - x^d)^mu(m/d) over d | m, one in-place
+  pass per squarefree cofactor m/d.
+- A product packs each operand into one integer, a signed machine word per
+  coefficient sized from the actual coefficient bound, and multiplies once
+  (Kronecker substitution: von zur Gathen and Gerhard, *Modern Computer
+  Algebra*, section 8.4).  An operand with few nonzero coefficients, such as
+  a root of unity or an integer, stays schoolbook, one C-level row per
+  nonzero coefficient: packing costs several microseconds whatever the size.
+- Reduction modulo Phi_m is the reversed-inverse (Newton) division on the
+  packed integers.  1/Phi_m is -Psi_m repeated with period m, where
+  Psi_m = (x^m - 1)/Phi_m, so the same Mobius product gives it.  A product
+  that is divided this way is never unpacked in between.  Short dividends
+  stay schoolbook over the nonzero terms of Phi_m, and a dividend of at most
+  phi(m) coefficients is not divided at all.
+
 The twist identity is linear in the seed, and at every index both of its
 sides are the seed coefficient times a factor free of the seed.  Every seed
 coefficient is nonzero and Z[zeta_M] is a domain, so the factors decide the
@@ -24,10 +41,13 @@ factors; `verify_twist_identity` checks the identity on one seed.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product, repeat
 from math import gcd, lcm
+from operator import add, mul, sub
 from random import Random
 
 from .embeddings import _is_prime
@@ -74,66 +94,168 @@ class TrivialCharacter(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (dense ascending coefficient tuples)
+# integer polynomials (dense ascending coefficient sequences)
+
+# Costs in coefficient steps, measured: a schoolbook row (one nonzero
+# coefficient of a times all of b, in C) costs len(b) + _ROW_COST; packing
+# both operands and one big-integer product cost len(a) + len(b) +
+# _PACK_COST.  So monomials and other sparse operands stay schoolbook at any
+# length.
+_ROW_COST = 16
+_PACK_COST = 48
+# Below this many schoolbook steps (leading coefficients times nonzero lower
+# terms of Phi_m), the schoolbook remainder beats the packed one.
+_PACK_MIN_REM_STEPS = 500
+# Machine words that `array` packs in one call: byte size -> typecode.
+_WORDS = {array(t).itemsize: t for t in "qlihb"}
 
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _top(a) -> int:
+    """Index of the last nonzero coefficient of a, -1 if there is none."""
+    return next(compress(range(len(a) - 1, -1, -1), reversed(a)), -1)
+
+
+def _schoolbook_mul(a, b) -> tuple[int, ...]:
+    """Product of a and b, one C-level row per nonzero coefficient of a."""
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i in compress(range(len(a)), a):
+        out[i : i + lb] = map(add, out[i : i + lb], map(mul, b, repeat(a[i])))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _mask(n: int, size: int) -> int:
+    """The integer with the top bit of each of n size-byte digits set."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _pack(a, size: int) -> int:
+    """a evaluated at 2^(8 size), for |coefficients| below 2^(8 size - 1).
+
+    The digits are read as two's complement words in one call; flipping each
+    top bit turns the word of x into x + 2^(8 size - 1), so subtracting the
+    mask leaves the signed sum.
+    """
+    if size in _WORDS:
+        words = array(_WORDS[size], a)
+        if sys.byteorder != "little":
+            words.byteswap()
+        raw = words.tobytes()
+    else:
+        raw = b"".join(x.to_bytes(size, "little", signed=True) for x in a)
+    mask = _mask(len(a), size)
+    return (int.from_bytes(raw, "little") ^ mask) - mask
+
+
+def _unpack(v: int, n: int, size: int) -> list[int]:
+    """The n signed size-byte digits of v; inverse of `_pack`."""
+    mask = _mask(n, size)
+    raw = ((v + mask) ^ mask).to_bytes(n * size, "little")
+    if size in _WORDS:
+        words = array(_WORDS[size])
+        words.frombytes(raw)
+        if sys.byteorder != "little":
+            words.byteswap()
+        return words.tolist()
+    return [
+        int.from_bytes(raw[i : i + size], "little", signed=True)
+        for i in range(0, len(raw), size)
+    ]
+
+
+def _word_size(bound: int) -> int:
+    """Bytes of the smallest digit that holds every integer of absolute value
+    at most `bound` in two's complement, rounded up to a machine word when
+    one is wide enough."""
+    size = (bound.bit_length() + 8) // 8
+    if size not in _WORDS and size < max(_WORDS):
+        size = min(w for w in _WORDS if w >= size)
+    return size
+
+
+def _packed_mul(a, b, bound: int) -> list[int]:
+    """Product of a and b (len(a) + len(b) - 1 coefficients, untrimmed) by
+    Kronecker substitution: one big-integer product of the packed operands.
+
+    `bound` caps every product coefficient and every operand coefficient in
+    absolute value, so each fits one signed digit and the product is exact.
+    """
+    size = _word_size(bound)
+    return _unpack(_pack(a, size) * _pack(b, size), len(a) + len(b) - 1, size)
+
+
+def _high_digits(v: int, j: int, bits: int) -> int:
+    """The packed digits of v from position j up, when every digit of v
+    below j is a signed (bits)-bit digit."""
+    if j == 0:
+        return v
+    return (v + (1 << (bits * j - 1))) >> (bits * j)
+
+
+def _max_abs(a) -> int:
+    return max(max(a), -min(a))
+
+
+def _operands(a, b):
+    """(a, b, bound) for a product: the operands trimmed, the one with fewer
+    nonzero coefficients first, and a bound on the coefficients of the
+    product if packing it pays, else 0.  None if either operand is zero."""
+    ta, tb = _top(a), _top(b)
+    if ta < 0 or tb < 0:
+        return None
+    a, b = a[: ta + 1], b[: tb + 1]
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if na > nb:
+        a, b, na = b, a, nb
+    if na * (len(b) + _ROW_COST) <= len(a) + len(b) + _PACK_COST:
+        return a, b, 0
+    return a, b, na * _max_abs(a) * _max_abs(b)
+
+
+def _product(a, b, bound: int):
+    """The product of operands prepared by `_operands`."""
+    return _packed_mul(a, b, bound) if bound else _schoolbook_mul(a, b)
 
 
 def _poly_mul(a, b) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
+    """Product of two integer polynomials, trailing zeros trimmed.
 
-
-def _poly_rem(a, b) -> tuple[int, ...]:
-    """Remainder of a by monic b, exact over the integers.
-
-    Only the nonzero lower coefficients of b are visited: cyclotomic
-    polynomials are sparse (Phi_506 has 41 nonzero coefficients of 221).
+    Schoolbook when an operand has few nonzero coefficients, else packed.
     """
-    a = list(a)
-    db = len(b) - 1
-    assert b[-1] == 1
-    terms = [(j, y) for j, y in enumerate(b[:-1]) if y]
-    for top in range(len(a) - 1, db - 1, -1):
-        lead = a[top]
-        if lead:
-            shift = top - db
-            for j, y in terms:
-                a[shift + j] -= lead * y
-    del a[db:]
-    return _poly_trim(a)
+    plan = _operands(a, b)
+    return tuple(_product(*plan)) if plan else ()
 
 
-def _poly_div_exact(a, b) -> tuple[int, ...]:
-    """Quotient of a by monic b when the division is exact."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        q[shift] = lead
-        if lead:
-            for j, y in enumerate(b):
-                a[shift + j] -= lead * y
-        while a and a[-1] == 0:
-            a.pop()
-    assert not a, "division was not exact"
-    return _poly_trim(q)
+def _mobius_factors(m: int) -> list[tuple[int, int]]:
+    """(d, mu(m/d)) for the divisors d of m with m/d squarefree."""
+    out = [(m, 1)]
+    for _, p in _prime_power_factors(m):
+        out += [(d // p, -mu) for d, mu in out]
+    return out
 
 
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
+def _times_one_minus(s: list[int], d: int) -> None:
+    """s *= 1 - x^d, truncated to len(s), in place."""
+    s[d:] = map(sub, s[d:], s[: len(s) - d])
+
+
+def _over_one_minus(s: list[int], d: int) -> None:
+    """s /= 1 - x^d as a power series truncated to len(s), in place."""
+    for i in range(d, len(s), d):
+        s[i : i + d] = map(add, s[i : i + d], s[i - d : i])
+
+
+def _cyclotomic_series(m: int, n: int, power: int) -> list[int]:
+    """First n coefficients of Phi_m^power (power = 1 or -1) for m >= 2,
+    from Phi_m = prod over d | m of (1 - x^d)^mu(m/d)."""
+    s = [1] + [0] * (n - 1)
+    for d, mu in _mobius_factors(m):
+        if mu * power > 0:
+            _times_one_minus(s, d)
+        else:
+            _over_one_minus(s, d)
+    return s
 
 
 @lru_cache(maxsize=None)
@@ -143,14 +265,122 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         raise ValueError("conductor must be >= 1")
     if m == 1:
         return (-1, 1)
-    num = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
-    for d in _divisors(m)[:-1]:
-        num = _poly_div_exact(num, cyclotomic_poly(d))
-    return num
+    return tuple(_cyclotomic_series(m, _euler_phi(m) + 1, 1))
 
 
-def _phi_deg(m: int) -> int:
-    return len(cyclotomic_poly(m)) - 1
+@dataclass(frozen=True, slots=True)
+class _Divisor:
+    """Phi_m as a divisor.
+
+    `terms` holds (j, c) for the nonzero coefficients c of x^j below the top.
+    For m >= 2, `series` holds the first m coefficients of the power series
+    1/Phi_m(x), which is -Psi_m(x) (1 + x^m + x^2m + ...) with Psi_m =
+    (x^m - 1)/Phi_m of degree below m: they repeat with period m.  Phi_m is
+    palindromic for m >= 2, so this is also 1/rev(Phi_m).  `growth`, 1 plus
+    the L1 norms of one period of the series and of Phi_m multiplied, bounds
+    how much a packed division can grow a coefficient.
+    """
+
+    m: int
+    deg: int
+    terms: tuple[tuple[int, int], ...]
+    series: tuple[int, ...]
+    growth: int
+
+
+@lru_cache(maxsize=None)
+def _divisor(m: int) -> _Divisor:
+    phi = cyclotomic_poly(m)
+    terms = tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+    series = tuple(_cyclotomic_series(m, m, -1)) if m > 1 else ()
+    growth = 1 + sum(map(abs, series)) * sum(map(abs, phi))
+    return _Divisor(m, len(phi) - 1, terms, series, growth)
+
+
+@lru_cache(maxsize=256)
+def _packed_divisor(m: int, k: int, size: int) -> tuple[int, int]:
+    """The first k coefficients of 1/Phi_m reversed, and Phi_m, packed."""
+    return _pack(_divisor(m).series[k - 1 :: -1], size), _pack(cyclotomic_poly(m), size)
+
+
+def _schoolbook_rem(a: list[int], terms, deg: int) -> list[int]:
+    """a mod the monic polynomial x^deg + sum c x^j over `terms`, in place."""
+    for top in range(len(a) - 1, deg - 1, -1):
+        lead = a[top]
+        if lead:
+            shift = top - deg
+            for j, c in terms:
+                a[shift + j] -= lead * c
+    del a[deg:]
+    return a
+
+
+def _packs_rem(n: int, div: _Divisor) -> bool:
+    """Whether a dividend of n coefficients is divided packed."""
+    return div.m > 1 and (n - div.deg) * len(div.terms) >= _PACK_MIN_REM_STEPS
+
+
+def _packed_rem(packed: int, n: int, div: _Divisor, size: int) -> list[int]:
+    """a mod Phi_m for a packed dividend a of n <= m + deg coefficients, by
+    the reversed-inverse (Newton) division on packed integers: two products
+    and one unpack.
+
+    With a = q Phi_m + r and k = n - deg, let h be the coefficients of a from
+    x^deg up and s the first k of 1/Phi_m.  Then rev(q) = rev(h) s mod x^k,
+    that is, q is h times rev(s) from x^(k-1) up; and r = a - q Phi_m.  Every
+    coefficient met, of a, h rev(s) and r, is at most max|a| times
+    `div.growth`: the digits of `size` bytes must hold that.  The digits of
+    q Phi_m need no bound, since a - q Phi_m = r exactly.
+    """
+    k = n - div.deg
+    bits = 8 * size
+    rev_series, phi = _packed_divisor(div.m, k, size)
+    q = _high_digits(_high_digits(packed, div.deg, bits) * rev_series, k - 1, bits)
+    return _unpack(packed - q * phi, div.deg, size)
+
+
+def _reduce(a, m: int) -> list[int]:
+    """a mod Phi_m as exactly phi(m) coefficients, exact over the integers.
+
+    Coefficients from x^m up are first folded down, since Phi_m divides
+    x^m - 1.  Schoolbook visits only the nonzero lower terms of Phi_m (Phi_506
+    has 41 nonzero coefficients of 221); the packed division wins once the
+    leading coefficients times those terms pass a few hundred steps.
+    """
+    div = _divisor(m)
+    n = _top(a) + 1
+    if n > m:
+        folded = list(a[:m])
+        for i in range(m, n, m):
+            chunk = a[i : min(i + m, n)]
+            folded[: len(chunk)] = map(add, folded, chunk)
+        a = folded
+        n = _top(a) + 1
+    if n <= div.deg:
+        out = list(a[: div.deg])
+        return out + [0] * (div.deg - len(out))
+    if not _packs_rem(n, div):
+        return _schoolbook_rem(list(a[:n]), div.terms, div.deg)
+    size = _word_size(_max_abs(a) * div.growth)
+    return _packed_rem(_pack(a[:n], size), n, div, size)
+
+
+def _ring_mul(a, b, m: int) -> list[int]:
+    """a b mod Phi_m, for a and b of at most phi(m) coefficients.
+
+    A product that is packed and then divided packed stays one integer in
+    between: its digits are sized for the division from the start.
+    """
+    plan = _operands(a, b)
+    div = _divisor(m)
+    if plan is None:
+        return [0] * div.deg
+    a, b, bound = plan
+    n = len(a) + len(b) - 1
+    if not bound or not _packs_rem(n, div):
+        return _reduce(_product(a, b, bound), m)
+    size = _word_size(bound * div.growth)
+    return _packed_rem(_pack(a, size) * _pack(b, size), n, div, size)
 
 
 @dataclass(frozen=True)
@@ -162,10 +392,7 @@ class CyclotomicInt:
 
     @staticmethod
     def make(m: int, coeffs) -> "CyclotomicInt":
-        deg = _phi_deg(m)
-        red = list(_poly_rem(tuple(coeffs), cyclotomic_poly(m)))
-        red += [0] * (deg - len(red))
-        return CyclotomicInt(m, tuple(red))
+        return CyclotomicInt(m, tuple(_reduce(tuple(coeffs), m)))
 
     @staticmethod
     def from_int(m: int, c: int) -> "CyclotomicInt":
@@ -209,7 +436,7 @@ class CyclotomicInt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CyclotomicInt.make(self.m, _poly_mul(self.coeffs, o.coeffs))
+        return CyclotomicInt(self.m, tuple(_ring_mul(self.coeffs, o.coeffs, self.m)))
 
     __rmul__ = __mul__
 
@@ -275,9 +502,7 @@ def conductor(*orders: int) -> int:
     M = 1
     for d in orders:
         M = lcm(M, d)
-    size = M
-    for _, p in _prime_power_factors(M):
-        size -= size // p
+    size = _euler_phi(M)
     if size > COEFF_CAP:
         raise ConductorTooLarge(f"conductor {M} needs {size} coefficients")
     return M
@@ -292,7 +517,8 @@ class GF:
 
     Element of index i has the base-p digits of i as coefficient tuple, the
     constant coefficient least significant; index 0 is zero, index 1 is one,
-    and for prime q the index equals the residue.
+    and for prime q the index equals the residue.  Products of nonzero
+    elements go through the exp/dlog tables, and every trace is tabulated.
     """
 
     def __init__(self, q: int):
@@ -307,8 +533,9 @@ class GF:
         self.gen = self._find_generator()
         self.exp = [1]
         for _ in range(q - 2):
-            self.exp.append(self.mul(self.exp[-1], self.gen))
+            self.exp.append(self._mul_coeffs(self.exp[-1], self.gen))
         self.dlog = {e: i for i, e in enumerate(self.exp)}
+        self._traces = [self._frobenius_trace(i) for i in range(q)]
 
     def add(self, i: int, j: int) -> int:
         a, b = self.elements[i], self.elements[j]
@@ -318,6 +545,12 @@ class GF:
         return self._index[tuple((-x) % self.p for x in self.elements[i])]
 
     def mul(self, i: int, j: int) -> int:
+        if i == 0 or j == 0:
+            return 0
+        return self.exp[(self.dlog[i] + self.dlog[j]) % (self.q - 1)]
+
+    def _mul_coeffs(self, i: int, j: int) -> int:
+        """Product of the coefficient tuples modulo the defining polynomial."""
         if i == 0 or j == 0:
             return 0
         a, b = self.elements[i], self.elements[j]
@@ -339,6 +572,10 @@ class GF:
         return self.exp[(self.dlog[i] * e) % (self.q - 1)]
 
     def trace(self, i: int) -> int:
+        return self._traces[i]
+
+    def _frobenius_trace(self, i: int) -> int:
+        """i + i^p + ... + i^(p^(r-1)), which lies in F_p."""
         acc = 0
         cur = i
         for _ in range(self.r):
@@ -352,7 +589,7 @@ class GF:
         for i in range(1, self.q):
             order, cur = 1, i
             while cur != 1:
-                cur = self.mul(cur, i)
+                cur = self._mul_coeffs(cur, i)
                 order += 1
             if order == self.q - 1:
                 return i
@@ -429,6 +666,13 @@ class UnitGroup:
         return out
 
 
+def _euler_phi(m: int) -> int:
+    out = m
+    for _, p in _prime_power_factors(m):
+        out -= out // p
+    return out
+
+
 def _prime_power_factors(n: int) -> list[tuple[int, int]]:
     out = []
     m = n
@@ -499,12 +743,17 @@ class FieldChar:
         """e in [0, M) with value zeta_M^e at the nonzero element of index i."""
         if i == 0:
             raise ValueError("character not defined at zero")
-        d = self.field.q - 1
-        if M % self.order:
+        return self._exponents(M)(i)
+
+    def _exponents(self, M: int):
+        """`exponent(., M)` with the order worked out once: at the element of
+        dlog a, e = (a exp mod (q - 1)) / ((q - 1) / order) times M / order,
+        the division exact."""
+        d, order = self.field.q - 1, self.order
+        if M % order:
             raise ValueError("conductor does not contain the character values")
-        e = (self.field.dlog[i] * self.exp) % d
-        num = e * self.order // d  # exact: d/order divides e
-        return num * (M // self.order)
+        dlog, k, g, scale = self.field.dlog, self.exp, d // order, M // order
+        return lambda i: dlog[i] * k % d // g * scale
 
     def value(self, i: int, M: int) -> CyclotomicInt:
         """Value at the nonzero element of index i, in the conductor-M ring."""
@@ -585,10 +834,10 @@ def twisted_sum(psi: FieldChar, t: int, M: int | None = None) -> CyclotomicInt:
     field = psi.field
     if M is None:
         M = conductor(field.p, psi.order)
-    step = M // field.p
+    exponent, step = psi._exponents(M), M // field.p
+    trace, times = field.trace, field.mul
     return _zeta_sum(
-        M,
-        (psi.exponent(j, M) + field.trace(field.mul(j, t)) * step for j in range(1, field.q)),
+        M, (exponent(j) + trace(times(j, t)) * step for j in range(1, field.q))
     )
 
 

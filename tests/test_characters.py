@@ -1,6 +1,7 @@
 """Tests for exact cyclotomic arithmetic, Gauss sums, and the twist identity."""
 import functools
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,15 @@ from stratgrid.characters import (
     unit_twisted_sum,
     verify_twist_identity,
 )
-from stratgrid.characters import _detectable_index
+from stratgrid.characters import (
+    _detectable_index,
+    _max_abs,
+    _packed_mul,
+    _poly_mul,
+    _reduce,
+    _ring_mul,
+    _schoolbook_mul,
+)
 
 GAUSS_ORDERS = (3, 4, 5, 7, 8, 9, 11, 13)
 
@@ -49,6 +58,224 @@ def test_cyclotomic_poly_known_values():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# schoolbook oracles for the ring arithmetic
+
+
+def oracle_poly_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def oracle_poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return oracle_poly_trim(out)
+
+
+def oracle_poly_rem(a, b):
+    """Remainder of a by monic b, one leading coefficient at a time."""
+    a = list(a)
+    db = len(b) - 1
+    assert b[-1] == 1
+    for top in range(len(a) - 1, db - 1, -1):
+        lead = a[top]
+        if lead:
+            shift = top - db
+            for j, y in enumerate(b[:-1]):
+                a[shift + j] -= lead * y
+    del a[db:]
+    return oracle_poly_trim(a)
+
+
+def oracle_poly_div_exact(a, b):
+    """Quotient of a by monic b when the division is exact."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    while len(a) - 1 >= db and a:
+        lead = a[-1]
+        shift = len(a) - 1 - db
+        q[shift] = lead
+        if lead:
+            for j, y in enumerate(b):
+                a[shift + j] -= lead * y
+        while a and a[-1] == 0:
+            a.pop()
+    assert not a, "division was not exact"
+    return oracle_poly_trim(q)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_cyclotomic_poly(m):
+    """(x^m - 1) divided by Phi_d for every proper divisor d of m."""
+    if m == 1:
+        return (-1, 1)
+    num = tuple([-1] + [0] * (m - 1) + [1])
+    for d in range(1, m):
+        if m % d == 0:
+            num = oracle_poly_div_exact(num, oracle_cyclotomic_poly(d))
+    return num
+
+
+def test_cyclotomic_poly_matches_division_oracle():
+    """The Mobius product agrees with repeated exact division for m < 700."""
+    for m in range(1, 700):
+        assert cyclotomic_poly(m) == oracle_cyclotomic_poly(m), m
+
+
+# Coefficients on both sides of the 64-bit packing word, and operands on both
+# sides of the schoolbook cutoff: empty, length 1, monomials, sparse, dense.
+small_coeff = st.integers(-9, 9)
+wide_coeff = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, -(2**63), 2**64, -(2**64) - 1, 2**31, -(2**31)]),
+)
+any_coeff = st.one_of(small_coeff, wide_coeff)
+
+
+@st.composite
+def poly_operands(draw, max_len=80):
+    n = draw(st.integers(0, max_len))
+    kind = draw(st.sampled_from(["dense", "sparse", "monomial"]))
+    coeff = draw(st.sampled_from([small_coeff, wide_coeff, any_coeff]))
+    if kind == "dense":
+        return draw(st.lists(coeff, min_size=n, max_size=n))
+    out = [0] * n
+    if n:
+        spots = 1 if kind == "monomial" else draw(st.integers(1, max(1, n // 4)))
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=spots, max_size=spots)):
+            out[i] = draw(coeff.filter(bool))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_operands(), poly_operands(), st.booleans())
+def test_poly_mul_matches_schoolbook_oracle(a, b, as_tuple):
+    if as_tuple:
+        a, b = tuple(a), tuple(b)
+    assert _poly_mul(a, b) == oracle_poly_mul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_operands(max_len=40), poly_operands(max_len=40))
+def test_both_product_paths_match_schoolbook_oracle(a, b):
+    """Rows and packing each agree with the oracle, whichever one the
+    operands would choose."""
+    want = oracle_poly_mul(a, b)
+    ta, tb = oracle_poly_trim(list(a)), oracle_poly_trim(list(b))
+    if not ta or not tb:
+        return
+    assert _schoolbook_mul(ta, tb) == want
+    bound = len(ta) * _max_abs(ta) * _max_abs(tb)
+    assert tuple(_packed_mul(ta, tb, bound)) == want
+
+
+def test_poly_mul_at_word_edges():
+    """Dense and sparse operands of many lengths, with coefficients at the
+    edges of the signed 8-, 16-, 32- and 64-bit words and past them."""
+    for n in (1, 2, 3, 5, 8, 12, 16, 40, 220):
+        for top in (1, 2**7, 2**15, 2**31, 2**62, 2**63, 2**64, 2**200):
+            a = [(-1) ** i * (top - i) for i in range(n)]
+            b = [top // (i + 1) for i in range(n)]
+            sparse = [0] * n
+            sparse[-1] = -top
+            for x, y in ((a, b), (a, a[::-1]), (sparse, b), (b, sparse), ([top], b)):
+                assert _poly_mul(x, y) == oracle_poly_mul(x, y)
+
+
+# Conductors for the remainder: small ones, and the wide rings of the Gauss
+# and twist checks (q = 13, 17, 19, 23) where the packed division runs.
+REM_CONDUCTORS = [1, 2, 3, 12, 60, 110, 156, 272, 342, 506]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REM_CONDUCTORS), st.data())
+def test_reduce_matches_schoolbook_oracle(m, data):
+    deg = len(cyclotomic_poly(m)) - 1
+    n = data.draw(st.sampled_from([0, 1, deg, deg + 1, m, 2 * deg - 1, 2 * m + 3]))
+    kind = data.draw(st.sampled_from(["dense", "sparse"]))
+    coeff = data.draw(st.sampled_from([small_coeff, wide_coeff, any_coeff]))
+    if kind == "dense":
+        a = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    else:
+        a = [0] * n
+        spots = data.draw(st.lists(st.integers(0, n - 1), max_size=5)) if n else []
+        for i in spots:
+            a[i] = data.draw(coeff)
+    got = _reduce(tuple(a), m)
+    assert len(got) == deg
+    assert oracle_poly_trim(list(got)) == oracle_poly_rem(a, cyclotomic_poly(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REM_CONDUCTORS), st.data())
+def test_ring_mul_matches_schoolbook_oracles(m, data):
+    """Products of reduced elements, divided packed without unpacking."""
+    deg = len(cyclotomic_poly(m)) - 1
+    a, b = (
+        data.draw(poly_operands(max_len=deg).map(lambda c: c + [0] * (deg - len(c))))
+        for _ in range(2)
+    )
+    got = _ring_mul(tuple(a), tuple(b), m)
+    assert len(got) == deg
+    want = oracle_poly_rem(oracle_poly_mul(a, b), cyclotomic_poly(m))
+    assert oracle_poly_trim(list(got)) == want
+
+
+def _worst_case_dividend(m):
+    """Signs s_i and the column j such that r = sum s_i x^i mod Phi_m has the
+    largest |r_j| over all dividends of m coefficients in {-1, 0, 1}, and
+    that |r_j|."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    row = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(m):
+        rows.append(row)
+        lead = row[-1]
+        row = [0] + row[:-1]
+        row = [x - lead * c for x, c in zip(row, phi)]
+    j = max(range(deg), key=lambda col: sum(abs(r[col]) for r in rows))
+    signs = [(r[j] > 0) - (r[j] < 0) for r in rows]
+    return signs, j, sum(abs(r[j]) for r in rows)
+
+
+@pytest.mark.parametrize("m", [630, 770])
+def test_reduce_worst_case_dividends_at_word_edges(m):
+    """Dividends whose remainder just overflows each signed word: at these
+    conductors Phi_m has coefficients above 1, and a remainder coefficient
+    can grow past max|a| times the nonzero terms of 1/Phi_m."""
+    signs, j, growth = _worst_case_dividend(m)
+    for bits in (8, 16, 32, 64):
+        a = [s * ((1 << (bits - 1)) // growth + 1) for s in signs]
+        got = _reduce(tuple(a), m)
+        assert abs(got[j]) >= 1 << (bits - 1)
+        assert oracle_poly_trim(list(got)) == oracle_poly_rem(a, cyclotomic_poly(m))
+
+
+def test_reduce_products_of_dense_elements_at_506():
+    """Squares and products of count vectors, the Gauss-law shape."""
+    M = 506
+    phi = cyclotomic_poly(M)
+    for seed in range(4):
+        rng = Random(seed)
+        x = [rng.randint(-30, 30) for _ in range(M)]
+        y = [rng.randint(0, 2**40) for _ in range(M)]
+        xr, yr = _reduce(tuple(x), M), _reduce(tuple(y), M)
+        assert oracle_poly_trim(list(xr)) == oracle_poly_rem(x, phi)
+        prod = _poly_mul(xr, yr)
+        assert prod == oracle_poly_mul(xr, yr)
+        got = _reduce(prod, M)
+        assert oracle_poly_trim(list(got)) == oracle_poly_rem(prod, phi)
 
 
 @pytest.mark.parametrize("m", list(range(1, 31)) + [60, 156])
@@ -145,6 +372,14 @@ def test_field_tables(q):
             assert F.trace(F.add(i, j)) == (F.trace(i) + F.trace(j)) % F.p
     # trace is onto F_p (nondegenerate pairing needs a nonzero value)
     assert set(F.trace(i) for i in range(q)) == set(range(F.p))
+
+
+@pytest.mark.parametrize("q", GAUSS_ORDERS)
+def test_field_mul_table_matches_polynomial_product(q):
+    F = GF(q)
+    for i in range(q):
+        for j in range(q):
+            assert F.mul(i, j) == F._mul_coeffs(i, j)
 
 
 def test_prime_field_indices_are_residues():

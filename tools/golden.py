@@ -22,6 +22,8 @@ directly.  The report set:
   default seed and trials and at `--seed 7 --trials 3`;
 - `verify twist` on the inputs that run no trial: q=2, n=3, and q=3, n=2 and
   q=4, n=1 with `--corrupt`;
+- `verify twist` at two large conductors, where the ring products are packed:
+  q=23, n=1 with `--trials 1` (phi(M) = 220) and q=13, n=3 (phi(M) = 48);
 - `gauss` for every q <= 27 except 16 and every character exponent;
 - `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
 - `strata enumerate`, plain, with `--codim 1` and with `--nowhere-etale`, on
@@ -40,9 +42,9 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 910 commands (894
+Stdlib only; tier-1 does not collect it.  A capture of the 912 commands (896
 reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
-sets takes about 13 s on two cores.
+sets takes about 14 s on two cores.
 """
 from __future__ import annotations
 
@@ -76,6 +78,8 @@ TWIST_SEEDED = ["--seed", "7", "--trials", "3"]
 # GF(2) has no nontrivial character; mod 2 and mod 1 every character is
 # trivial, which `--corrupt` skips.
 TWISTS_WITHOUT_TRIALS = ((2, 3, []), (3, 2, ["--corrupt"]), (4, 1, ["--corrupt"]))
+# Conductors whose rings are wide enough for the packed products.
+LARGE_TWISTS = ((23, 1, ["--trials", "1"]), (13, 3, []))
 GAUSS_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
 COVERAGE_PRIMES = (2, 3, 5, 7, 11)
 MAX_G = 6
@@ -150,6 +154,11 @@ def commands():
     for q, n, extra in TWISTS_WITHOUT_TRIALS:
         yield (
             f"twist-q{q}-n{n}{'-corrupt' if extra else ''}",
+            ["verify", "twist", "--q", str(q), "--n", str(n), *extra],
+        )
+    for q, n, extra in LARGE_TWISTS:
+        yield (
+            f"twist-q{q}-n{n}",
             ["verify", "twist", "--q", str(q), "--n", str(n), *extra],
         )
     for q in GAUSS_ORDERS:
