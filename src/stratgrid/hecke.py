@@ -77,22 +77,27 @@ order, so the shares hold near-equal parts of every edge.  A share decides a
 cell only where it holds one of its points; the parent runs one share and a
 child process each of the others.
 
-The records are lexicographic by construction.  The record pass walks the
-points as one ordered stream, and each point's failures come ordered by d
-and then beta, so the first records of the stream are the first by
-embedding index.  A point fails exactly when its canonical point does, and
-the canonical point is the least of its orbit, so the first failure of an
-orbit in the stream sits at its canonical point.  After the counting pass
-has named the failing canonical points, the record pass in the parent
-expands only the points whose canonical point failed, each giving at least
-one record, until the cap is reached: at most that many expansions, with no
-sort, whatever the worker count.
+The records come from the cells too, and are lexicographic by
+construction.  By `_cell_orbit`'s argument the least image of a cell's point
+at free value t is its canonical cell's point at t, and a point fails
+exactly when its least image does.  So the counting pass reports each
+cell's canonical cell and the free values at which each canonical cell
+failed, and a cell's failing points are its points at those values.  The
+record pass in the parent streams the failing points of each cell, t
+ascending, which is lexicographic within a cell, and merges the streams
+into one lexicographic stream.  Each point's failures come ordered by d and
+then beta, so the first records of the merged stream are the first by
+embedding index, and the pass stops at the cap: each point it expands gives
+at least one record, and there is no per-point `_canonical` call and no
+sort, whatever the worker count.  It plans each distinct block once, from a
+table of its own that holds the runs; the counting table holds only counts.
 """
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from itertools import product
 from math import prod
 
@@ -736,7 +741,7 @@ def _feasible_tuples(blocks):
         for _, runs in blocks
     ]
     for combo in product(*lists):
-        yield tuple(a for blk in combo for a in blk)
+        yield sum(combo, ())
 
 
 def feasible_d_grid(
@@ -770,26 +775,6 @@ def feasible_d_grid(
 
 # ---------------------------------------------------------------------------
 # grid sweeps
-
-
-def _grid_candidates(g: int, den: int):
-    """Scaled vertices and open-edge points of the cube, in lexicographic order.
-
-    Each coordinate takes 0, then 1..den-1 while no coordinate is fractional
-    yet, then den: 2**g + g * 2**(g-1) * (den-1) points, none held at once.
-    """
-
-    def extend(prefix: tuple[int, ...], fractional: bool):
-        if len(prefix) == g:
-            yield prefix
-            return
-        yield from extend(prefix + (0,), fractional)
-        if not fractional:
-            for t in range(1, den):
-                yield from extend(prefix + (t,), True)
-        yield from extend(prefix + (den,), fractional)
-
-    return extend((), False)
 
 
 def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dict:
@@ -857,32 +842,6 @@ def _fold(counts) -> tuple[int, int]:
     return prod(sizes), cx_total
 
 
-def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
-    """Sweep one grid point: (points_in, pure, pairs, cx_total, records).
-
-    `point` is the scaled h and its `StratumCase`.  Pairs and failures are
-    counted on the runs (`_fold`).  Only when there are failures to keep
-    are the runs expanded, to build `records`: the point's first `keep`
-    failures as integer tuples (h_scaled, d_scaled, beta, lhs), ordered by d
-    and then beta.
-    """
-    windows = _windows(profile, den) if saturation_only else None
-    point_in, pure = _point_in(profile, den, windows, point)
-    if not point_in:
-        return 0, pure, 0, 0, []
-    scaled, stratum = point
-    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
-    pairs, cx_total = _fold([_block_count(*block) for block in blocks])
-    records = []
-    if cx_total and keep:
-        for d_scaled in _feasible_tuples(blocks):
-            for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
-                records.append((scaled, d_scaled, beta, lhs))
-            if len(records) >= keep:
-                break
-    return 1, pure, pairs, cx_total, records[:keep]
-
-
 def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
     """The least image of `scaled` under G, and the size of its orbit.
 
@@ -922,7 +881,8 @@ def _cells(g: int, den: int):
     A cell is one of the 2**g vertices (free coordinate None), or, when
     den >= 2, one of the g * 2**(g-1) open edges: a base of 0/den entries
     and the free coordinate beta, whose points take 1..den-1 at beta.  The
-    first point of an edge takes 1.  The cells partition `_grid_candidates`.
+    first point of an edge takes 1.  The cells partition the cube's
+    2**g + g * 2**(g-1) * (den-1) vertices and open-edge points.
     """
     for vertex in product((0, den), repeat=g):
         yield vertex, None
@@ -932,19 +892,22 @@ def _cells(g: int, den: int):
                 yield corner[:beta] + (1,) + corner[beta:], beta
 
 
+def _cell_point(cell, t):
+    """The scaled point of a cell at free value t; a vertex (t None) is its
+    own one point."""
+    first, beta = cell
+    return first if beta is None else first[:beta] + (t,) + first[beta + 1 :]
+
+
 def _cell_points(cell, den: int, start: int = 0, step: int = 1):
     """The scaled points of a cell, the free value ascending: from its
     start-th point, every step-th."""
-    first, beta = cell
-    if beta is None:
-        return (first,)[start::step]
-    return (
-        first[:beta] + (t,) + first[beta + 1 :] for t in range(1, den)[start::step]
-    )
+    free = (None,) if cell[1] is None else range(1, den)
+    return (_cell_point(cell, t) for t in free[start::step])
 
 
-def _cell_orbit(profile: PrimeProfile, cell) -> tuple[bool, int]:
-    """(canonical flag, orbit size) of every point of the cell.
+def _cell_orbit(profile: PrimeProfile, cell) -> tuple[tuple[int, ...], int]:
+    """(first point of the canonical cell, orbit size) of the cell.
 
     `_canonical` is called once, on the cell's first point.  Off the free
     coordinate every entry is 0 or den, and the free value t lies strictly
@@ -955,29 +918,34 @@ def _cell_orbit(profile: PrimeProfile, cell) -> tuple[bool, int]:
     of 0, t and den, whose order is the same for every t in (0, den).  Which
     image is least, and how many images are distinct, are therefore the
     same at every t: the cell's points are all canonical or none is, and
-    they share one orbit size.
+    they share one orbit size.  One element of G takes every point of the
+    cell to its least image and t to one position, so the least image of
+    the point at t is the point at t of one cell, the canonical cell, whose
+    first point is the least image of the cell's first point.
     """
-    first = cell[0]
-    canon, size = _canonical(profile, first)
-    return canon == first, size
+    return _canonical(profile, cell[0])
 
 
 def _orbit_cell(profile, den, drop_genericity, windows, table, cell, start, step):
     """Some points of one cell in the counting pass: (points_in, pure, pairs,
-    cx_total, failed) of the cell's points from its start-th, every step-th.
+    cx_total, orbits, failed) of the cell's points from its start-th, every
+    step-th.
 
     The cell's stratum is decided once from its face masks, and its
-    canonical flag and orbit size once by `_cell_orbit`.  Every point taken
+    canonical cell and orbit size once by `_cell_orbit`.  Every point taken
     then gets its own verdict, and on saturation its window test and purity
     round trip.  Only a canonical cell counts blocks, at each of its
     In points, and it counts the pairs and failures of the whole orbit: its
     own times the orbit size.  Each block's (candidates, failures) is looked
     up in `table` by its `_block_keys` key, and planned and counted only on a
-    miss.  `failed` lists the points taken that have failures, when the
-    cell is canonical.
+    miss.  `orbits` maps the cell to its canonical cell's first point, and
+    `failed` maps a canonical cell's first point to the free values of the
+    points taken that have failures, when there are some.
     """
-    stratum = stratum_case(profile, *_entry_masks(cell[0], den))
-    canonical, size = _cell_orbit(profile, cell)
+    first, beta = cell
+    stratum = stratum_case(profile, *_entry_masks(first, den))
+    canon, size = _cell_orbit(profile, cell)
+    canonical = canon == first
     generic = not drop_genericity
     points_in = pairs = cx_total = 0
     pure = True
@@ -1000,8 +968,9 @@ def _orbit_cell(profile, den, drop_genericity, windows, table, cell, start, step
         pairs += size * point_pairs
         cx_total += size * point_cx
         if point_cx:
-            failed.append(scaled)
-    return points_in, pure, pairs, cx_total, failed
+            failed.append(None if beta is None else scaled[beta])
+    failed_at = {first: failed} if failed else {}
+    return points_in, pure, pairs, cx_total, {cell: canon}, failed_at
 
 
 def _held_cells(g: int, den: int, n: int, k: int):
@@ -1017,19 +986,22 @@ def _held_cells(g: int, den: int, n: int, k: int):
         index += size
 
 
-def _total(results) -> tuple[int, bool, int, int, set]:
-    """Fold counting-pass results: sums, an AND, and a set of the failing
-    canonical points.  None of these depends on the order of `results`."""
+def _total(results) -> tuple[int, bool, int, int, dict, dict]:
+    """Fold counting-pass results: sums, an AND, each cell's canonical cell,
+    and the set of free values at which each canonical cell failed.  None of
+    these depends on the order of `results`."""
     points_in = pairs = cx_total = 0
     pure = True
-    failed = set()
-    for part_in, part_pure, part_pairs, part_cx, part_failed in results:
+    orbits, failed = {}, {}
+    for part_in, part_pure, part_pairs, part_cx, part_orbits, part_failed in results:
         points_in += part_in
         pure = pure and part_pure
         pairs += part_pairs
         cx_total += part_cx
-        failed.update(part_failed)
-    return points_in, pure, pairs, cx_total, failed
+        orbits.update(part_orbits)
+        for canon, free in part_failed.items():
+            failed.setdefault(canon, set()).update(free)
+    return points_in, pure, pairs, cx_total, orbits, failed
 
 
 def _share(profile, den, drop_genericity, windows, n, k):
@@ -1054,16 +1026,34 @@ def _share_child(conn, *args) -> None:
         conn.close()
 
 
-def _sweep_points(profile: PrimeProfile, den: int):
-    """`_grid_candidates` paired with their `StratumCase`, decided once per
-    stratum, named by its face masks: once per open edge and once per vertex."""
-    strata = {}
-    for scaled in _grid_candidates(profile.g, den):
-        masks = _entry_masks(scaled, den)
-        stratum = strata.get(masks)
-        if stratum is None:
-            stratum = strata[masks] = stratum_case(profile, *masks)
-        yield scaled, stratum
+def _records(profile: PrimeProfile, den: int, generic: bool, orbits, failed):
+    """The sweep's failures as (h_scaled, d_scaled, beta, lhs), ordered by h,
+    then d, then beta.
+
+    `orbits` and `failed` are `_total`'s.  A cell fails at the free values
+    where its canonical cell failed (`_cell_orbit`), so each such cell
+    streams its points there, t ascending, with the cell's stratum, and
+    `merge` makes one lexicographic stream of them; the cells' points are
+    distinct, so no two strata are compared.  Each point's failures are
+    expanded from its blocks' runs, each distinct block planned once, from
+    a table of `_block` results keyed by `_block_keys`.
+    """
+    streams = []
+    for cell, canon in orbits.items():
+        if canon in failed:
+            stratum = stratum_case(profile, *_entry_masks(cell[0], den))
+            free = sorted(failed[canon])
+            streams.append([(_cell_point(cell, t), stratum) for t in free])
+    table = {}
+    for scaled, stratum in merge(*streams):
+        blocks = []
+        for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
+            if key not in table:
+                table[key] = _block(profile.p, den, generic, *key)
+            blocks.append(table[key])
+        for d_scaled in _feasible_tuples(blocks):
+            for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
+                yield scaled, d_scaled, beta, lhs
 
 
 def _run_sweep(
@@ -1092,11 +1082,10 @@ def _run_sweep(
     in nor on the worker count or the start method.  A share's exception is
     raised again in the parent, and every child is joined before the sweep
     returns or raises, terminated first if anything raised.  When there are
-    failures to keep, the record pass walks the ordered stream of
-    `_sweep_points` in the parent and expands, with `_sweep_point`, only the
-    points whose canonical point failed, until `max_counterexamples` records
-    are kept.  Each point's records are ordered by d and then beta, so these
-    are the lexicographically first by embedding index, with no sort.
+    failures to keep, the record pass (`_records`) runs in the parent on the
+    cells whose canonical cell failed, at the free values where it failed,
+    and stops once `max_counterexamples` records are kept: the
+    lexicographically first by embedding index, with no sort.
     """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
@@ -1135,17 +1124,13 @@ def _run_sweep(
         for child, conn in children:
             child.join()
             conn.close()
-    points_in, pure, pairs, cx_total, failed = _total(results)
+    points_in, pure, pairs, cx_total, orbits, failed = _total(results)
     cx = []
     if failed and max_counterexamples:
-        for point in _sweep_points(profile, den):
-            if _canonical(profile, point[0])[0] in failed:
-                keep = max_counterexamples - len(cx)
-                cx.extend(
-                    _sweep_point(profile, den, drop_genericity, saturation_only, keep, point)[4]
-                )
-                if len(cx) == max_counterexamples:
-                    break
+        for record in _records(profile, den, not drop_genericity, orbits, failed):
+            cx.append(record)
+            if len(cx) == max_counterexamples:
+                break
     report = {
         "schema": "1",
         "check": "saturation" if saturation_only else "sigma-up",

@@ -521,6 +521,44 @@ def test_gauss_and_twist_fuzz_keep_the_exit_contract(argv):
     assert lines == warnings
 
 
+SWEEP_FUZZ_PROFILES = ("p=3;f=2", "p=3;f=2,1", "p=2;f=1,1", "p=3;f=1,2,1", "p=5;f=3")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["sigma-up", "saturation"]),
+    st.sampled_from(SWEEP_FUZZ_PROFILES),
+    st.integers(1, 12),
+    st.booleans(),
+    st.one_of(st.integers(0, 30), st.integers(0, 2**70)),
+)
+@example("sigma-up", "p=3;f=2,1", 12, True, 10**29)  # a cap past sys.maxsize
+@example("sigma-up", "p=3;f=2,1", 12, True, 3)  # the cap bites
+@example("saturation", "p=3;f=2", 6, True, 5)  # saturation has no such flag
+def test_sweep_fuzz_keeps_the_exit_contract(check, profile, den, drop, cap):
+    """Exit 0 or 1 with a JSON report holding min(cap, total) records (and
+    the zero-pairs warning when it checks no pairs), or exit 2 with one
+    `error:` line; never a raise."""
+    argv = ["verify", check, f"--profile={profile}", f"--den={den}", "--workers=1"]
+    argv += [f"--max-counterexamples={cap}"] + (["--drop-genericity"] if drop else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        return
+    rep = json.loads(out.getvalue())
+    assert rep["check"] == check
+    assert code == (0 if rep["pass"] else 1)
+    assert len(rep["counterexamples"]) == min(cap, rep["counterexample_total"])
+    warnings = []
+    if rep["pairs_checked"] == 0:
+        warnings.append(f"warning: {check} on {profile} checked no pairs")
+    assert lines == warnings
+
+
 # ---------------------------------------------------------------------------
 # suite and plumbing
 

@@ -16,6 +16,7 @@ from stratgrid.degrees import (
     CuspInput,
     DegreeVector,
     ProfileMismatch,
+    _entry_masks,
     genericity_constraints,
     hodge_height,
     raynaud_feasible,
@@ -38,21 +39,26 @@ from stratgrid.hecke import (
 )
 from stratgrid import hecke
 from stratgrid.hecke import (
+    _block_count,
     _block_plan,
     _block_runs,
     _blocks,
     _canonical,
     _cell_orbit,
+    _cell_point,
     _cell_points,
     _cells,
     _cx_record,
+    _feasible_tuples,
+    _fold,
     _gen3_edge_ok,
-    _grid_candidates,
     _held_cells,
     _hodge_edge_ok,
     _hodge_edge_ranges,
     _last_ranges,
     _on_grid,
+    _orbit_cell,
+    _point_in,
     _pred_ranges,
     _pin_for,
     _prune,
@@ -61,13 +67,18 @@ from stratgrid.hecke import (
     _run_failures,
     _self_edge_ranges,
     _share,
-    _sweep_point,
-    _sweep_points,
     _total,
     _windows,
     _within,
 )
-from stratgrid.regions import Verdict, delta, delta_star, in_interval_region, sigma_case
+from stratgrid.regions import (
+    Verdict,
+    delta,
+    delta_star,
+    in_interval_region,
+    sigma_case,
+    stratum_case,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +556,58 @@ def test_can_test():
 # sweeps
 
 
+def _grid_candidates(g: int, den: int):
+    """Scaled vertices and open-edge points of the cube, in lexicographic order.
+
+    Each coordinate takes 0, then 1..den-1 while no coordinate is fractional
+    yet, then den: 2**g + g * 2**(g-1) * (den-1) points, none held at once.
+    """
+
+    def extend(prefix: tuple[int, ...], fractional: bool):
+        if len(prefix) == g:
+            yield prefix
+            return
+        yield from extend(prefix + (0,), fractional)
+        if not fractional:
+            for t in range(1, den):
+                yield from extend(prefix + (t,), True)
+        yield from extend(prefix + (den,), fractional)
+
+    return extend((), False)
+
+
+def _sweep_points(profile, den: int):
+    """`_grid_candidates` paired with their `StratumCase`."""
+    for scaled in _grid_candidates(profile.g, den):
+        yield scaled, stratum_case(profile, *_entry_masks(scaled, den))
+
+
+def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
+    """The unweighted full-stream oracle of one grid point: (points_in, pure,
+    pairs, cx_total, records), planning every block afresh, with no orbit
+    and no table.
+
+    `point` is the scaled h and its `StratumCase`.  `records` holds the
+    point's first `keep` failures as integer tuples (h_scaled, d_scaled,
+    beta, lhs), ordered by d and then beta.
+    """
+    windows = _windows(profile, den) if saturation_only else None
+    point_in, pure = _point_in(profile, den, windows, point)
+    if not point_in:
+        return 0, pure, 0, 0, []
+    scaled, stratum = point
+    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
+    pairs, cx_total = _fold([_block_count(*block) for block in blocks])
+    records = []
+    if cx_total and keep:
+        for d_scaled in _feasible_tuples(blocks):
+            for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
+                records.append((scaled, d_scaled, beta, lhs))
+            if len(records) >= keep:
+                break
+    return 1, pure, pairs, cx_total, records[:keep]
+
+
 def test_sweep_passes_on_small_profiles():
     for prof, den in [("p=3;f=2", 6), ("p=3;f=1,1", 6), ("p=3;f=3", 6), ("p=5;f=2", 10)]:
         rep = verify_sigma_up(parse_profile(prof), den)
@@ -845,15 +908,26 @@ def test_canonical_point_and_orbit_size_match_brute_force(prof, den, order):
 )
 def test_cells_partition_the_grid(prof, den):
     """The cells' points are the grid's points, each once, and a cell's
-    canonical flag and orbit size, decided once, are those `_canonical` gives
-    at every one of its points."""
+    canonical cell and orbit size, decided once, are those `_canonical` gives
+    at every one of its points: the least image of the cell's point at free
+    value t is the canonical cell's point at t.  The counting pass names
+    that canonical cell and, on a canonical cell, exactly the t at which the
+    full-stream oracle finds failures (genericity dropped, so some fail)."""
     profile = parse_profile(prof)
+    cells = {cell[0]: cell for cell in _cells(profile.g, den)}
     points = []
-    for cell in _cells(profile.g, den):
-        canonical, size = _cell_orbit(profile, cell)
+    for cell in cells.values():
+        canon, size = _cell_orbit(profile, cell)
+        stratum = stratum_case(profile, *_entry_masks(cell[0], den))
+        *_, orbits, failed = _orbit_cell(profile, den, True, None, {}, cell, 0, 1)
+        assert orbits == {cell: canon}
         for scaled in _cell_points(cell, den):
-            canon, want = _canonical(profile, scaled)
-            assert (canon == scaled, want) == (canonical, size), (cell, scaled)
+            t = None if cell[1] is None else scaled[cell[1]]
+            assert _cell_point(cell, t) == scaled
+            assert _canonical(profile, scaled) == (_cell_point(cells[canon], t), size)
+            if canon == cell[0]:
+                fails = _sweep_point(profile, den, True, False, 0, (scaled, stratum))[3]
+                assert (t in failed.get(cell[0], ())) == bool(fails), (cell, t)
             points.append(scaled)
     assert sorted(points) == list(_grid_candidates(profile.g, den))
     assert len(points) == verify_sigma_up(profile, den)["grid_points"]
@@ -925,7 +999,8 @@ def test_orbit_sweep_matches_full_stream(prof, den, monkeypatch):
     """The orbit sweep reports what the full stream folds, with genericity
     dropped so that there are failures, at every cap and worker count.  The
     record pass must reach failing points that are not canonical and lie
-    between canonical ones, and expands at most `keep` points."""
+    between canonical ones, and expands at most `keep` points: those it
+    takes from the merged stream of failing points."""
     profile = parse_profile(prof)
     uncapped = _full_stream_report(profile, den, True, False, 1000)
     if uncapped["counterexample_total"]:
@@ -934,16 +1009,16 @@ def test_orbit_sweep_matches_full_stream(prof, den, monkeypatch):
             for rec in uncapped["counterexamples"]
         ]
         assert any(_canonical(profile, h)[0] != h for h in hs)
-    expand = hecke._sweep_point
+    merge = hecke.merge
     expanded = []
 
-    def counted(*args):
-        expanded.append(args[-1][0])
-        return expand(*args)
+    def counted(*streams):
+        for point in merge(*streams):
+            expanded.append(point[0])
+            yield point
 
-    # the sweep's record pass looks `_sweep_point` up in the module; the
-    # oracle fold calls the function imported above, which stays uncounted
-    monkeypatch.setattr(hecke, "_sweep_point", counted)
+    # the record pass takes each point it expands from `merge`
+    monkeypatch.setattr(hecke, "merge", counted)
     for keep in (0, 1, 5, 20, 1000):
         want = _full_stream_report(profile, den, True, False, keep)
         for workers in (1, 3):
@@ -953,6 +1028,7 @@ def test_orbit_sweep_matches_full_stream(prof, den, monkeypatch):
             )
             assert {k: rep[k] for k in want} == want, (keep, workers)
             assert len(expanded) <= keep
+            assert bool(expanded) == bool(keep and want["counterexample_total"])
         sat = saturation_check(profile, den, max_counterexamples=keep)
         assert {k: sat[k] for k in want} == _full_stream_report(profile, den, False, True, keep)
 

@@ -12,9 +12,11 @@ directly.  The report set:
 
 - the benchmark's sweeps (`bench/workloads.py` SWEEPS) at workers 1 and 2;
 - sigma-up with genericity on, dropped, and dropped with
-  `--max-counterexamples 50`, and saturation, on the criterion-4 profiles,
-  p=2;f=2, the block-swap profiles p=3;f=2,2, p=3;f=1,1,1 and p=2;f=1,3,1,
-  and p=3;f=3,1 at small dens, at workers 1 and 3;
+  `--max-counterexamples 50` and 10000 (at or above every
+  `counterexample_total`, so every record is kept), and saturation, on the
+  criterion-4 profiles, p=2;f=2, the block-swap profiles p=3;f=2,2,
+  p=3;f=1,1,1 and p=2;f=1,3,1, and p=3;f=3,1 at small dens, at workers 1
+  and 3;
 - sigma-up with genericity on and dropped, and saturation, on p=3;f=2,1 and
   p=3;f=2,2 at den 1 (vertices only) and den 2 (one point per open edge), at
   workers 1 and 3;
@@ -42,7 +44,7 @@ directly.  The report set:
   edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
   generic flag on and off, one file per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 912 commands (896
+Stdlib only; tier-1 does not collect it.  A capture of the 942 commands (926
 reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
 sets takes about 14 s on two cores.
 """
@@ -72,6 +74,9 @@ SWEEP_PROFILES = [
 # With genericity dropped and this cap, the records of the sweeps with
 # failures run past the first failing orbit.
 MANY_COUNTEREXAMPLES = "50"
+# At or above every counterexample_total of those sweeps (the largest is
+# 5634, at p=3;f=3,1), so every record is kept.
+ALL_COUNTEREXAMPLES = "10000"
 TWISTS = ((3, 4), (5, 3), (9, 4), (4, 5), (7, 6), (8, 3))
 # Trials past the first at a nonzero seed.
 TWIST_SEEDED = ["--seed", "7", "--trials", "3"]
@@ -127,13 +132,14 @@ def commands():
                 f"sigma-up-dropped-{profile}-d{den}-w{w}",
                 ["verify", "sigma-up", *common, "--drop-genericity"],
             )
-            yield (
-                f"sigma-up-dropped-cx{MANY_COUNTEREXAMPLES}-{profile}-d{den}-w{w}",
-                [
-                    "verify", "sigma-up", *common, "--drop-genericity",
-                    "--max-counterexamples", MANY_COUNTEREXAMPLES,
-                ],
-            )
+            for cap in (MANY_COUNTEREXAMPLES, ALL_COUNTEREXAMPLES):
+                yield (
+                    f"sigma-up-dropped-cx{cap}-{profile}-d{den}-w{w}",
+                    [
+                        "verify", "sigma-up", *common, "--drop-genericity",
+                        "--max-counterexamples", cap,
+                    ],
+                )
             yield f"saturation-{profile}-d{den}-w{w}", ["verify", "saturation", *common]
     for profile in TINY_PROFILES:
         for den in TINY_DENS:
