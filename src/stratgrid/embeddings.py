@@ -18,9 +18,7 @@ __all__ = [
     "parse_profile",
     "shift_left",
     "shift_right",
-    "prime_block",
     "subset_to_indices",
-    "indices_to_subset",
 ]
 
 MAX_G = 64  # masks stay cheap ints; enumeration bounds are tighter and live elsewhere
@@ -67,10 +65,12 @@ class PrimeProfile:
         object.__setattr__(self, "n_primes", len(self.f))
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "full_mask", (1 << acc) - 1)
+        blocks = tuple(((1 << d) - 1) << off for d, off in zip(self.f, offsets))
+        object.__setattr__(self, "_block_masks", blocks)
+        # The block mask of each embedding, so a face decision reads its
+        # block without scanning the offsets.
         object.__setattr__(
-            self,
-            "_block_masks",
-            tuple(((1 << d) - 1) << off for d, off in zip(self.f, offsets)),
+            self, "_block_of", tuple(b for b, d in zip(blocks, self.f) for _ in range(d))
         )
         # Shift tables: the first and last bit of every block, and per distinct
         # block size d the first bits of the blocks of that size, which a
@@ -177,12 +177,6 @@ def shift_right(profile: PrimeProfile, mask: int) -> int:
     return out
 
 
-def prime_block(profile: PrimeProfile, mask: int, i: int) -> int:
-    """Restrict a subset to the block of prime i (still in global coordinates)."""
-    _check_mask(profile, mask)
-    return mask & profile.block_mask(i)
-
-
 def subset_to_indices(mask: int) -> list[int]:
     out = []
     k = 0
@@ -192,10 +186,3 @@ def subset_to_indices(mask: int) -> list[int]:
         mask >>= 1
         k += 1
     return out
-
-
-def indices_to_subset(indices) -> int:
-    m = 0
-    for k in indices:
-        m |= 1 << k
-    return m

@@ -50,9 +50,9 @@ under it:
   permutes them;
 - the genericity rules and the ordinary-block rule read a position, its
   predecessor and its successor inside the block;
-- `classify_face` walks `shift_right`, which is cyclic inside a block, so
-  the stratum kind, j and the threshold (a function of p, j and f) stay, and
-  beta0 moves with the point;
+- `classify_face` reads only beta0's block, stepping to the next bit
+  cyclically inside it, so the stratum kind, j and the threshold (a function
+  of p, j and f) stay, and beta0 moves with the point;
 - the pin sits at beta0 and reads the free value there;
 - the quotient test reads beta and its successor inside the block, or one
   size-1 block on its own;

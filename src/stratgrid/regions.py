@@ -10,7 +10,9 @@ A point's stratum is named by its face masks, the entries equal to 0 and
 those equal to 1, and `strata.classify_face` decides it on them.  Charts and
 the coverage check work on the same masks: the chart of T flips v -> 1 - v
 on T's blocks, which `strata._swap_on` does by swapping the two masks there,
-so no flipped vector is built.
+so no flipped vector is built.  The coverage check needs only whether a
+flipped face is etale, which is `strata._whole_blocks` of its Zero mask, so
+it names no stratum.
 """
 from __future__ import annotations
 
@@ -21,7 +23,14 @@ from itertools import combinations
 
 from .degrees import DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
-from .strata import Badness, _swap_on, _whole_blocks, classify_face
+from .strata import (
+    ENUMERATION_MAX_G,
+    Badness,
+    EnumerationBound,
+    _swap_on,
+    _whole_blocks,
+    classify_face,
+)
 
 __all__ = [
     "Verdict",
@@ -51,10 +60,15 @@ class Verdict(Enum):
 
 
 def delta(p: int, j: int) -> Fraction:
-    """Partial geometric sum 1/p + ... + 1/p^j."""
+    """Partial geometric sum 1/p + ... + 1/p^j, for p >= 2.
+
+    In closed form it is (p^j - 1) / (p - 1) over p^j, in lowest terms: the
+    numerator 1 + p + ... + p^(j-1) is 1 mod p.
+    """
     if j < 1:
         raise ValueError(f"delta needs j >= 1, got {j}")
-    return sum((Fraction(1, p**i) for i in range(1, j + 1)), ZERO)
+    q = p**j
+    return Fraction((q - 1) // (p - 1), q)
 
 
 def delta_star(p: int, f: int) -> Fraction:
@@ -153,7 +167,7 @@ def stratum_case(profile: PrimeProfile, zeros: int, ones: int) -> StratumCase:
         return StratumCase("good", beta0)
     p = profile.p
     if cls.j is None:
-        thr = delta_star(p, profile.f[profile.prime_of(beta0)])
+        thr = delta_star(p, profile._block_of[beta0].bit_count())
         return StratumCase("bad_full_eta", beta0, None, thr)
     return StratumCase("bad_partial_eta", beta0, cls.j, delta(p, cls.j))
 
@@ -184,7 +198,8 @@ def in_sigma_S(h: DegreeVector, S, generic_by_T=None) -> Verdict:
     """Union of transported regions over all subsets T of S.
 
     Each chart is decided on h's masks swapped on T's blocks, with free value
-    1 - h at beta0 in a flipped block; the first In chart ends the union.
+    1 - h at beta0 in a flipped block, passed to `decide` as the integers
+    den - num over den; the first In chart ends the union.
 
     generic_by_T optionally maps frozenset(T) to the generic flag assumed for
     the transported vector; by default the flag carries over, so a vector
@@ -194,16 +209,24 @@ def in_sigma_S(h: DegreeVector, S, generic_by_T=None) -> Verdict:
     for i in S:
         if not (0 <= i < h.profile.n_primes):
             raise ValueError(f"prime index {i} out of range for {h.profile}")
+    profile = h.profile
+    blocks = profile._block_masks
     masks = _entry_masks(h.entries, 1)
 
     def chart(T) -> Verdict:
-        flip = sum(h.profile.block_mask(i) for i in T)  # blocks are disjoint
-        stratum = stratum_case(h.profile, *_swap_on(*masks, flip))
+        flip = 0
+        for i in T:
+            flip |= blocks[i]
+        stratum = stratum_case(profile, *_swap_on(*masks, flip))
         b = stratum.beta0
-        free = ZERO if b is None else ONE - h[b] if flip >> b & 1 else h[b]
-        flag = (generic_by_T or {}).get(frozenset(T))
+        num, den = 0, 1
+        if b is not None:
+            num, den = h[b].numerator, h[b].denominator
+            if flip >> b & 1:
+                num = den - num
+        flag = None if generic_by_T is None else generic_by_T.get(frozenset(T))
         generic = h.generic if flag is None else flag
-        return stratum.decide(generic, free.numerator, free.denominator)
+        return stratum.decide(generic, num, den)
 
     return _combine(chart(T) for r in range(len(S) + 1) for T in combinations(S, r))
 
@@ -254,14 +277,21 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
 
     A face is held as its Zero and One bitmasks.  T0 is `_whole_blocks` of
     the Zero mask and T0 + T2 the complement of `_whole_blocks` of the One
-    mask; flipping them swaps the two masks there (`strata._swap_on`), and
-    `classify_face` decides whether the flipped face is nowhere-etale.
+    mask.  Flipping them swaps the two masks there (`strata._swap_on`), so
+    the flipped face's Zero mask is the old Zeros off the flip and the old
+    Ones on it, and the flipped face is etale exactly when `_whole_blocks`
+    of that mask is not empty, the test `classify_face` makes.
+
+    The check visits 2^g vertices and g * 2^(g-1) edges, so it refuses a
+    profile above the enumeration bound with `EnumerationBound`.
     """
     g = profile.g
+    if g > ENUMERATION_MAX_G:
+        raise EnumerationBound(f"g={g} exceeds enumeration bound {ENUMERATION_MAX_G}")
     full = profile.full_mask
 
     def flips_to_etale(zeros: int, ones: int, flip: int) -> bool:
-        return not classify_face(profile, *_swap_on(zeros, ones, flip)).nowhere_etale
+        return _whole_blocks(profile, (zeros & ~flip) | (ones & flip)) != 0
 
     vertex_failures = []
     for ones in _corner_masks(range(g)):
@@ -274,9 +304,8 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     edge_failures = []
     tails = {f: delta_star(profile.p, f) for f in set(profile.f)}
     for beta0 in range(g):
-        i0 = profile.prime_of(beta0)
-        b0 = profile.block_mask(i0)
-        t = tails[profile.f[i0]]
+        b0 = profile._block_of[beta0]
+        t = tails[b0.bit_count()]
         gap = not ONE - t > t
         closed = full & ~(1 << beta0)
         for ones in _corner_masks(k for k in range(g) if k != beta0):

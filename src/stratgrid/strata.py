@@ -9,10 +9,15 @@ the complement of phi, and Open (free in (0,1)) on the rest.
 
 A face exists only as its Zero and One bitmasks (`_face_masks`, and
 `pair_of_masks` back), which are disjoint exactly when the pair is
-admissible; `classify_face` works on them.  Two mask operations serve strata,
-regions and degree vectors alike: `_whole_blocks`, the blocks lying wholly
-inside a mask (an all-Zero block makes a stratum etale), and `_swap_on`, the
-flip v -> 1 - v on a union of blocks, which exchanges the two masks there.
+admissible; `classify_face` works on them.  It reads the profile's block
+table (`_block_of`, the block mask of each embedding) and does everything
+after beta0 as bit operations inside beta0's block, where the successor is
+the next bit up and wraps to the block's lowest bit; no shift operator runs
+per face.  Two mask operations serve strata, regions and degree vectors
+alike: `_whole_blocks`, the blocks lying wholly inside a mask (an all-Zero
+block makes a stratum etale, so a face is nowhere etale exactly when
+`_whole_blocks` of its Zero mask is empty), and `_swap_on`, the flip
+v -> 1 - v on a union of blocks, which exchanges the two masks there.
 """
 from __future__ import annotations
 
@@ -200,6 +205,10 @@ def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
     successor of beta0 is a Zero coordinate.  Bad strata split by whether
     beta0's block has a One; when it does, j >= 1 counts the run of Zeros
     after beta0 before the first One.
+
+    Everything after beta0 happens inside its block, read off the profile's
+    block table: the successor of a bit is the next bit up while that stays
+    in the block, and the block's lowest bit after its highest.
     """
     full = profile.full_mask
     if (zeros | ones) & ~full or zeros & ones:
@@ -209,16 +218,20 @@ def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
     if opens.bit_count() != 1:
         return StratumClass(nowhere, Badness.NOT_CODIM1)
     beta0 = opens.bit_length() - 1
-    succ = shift_right(profile, opens)
-    if succ & zeros == 0:
+    block = profile._block_of[beta0]
+    cur = opens << 1
+    if not cur & block:
+        cur = block & -block
+    if cur & zeros == 0:
         return StratumClass(nowhere, Badness.GOOD, beta0)
-    if ones & profile.block_mask(profile.prime_of(beta0)) == 0:
+    if ones & block == 0:
         return StratumClass(nowhere, Badness.BAD, beta0, None)
-    cur = succ
     j = 0
     while cur & zeros:
         j += 1
-        cur = shift_right(profile, cur)
+        cur <<= 1
+        if not cur & block:
+            cur = block & -block
     assert cur & ones, "walk must stop at a One inside the block"
     return StratumClass(nowhere, Badness.BAD, beta0, j)
 
@@ -238,8 +251,7 @@ def _swap_on(zeros: int, ones: int, flip: int) -> tuple[int, int]:
 def _whole_blocks(profile: PrimeProfile, mask: int) -> int:
     """Union of the blocks that lie wholly inside `mask`."""
     out = 0
-    for i in range(profile.n_primes):
-        b = profile.block_mask(i)
+    for b in profile._block_masks:
         if mask & b == b:
             out |= b
     return out

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from stratgrid import cli
 from stratgrid.characters import GF, UnitGroup, conductor
+from stratgrid.embeddings import parse_profile
 
 
 def run_json(capsys, argv):
@@ -52,6 +53,11 @@ def test_strata_enumerate_filters(capsys):
     assert code == 0
     assert rep["count"] > 0
     assert all(rec["nowhere_etale"] for rec in rep["strata"])
+
+
+def test_coverage_above_the_enumeration_bound_is_usage_error(capsys):
+    code = cli.run(["regions", "coverage", "--profile", "p=3;f=30"])
+    assert_one_line_usage_error(capsys, code)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +525,75 @@ def test_gauss_and_twist_fuzz_keep_the_exit_contract(argv):
     if rep["check"] == "twist" and rep["runs"] == 0:
         warnings.append(f"warning: twist on q={rep['q']}, n={rep['n']} ran no trials")
     assert lines == warnings
+
+
+@st.composite
+def strata_or_coverage_argv(draw):
+    """`strata enumerate` (with and without its filters) or `regions
+    coverage`, on a profile text with p in {2, 3, 4, 5} and g up to 30, or
+    on a malformed one."""
+    if draw(st.integers(0, 4)) == 0:
+        profile = draw(
+            st.sampled_from(["p=3;f=", "p=3", "f=2", "p=3;f=0,1", '{"p": 3}', "p=1;f=1"])
+            | st.text(max_size=12)
+        )
+    else:
+        g = draw(st.integers(1, 30))
+        parts = []
+        while g:
+            parts.append(draw(st.integers(1, g)))
+            g -= parts[-1]
+        profile = f"p={draw(st.sampled_from([2, 3, 4, 5]))};f={','.join(map(str, parts))}"
+    if draw(st.booleans()):
+        return ["regions", "coverage", f"--profile={profile}"]
+    argv = ["strata", "enumerate", f"--profile={profile}"]
+    if draw(st.booleans()):
+        argv.append(f"--codim={draw(st.integers(-1, 4))}")
+    if draw(st.booleans()):
+        argv.append("--nowhere-etale")
+    return argv
+
+
+def _cheap(argv) -> bool:
+    """Whether argv runs in a fraction of a second: a census of g <= 12 has
+    3^g records, so `strata enumerate` runs only up to g = 6 and above the
+    bound, where it is refused."""
+    if argv[0] == "regions":
+        return True
+    try:
+        g = parse_profile(argv[2].split("=", 1)[1]).g
+    except ValueError:
+        return True
+    return g <= 6 or g > 12
+
+
+@settings(max_examples=100, deadline=None)
+@given(strata_or_coverage_argv())
+@example(["regions", "coverage", "--profile=p=3;f=13"])  # g = 13: above the bound
+@example(["strata", "enumerate", "--profile=p=3;f=6,7", "--nowhere-etale"])  # g = 13
+@example(["regions", "coverage", "--profile=p=4;f=2"])  # p not prime
+@example(["strata", "enumerate", "--profile=p=4;f=1,1", "--codim=1"])  # p not prime
+@example(["regions", "coverage", "--profile=p=2;f=2,1"])  # exit 1: the p = 2 gap
+def test_strata_and_coverage_fuzz_keep_the_exit_contract(argv):
+    """Exit 0 or 1 with a JSON report, or exit 2 with one `error:` line;
+    never a raise."""
+    assume(_cheap(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        return
+    rep = json.loads(out.getvalue())
+    assert lines == []
+    if argv[0] == "regions":
+        assert rep["check"] == "coverage"
+        assert code == (0 if rep["pass"] else 1)
+    else:
+        assert rep["check"] == "strata-enumerate" and code == 0
+        assert rep["count"] == len(rep["strata"])
 
 
 SWEEP_FUZZ_PROFILES = ("p=3;f=2", "p=3;f=2,1", "p=2;f=1,1", "p=3;f=1,2,1", "p=5;f=3")

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from stratgrid.embeddings import (
     PrimeProfile,
     ProfileError,
-    indices_to_subset,
     parse_profile,
-    prime_block,
     shift_left,
     shift_right,
     subset_to_indices,
@@ -24,6 +22,13 @@ PROFILES = [
     PrimeProfile(2, (2,)),
     PrimeProfile(7, (4, 3)),
 ]
+
+
+def indices_to_subset(indices) -> int:
+    m = 0
+    for k in indices:
+        m |= 1 << k
+    return m
 
 
 def oracle_shift_left(profile: PrimeProfile, mask: int) -> int:
@@ -147,10 +152,21 @@ def test_blocks_partition(pm):
     profile, mask = pm
     acc = 0
     for i in range(profile.n_primes):
-        b = prime_block(profile, mask, i)
+        b = mask & profile.block_mask(i)
         assert acc & b == 0
         acc |= b
     assert acc == mask
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_block_table_names_each_embeddings_block(profile):
+    assert len(profile._block_of) == profile.g
+    for k in range(profile.g):
+        assert profile._block_of[k] == profile.block_mask(profile.prime_of(k))
+    # derived, like the other tables: equality, hashing and repr see (p, f) only
+    twin = PrimeProfile(profile.p, profile.f)
+    assert twin == profile and hash(twin) == hash(profile)
+    assert "_block_of" not in repr(profile)
 
 
 def test_mask_range_checked():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from stratgrid.embeddings import PrimeProfile
 from stratgrid.degrees import DegreeVector, w_T_deg
+from stratgrid.strata import ENUMERATION_MAX_G, EnumerationBound
 from stratgrid.regions import (
     Verdict,
     coverage_check,
@@ -38,6 +39,14 @@ def test_delta_values():
         delta(3, 0)
     assert delta_star(3, 1) == 0
     assert delta_star(3, 3) == F(4, 9)
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_delta_closed_form_matches_the_geometric_sum(p):
+    for j in range(1, 9):
+        want = sum((F(1, p**i) for i in range(1, j + 1)), F(0))
+        got = delta(p, j)
+        assert got == want and got.denominator == p**j, (p, j)
 
 
 def test_istar_interval():
@@ -235,6 +244,13 @@ def test_coverage_fails_for_p2_with_big_block():
 
 def test_coverage_p2_all_f1_passes():
     assert coverage_check(PrimeProfile(2, (1, 1))).passed
+
+
+@pytest.mark.parametrize("f", [(13,), (12, 1), (30,), (1,) * 30])
+def test_coverage_refuses_profiles_above_the_enumeration_bound(f):
+    assert sum(f) > ENUMERATION_MAX_G
+    with pytest.raises(EnumerationBound, match=f"g={sum(f)} exceeds enumeration bound"):
+        coverage_check(PrimeProfile(3, f))
 
 
 def test_coverage_report_json():

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratgrid.embeddings import PrimeProfile, shift_left, shift_right, subset_to_indices
-from stratgrid.regions import coverage_check
+from stratgrid.regions import CoverageReport, IntervalQ, coverage_check
 from stratgrid.strata import (
     Badness,
     EnumerationBound,
@@ -235,14 +236,40 @@ def classify_oracle(pair: StratumPair) -> StratumClass:
     return StratumClass(nowhere, Badness.BAD, beta0, j)
 
 
+def classify_face_walk(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
+    """The face classification by walking `shift_right` from beta0 and
+    scanning for beta0's prime: `classify_oracle`'s companion on masks."""
+    full = profile.full_mask
+    nowhere = not any(
+        zeros & profile.block_mask(i) == profile.block_mask(i) for i in range(profile.n_primes)
+    )
+    opens = full & ~(zeros | ones)
+    if opens.bit_count() != 1:
+        return StratumClass(nowhere, Badness.NOT_CODIM1)
+    beta0 = opens.bit_length() - 1
+    succ = shift_right(profile, opens)
+    if succ & zeros == 0:
+        return StratumClass(nowhere, Badness.GOOD, beta0)
+    if ones & profile.block_mask(profile.prime_of(beta0)) == 0:
+        return StratumClass(nowhere, Badness.BAD, beta0, None)
+    cur = succ
+    j = 0
+    while cur & zeros:
+        j += 1
+        cur = shift_right(profile, cur)
+    return StratumClass(nowhere, Badness.BAD, beta0, j)
+
+
 @pytest.mark.parametrize(
-    "profile", PROFILES + [PrimeProfile(2, (4,)), PrimeProfile(3, (5, 1))]
+    "profile",
+    PROFILES + [PrimeProfile(2, (4,)), PrimeProfile(3, (5, 1)), PrimeProfile(3, (1, 3, 2))],
 )  # blocks of size 4 and 5 give Zero runs j = 2 and 3
 def test_classify_face_matches_pair_oracle_on_every_face(profile):
     for zeros, ones in all_faces(profile):
         pair = pair_of_masks(profile, zeros, ones)
         want = classify_oracle(pair)
         assert classify_face(profile, zeros, ones) == want, (zeros, ones)
+        assert classify_face_walk(profile, zeros, ones) == want, (zeros, ones)
         assert classify(pair) == want, (zeros, ones)
 
 
@@ -289,6 +316,83 @@ def test_vertex_decomposition_and_transport():
 def test_vertex_transport_nowhere_etale_exhaustive(profile):
     # for every vertex, flipping T0 or T0 | T2 yields a nowhere-etale stratum
     assert coverage_check(profile).vertex_failures == ()
+
+
+def compositions(n: int):
+    """Ordered residue-degree tuples summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+SMALL_PROFILES = [
+    PrimeProfile(p, f) for p in (2, 3) for g in range(1, 6) for f in compositions(g)
+]
+
+
+def coverage_oracle(profile: PrimeProfile) -> CoverageReport:
+    """`coverage_check`'s report built the old way: faces from coordinate
+    strings, blocks from `block_mask`, each flip decided by naming the
+    flipped face's stratum with `classify_face_walk`, and the tail sums as
+    `Fraction` sums."""
+    g = profile.g
+    blocks = [profile.block_mask(i) for i in range(profile.n_primes)]
+
+    def inside(mask: int) -> int:
+        return sum(b for b in blocks if mask & b == b)
+
+    def etale(zeros: int, ones: int, flip: int) -> bool:
+        return not classify_face_walk(profile, *_swap_on(zeros, ones, flip)).nowhere_etale
+
+    vertex_failures = []
+    for coords in itertools.product("01", repeat=g):
+        zeros, ones = face("".join(coords))
+        for tag, flip in (("T0", inside(zeros)), ("T0+T2", profile.full_mask & ~inside(ones))):
+            if etale(zeros, ones, flip):
+                vertex_failures.append({"vertex": list(coords), "flip": tag})
+    edge_failures = []
+    for beta0 in range(g):
+        i0 = profile.prime_of(beta0)
+        t = sum((Fraction(1, profile.p**i) for i in range(1, profile.f[i0])), Fraction(0))
+        for rest in itertools.product("01", repeat=g - 1):
+            coords = list(rest[:beta0]) + ["*"] + list(rest[beta0:])
+            zeros, ones = face("".join(coords))
+            t0 = inside(zeros)
+            issues = [
+                {"flip": tag, "issue": "etale"}
+                for tag, flip in (("T0", t0), ("T0+p0", t0 | blocks[i0]))
+                if etale(zeros, ones, flip)
+            ]
+            if not 1 - t > t:
+                covered = [IntervalQ(t, Fraction(1)), IntervalQ(Fraction(0), 1 - t)]
+                issues.append(
+                    {
+                        "issue": "gap",
+                        "covered": [c.to_json_list() for c in covered],
+                        "gap": [str(1 - t), str(t)],
+                    }
+                )
+            for issue in issues:
+                edge_failures.append({"edge": coords, "beta0": beta0, **issue})
+    passed = not vertex_failures and not edge_failures
+    return CoverageReport(profile, passed, tuple(vertex_failures), tuple(edge_failures))
+
+
+@pytest.mark.parametrize("profile", SMALL_PROFILES, ids=str)
+def test_coverage_matches_the_stratum_naming_oracle(profile):
+    assert coverage_check(profile) == coverage_oracle(profile)
+
+
+def test_coverage_oracle_sees_etale_flips():
+    """The oracle's etale branch is live, although no coverage report of a
+    small profile has an etale failure: flipping nothing at a vertex with an
+    all-Zero block lands on an etale face."""
+    profile = PrimeProfile(3, (2, 1))
+    zeros, ones = face("001")
+    assert not classify_face_walk(profile, *_swap_on(zeros, ones, 0)).nowhere_etale
 
 
 def test_pair_json_record():
