@@ -218,15 +218,6 @@ def _product(a, b, bound: int):
     return _packed_mul(a, b, bound) if bound else _schoolbook_mul(a, b)
 
 
-def _poly_mul(a, b) -> tuple[int, ...]:
-    """Product of two integer polynomials, trailing zeros trimmed.
-
-    Schoolbook when an operand has few nonzero coefficients, else packed.
-    """
-    plan = _operands(a, b)
-    return tuple(_product(*plan)) if plan else ()
-
-
 def _mobius_factors(m: int) -> list[tuple[int, int]]:
     """(d, mu(m/d)) for the divisors d of m with m/d squarefree."""
     out = [(m, 1)]

@@ -329,6 +329,8 @@ def _suite_gauss_laws():
 
 
 def _cmd_suite(ns):
+    if ns.den < 1:
+        raise ValueError(f"den must be at least 1, got {ns.den}")
     profile = parse_profile(ns.profile)
     workers = _workers(ns)
     rng = Random(SUITE_RNG_SEED)

@@ -23,7 +23,6 @@ __all__ = [
     "HodgeInterval",
     "pair_of_degvec",
     "w_T_deg",
-    "one_minus",
     "hodge_height",
     "raynaud_feasible",
     "genericity_constraints",
@@ -179,11 +178,6 @@ def w_T_deg(h: DegreeVector, T, generic: bool | None = None) -> DegreeVector:
     return replace(
         h, entries=tuple(entries), generic=h.generic if generic is None else generic
     )
-
-
-def one_minus(h: DegreeVector) -> DegreeVector:
-    """Coordinatewise 1 - v, the degree vector of the quotient datum."""
-    return replace(h, entries=tuple(ONE - v for v in h.entries))
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,9 @@ class PrimeProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ProfileError(f"p must be a rational prime, got {self.p!r}")
-        if not self.f or any((not isinstance(d, int)) or d < 1 for d in self.f):
+        if not self.f or any(
+            not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in self.f
+        ):
             raise ProfileError(f"residue degrees must be positive ints, got {self.f!r}")
         if sum(self.f) > MAX_G:
             raise ProfileError(f"total degree {sum(self.f)} exceeds {MAX_G}")

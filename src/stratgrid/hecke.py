@@ -101,15 +101,7 @@ from heapq import merge
 from itertools import product
 from math import prod
 
-from .degrees import (
-    CuspInput,
-    DegreeVector,
-    ProfileMismatch,
-    _entry_masks,
-    genericity_constraints,
-    hodge_height,
-    raynaud_feasible,
-)
+from .degrees import CuspInput, DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
 from .regions import (
     StratumCase,
@@ -122,22 +114,14 @@ from .regions import (
 
 __all__ = [
     "GridTooLarge",
-    "InfeasibleDatum",
     "BkResult",
-    "IsogenyDatum",
-    "CanTestResult",
     "bk_newton_degree",
-    "bk_polygon_points",
-    "newton_root_valuations",
-    "can_test",
     "feasible_d_grid",
     "verify_sigma_up",
     "saturation_check",
     "GRID_CAP",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 GRID_CAP = 10_000
 
 
@@ -145,12 +129,8 @@ class GridTooLarge(ValueError):
     """Embedding count times denominator exceeds the configured cap."""
 
 
-class InfeasibleDatum(ValueError):
-    """Pair (h, d) violates a constraint family."""
-
-
 # ---------------------------------------------------------------------------
-# local-model Newton degrees
+# the pinned degree on a bad stratum
 
 
 @dataclass(frozen=True)
@@ -159,10 +139,6 @@ class BkResult:
 
     kind: str  # "exact" | "lower_bound"
     value: Fraction
-    slope: Fraction  # valuation of the local generator coordinate
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "value": str(self.value), "slope": str(self.slope)}
 
 
 def bk_newton_degree(p: int, f: int, j: int, h: Fraction) -> BkResult:
@@ -170,9 +146,8 @@ def bk_newton_degree(p: int, f: int, j: int, h: Fraction) -> BkResult:
 
     For free value h strictly between the threshold and 1 the degree is the
     threshold itself; strictly below, the degree equals h; at the threshold
-    only the lower bound survives.  The slope is the valuation of the solved
-    coordinate: (1-h)/p above the threshold, with an extra (threshold - h)/p
-    term below.
+    only the lower bound survives.  This is the `Fraction` definition that
+    `_pin_for` restates in integers.
     """
     if f < 2 or not 1 <= j <= f - 1:
         raise ValueError(f"need f >= 2 and 1 <= j <= f-1, got f={f}, j={j}")
@@ -181,131 +156,14 @@ def bk_newton_degree(p: int, f: int, j: int, h: Fraction) -> BkResult:
         raise ValueError(f"free coordinate must lie in (0,1), got {h}")
     dj = delta(p, j)
     if h > dj:
-        return BkResult("exact", dj, Fraction(1 - h, p))
+        return BkResult("exact", dj)
     if h < dj:
-        return BkResult("exact", h, Fraction(1 - h, p) + Fraction(dj - h, p))
-    return BkResult("lower_bound", dj, Fraction(1 - h, p))
-
-
-def bk_polygon_points(p: int, block, beta0: int) -> list[tuple[int, Fraction]]:
-    """Newton-polygon vertices of the local generator equation.
-
-    `block` is the cyclic degree pattern (free value at beta0, 0/1 elsewhere).
-    Returns the three points (0, v(A)), (p^g - 1, v(D)), (p^g, v(c)).  Only
-    defined away from the threshold value.
-    """
-    g = len(block)
-    block = tuple(Fraction(v) for v in block)
-    h = block[beta0]
-    j = 0
-    k = (beta0 + 1) % g
-    while block[k] == 0:
-        j += 1
-        k = (k + 1) % g
-    if j < 1 or block[k] != 1:
-        raise ValueError("block must have a Zero run after beta0 ending at a One")
-    dj = delta(p, j)
-    pred = lambda i: block[(beta0 - i) % g]
-    vA = sum((p ** (i - 1) * (ONE - pred(i)) for i in range(1, g + 1)), ZERO)
-    vD = sum((p ** (i - 1) * pred(i) for i in range(1, g + 1)), ZERO)
-    if h > dj:
-        vC = sum((p ** (i - 1) * (ONE - pred(i)) for i in range(1, g)), ZERO)
-    elif h < dj:
-        vC = sum((p ** (i - 1) * (ONE - pred(i)) for i in range(1, g - j - 1)), ZERO)
-        vC += p ** (g - 1) * h
-    else:
-        raise ValueError("polygon undetermined at the threshold value")
-    n = p**g
-    return [(0, vA), (n - 1, vD), (n, vC)]
-
-
-def newton_root_valuations(points) -> list[tuple[Fraction, int]]:
-    """Root valuations with multiplicity from the lower convex hull.
-
-    Points are (exponent, valuation); a hull segment of slope s over a run of
-    length m contributes m roots of valuation -s.  Returned ascending.
-    """
-    pts = sorted((int(x), Fraction(y)) for x, y in points)
-    hull: list[tuple[int, Fraction]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it sits on or above the chord
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
-    return sorted(out)
+        return BkResult("exact", h)
+    return BkResult("lower_bound", dj)
 
 
 # ---------------------------------------------------------------------------
-# datum invariants and the canonical test
-
-
-@dataclass(frozen=True)
-class IsogenyDatum:
-    """Pair of degree vectors (ambient h, subgroup d) with all invariants.
-
-    Construction fails unless every anchored Raynaud inequality holds, the
-    genericity families hold when h is flagged generic, and the Hodge
-    intervals of h and d intersect at every embedding.
-    """
-
-    h: DegreeVector
-    d: DegreeVector
-
-    def __post_init__(self) -> None:
-        h, d = self.h, self.d
-        if h.profile != d.profile:
-            raise ProfileMismatch(f"{h.profile} vs {d.profile}")
-        profile = h.profile
-        for i in range(profile.n_primes):
-            if not raynaud_feasible(h, d, i):
-                raise InfeasibleDatum(f"anchored inequalities fail on prime {i}")
-            if h.generic and not genericity_constraints(h, d, i):
-                raise InfeasibleDatum(f"genericity constraints fail on prime {i}")
-        for beta in range(profile.g):
-            if not hodge_height(h, beta).intersects(hodge_height(d, beta)):
-                raise InfeasibleDatum(f"Hodge intervals disjoint at embedding {beta}")
-
-
-@dataclass(frozen=True)
-class CanTestResult:
-    passed: bool
-    violations: tuple  # (beta, lhs) on required blocks (size > 1)
-    advisory: tuple  # (beta, lhs) on size-1 blocks, informational
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "violations": [{"beta": b, "lhs": str(v)} for b, v in self.violations],
-            "advisory": [{"beta": b, "lhs": str(v)} for b, v in self.advisory],
-        }
-
-
-def can_test(d: DegreeVector) -> CanTestResult:
-    """Strict inequality p*d + (successor entry of d) < p at every embedding.
-
-    Required exactly on blocks of size > 1; evaluations on size-1 blocks are
-    reported separately and do not affect the outcome.
-    """
-    profile = d.profile
-    p = profile.p
-    violations = []
-    advisory = []
-    for i in range(profile.n_primes):
-        f, off = profile.f[i], profile.offsets[i]
-        for pos in range(f):
-            beta = off + pos
-            succ = off + (pos + 1) % f
-            lhs = p * d[beta] + d[succ]
-            if lhs >= p:
-                (violations if f > 1 else advisory).append((beta, lhs))
-    return CanTestResult(not violations, tuple(violations), tuple(advisory))
+# the quotient test
 
 
 def _quotient_vcan_failures(profile: PrimeProfile, scaled: tuple[int, ...], den: int):
@@ -385,11 +243,12 @@ def _block_plan(
     rules are implied and not restated.  The tail bound (d <= delta_star
     where h = 1): there the k = 0 term of the anchored sum is 0, so the
     self-anchored bound caps d at sum_{k>=1} p^-k (1 - h_(pos+k)) <=
-    delta_star(p, f).  The vanishing rule (`_gen3_edge_ok`: where h's
-    predecessor entry is 0 and d < 1, d's predecessor entry is 0): there the
-    h-side height window is {0} unless h = 1, and a d-side height of 0 with
-    d < 1 needs p times the predecessor entry to be 0; where h = 1 the plan
-    caps the predecessor entry at 0.
+    delta_star(p, f).  The vanishing rule (where h's predecessor entry is 0
+    and d < 1, d's predecessor entry is 0; `tests/test_hecke.py` holds it as
+    the per-value predicate `_gen3_edge_ok`): there the h-side height window
+    is {0} unless h = 1, and a d-side height of 0 with d < 1 needs p times
+    the predecessor entry to be 0; where h = 1 the plan caps the predecessor
+    entry at 0.
     """
     f = len(s)
     zero_one = all(v == 0 or v == den for v in s)
@@ -427,40 +286,6 @@ def _block_plan(
     return BlockPlan(
         p, f, den, s, tuple(lo), tuple(hi), tuple(wlo), tuple(whi), rhs, generic_active
     )
-
-
-# Per-value predicates of the families that couple a block's entries: the
-# direct definitions the range helpers below are tested against.  The
-# vanishing rule is implied by the others (see `_block_plan`).
-
-
-def _hodge_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
-    # consistency of the d-side height interval at `pos` with the h-side one
-    x = plan.p * a_prev
-    y = plan.den - a_cur
-    m = x if x < y else y
-    if x != y:
-        return plan.wlo[pos] <= m <= plan.whi[pos]
-    return m <= plan.whi[pos]
-
-
-def _gen3_edge_ok(plan: BlockPlan, pos, a_prev, a_cur) -> bool:
-    # predecessor entry must vanish under a Zero predecessor with d below 1
-    if not plan.generic:
-        return True
-    pred = (pos - 1) % plan.f
-    if plan.block[pred] == 0 and a_cur < plan.den and a_prev != 0:
-        return False
-    return True
-
-
-def _raynaud_ok(plan: BlockPlan, assign) -> bool:
-    p, f = plan.p, plan.f
-    for start in range(f):
-        lhs = sum(p ** (f - 1 - k) * assign[(start + k) % f] for k in range(f))
-        if lhs > plan.rhs[start]:
-            return False
-    return True
 
 
 def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
@@ -688,10 +513,13 @@ def _run_failures(plan: BlockPlan, prefix, lo, hi) -> int:
 def _pin_for(stratum: StratumCase, verdict: Verdict, scaled, den: int):
     """Pinned range (beta0, lo, hi) at the free coordinate, or None.
 
-    (`stratum`, `verdict`) is the point's `sigma_case`.  The range is
+    (`stratum`, `verdict`) is the point's `sigma_case`.  This pin is the
+    sweep's one use of the local model on a bad stratum.  The range is
     `bk_newton_degree`'s value times den, compared in integers: the threshold
     delta_j when the free value lies above it (empty when delta_j is off the
     grid), the free value below it, and at least the free value at it.
+    `bk_newton_degree` stays the `Fraction` definition the tests check this
+    range against.
     """
     if stratum.kind != "bad_partial_eta" or verdict is Verdict.OUT:
         return None
@@ -789,6 +617,8 @@ def _windows(profile: PrimeProfile, den: int) -> tuple[tuple[int, int, int, int]
     that the block's sum s of the scaled h, over den, lies strictly inside
     the block's `istar_interval` exactly when lo < s < hi.  For an integer s,
     s > x * den iff s > floor(x * den), and s < y * den iff s < ceil(y * den).
+    `regions.in_interval_region` is the `Fraction` oracle the tests check
+    this window and `_within` against.
     """
     out = []
     for f, off in zip(profile.f, profile.offsets):

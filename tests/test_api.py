@@ -1,0 +1,80 @@
+"""Import hygiene of the package, read from the source with `ast`.
+
+Every top-level import of a module is used in that module's code or
+re-exported through its `__all__`, and every `__all__` entry names something
+the module defines, once.  A name that loses its last caller takes its
+imports with it.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stratgrid"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _tree(name: str) -> ast.Module:
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                out[bound] = node.lineno
+    return out
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module's code reads, string annotations included."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for note in annotations:
+        for sub in ast.walk(note):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= _used_names(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def _all(tree: ast.Module):
+    """The literal entries of the module's `__all__`, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return None
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_top_level_import_is_used_or_exported(name):
+    tree = _tree(name)
+    kept = _used_names(tree) | set(_all(tree) or ())
+    unused = {n: line for n, line in _imported_names(tree).items() if n not in kept}
+    assert not unused, f"{name}.py imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve_once(name):
+    entries = _all(_tree(name))
+    if entries is None:
+        return
+    assert len(entries) == len(set(entries)), f"{name}.__all__ repeats a name"
+    module = importlib.import_module(f"stratgrid.{name}")
+    missing = [e for e in entries if not hasattr(module, e)]
+    assert not missing, f"{name}.__all__ names what it does not define: {missing}"

@@ -33,14 +33,24 @@ from stratgrid.characters import (
 from stratgrid.characters import (
     _detectable_index,
     _max_abs,
+    _operands,
     _packed_mul,
-    _poly_mul,
+    _product,
     _reduce,
     _ring_mul,
     _schoolbook_mul,
 )
 
 GAUSS_ORDERS = (3, 4, 5, 7, 8, 9, 11, 13)
+
+
+def _poly_mul(a, b) -> tuple[int, ...]:
+    """Product of two integer polynomials, trailing zeros trimmed.
+
+    Schoolbook when an operand has few nonzero coefficients, else packed.
+    """
+    plan = _operands(a, b)
+    return tuple(_product(*plan)) if plan else ()
 
 
 def euler_phi(m: int) -> int:

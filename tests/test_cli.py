@@ -272,6 +272,11 @@ def test_regions_coverage_pass_and_fail(capsys):
     assert rep["edge_failures"]
 
 
+def test_regions_coverage_boolean_degree_is_usage_error(capsys):
+    code = cli.run(["regions", "coverage", "--profile", '{"p": 3, "f": [true, 2]}'])
+    assert_one_line_usage_error(capsys, code)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -654,6 +659,67 @@ def test_suite_example_profile_passes(capsys):
         "twist-sample",
     ]
     assert all(c["pass"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("den", ["0", "-3"])
+def test_suite_den_below_one_is_usage_error(capsys, den):
+    code = cli.run(["suite", "--profile", "p=3;f=2,1", "--den", den])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: den must be at least 1, got {den}"]
+
+
+@st.composite
+def suite_profile_text(draw):
+    """A profile text with p in {2, 3, 4, 5} and g up to 3, a malformed one,
+    or a JSON one with a boolean residue degree."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(
+            st.sampled_from(["p=3;f=", "p=3", "p=3;f=0,1", '{"p": 3}', "p=1;f=1"])
+            | st.text(max_size=12)
+        )
+    if kind == 1:
+        degrees = draw(
+            st.lists(st.sampled_from(["true", "false", "1", "2"]), min_size=1, max_size=3)
+        )
+        return f'{{"p": 3, "f": [{", ".join(degrees)}]}}'
+    g = draw(st.integers(1, 3))
+    parts = []
+    while g:
+        parts.append(draw(st.integers(1, g)))
+        g -= parts[-1]
+    return f"p={draw(st.sampled_from([2, 3, 4, 5]))};f={','.join(map(str, parts))}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(suite_profile_text(), st.integers(-3, 8), st.integers())
+@example("p=3;f=2,1", 0, 0)  # den 0
+@example("p=3;f=2,1", -3, 0)  # den -3
+@example('{"p": 3, "f": [true]}', 4, 0)  # a boolean residue degree
+@example("p=3;f=13", 2, 0)  # g = 13: above the enumeration bound
+def test_suite_fuzz_keeps_the_exit_contract(profile, den, seed):
+    """Exit 0 or 1 with a JSON report (and one zero-pairs warning per sweep
+    that checks no pairs), or exit 2 with one `error:` line; never a raise."""
+    argv = ["suite", f"--profile={profile}", f"--den={den}", f"--seed={seed}", "--workers=1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        return
+    rep = json.loads(out.getvalue())
+    assert rep["check"] == "suite" and rep["den"] == den and rep["seed"] == seed
+    assert code == (0 if rep["pass"] else 1)
+    assert rep["pass"] == all(c["pass"] for c in rep["checks"])
+    warnings = [
+        f"warning: {c['name']} on {parse_profile(profile)} checked no pairs"
+        for c in rep["checks"]
+        if c["name"] in ("sigma-up", "saturation") and c["report"]["pairs_checked"] == 0
+    ]
+    assert lines == warnings
 
 
 def test_suite_byte_identical_across_workers(tmp_path, capsys):

@@ -18,7 +18,6 @@ from stratgrid.degrees import (
     _entry_masks,
     genericity_constraints,
     hodge_height,
-    one_minus,
     pair_of_degvec,
     raynaud_feasible,
     w_T_deg,
@@ -229,13 +228,6 @@ def test_genericity_examples():
     assert genericity_constraints(dv(profile, "1/2", 0, generic=True), dv(profile, 1, "1/2"), 0)
 
 
-def test_one_minus():
-    profile = PrimeProfile(3, (2,))
-    h = dv(profile, "1/3", 1, generic=True)
-    assert one_minus(h).entries == (F(2, 3), F(0))
-    assert one_minus(h).generic is True
-
-
 @given(degvec())
 def test_deg_prime_totals(h):
     total = sum((h.deg_prime(i) for i in range(h.profile.n_primes)), F(0))
@@ -244,8 +236,8 @@ def test_deg_prime_totals(h):
 
 @given(cusp_or_degvec(), st.data())
 def test_flips_equal_validated_vectors(h, data):
-    """What `w_T_deg` and `one_minus` return equals the vector built through
-    the validated constructor, cusp vectors included."""
+    """What `w_T_deg` returns equals the vector built through the validated
+    constructor, cusp vectors included."""
     profile = h.profile
     T = data.draw(st.sets(st.integers(0, profile.n_primes - 1)))
     flag = data.draw(st.sampled_from([None, False, True]))
@@ -255,7 +247,4 @@ def test_flips_equal_validated_vectors(h, data):
     generic = h.generic if flag is None else flag
     assert w_T_deg(h, T, generic=flag) == DegreeVector(
         profile, flipped, generic=generic, cusp=h.cusp
-    )
-    assert one_minus(h) == DegreeVector(
-        profile, tuple(1 - v for v in h.entries), generic=h.generic, cusp=h.cusp
     )

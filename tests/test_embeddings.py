@@ -81,6 +81,12 @@ def test_parse_rejects(bad):
         parse_profile(bad)
 
 
+def test_boolean_residue_degree_rejected():
+    # bool is an int, so True would pass for a residue degree of 1
+    with pytest.raises(ProfileError):
+        PrimeProfile(3, (True, 2))
+
+
 def test_small_primes_accepted():
     # p=2 profiles construct; the p>=3 hypothesis surfaces in checks, not here
     assert parse_profile("p=2;f=2").p == 2
