@@ -50,8 +50,6 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from random import Random
 
-from .embeddings import _is_prime
-
 __all__ = [
     "ConductorTooLarge",
     "InconsistentSeed",
@@ -588,17 +586,15 @@ class GF:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if _is_prime(p):
-            r, qq = 0, q
-            while qq % p == 0:
-                qq //= p
-                r += 1
-            if qq == 1 and r >= 1:
-                return p, r
-            if q % p == 0:
-                break
-    raise ValueError(f"{q} is not a prime power")
+    """(p, r) with q = p^r and r >= 1, read off `_prime_power_factors`."""
+    factors = _prime_power_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    (pe, p), r = factors[0], 0
+    while pe > 1:
+        pe //= p
+        r += 1
+    return p, r
 
 
 def _find_irreducible(p: int, r: int) -> tuple[int, ...]:
@@ -665,15 +661,24 @@ def _euler_phi(m: int) -> int:
 
 
 def _prime_power_factors(n: int) -> list[tuple[int, int]]:
+    """(p^e, p) for each prime p dividing n, p ascending; [] for n <= 1.
+
+    Trial division stops at the square root of what is left, which is then
+    1 or one last prime: O(sqrt n) steps, so a large conductor is refused
+    cheaply.
+    """
     out = []
-    m = n
-    for p in range(2, n + 1):
+    m, p = n, 2
+    while p * p <= m:
         if m % p == 0:
             pe = 1
             while m % p == 0:
                 m //= p
                 pe *= p
             out.append((pe, p))
+        p += 1
+    if m > 1:
+        out.append((m, m))
     return out
 
 

@@ -28,6 +28,7 @@ from .characters import (
     UnitGroup,
     verify_twist_identity,
     _detectable_index,
+    _prime_power,
 )
 from .degrees import DegreeVector, pair_of_degvec, w_T_deg
 from .embeddings import parse_profile
@@ -196,6 +197,9 @@ def _twist_runs(q, n, trials, seed, corrupt):
     """
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    # lcm(p, q - 1, n) divides M, so a ring too large for it is refused
+    # before any table of F_q or (Z/n)^x is built
+    conductor(_prime_power(q)[0], q - 1, n)
     field, group = GF(q), UnitGroup(n)
     M = conductor(field.p, q - 1, n, group.exponent)
     failures = []
@@ -250,6 +254,7 @@ def _cmd_verify_twist(ns):
 
 
 def _cmd_gauss(ns):
+    conductor(_prime_power(ns.q)[0])  # p divides W's conductor: refuse before GF
     psi = FieldChar(GF(ns.q), ns.char_exp)
     W = gauss_sum(psi)
     report = {

@@ -68,7 +68,7 @@ by block, without listing G: least rotations, sorted within each size class.
 
 The counting pass works one cell of the cube at a time: a vertex, or an open
 edge with its free value t in 1..den-1.  The stratum, the canonical flag and
-the orbit size are the same at every point of a cell (`_cell_orbit` gives
+the orbit size are the same at every point of a cell (`_canonical` gives
 the argument), so a cell decides them once.  Every point is still decided by
 its own free value, and on saturation gets its window test and purity round
 trip, since a verdict can change along an edge at a threshold.  With n
@@ -78,19 +78,21 @@ cell only where it holds one of its points; the parent runs one share and a
 child process each of the others.
 
 The records come from the cells too, and are lexicographic by
-construction.  By `_cell_orbit`'s argument the least image of a cell's point
+construction.  By `_canonical`'s argument the least image of a cell's point
 at free value t is its canonical cell's point at t, and a point fails
-exactly when its least image does.  So the counting pass reports each
-cell's canonical cell and the free values at which each canonical cell
-failed, and a cell's failing points are its points at those values.  The
-record pass in the parent streams the failing points of each cell, t
-ascending, which is lexicographic within a cell, and merges the streams
-into one lexicographic stream.  Each point's failures come ordered by d and
-then beta, so the first records of the merged stream are the first by
-embedding index, and the pass stops at the cap: each point it expands gives
-at least one record, and there is no per-point `_canonical` call and no
-sort, whatever the worker count.  It plans each distinct block once, from a
-table of its own that holds the runs; the counting table holds only counts.
+exactly when its least image does.  So the counting pass reports the free
+values at which each canonical cell failed, and a cell's failing points are
+its points at those values.  The record pass in the parent names each
+cell's canonical cell again, one `_canonical` call per cell, streams the
+failing points of each cell, t ascending, which is lexicographic within a
+cell, and merges the streams into one lexicographic stream.  Each point's
+failures come ordered by d and then beta, so the first records of the
+merged stream are the first by embedding index, and the pass stops at the
+cap: each point it expands gives at least one record, and there is no
+per-point `_canonical` call and no sort, whatever the worker count.  It
+plans each distinct block once, from a table of its own that holds the
+runs; the counting table holds only counts.  A record's lhs stays an
+integer, times den, until `_cx_record` writes it.
 """
 from __future__ import annotations
 
@@ -167,10 +169,12 @@ def bk_newton_degree(p: int, f: int, j: int, h: Fraction) -> BkResult:
 
 
 def _quotient_vcan_failures(profile: PrimeProfile, scaled: tuple[int, ...], den: int):
-    """Betas where the quotient degrees 1 - d leave the canonical locus.
+    """(beta, lhs) where the quotient degrees 1 - d leave the canonical locus.
 
-    On blocks of size > 1 this is the strict canonical test on d; on size-1
-    blocks the quotient needs positive degree, i.e. d < 1.
+    On blocks of size > 1 this is the strict canonical test on d, which
+    fails where lhs = p*d_beta + d_succ >= p; on size-1 blocks the quotient
+    needs positive degree, i.e. d < 1, and lhs = (p + 1) d.  `scaled` is d
+    times den, and so is lhs.
     """
     p = profile.p
     out = []
@@ -180,10 +184,11 @@ def _quotient_vcan_failures(profile: PrimeProfile, scaled: tuple[int, ...], den:
             beta = off + pos
             succ = off + (pos + 1) % f
             if f > 1:
-                if p * scaled[beta] + scaled[succ] >= p * den:
-                    out.append((beta, Fraction(p * scaled[beta] + scaled[succ], den)))
+                lhs = p * scaled[beta] + scaled[succ]
+                if lhs >= p * den:
+                    out.append((beta, lhs))
             elif scaled[beta] == den:
-                out.append((beta, Fraction((p + 1) * scaled[beta], den)))
+                out.append((beta, (p + 1) * den))
     return out
 
 
@@ -609,7 +614,8 @@ def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dic
     def degs(scaled):
         return {profile.label(k): str(Fraction(a, den)) for k, a in enumerate(scaled)}
 
-    return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": str(lhs)}
+    lhs = str(Fraction(lhs, den))
+    return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": lhs}
 
 
 def _windows(profile: PrimeProfile, den: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -633,11 +639,11 @@ def _within(windows, scaled) -> bool:
     return all(lo < sum(scaled[off : off + f]) < hi for off, f, lo, hi in windows)
 
 
-def _point_in(profile, den, windows, point) -> tuple[bool, bool]:
-    """(in, pure) of one grid point: its `StratumCase` verdict and, on a
-    saturation sweep (`windows` is the sweep's `_windows`, else None), the
-    window test and the purity round trip."""
-    scaled, stratum = point
+def _point_in(profile, den, windows, scaled, stratum) -> tuple[bool, bool]:
+    """(in, pure) of one grid point, the scaled h on `stratum`: its
+    `StratumCase` verdict and, on a saturation sweep (`windows` is the
+    sweep's `_windows`, else None), the window test and the purity round
+    trip."""
     free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
     if stratum.decide(True, free, den) is not Verdict.IN:
         return False, True
@@ -683,6 +689,20 @@ def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
     rotations; over a sorted class that multinomial is the product of
     k / (length of the run of equal contents ending at k).  No image other
     than the least one is built.
+
+    One call on a cell's first point (`_cells`) decides the whole cell.  Off
+    the free coordinate every entry is 0 or den, and the free value t lies
+    strictly between, 0 < t < den.  An image of an edge point under G moves
+    t to some position and keeps the other entries 0 or den, and where t
+    sits does not depend on t.  So whether two images agree at a position
+    does not depend on t, and where they first differ, their two entries
+    are two of 0, t and den, whose order is the same for every t in
+    (0, den).  Which image is least, and how many images are distinct, are
+    therefore the same at every t: the cell's points are all canonical or
+    none is, and they share one orbit size.  One element of G takes every
+    point of the cell to its least image and t to one position, so the least
+    image of the point at t is the point at t of one cell, the canonical
+    cell, whose first point is the least image of the cell's first point.
     """
     classes: dict[int, list] = {}
     size = 1
@@ -736,73 +756,6 @@ def _cell_points(cell, den: int, start: int = 0, step: int = 1):
     return (_cell_point(cell, t) for t in free[start::step])
 
 
-def _cell_orbit(profile: PrimeProfile, cell) -> tuple[tuple[int, ...], int]:
-    """(first point of the canonical cell, orbit size) of the cell.
-
-    `_canonical` is called once, on the cell's first point.  Off the free
-    coordinate every entry is 0 or den, and the free value t lies strictly
-    between, 0 < t < den.  An image of an edge point under G moves t to
-    some position and keeps the other entries 0 or den, and where t sits
-    does not depend on t.  So whether two images agree at a position does
-    not depend on t, and where they first differ, their two entries are two
-    of 0, t and den, whose order is the same for every t in (0, den).  Which
-    image is least, and how many images are distinct, are therefore the
-    same at every t: the cell's points are all canonical or none is, and
-    they share one orbit size.  One element of G takes every point of the
-    cell to its least image and t to one position, so the least image of
-    the point at t is the point at t of one cell, the canonical cell, whose
-    first point is the least image of the cell's first point.
-    """
-    return _canonical(profile, cell[0])
-
-
-def _orbit_cell(profile, den, drop_genericity, windows, table, cell, start, step):
-    """Some points of one cell in the counting pass: (points_in, pure, pairs,
-    cx_total, orbits, failed) of the cell's points from its start-th, every
-    step-th.
-
-    The cell's stratum is decided once from its face masks, and its
-    canonical cell and orbit size once by `_cell_orbit`.  Every point taken
-    then gets its own verdict, and on saturation its window test and purity
-    round trip.  Only a canonical cell counts blocks, at each of its
-    In points, and it counts the pairs and failures of the whole orbit: its
-    own times the orbit size.  Each block's (candidates, failures) is looked
-    up in `table` by its `_block_keys` key, and planned and counted only on a
-    miss.  `orbits` maps the cell to its canonical cell's first point, and
-    `failed` maps a canonical cell's first point to the free values of the
-    points taken that have failures, when there are some.
-    """
-    first, beta = cell
-    stratum = stratum_case(profile, *_entry_masks(first, den))
-    canon, size = _cell_orbit(profile, cell)
-    canonical = canon == first
-    generic = not drop_genericity
-    points_in = pairs = cx_total = 0
-    pure = True
-    failed = []
-    for scaled in _cell_points(cell, den, start, step):
-        point_in, point_pure = _point_in(profile, den, windows, (scaled, stratum))
-        pure = pure and point_pure
-        if not point_in:
-            continue
-        points_in += 1
-        if not canonical:
-            continue
-        counts = []
-        for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
-            count = table.get(key)
-            if count is None:
-                count = table[key] = _block_count(*_block(profile.p, den, generic, *key))
-            counts.append(count)
-        point_pairs, point_cx = _fold(counts)
-        pairs += size * point_pairs
-        cx_total += size * point_cx
-        if point_cx:
-            failed.append(None if beta is None else scaled[beta])
-    failed_at = {first: failed} if failed else {}
-    return points_in, pure, pairs, cx_total, {cell: canon}, failed_at
-
-
 def _held_cells(g: int, den: int, n: int, k: int):
     """(cell, start) of each cell, in `_cells` order, holding points of share
     k of n.  Numbered in `_cells` order, the cube's points of index k mod n
@@ -816,33 +769,69 @@ def _held_cells(g: int, den: int, n: int, k: int):
         index += size
 
 
-def _total(results) -> tuple[int, bool, int, int, dict, dict]:
-    """Fold counting-pass results: sums, an AND, each cell's canonical cell,
-    and the set of free values at which each canonical cell failed.  None of
-    these depends on the order of `results`."""
+def _total(results) -> tuple[int, bool, int, int, dict]:
+    """Fold `_share` results: sums, an AND, and the set of free values at
+    which each canonical cell failed.  None of these depends on the order of
+    `results`."""
     points_in = pairs = cx_total = 0
     pure = True
-    orbits, failed = {}, {}
-    for part_in, part_pure, part_pairs, part_cx, part_orbits, part_failed in results:
+    failed = {}
+    for part_in, part_pure, part_pairs, part_cx, part_failed in results:
         points_in += part_in
         pure = pure and part_pure
         pairs += part_pairs
         cx_total += part_cx
-        orbits.update(part_orbits)
         for canon, free in part_failed.items():
             failed.setdefault(canon, set()).update(free)
-    return points_in, pure, pairs, cx_total, orbits, failed
+    return points_in, pure, pairs, cx_total, failed
 
 
 def _share(profile, den, drop_genericity, windows, n, k):
-    """Share k of n of the counting pass, folded by `_total`: `_orbit_cell`
-    on the points of each cell the share holds (`_held_cells`), with one
-    table of block counts for the whole share."""
+    """Share k of n of the counting pass: (points_in, pure, pairs, cx_total,
+    failed) of the cube's points of index k mod n (`_held_cells`).
+
+    Each cell held decides its stratum once from its face masks, and its
+    canonical cell and orbit size once by `_canonical` on its first point.
+    Every point held then gets its own verdict, and on saturation its window
+    test and purity round trip.  Only a canonical cell counts blocks, at each
+    of its In points, and it counts the pairs and failures of the whole
+    orbit: its own times the orbit size.  Each block's (candidates,
+    failures) is looked up in the share's one table by its `_block_keys`
+    key, and planned and counted only on a miss.  `failed` maps a canonical
+    cell's first point to the set of free values of its held points that
+    have failures.
+    """
+    generic = not drop_genericity
     table = {}
-    return _total(
-        _orbit_cell(profile, den, drop_genericity, windows, table, cell, start, n)
-        for cell, start in _held_cells(profile.g, den, n, k)
-    )
+    points_in = pairs = cx_total = 0
+    pure = True
+    failed = {}
+    for cell, start in _held_cells(profile.g, den, n, k):
+        first, beta = cell
+        stratum = stratum_case(profile, *_entry_masks(first, den))
+        canon, size = _canonical(profile, first)
+        for scaled in _cell_points(cell, den, start, n):
+            point_in, point_pure = _point_in(profile, den, windows, scaled, stratum)
+            pure = pure and point_pure
+            if not point_in:
+                continue
+            points_in += 1
+            if canon != first:
+                continue
+            counts = []
+            for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
+                count = table.get(key)
+                if count is None:
+                    plan, runs = _block(profile.p, den, generic, *key)
+                    count = table[key] = _block_count(plan, runs)
+                counts.append(count)
+            point_pairs, point_cx = _fold(counts)
+            pairs += size * point_pairs
+            cx_total += size * point_cx
+            if point_cx:
+                t = None if beta is None else scaled[beta]
+                failed.setdefault(first, set()).add(t)
+    return points_in, pure, pairs, cx_total, failed
 
 
 def _share_child(conn, *args) -> None:
@@ -856,20 +845,22 @@ def _share_child(conn, *args) -> None:
         conn.close()
 
 
-def _records(profile: PrimeProfile, den: int, generic: bool, orbits, failed):
+def _records(profile: PrimeProfile, den: int, generic: bool, failed):
     """The sweep's failures as (h_scaled, d_scaled, beta, lhs), ordered by h,
-    then d, then beta.
+    then d, then beta; lhs is times den.
 
-    `orbits` and `failed` are `_total`'s.  A cell fails at the free values
-    where its canonical cell failed (`_cell_orbit`), so each such cell
-    streams its points there, t ascending, with the cell's stratum, and
-    `merge` makes one lexicographic stream of them; the cells' points are
-    distinct, so no two strata are compared.  Each point's failures are
-    expanded from its blocks' runs, each distinct block planned once, from
-    a table of `_block` results keyed by `_block_keys`.
+    `failed` is `_total`'s.  A cell fails at the free values where its
+    canonical cell failed (`_canonical`'s argument), so each cell of `_cells`
+    names its canonical cell with one `_canonical` call and, where that cell
+    failed, streams its points there, t ascending, with the cell's stratum;
+    `merge` makes one lexicographic stream of them.  The cells'
+    points are distinct, so no two strata are compared.  Each point's
+    failures are expanded from its blocks' runs, each distinct block planned
+    once, from a table of `_block` results keyed by `_block_keys`.
     """
     streams = []
-    for cell, canon in orbits.items():
+    for cell in _cells(profile.g, den):
+        canon = _canonical(profile, cell[0])[0]
         if canon in failed:
             stratum = stratum_case(profile, *_entry_masks(cell[0], den))
             free = sorted(failed[canon])
@@ -896,26 +887,28 @@ def _run_sweep(
 ) -> dict:
     """Sweep the grid points in two passes and fold the results.
 
-    The counting pass runs `_orbit_cell` over the cells of the cube
-    (`_cells`): each cell decides its stratum and its orbit once, every
-    point is decided, and each orbit's pairs and failures are counted once,
-    at its canonical point.  A canonical point folds its blocks'
-    (candidates, failures) from a table keyed by (block of the scaled h,
-    local pin), the arguments of `_block_plan` that vary within a sweep; p,
-    den and the genericity flag are the sweep's own.  Saturation's windows
-    are built once here.  The pass is split into n = min(workers, cells)
-    shares (`_share`): share k takes every n-th point of the cube from the
-    k-th, so each edge is spread over all shares, and keeps one block table.
-    The parent runs share 0 itself and starts one process with a one-way
-    pipe for each other share, so one worker starts no process.  The counts
-    fold by `_total`, so they depend neither on the order the shares finish
-    in nor on the worker count or the start method.  A share's exception is
+    The counting pass walks the cells of the cube (`_cells`): each cell
+    decides its stratum and its orbit once, every point is decided, and each
+    orbit's pairs and failures are counted once, at its canonical point.  A
+    canonical point folds its blocks' (candidates, failures) from a table
+    keyed by (block of the scaled h, local pin), the arguments of
+    `_block_plan` that vary within a sweep; p, den and the genericity flag
+    are the sweep's own.  Saturation's windows are built once here.  The pass
+    is split into n = min(workers, cells) shares (`_share`): share k takes
+    every n-th point of the cube from the k-th, so each edge is spread over
+    all shares, and keeps one block table.  A share sends back its four
+    counts and the free values at which each canonical cell failed.  The
+    parent runs share 0 itself and starts one process with a one-way pipe
+    for each other share, so one worker starts no process.  The counts fold
+    by `_total`, so they depend neither on the order the shares finish in
+    nor on the worker count or the start method.  A share's exception is
     raised again in the parent, and every child is joined before the sweep
     returns or raises, terminated first if anything raised.  When there are
     failures to keep, the record pass (`_records`) runs in the parent on the
     cells whose canonical cell failed, at the free values where it failed,
     and stops once `max_counterexamples` records are kept: the
-    lexicographically first by embedding index, with no sort.
+    lexicographically first by embedding index, with no sort.  It names each
+    cell's canonical cell itself, with one `_canonical` call per cell.
     """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
@@ -954,10 +947,10 @@ def _run_sweep(
         for child, conn in children:
             child.join()
             conn.close()
-    points_in, pure, pairs, cx_total, orbits, failed = _total(results)
+    points_in, pure, pairs, cx_total, failed = _total(results)
     cx = []
     if failed and max_counterexamples:
-        for record in _records(profile, den, not drop_genericity, orbits, failed):
+        for record in _records(profile, den, not drop_genericity, failed):
             cx.append(record)
             if len(cx) == max_counterexamples:
                 break

@@ -2,8 +2,9 @@
 
 Every top-level import of a module is used in that module's code or
 re-exported through its `__all__`, and every `__all__` entry names something
-the module defines, once.  A name that loses its last caller takes its
-imports with it.
+the module defines, once.  Every private top-level name is read somewhere in
+the package.  A name that loses its last caller takes its imports with it,
+and a private helper that loses its last caller goes too.
 """
 import ast
 import importlib
@@ -51,6 +52,24 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _private_defined(tree: ast.Module) -> dict[str, int]:
+    """Private names the module binds at top level (dunders aside), with
+    their line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
 def _all(tree: ast.Module):
     """The literal entries of the module's `__all__`, or None without one."""
     for node in tree.body:
@@ -78,3 +97,20 @@ def test_all_entries_resolve_once(name):
     module = importlib.import_module(f"stratgrid.{name}")
     missing = [e for e in entries if not hasattr(module, e)]
     assert not missing, f"{name}.__all__ names what it does not define: {missing}"
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    """A private helper with no reader in `src` is dead code: tests may call
+    it, but they do not keep it."""
+    trees = {name: _tree(name) for name in MODULES}
+    read = set()
+    for tree in trees.values():
+        read |= _used_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = {
+        f"{name}.{private}": line
+        for name, tree in trees.items()
+        for private, line in _private_defined(tree).items()
+        if private not in read
+    }
+    assert not unread, f"private names nothing in the package reads: {unread}"

@@ -35,6 +35,8 @@ from stratgrid.characters import (
     _max_abs,
     _operands,
     _packed_mul,
+    _prime_power,
+    _prime_power_factors,
     _product,
     _reduce,
     _ring_mul,
@@ -362,6 +364,36 @@ def test_conductor_cap():
     assert conductor(3, 4) == 12
     with pytest.raises(ConductorTooLarge):
         conductor(2048)
+
+
+def _naive_factors(n):
+    """(p^e, p) for each prime p dividing n, by trying every p up to n."""
+    out = []
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % k for k in range(2, p)):
+            pe = p
+            while n % (pe * p) == 0:
+                pe *= p
+            out.append((pe, p))
+    return out
+
+
+def test_prime_power_factors_match_naive():
+    for n in range(1, 3001):
+        assert _prime_power_factors(n) == _naive_factors(n), n
+
+
+def test_prime_power():
+    primes = [
+        p for p in range(2, 10**4 + 1) if all(p % k for k in range(2, math.isqrt(p) + 1))
+    ]
+    for p in primes:
+        for r in (1, 2, 3):
+            if p**r <= 10**4:
+                assert _prime_power(p**r) == (p, r)
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError, match="not a prime power"):
+            _prime_power(q)
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,28 @@ def test_gauss_bad_q(capsys):
     assert cli.run(["gauss", "--q", "6", "--char-exp", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "twist", "--q", "191", "--n", "193"],
+        ["verify", "twist", "--q", "1000003", "--n", "1"],
+        ["verify", "twist", "--q", "3", "--n", "1000000007"],
+        ["gauss", "--q", "1000003", "--char-exp", "1"],
+    ],
+)
+def test_large_conductor_is_refused_before_any_table(capsys, monkeypatch, argv):
+    """A ring above the coefficient cap is refused from q and n alone: no
+    field or unit-group table is built on the way to the one error line."""
+
+    def unbuilt(*args):
+        raise AssertionError("built a table before the conductor check")
+
+    monkeypatch.setattr(cli, "GF", unbuilt)
+    monkeypatch.setattr(cli, "UnitGroup", unbuilt)
+    code = cli.run(argv)
+    assert_one_line_usage_error(capsys, code)
+
+
 # A real twist trial costs about pairs * q * n * phi(M)^2 coefficient
 # products; inputs above this (a fifth of a second) are drawn and not run.
 TWIST_FUZZ_PRODUCTS = 200_000

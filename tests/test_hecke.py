@@ -37,7 +37,6 @@ from stratgrid.hecke import (
     _block_runs,
     _blocks,
     _canonical,
-    _cell_orbit,
     _cell_point,
     _cell_points,
     _cells,
@@ -48,7 +47,6 @@ from stratgrid.hecke import (
     _hodge_edge_ranges,
     _last_ranges,
     _on_grid,
-    _orbit_cell,
     _point_in,
     _pred_ranges,
     _pin_for,
@@ -542,7 +540,7 @@ def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
     beta, lhs), ordered by d and then beta.
     """
     windows = _windows(profile, den) if saturation_only else None
-    point_in, pure = _point_in(profile, den, windows, point)
+    point_in, pure = _point_in(profile, den, windows, *point)
     if not point_in:
         return 0, pure, 0, 0, []
     scaled, stratum = point
@@ -860,17 +858,16 @@ def test_cells_partition_the_grid(prof, den):
     """The cells' points are the grid's points, each once, and a cell's
     canonical cell and orbit size, decided once, are those `_canonical` gives
     at every one of its points: the least image of the cell's point at free
-    value t is the canonical cell's point at t.  The counting pass names
-    that canonical cell and, on a canonical cell, exactly the t at which the
-    full-stream oracle finds failures (genericity dropped, so some fail)."""
+    value t is the canonical cell's point at t.  The counting pass names, on
+    a canonical cell, exactly the t at which the full-stream oracle finds
+    failures (genericity dropped, so some fail)."""
     profile = parse_profile(prof)
     cells = {cell[0]: cell for cell in _cells(profile.g, den)}
+    failed = _share(profile, den, True, None, 1, 0)[4]
     points = []
     for cell in cells.values():
-        canon, size = _cell_orbit(profile, cell)
+        canon, size = _canonical(profile, cell[0])
         stratum = stratum_case(profile, *_entry_masks(cell[0], den))
-        *_, orbits, failed = _orbit_cell(profile, den, True, None, {}, cell, 0, 1)
-        assert orbits == {cell: canon}
         for scaled in _cell_points(cell, den):
             t = None if cell[1] is None else scaled[cell[1]]
             assert _cell_point(cell, t) == scaled
