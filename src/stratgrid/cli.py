@@ -16,6 +16,7 @@ from fractions import Fraction
 from random import Random
 
 from .characters import (
+    COEFF_CAP,
     CyclotomicInt,
     FieldChar,
     GF,
@@ -255,6 +256,11 @@ def _cmd_verify_twist(ns):
 
 def _cmd_gauss(ns):
     conductor(_prime_power(ns.q)[0])  # p divides W's conductor: refuse before GF
+    # GF(q) tabulates all q elements.  A prime field passes the conductor check
+    # only when q - 1 = phi(q) is at most COEFF_CAP; a prime power is held to
+    # the same size before its tables are built.
+    if ns.q - 1 > COEFF_CAP:
+        raise ValueError(f"GF({ns.q}) has q - 1 = {ns.q - 1} units, more than {COEFF_CAP}")
     psi = FieldChar(GF(ns.q), ns.char_exp)
     W = gauss_sum(psi)
     report = {

@@ -10,16 +10,18 @@ A point's stratum is named by its face masks, the entries equal to 0 and
 those equal to 1, and `strata.classify_face` decides it on them.  Charts and
 the coverage check work on the same masks: the chart of T flips v -> 1 - v
 on T's blocks, which `strata._swap_on` does by swapping the two masks there,
-so no flipped vector is built.  The coverage check needs only whether a
-flipped face is etale, which is `strata._whole_blocks` of its Zero mask, so
-it names no stratum.
+so no flipped vector is built.  The union over every T inside S is decided
+from at most two charts: T0, the all-Zero blocks of S, and on a
+codimension-1 point whose Open entry's block is in S also T0 plus that
+block (`in_sigma_S` argues why no other chart can add to them).  The
+coverage check needs only whether a flipped face is etale, which is
+`strata._whole_blocks` of its Zero mask, so it names no stratum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 from .degrees import DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
@@ -105,19 +107,27 @@ def in_interval_region(h: DegreeVector) -> bool:
 
 
 def in_vcan(h: DegreeVector) -> bool:
-    """Canonical-locus test: blockwise p*pred + value > 1, or value > 0 when f=1."""
+    """Canonical-locus test: blockwise p*pred + value > 1, or value > 0 when f=1.
+
+    With pred = a / d_a and value = b / d_b the test p*a*d_b + b*d_a > d_a*d_b
+    runs in integers.
+    """
     profile = h.profile
     p = profile.p
-    for i in range(profile.n_primes):
-        f, off = profile.f[i], profile.offsets[i]
+    entries = h.entries
+    for f, off in zip(profile.f, profile.offsets):
         if f == 1:
-            if not h[off] > 0:
+            if entries[off].numerator <= 0:
                 return False
-        else:
-            for pos in range(f):
-                pred = off + (pos - 1) % f
-                if not p * h[pred] + h[off + pos] > 1:
-                    return False
+            continue
+        block = entries[off : off + f]
+        prev = block[-1]
+        a, da = prev.numerator, prev.denominator
+        for cur in block:
+            b, db = cur.numerator, cur.denominator
+            if p * a * db + b * da <= da * db:
+                return False
+            a, da = b, db
     return True
 
 
@@ -194,41 +204,62 @@ def _combine(verdicts) -> Verdict:
     return out
 
 
-def in_sigma_S(h: DegreeVector, S, generic_by_T=None) -> Verdict:
-    """Union of transported regions over all subsets T of S.
+def in_sigma_S(h: DegreeVector, S) -> Verdict:
+    """Union of transported regions over all subsets T of S, decided from at
+    most two charts.
 
     Each chart is decided on h's masks swapped on T's blocks, with free value
     1 - h at beta0 in a flipped block, passed to `decide` as the integers
-    den - num over den; the first In chart ends the union.
+    den - num over den.  The generic flag carries over, so a vector flagged
+    generic is assumed generic in every chart.
 
-    generic_by_T optionally maps frozenset(T) to the generic flag assumed for
-    the transported vector; by default the flag carries over, so a vector
-    flagged generic is assumed generic in every chart.
+    Two charts stand for all 2^|S|:
+
+    - `classify_face` reads the blocks other than beta0's only through
+      etaleness; the kind, beta0, j and threshold come from beta0's block
+      alone.  So a chart's verdict depends only on whether beta0's block is
+      flipped and whether the chart is etale (an etale chart is Out).
+    - A flipped block is all Zero exactly when it was all One, and a block
+      holding the Open entry is never whole.  T0, the chart that flips
+      exactly S's all-Zero blocks, leaves all Zero only the all-Zero blocks
+      outside S, which every chart leaves all Zero.  So on each side (beta0's
+      block flipped or not), if any chart is nowhere etale, so is T0, or T0
+      plus beta0's block.
+    - If a block outside S is all Zero, every chart is etale and the union
+      is Out, which `stratum_case` returns for T0 as well.
+    - A vertex has no beta0, so T0 alone decides it; at codim >= 2 every
+      chart is Out.
+
+    So the union is T0, and on a codim-1 point whose Open entry's block is
+    in S also T0 plus that block, folded by `_combine`.
     """
-    S = sorted(set(S))
-    for i in S:
-        if not (0 <= i < h.profile.n_primes):
-            raise ValueError(f"prime index {i} out of range for {h.profile}")
     profile = h.profile
     blocks = profile._block_masks
-    masks = _entry_masks(h.entries, 1)
+    flippable = 0
+    for i in sorted(set(S)):
+        if not (0 <= i < profile.n_primes):
+            raise ValueError(f"prime index {i} out of range for {profile}")
+        flippable |= blocks[i]
+    zeros, ones = _entry_masks(h.entries, 1)
+    t0 = _whole_blocks(profile, zeros) & flippable
+    flips = [t0]
+    opens = profile.full_mask & ~(zeros | ones)
+    if opens.bit_count() == 1:
+        b0 = profile._block_of[opens.bit_length() - 1]
+        if b0 & flippable:
+            flips.append(t0 | b0)
 
-    def chart(T) -> Verdict:
-        flip = 0
-        for i in T:
-            flip |= blocks[i]
-        stratum = stratum_case(profile, *_swap_on(*masks, flip))
+    def chart(flip: int) -> Verdict:
+        stratum = stratum_case(profile, *_swap_on(zeros, ones, flip))
         b = stratum.beta0
         num, den = 0, 1
         if b is not None:
             num, den = h[b].numerator, h[b].denominator
             if flip >> b & 1:
                 num = den - num
-        flag = None if generic_by_T is None else generic_by_T.get(frozenset(T))
-        generic = h.generic if flag is None else flag
-        return stratum.decide(generic, num, den)
+        return stratum.decide(h.generic, num, den)
 
-    return _combine(chart(T) for r in range(len(S) + 1) for T in combinations(S, r))
+    return _combine(chart(flip) for flip in flips)
 
 
 @dataclass(frozen=True)
@@ -302,11 +333,23 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
             if flips_to_etale(zeros, ones, flip):
                 vertex_failures.append({"vertex": _coords_json(g, zeros, ones), "flip": tag})
     edge_failures = []
-    tails = {f: delta_star(profile.p, f) for f in set(profile.f)}
+    # The gap record of each block size whose tail leaves (0, 1) uncovered,
+    # built once and shared by every edge of that size.
+    gaps = {}
+    for f in set(profile.f):
+        t = delta_star(profile.p, f)
+        if not ONE - t > t:
+            gaps[f] = {
+                "issue": "gap",
+                "covered": [
+                    IntervalQ(t, ONE).to_json_list(),
+                    IntervalQ(ZERO, ONE - t).to_json_list(),
+                ],
+                "gap": [str(ONE - t), str(t)],
+            }
     for beta0 in range(g):
         b0 = profile._block_of[beta0]
-        t = tails[b0.bit_count()]
-        gap = not ONE - t > t
+        gap = gaps.get(b0.bit_count())
         closed = full & ~(1 << beta0)
         for ones in _corner_masks(k for k in range(g) if k != beta0):
             zeros = closed & ~ones
@@ -317,16 +360,7 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
                 if flips_to_etale(zeros, ones, flip)
             ]
             if gap:
-                issues.append(
-                    {
-                        "issue": "gap",
-                        "covered": [
-                            IntervalQ(t, ONE).to_json_list(),
-                            IntervalQ(ZERO, ONE - t).to_json_list(),
-                        ],
-                        "gap": [str(ONE - t), str(t)],
-                    }
-                )
+                issues.append(gap)
             for issue in issues:
                 edge_failures.append(
                     {"edge": _coords_json(g, zeros, ones), "beta0": beta0, **issue}

@@ -478,6 +478,13 @@ def test_gauss_bad_q(capsys):
     assert cli.run(["gauss", "--q", "6", "--char-exp", "1"]) == 2
 
 
+def test_gauss_keeps_fields_up_to_the_cap(capsys):
+    """31^2 is the largest prime square with q - 1 at most COEFF_CAP."""
+    code, rep = run_json(capsys, ["gauss", "--q", "961", "--char-exp", "0"])
+    assert code == 0
+    assert rep["conductor"] == 31 and rep["coeffs"][0] == -1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -485,6 +492,9 @@ def test_gauss_bad_q(capsys):
         ["verify", "twist", "--q", "1000003", "--n", "1"],
         ["verify", "twist", "--q", "3", "--n", "1000000007"],
         ["gauss", "--q", "1000003", "--char-exp", "1"],
+        # 997^3 and 37^2 pass the conductor check (M = p), but F_q is too large
+        ["gauss", "--q", "991026973", "--char-exp", "0"],
+        ["gauss", "--q", "1369", "--char-exp", "0"],
     ],
 )
 def test_large_conductor_is_refused_before_any_table(capsys, monkeypatch, argv):

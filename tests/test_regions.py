@@ -1,12 +1,14 @@
 """Region predicates: case analysis, thresholds, transported unions, coverage."""
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratgrid import regions
 from stratgrid.embeddings import PrimeProfile
 from stratgrid.degrees import DegreeVector, w_T_deg
 from stratgrid.strata import ENUMERATION_MAX_G, EnumerationBound
@@ -72,6 +74,59 @@ def test_in_vcan():
     single = PrimeProfile(3, (1,))
     assert in_vcan(dv(single, "1/8"))
     assert not in_vcan(dv(single, 0))
+
+
+def in_vcan_oracle(h):
+    """`in_vcan` in `Fraction` arithmetic: blockwise p*pred + value > 1, or
+    value > 0 on a block of size 1."""
+    profile = h.profile
+    p = profile.p
+    for i in range(profile.n_primes):
+        f, off = profile.f[i], profile.offsets[i]
+        if f == 1:
+            if not h[off] > 0:
+                return False
+        else:
+            for pos in range(f):
+                pred = off + (pos - 1) % f
+                if not p * h[pred] + h[off + pos] > 1:
+                    return False
+    return True
+
+
+VCAN_PROFILES = [
+    PrimeProfile(2, (1,)),
+    PrimeProfile(3, (2,)),
+    PrimeProfile(2, (3, 1)),
+    PrimeProfile(3, (1, 2, 1)),
+    PrimeProfile(5, (2, 2)),
+    PrimeProfile(7, (3, 1)),
+]
+
+
+@st.composite
+def vcan_points(draw):
+    """Cusp vectors, or vectors whose entries lie on a small grid, at the
+    thresholds delta(p, j), or at 1 - p*x for x on the grid, where a
+    predecessor x makes p*pred + value = 1 exactly."""
+    profile = draw(st.sampled_from(VCAN_PROFILES))
+    if draw(st.integers(0, 4)) == 0:
+        vals = []
+        for f in profile.f:
+            vals += [F(draw(st.integers(0, 1)))] * f
+        return DegreeVector(profile, tuple(vals), cusp=True)
+    p = profile.p
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 10, 25, 49]))
+    grid = [F(a, den) for a in range(den + 1)]
+    specials = [delta(p, j) for j in range(1, 4)] + [1 - p * x for x in grid if p * x <= 1]
+    entry = st.sampled_from(grid) | st.sampled_from(specials)
+    return DegreeVector(profile, tuple(draw(entry) for _ in range(profile.g)))
+
+
+@settings(max_examples=400)
+@given(vcan_points())
+def test_in_vcan_matches_the_fraction_oracle(h):
+    assert in_vcan(h) is in_vcan_oracle(h)
 
 
 def test_sigma_codim0_needs_generic():
@@ -146,10 +201,6 @@ def test_sigma_S_indeterminate_propagates():
     h = dv(profile, "1/3", 0, 1)
     assert in_sigma(h) is Verdict.INDETERMINATE
     assert in_sigma_S(h, set()) is Verdict.INDETERMINATE
-    # generic_by_T can turn off the flag chartwise
-    assert (
-        in_sigma_S(h, set(), generic_by_T={frozenset(): False}) is Verdict.OUT
-    )
 
 
 @given(st.data())
@@ -194,6 +245,13 @@ def chart_points(draw):
     return DegreeVector(profile, vals, generic=generic)
 
 
+def union_oracle(chart, S):
+    """The union of chart(T) over every T inside S, In over Indeterminate over
+    Out, where chart(T) is `in_sigma` of the flipped vector `w_T_deg(h, T)`."""
+    verdicts = {chart(frozenset(T)) for r in range(len(S) + 1) for T in combinations(S, r)}
+    return next(v for v in (Verdict.IN, Verdict.INDETERMINATE, Verdict.OUT) if v in verdicts)
+
+
 @settings(max_examples=300)
 @given(chart_points(), st.data())
 def test_sigma_S_matches_flipped_vectors(h, data):
@@ -201,19 +259,69 @@ def test_sigma_S_matches_flipped_vectors(h, data):
     over the flipped vectors `w_T_deg(h, T)`."""
     n = h.profile.n_primes
     S = sorted(data.draw(st.sets(st.integers(0, n - 1))))
-    subsets = [frozenset(T) for r in range(len(S) + 1) for T in combinations(S, r)]
-    generic_by_T = data.draw(
-        st.none()
-        | st.dictionaries(st.sampled_from(subsets), st.sampled_from([True, False, None]))
-    )
-    verdicts = set()
-    for T in subsets:
-        flag = None if generic_by_T is None else generic_by_T.get(T)
-        verdicts.add(in_sigma(w_T_deg(h, T, generic=flag)))
-    expected = next(
-        v for v in (Verdict.IN, Verdict.INDETERMINATE, Verdict.OUT) if v in verdicts
-    )
-    assert in_sigma_S(h, S, generic_by_T) is expected
+    assert in_sigma_S(h, S) is union_oracle(lambda T: in_sigma(w_T_deg(h, T)), S)
+
+
+# Three to five primes and four to six embeddings: the two-chart decision
+# stands for up to 32 charts here, where CHART_PROFILES stop at three primes
+# and eight charts.  Six primes would take seconds through the oracle's
+# `w_T_deg`, so they are left to the call count below.
+MANY_PRIME_PROFILES = [
+    PrimeProfile(2, (2, 1, 1)),
+    PrimeProfile(5, (1, 1, 1, 1)),
+    PrimeProfile(3, (2, 1, 1, 1)),
+    PrimeProfile(3, (1, 1, 1, 1, 1)),
+]
+
+
+def vertex_and_edge_points(profile):
+    """Every vertex of the cube, then every edge point whose free entry is
+    1/2, delta(p, j) or 1 - delta(p, 1)."""
+    p, g = profile.p, profile.g
+    deltas = {delta(p, j) for j in range(1, max(profile.f) + 1)}
+    frees = sorted({F(1, 2), 1 - delta(p, 1)} | deltas)
+    for bits in product((0, 1), repeat=g):
+        yield tuple(map(F, bits))
+    for k in range(g):
+        for corner in product((0, 1), repeat=g - 1):
+            for v in frees:
+                yield tuple(map(F, corner[:k])) + (v,) + tuple(map(F, corner[k:]))
+
+
+@pytest.mark.parametrize("profile", MANY_PRIME_PROFILES, ids=str)
+def test_sigma_S_matches_flipped_vectors_on_many_primes(profile):
+    """Every vertex and edge point, both flags, S empty, every prime and each
+    single prime: `in_sigma_S` is the union over all 2^|S| flipped vectors."""
+    n = profile.n_primes
+    choices = [(), tuple(range(n))] + [(i,) for i in range(n)]
+    for entries in vertex_and_edge_points(profile):
+        for generic in (True, False):
+            h = DegreeVector(profile, entries, generic=generic)
+            chart = functools.cache(lambda T, h=h: in_sigma(w_T_deg(h, T)))
+            for S in choices:
+                assert in_sigma_S(h, S) is union_oracle(chart, S), (h, S)
+
+
+def test_sigma_S_decides_at_most_two_charts(monkeypatch):
+    """Six primes and S every prime: at most two `stratum_case` calls per
+    query, and two on some codimension-1 point."""
+    calls = []
+    real = regions.stratum_case
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(regions, "stratum_case", counted)
+    profile = PrimeProfile(3, (1,) * 6)
+    most = 0
+    for entries in vertex_and_edge_points(profile):
+        for generic in (True, False):
+            calls.clear()
+            in_sigma_S(DegreeVector(profile, entries, generic=generic), range(6))
+            assert 1 <= len(calls) <= 2, entries
+            most = max(most, len(calls))
+    assert most == 2
 
 
 def test_w_equivariance_of_sigma_on_vertices():

@@ -40,12 +40,13 @@ directly.  The report set:
   dropped, one file per profile; an error is recorded as data;
 - `in_sigma`, `in_sigma_S` (S every prime, and each single prime) and
   `in_vcan`, called directly on every vertex and edge h of p=3;f=2,1 and
-  p=3;f=3,1 at den 6, p=2;f=2,1 at den 8 and p=5;f=1,1,1 at den 5, and on the
-  edge points whose free entry is delta(p, j) or 1 - delta(p, 1), with the
-  generic flag on and off, one file per profile.
+  p=3;f=3,1 at den 6, p=2;f=2,1 at den 8, p=5;f=1,1,1 and p=5;f=1,1,1,1 at
+  den 5 and p=2;f=2,1,1 at den 4, and on the edge points whose free entry is
+  delta(p, j) or 1 - delta(p, 1), with the generic flag on and off, one file
+  per profile.
 
 Stdlib only; tier-1 does not collect it.  A capture of the 942 commands (926
-reports and 16 exit-2 errors), the 2 feasible sets and the 4 region-query
+reports and 16 exit-2 errors), the 2 feasible sets and the 6 region-query
 sets takes about 14 s on two cores.
 """
 from __future__ import annotations
@@ -95,12 +96,15 @@ SUITE_PROFILE = "p=3;f=2,1"
 CUSP_PROFILES = ("p=3;f=2,1", "p=2;f=1,3")
 FEASIBLE = (("p=3;f=2,1", 18), ("p=5;f=3", 10))
 # p=3;f=3,1 has the bad partial-eta strata, where a point at delta(p, j) is
-# indeterminate.
+# indeterminate.  p=2;f=2,1,1 and p=5;f=1,1,1,1 have four embeddings, so
+# `in_sigma_S` over every prime stands for eight and sixteen charts.
 REGION_QUERIES = (
     ("p=3;f=2,1", 6),
     ("p=2;f=2,1", 8),
     ("p=5;f=1,1,1", 5),
     ("p=3;f=3,1", 6),
+    ("p=2;f=2,1,1", 4),
+    ("p=5;f=1,1,1,1", 5),
 )
 EXIT_CODES = "exit_codes.json"
 
