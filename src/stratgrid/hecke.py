@@ -60,43 +60,48 @@ under it:
 
 So the feasible set of g.h is g applied to that of h, the verdict is the
 same, and (points_in, pure, pairs, cx_total) is constant on an orbit.  Only
-the canonical point of an orbit, its least image under G, enumerates blocks,
-and its counts are multiplied by the orbit size (canonical representatives
-as in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26 (1998);
-the weight is the orbit-stabiliser count).  The least image is built block
-by block, without listing G: least rotations, sorted within each size class.
+the canonical point of an orbit, its least image under G, is counted, and
+its counts are multiplied by the orbit size (canonical representatives as
+in McKay, "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
+The least image is built block by block, without listing G: least
+rotations, sorted within each size class.
 
 The counting pass works one cell of the cube at a time: a vertex, or an open
-edge with its free value t in 1..den-1.  The stratum, the canonical flag and
-the orbit size are the same at every point of a cell (`_canonical` gives
-the argument), so a cell decides them once.  Every point is still decided by
-its own free value, and on saturation gets its window test and purity round
-trip, since a verdict can change along an edge at a threshold.  With n
-workers the pass is cut into n shares of every n-th point, taken in cell
-order, so the shares hold near-equal parts of every edge.  A share decides a
-cell only where it holds one of its points; the parent runs one share and a
-child process each of the others.
+edge with its free value t in 1..den-1.  The least image of a cell's point
+at t is its canonical cell's point at t (`_canonical` gives the argument),
+so a cell's points are all canonical or none is, and G acts on the cells.
+Each sweep applies G in one place: `_orbits` maps every cell to its
+canonical cell once, in the parent, and the orbit size of a canonical
+cell's points is the number of cells mapped to it.  Sigma-up visits the
+canonical cells only; each of their points is decided by its own free
+value, since a verdict can change along an edge at a threshold, and counts
+for its whole orbit.  Saturation still visits every point: the purity round
+trip is a per-point check, and running it only at representatives would
+loosen it; it counts at the canonical cells only.  With n workers the pass
+is cut into n shares of every n-th point, taken in cell order, so the shares
+hold near-equal parts of every edge.  A share decides a cell only where it
+holds one of its points; the parent runs one share and a child process each
+of the others, and hands each the orbit sizes.
 
 The records come from the cells too, and are lexicographic by
-construction.  By `_canonical`'s argument the least image of a cell's point
-at free value t is its canonical cell's point at t, and a point fails
-exactly when its least image does.  So the counting pass reports the free
-values at which each canonical cell failed, and a cell's failing points are
-its points at those values.  The record pass in the parent names each
-cell's canonical cell again, one `_canonical` call per cell, streams the
-failing points of each cell, t ascending, which is lexicographic within a
-cell, and merges the streams into one lexicographic stream.  Each point's
-failures come ordered by d and then beta, so the first records of the
-merged stream are the first by embedding index, and the pass stops at the
-cap: each point it expands gives at least one record, and there is no
-per-point `_canonical` call and no sort, whatever the worker count.  It
-plans each distinct block once, from a table of its own that holds the
-runs; the counting table holds only counts.  A record's lhs stays an
-integer, times den, until `_cx_record` writes it.
+construction.  A point fails exactly when its least image does, so the
+counting pass reports the free values at which each canonical cell failed,
+and a cell's failing points are its points at those values.  The record
+pass in the parent reads each cell's canonical cell from the sweep's one
+map, streams the failing points of each cell, t ascending, which is
+lexicographic within a cell, and merges the streams into one lexicographic
+stream.  Each point's failures come ordered by d and then beta, so the first
+records of the merged stream are the first by embedding index, and the pass
+stops at the cap: each point it expands gives at least one record, and there
+is no `_canonical` call and no sort, whatever the worker count.  It plans
+each distinct block once, from a table of its own that holds the runs; the
+counting table holds only counts.  A record's lhs stays an integer, times
+den, until `_cx_record` writes it.
 """
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
@@ -113,6 +118,7 @@ from .regions import (
     sigma_case,
     stratum_case,
 )
+from .strata import ENUMERATION_MAX_G, EnumerationBound
 
 __all__ = [
     "GridTooLarge",
@@ -122,9 +128,13 @@ __all__ = [
     "verify_sigma_up",
     "saturation_check",
     "GRID_CAP",
+    "MAX_WORKERS",
 ]
 
 GRID_CAP = 10_000
+# More shares than this only add processes: each share is a whole process
+# for one sweep, so a worker count is held to what a host can run at once.
+MAX_WORKERS = 64
 
 
 class GridTooLarge(ValueError):
@@ -678,17 +688,13 @@ def _fold(counts) -> tuple[int, int]:
     return prod(sizes), cx_total
 
 
-def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
-    """The least image of `scaled` under G, and the size of its orbit.
+def _canonical(profile: PrimeProfile, scaled) -> tuple[int, ...]:
+    """The least image of `scaled` under G.
 
     Each block is rotated to its least rotation; within each class of
     equal-size blocks those contents are sorted and put back on the class's
-    positions in ascending order.  By orbit-stabiliser the orbit has
-    prod_i (distinct rotations of block i) * prod_classes n! / prod mult!
-    points, where mult counts the blocks of a class with equal least
-    rotations; over a sorted class that multinomial is the product of
-    k / (length of the run of equal contents ending at k).  No image other
-    than the least one is built.
+    positions in ascending order.  No image other than the least one is
+    built.
 
     One call on a cell's first point (`_cells`) decides the whole cell.  Off
     the free coordinate every entry is 0 or den, and the free value t lies
@@ -697,32 +703,36 @@ def _canonical(profile: PrimeProfile, scaled) -> tuple[tuple[int, ...], int]:
     sits does not depend on t.  So whether two images agree at a position
     does not depend on t, and where they first differ, their two entries
     are two of 0, t and den, whose order is the same for every t in
-    (0, den).  Which image is least, and how many images are distinct, are
-    therefore the same at every t: the cell's points are all canonical or
-    none is, and they share one orbit size.  One element of G takes every
-    point of the cell to its least image and t to one position, so the least
-    image of the point at t is the point at t of one cell, the canonical
-    cell, whose first point is the least image of the cell's first point.
+    (0, den).  Which image is least is therefore the same at every t: the
+    cell's points are all canonical or none is.  One element of G takes
+    every point of the cell to its least image and t to one position, so
+    the least image of the point at t is the point at t of one cell, the
+    canonical cell, whose first point is the least image of the cell's
+    first point.  G maps cells to cells and the point at t of a cell to the
+    point at t of its image, so the orbit of the point at t is the set of
+    points at t of the cells in its cell's orbit: its size is the number of
+    cells whose canonical cell is the same (`_orbits`).
     """
     classes: dict[int, list] = {}
-    size = 1
     for f, off in zip(profile.f, profile.offsets):
         block = scaled[off : off + f]
         if f > 1:
-            rotations = {block[k:] + block[:k] for k in range(f)}
-            size *= len(rotations)
-            block = min(rotations)
+            block = min(block[k:] + block[:k] for k in range(f))
         classes.setdefault(f, []).append((off, block))
     out = list(scaled)
     for f, members in classes.items():
-        contents = sorted(block for _, block in members)
-        run = 1
-        for k, (off, _) in enumerate(members):
-            out[off : off + f] = contents[k]
-            if k:
-                run = run + 1 if contents[k] == contents[k - 1] else 1
-                size = size * (k + 1) // run
-    return tuple(out), size
+        for (off, _), block in zip(members, sorted(block for _, block in members)):
+            out[off : off + f] = block
+    return tuple(out)
+
+
+def _orbits(profile: PrimeProfile, den: int) -> dict:
+    """The first point of every cell's canonical cell, keyed by the cell's
+    first point: one `_canonical` call per cell.  The orbit size of a
+    canonical cell's points is the number of cells mapped to it
+    (`_canonical`'s argument), so `Counter(_orbits(...).values())` holds
+    the orbit sizes, keyed by the canonical cells."""
+    return {first: _canonical(profile, first) for first, _ in _cells(profile.g, den)}
 
 
 def _cells(g: int, den: int):
@@ -786,20 +796,22 @@ def _total(results) -> tuple[int, bool, int, int, dict]:
     return points_in, pure, pairs, cx_total, failed
 
 
-def _share(profile, den, drop_genericity, windows, n, k):
+def _share(profile, den, drop_genericity, windows, sizes, n, k):
     """Share k of n of the counting pass: (points_in, pure, pairs, cx_total,
     failed) of the cube's points of index k mod n (`_held_cells`).
 
-    Each cell held decides its stratum once from its face masks, and its
-    canonical cell and orbit size once by `_canonical` on its first point.
-    Every point held then gets its own verdict, and on saturation its window
-    test and purity round trip.  Only a canonical cell counts blocks, at each
-    of its In points, and it counts the pairs and failures of the whole
-    orbit: its own times the orbit size.  Each block's (candidates,
-    failures) is looked up in the share's one table by its `_block_keys`
-    key, and planned and counted only on a miss.  `failed` maps a canonical
-    cell's first point to the set of free values of its held points that
-    have failures.
+    `sizes` maps each canonical cell's first point to its orbit size
+    (`Counter` of `_orbits`); a cell is canonical exactly when its first
+    point is a key.  A cell visited decides its stratum once from its face
+    masks, and each point held its own verdict.  On sigma-up only the
+    canonical cells are visited.  On saturation every cell held is, since
+    each point gets its window test and purity round trip, a per-point
+    check.  Only a canonical cell counts, for its whole orbit: at each of its
+    In points it adds the orbit size to points_in, and its pairs and
+    failures times the orbit size.  Each block's (candidates, failures) is
+    looked up in the share's one table by its `_block_keys` key, and planned
+    and counted only on a miss.  `failed` maps a canonical cell's first
+    point to the set of free values of its held points that have failures.
     """
     generic = not drop_genericity
     table = {}
@@ -808,16 +820,16 @@ def _share(profile, den, drop_genericity, windows, n, k):
     failed = {}
     for cell, start in _held_cells(profile.g, den, n, k):
         first, beta = cell
+        size = sizes.get(first)
+        if size is None and windows is None:
+            continue
         stratum = stratum_case(profile, *_entry_masks(first, den))
-        canon, size = _canonical(profile, first)
         for scaled in _cell_points(cell, den, start, n):
             point_in, point_pure = _point_in(profile, den, windows, scaled, stratum)
             pure = pure and point_pure
-            if not point_in:
+            if not point_in or size is None:
                 continue
-            points_in += 1
-            if canon != first:
-                continue
+            points_in += size
             counts = []
             for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
                 count = table.get(key)
@@ -845,26 +857,26 @@ def _share_child(conn, *args) -> None:
         conn.close()
 
 
-def _records(profile: PrimeProfile, den: int, generic: bool, failed):
+def _records(profile: PrimeProfile, den: int, generic: bool, orbits, failed):
     """The sweep's failures as (h_scaled, d_scaled, beta, lhs), ordered by h,
     then d, then beta; lhs is times den.
 
-    `failed` is `_total`'s.  A cell fails at the free values where its
-    canonical cell failed (`_canonical`'s argument), so each cell of `_cells`
-    names its canonical cell with one `_canonical` call and, where that cell
-    failed, streams its points there, t ascending, with the cell's stratum;
-    `merge` makes one lexicographic stream of them.  The cells'
-    points are distinct, so no two strata are compared.  Each point's
-    failures are expanded from its blocks' runs, each distinct block planned
-    once, from a table of `_block` results keyed by `_block_keys`.
+    `orbits` is the sweep's `_orbits` and `failed` is `_total`'s.  A cell
+    fails at the free values where its canonical cell failed (`_canonical`'s
+    argument), so each cell of `_cells` reads its canonical cell from
+    `orbits` and, where that cell failed, streams its points there, t
+    ascending, with the cell's stratum; `merge` makes one lexicographic
+    stream of them.  The cells' points are distinct, so no two strata are
+    compared.  Each point's failures are expanded from its blocks' runs,
+    each distinct block planned once, from a table of `_block` results keyed
+    by `_block_keys`.
     """
     streams = []
     for cell in _cells(profile.g, den):
-        canon = _canonical(profile, cell[0])[0]
-        if canon in failed:
+        free = failed.get(orbits[cell[0]])
+        if free:
             stratum = stratum_case(profile, *_entry_masks(cell[0], den))
-            free = sorted(failed[canon])
-            streams.append([(_cell_point(cell, t), stratum) for t in free])
+            streams.append([(_cell_point(cell, t), stratum) for t in sorted(free)])
     table = {}
     for scaled, stratum in merge(*streams):
         blocks = []
@@ -887,33 +899,36 @@ def _run_sweep(
 ) -> dict:
     """Sweep the grid points in two passes and fold the results.
 
-    The counting pass walks the cells of the cube (`_cells`): each cell
-    decides its stratum and its orbit once, every point is decided, and each
-    orbit's pairs and failures are counted once, at its canonical point.  A
-    canonical point folds its blocks' (candidates, failures) from a table
-    keyed by (block of the scaled h, local pin), the arguments of
+    The sweep refuses a profile above `strata.ENUMERATION_MAX_G` and more
+    than `MAX_WORKERS` workers before it walks a cell or starts a process.
+    `_orbits` then maps every cell of the cube (`_cells`) to its canonical
+    cell, once, here in the parent, and the orbit sizes are its counts.
+    The counting pass counts each orbit once, at its canonical cell: each
+    cell it visits decides its stratum once, each point its verdict, and a
+    canonical In point folds its blocks' (candidates, failures) from a
+    table keyed by (block of the scaled h, local pin), the arguments of
     `_block_plan` that vary within a sweep; p, den and the genericity flag
     are the sweep's own.  Saturation's windows are built once here.  The pass
-    is split into n = min(workers, cells) shares (`_share`): share k takes
-    every n-th point of the cube from the k-th, so each edge is spread over
-    all shares, and keeps one block table.  A share sends back its four
-    counts and the free values at which each canonical cell failed.  The
-    parent runs share 0 itself and starts one process with a one-way pipe
-    for each other share, so one worker starts no process.  The counts fold
-    by `_total`, so they depend neither on the order the shares finish in
-    nor on the worker count or the start method.  A share's exception is
-    raised again in the parent, and every child is joined before the sweep
-    returns or raises, terminated first if anything raised.  When there are
-    failures to keep, the record pass (`_records`) runs in the parent on the
-    cells whose canonical cell failed, at the free values where it failed,
-    and stops once `max_counterexamples` records are kept: the
-    lexicographically first by embedding index, with no sort.  It names each
-    cell's canonical cell itself, with one `_canonical` call per cell.
+    is split into n = min(workers, cells) shares (`_share`), each given the
+    orbit sizes: share k takes every n-th point of the cube from the k-th,
+    so each edge is spread over all shares, and keeps one block table.  A
+    share sends back its four counts and the free values at which each
+    canonical cell failed.  The parent runs share 0 itself and starts one
+    process with a one-way pipe for each other share, so one worker starts
+    no process.  The counts fold by `_total`, so they depend neither on the
+    order the shares finish in nor on the worker count or the start method.
+    A share's exception is raised again in the parent, and every child is
+    joined before the sweep returns or raises, terminated first if anything
+    raised.  When there are failures to keep, the record pass (`_records`)
+    runs in the parent on the cells whose canonical cell failed, read from
+    the same map, at the free values where it failed, and stops once
+    `max_counterexamples` records are kept: the lexicographically first by
+    embedding index, with no sort.
     """
     if den < 1:
         raise ValueError(f"den must be at least 1, got {den}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
     if max_counterexamples < 0:
         raise ValueError(
             f"max_counterexamples must be at least 0, got {max_counterexamples}"
@@ -921,10 +936,13 @@ def _run_sweep(
     if profile.g * den > GRID_CAP:
         raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
     g = profile.g
+    if g > ENUMERATION_MAX_G:
+        raise EnumerationBound(f"g={g} exceeds enumeration bound {ENUMERATION_MAX_G}")
     total = 2**g + g * 2 ** (g - 1) * (den - 1)
     windows = _windows(profile, den) if saturation_only else None
-    n = min(workers, 2**g + (g * 2 ** (g - 1) if den >= 2 else 0))  # at most the cells
-    args = (profile, den, drop_genericity, windows, n)
+    orbits = _orbits(profile, den)
+    n = min(workers, len(orbits))  # at most the cells
+    args = (profile, den, drop_genericity, windows, Counter(orbits.values()), n)
     children = []
     try:
         for k in range(1, n):
@@ -950,7 +968,7 @@ def _run_sweep(
     points_in, pure, pairs, cx_total, failed = _total(results)
     cx = []
     if failed and max_counterexamples:
-        for record in _records(profile, den, not drop_genericity, failed):
+        for record in _records(profile, den, not drop_genericity, orbits, failed):
             cx.append(record)
             if len(cx) == max_counterexamples:
                 break

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from stratgrid import cli
 from stratgrid.characters import GF, UnitGroup, conductor
 from stratgrid.embeddings import parse_profile
+from stratgrid.hecke import MAX_WORKERS
 
 
 def run_json(capsys, argv):
@@ -326,6 +329,39 @@ def test_verify_workers_below_one_is_usage_error(capsys, workers):
         ["verify", "sigma-up", "--profile", "p=3;f=2", "--den", "6", "--workers", workers]
     )
     assert_one_line_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("check", ["sigma-up", "saturation"])
+@pytest.mark.parametrize("profile", ["p=2;f=13", "p=2;f=30", "p=3;f=6,7"])
+def test_verify_above_the_enumeration_bound_is_usage_error(capsys, check, profile):
+    """A sweep refuses g > 12 before it walks a cell: at g = 30 the cube has
+    2^30 vertices."""
+    start = time.perf_counter()
+    code = cli.run(["verify", check, "--profile", profile, "--den", "1", "--workers", "1"])
+    assert time.perf_counter() - start < 1
+    assert_one_line_usage_error(capsys, code)
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError("a process was constructed")
+
+
+@pytest.mark.parametrize("check", ["sigma-up", "saturation"])
+def test_verify_workers_above_the_cap_is_usage_error(capsys, monkeypatch, check):
+    """More than `MAX_WORKERS` workers, from `--workers` or `TOOL_WORKERS`,
+    is refused before any process is constructed; `MAX_WORKERS` itself is
+    accepted."""
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
+    argv = ["verify", check, "--profile", "p=3;f=2", "--den", "6"]
+    over = str(MAX_WORKERS + 1)
+    assert_one_line_usage_error(capsys, cli.run(argv + ["--workers", over]))
+    monkeypatch.setenv("TOOL_WORKERS", over)
+    assert_one_line_usage_error(capsys, cli.run(argv))
+    monkeypatch.undo()
+    # p=3;f=1 at den 1 has two cells: one child
+    argv = ["verify", check, "--profile", "p=3;f=1", "--den", "1"]
+    assert cli.run(argv + ["--workers", str(MAX_WORKERS)]) == 0
+    assert json.loads(capsys.readouterr().out)["grid_points"] == 2
 
 
 @pytest.mark.parametrize("check", ["sigma-up", "saturation"])
@@ -647,6 +683,8 @@ SWEEP_FUZZ_PROFILES = ("p=3;f=2", "p=3;f=2,1", "p=2;f=1,1", "p=3;f=1,2,1", "p=5;
 @example("sigma-up", "p=3;f=2,1", 12, True, 10**29)  # a cap past sys.maxsize
 @example("sigma-up", "p=3;f=2,1", 12, True, 3)  # the cap bites
 @example("saturation", "p=3;f=2", 6, True, 5)  # saturation has no such flag
+@example("sigma-up", "p=2;f=13", 1, False, 5)  # g = 13: above the enumeration bound
+@example("sigma-up", "p=2;f=30", 1, False, 5)  # 2^30 vertices, refused unwalked
 def test_sweep_fuzz_keeps_the_exit_contract(check, profile, den, drop, cap):
     """Exit 0 or 1 with a JSON report holding min(cap, total) records (and
     the zero-pairs warning when it checks no pairs), or exit 2 with one

@@ -6,6 +6,7 @@ sharing no code with the range-propagating implementation.
 """
 import json
 import multiprocessing
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -47,6 +48,7 @@ from stratgrid.hecke import (
     _hodge_edge_ranges,
     _last_ranges,
     _on_grid,
+    _orbits,
     _point_in,
     _pred_ranges,
     _pin_for,
@@ -834,18 +836,29 @@ CANONICAL_CASES = [
 ]
 
 
+def _cell_of(scaled, den):
+    """The first point of the cell holding the scaled grid point: its free
+    value, if any, put back to 1."""
+    free = [k for k, a in enumerate(scaled) if 0 < a < den]
+    return scaled if not free else scaled[: free[0]] + (1,) + scaled[free[0] + 1 :]
+
+
 @pytest.mark.parametrize("prof,den,order", CANONICAL_CASES)
 def test_canonical_point_and_orbit_size_match_brute_force(prof, den, order):
-    """The least image and the orbit size, built without listing G, equal
-    the least and the count of all images over the listed group; the orbit
-    sizes of the canonical points sum to the grid."""
+    """The least image, built without listing G, equals the least of all
+    images over the listed group; the orbit size, the number of cells that
+    `_orbits` maps to the point's canonical cell, equals the count of those
+    images; and the orbit sizes of the canonical points sum to the grid."""
     profile = parse_profile(prof)
     group = list(_group(profile))
     assert len(group) == order
+    orbits = _orbits(profile, den)
+    sizes = Counter(orbits.values())
     weights = 0
     for scaled, _ in _sweep_points(profile, den):
         orbit = {_act(profile, element, scaled) for element in group}
-        assert _canonical(profile, scaled) == (min(orbit), len(orbit)), scaled
+        assert _canonical(profile, scaled) == min(orbit), scaled
+        assert sizes[orbits[_cell_of(scaled, den)]] == len(orbit), scaled
         if min(orbit) == scaled:
             weights += len(orbit)
     assert weights == verify_sigma_up(profile, den)["grid_points"]
@@ -856,22 +869,24 @@ def test_canonical_point_and_orbit_size_match_brute_force(prof, den, order):
 )
 def test_cells_partition_the_grid(prof, den):
     """The cells' points are the grid's points, each once, and a cell's
-    canonical cell and orbit size, decided once, are those `_canonical` gives
+    canonical cell, decided once by `_orbits`, is the one `_canonical` gives
     at every one of its points: the least image of the cell's point at free
     value t is the canonical cell's point at t.  The counting pass names, on
     a canonical cell, exactly the t at which the full-stream oracle finds
     failures (genericity dropped, so some fail)."""
     profile = parse_profile(prof)
     cells = {cell[0]: cell for cell in _cells(profile.g, den)}
-    failed = _share(profile, den, True, None, 1, 0)[4]
+    orbits = _orbits(profile, den)
+    assert orbits.keys() == cells.keys()
+    failed = _share(profile, den, True, None, Counter(orbits.values()), 1, 0)[4]
     points = []
     for cell in cells.values():
-        canon, size = _canonical(profile, cell[0])
+        canon = orbits[cell[0]]
         stratum = stratum_case(profile, *_entry_masks(cell[0], den))
         for scaled in _cell_points(cell, den):
             t = None if cell[1] is None else scaled[cell[1]]
             assert _cell_point(cell, t) == scaled
-            assert _canonical(profile, scaled) == (_cell_point(cells[canon], t), size)
+            assert _canonical(profile, scaled) == _cell_point(cells[canon], t)
             if canon == cell[0]:
                 fails = _sweep_point(profile, den, True, False, 0, (scaled, stratum))[3]
                 assert (t in failed.get(cell[0], ())) == bool(fails), (cell, t)
@@ -889,6 +904,7 @@ def test_shares_partition_the_grid(prof, den, monkeypatch):
     profile = parse_profile(prof)
     stream = [pt for cell in _cells(profile.g, den) for pt in _cell_points(cell, den)]
     assert sorted(stream) == list(_grid_candidates(profile.g, den))
+    sizes = Counter(_orbits(profile, den).values())
     keys = []
     plan = hecke._block_plan
 
@@ -898,7 +914,7 @@ def test_shares_partition_the_grid(prof, den, monkeypatch):
 
     monkeypatch.setattr(hecke, "_block_plan", counted)
     for drop, windows in ((True, None), (False, _windows(profile, den))):
-        whole = _share(profile, den, drop, windows, 1, 0)
+        whole = _share(profile, den, drop, windows, sizes, 1, 0)
         if windows is None:
             assert whole[2] > 0  # pairs are counted
         for n in range(1, 6):
@@ -908,9 +924,123 @@ def test_shares_partition_the_grid(prof, den, monkeypatch):
                 points = [pt for cell, start in held for pt in _cell_points(cell, den, start, n)]
                 assert points == stream[k::n], (n, k)
                 keys.clear()
-                parts.append(_share(profile, den, drop, windows, n, k))
+                parts.append(_share(profile, den, drop, windows, sizes, n, k))
                 assert len(keys) == len(set(keys)), (n, k)
             assert _total(parts) == whole, (drop, n)
+
+
+class _InProcess:
+    """A stand-in for `multiprocessing.Process` that runs its target in this
+    process when started, so that monkeypatched counters see every share."""
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("prof,den", [("p=3;f=2,2", 6), ("p=2;f=1,3,1", 4), ("p=3;f=3", 9)])
+def test_sigma_up_decides_only_canonical_cells(prof, den, monkeypatch):
+    """Sigma-up decides the points of canonical cells only, each once, and
+    saturation every grid point once, for its purity round trip, at one
+    share and at three."""
+    profile = parse_profile(prof)
+    canonical = [
+        pt
+        for cell in _cells(profile.g, den)
+        if _canonical(profile, cell[0]) == cell[0]
+        for pt in _cell_points(cell, den)
+    ]
+    assert len(canonical) < len(list(_grid_candidates(profile.g, den)))
+    decided = []
+    point_in = hecke._point_in
+
+    def counted(profile, den, windows, scaled, stratum):
+        decided.append(scaled)
+        return point_in(profile, den, windows, scaled, stratum)
+
+    monkeypatch.setattr(hecke, "_point_in", counted)
+    monkeypatch.setattr(multiprocessing, "Process", _InProcess)
+    for workers in (1, 3):
+        decided.clear()
+        verify_sigma_up(profile, den, drop_genericity=True, workers=workers)
+        assert sorted(decided) == sorted(canonical), workers
+        decided.clear()
+        saturation_check(profile, den, workers=workers)
+        assert sorted(decided) == list(_grid_candidates(profile.g, den)), workers
+
+
+@pytest.mark.parametrize("prof,den", [("p=3;f=2,2", 6), ("p=3;f=2,1", 27)])
+def test_canonical_runs_once_per_cell_in_the_parent(prof, den, monkeypatch):
+    """One `_canonical` call per cell per sweep, all made before the first
+    share starts, whatever the worker count and whether records are kept:
+    neither a share nor the record pass calls it."""
+    profile = parse_profile(prof)
+    cells = len(list(_cells(profile.g, den)))
+    calls = []
+    canonical = hecke._canonical
+
+    def counted(profile, scaled):
+        calls.append(scaled)
+        return canonical(profile, scaled)
+
+    class Checked(_InProcess):
+        def start(self):
+            assert len(calls) == cells
+            super().start()
+
+    monkeypatch.setattr(hecke, "_canonical", counted)
+    monkeypatch.setattr(multiprocessing, "Process", Checked)
+    for workers in (1, 3):
+        for keep in (0, 1000):
+            calls.clear()
+            rep = verify_sigma_up(
+                profile, den, drop_genericity=True, max_counterexamples=keep, workers=workers
+            )
+            assert rep["counterexample_total"] > 0
+            assert len(calls) == len(set(calls)) == cells, (workers, keep)
+
+
+# Profiles whose blocks are permutations of each other, with the totals
+# (pairs_checked, counterexample_total) of their sigma-up sweeps with
+# genericity dropped and on.
+BLOCK_ORDERS = [
+    (("p=3;f=2,1", "p=3;f=1,2"), 54, (3470, 108), (1526, 0)),
+    (("p=5;f=2,1,2", "p=5;f=1,2,2", "p=5;f=2,2,1"), 50, (98394, 10488), (10314, 0)),
+    # two size classes of equal-size blocks
+    (("p=5;f=2,2,1,1", "p=5;f=1,2,1,2", "p=5;f=1,1,2,2"), 10, (1743, 708), (567, 0)),
+]
+
+
+@pytest.mark.parametrize("profiles,den,dropped,generic", BLOCK_ORDERS)
+def test_block_order_leaves_the_totals(profiles, den, dropped, generic):
+    """Permuting a profile's blocks relabels its grid and leaves every total
+    of its sweeps as it is: no oracle, one exact answer against another."""
+    fields = ("grid_points", "points_in", "pairs_checked", "counterexample_total", "pass")
+    seen = set()
+    for text in profiles:
+        profile = parse_profile(text)
+        up = [
+            verify_sigma_up(profile, den, drop_genericity=drop, max_counterexamples=0)
+            for drop in (True, False)
+        ]
+        sat = saturation_check(profile, den, max_counterexamples=0)
+        seen.add(
+            tuple(rep[k] for rep in up for k in fields)
+            + tuple(sat[k] for k in fields + ("membership_pure",))
+        )
+        assert [(rep["pairs_checked"], rep["counterexample_total"]) for rep in up] == [
+            dropped,
+            generic,
+        ], text
+    assert len(seen) == 1, seen
 
 
 def _full_stream_report(profile, den, drop, saturation_only, keep):
@@ -955,7 +1085,7 @@ def test_orbit_sweep_matches_full_stream(prof, den, monkeypatch):
             tuple(int(F(v) * den) for v in rec["h"].values())
             for rec in uncapped["counterexamples"]
         ]
-        assert any(_canonical(profile, h)[0] != h for h in hs)
+        assert any(_canonical(profile, h) != h for h in hs)
     merge = hecke.merge
     expanded = []
 

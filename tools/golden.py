@@ -17,6 +17,11 @@ directly.  The report set:
   criterion-4 profiles, p=2;f=2, the block-swap profiles p=3;f=2,2,
   p=3;f=1,1,1 and p=2;f=1,3,1, and p=3;f=3,1 at small dens, at workers 1
   and 3;
+- sigma-up with genericity on, and dropped with `--max-counterexamples 50`,
+  on profiles of several blocks of equal size, whose block swaps make large
+  orbits: p=5;f=2,2,2,2 at den 100, and p=3;f=2,2,2 at den 54 with saturation
+  as well, at workers 1 and 3 (their dropped totals pass 10000, so no sweep
+  of theirs keeps every record);
 - sigma-up with genericity on and dropped, and saturation, on p=3;f=2,1 and
   p=3;f=2,2 at den 1 (vertices only) and den 2 (one point per open edge), at
   workers 1 and 3;
@@ -45,9 +50,9 @@ directly.  The report set:
   delta(p, j) or 1 - delta(p, 1), with the generic flag on and off, one file
   per profile.
 
-Stdlib only; tier-1 does not collect it.  A capture of the 942 commands (926
+Stdlib only; tier-1 does not collect it.  A capture of the 952 commands (936
 reports and 16 exit-2 errors), the 2 feasible sets and the 6 region-query
-sets takes about 14 s on two cores.
+sets takes about 16 s on two cores.
 """
 from __future__ import annotations
 
@@ -72,6 +77,9 @@ TINY_PROFILES = ("p=3;f=2,1", "p=3;f=2,2")
 SWEEP_PROFILES = [
     f"p={p};f={f}" for p in (3, 5) for f in ("1", "2", "3", "1,1", "2,1")
 ] + ["p=2;f=2", "p=3;f=2,2", "p=3;f=1,1,1", "p=2;f=1,3,1", "p=3;f=3,1"]
+# Profiles of several blocks of equal size, at dens where their sweeps take
+# about a second: (profile, den, whether saturation is swept too).
+SWAP_SWEEPS = (("p=5;f=2,2,2,2", "100", False), ("p=3;f=2,2,2", "54", True))
 # With genericity dropped and this cap, the records of the sweeps with
 # failures run past the first failing orbit.
 MANY_COUNTEREXAMPLES = "50"
@@ -145,6 +153,19 @@ def commands():
                     ],
                 )
             yield f"saturation-{profile}-d{den}-w{w}", ["verify", "saturation", *common]
+    for profile, den, saturation in SWAP_SWEEPS:
+        for w in ("1", "3"):
+            common = ["--profile", profile, "--den", den, "--workers", w]
+            yield f"sigma-up-{profile}-d{den}-w{w}", ["verify", "sigma-up", *common]
+            yield (
+                f"sigma-up-dropped-cx{MANY_COUNTEREXAMPLES}-{profile}-d{den}-w{w}",
+                [
+                    "verify", "sigma-up", *common, "--drop-genericity",
+                    "--max-counterexamples", MANY_COUNTEREXAMPLES,
+                ],
+            )
+            if saturation:
+                yield f"saturation-{profile}-d{den}-w{w}", ["verify", "saturation", *common]
     for profile in TINY_PROFILES:
         for den in TINY_DENS:
             for w in ("1", "3"):
