@@ -33,7 +33,7 @@ from .characters import (
 )
 from .degrees import DegreeVector, pair_of_degvec, w_T_deg
 from .embeddings import parse_profile
-from .hecke import saturation_check, verify_sigma_up
+from .hecke import _check_sweep, saturation_check, verify_sigma_up
 from .regions import coverage_check, in_sigma, in_sigma_S, in_vcan, Verdict
 from .strata import _face_masks, closure_set, codim, enumerate_admissible, pi_image, w_T_pair
 
@@ -340,10 +340,10 @@ def _suite_gauss_laws():
 
 
 def _cmd_suite(ns):
-    if ns.den < 1:
-        raise ValueError(f"den must be at least 1, got {ns.den}")
     profile = parse_profile(ns.profile)
     workers = _workers(ns)
+    # the sweeps' arguments are refused before the first check runs
+    _check_sweep(profile, ns.den, workers)
     rng = Random(SUITE_RNG_SEED)
     checks = [
         _suite_census(profile),

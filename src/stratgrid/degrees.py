@@ -86,7 +86,8 @@ class DegreeVector:
             raise DegreeVectorError(
                 f"need {self.profile.g} entries for {self.profile}, got {len(entries)}"
             )
-        if any(v < 0 or v > 1 for v in entries):
+        # 0 <= v <= 1 read off v's numerator and its positive denominator
+        if any(v.numerator < 0 or v.numerator > v.denominator for v in entries):
             raise DegreeVectorError("degree entries must lie in [0, 1]")
         if self.cusp:
             profile = self.profile

@@ -86,6 +86,11 @@ class PrimeProfile:
         for b, d in zip(firsts, self.f):
             wraps[d - 1] = wraps.get(d - 1, 0) | b
         object.__setattr__(self, "_wraps", tuple(wraps.items()))
+        # The label of each embedding and its inverse, read by every
+        # serialization of a degree vector.
+        labels = tuple(f"{i}/{pos}" for i, d in enumerate(self.f) for pos in range(d))
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_label_index", {s: k for k, s in enumerate(labels)})
 
     def block_mask(self, i: int) -> int:
         """Bitmask of all embeddings of prime i."""
@@ -110,10 +115,16 @@ class PrimeProfile:
         return self.emb(k)[0]
 
     def label(self, k: int) -> str:
-        i, pos = self.emb(k)
-        return f"{i}/{pos}"
+        if not (0 <= k < self.g):
+            raise IndexError(f"embedding index {k} out of range")
+        return self._labels[k]
 
     def index_of_label(self, s: str) -> int:
+        """The index of label s.  An exact label is looked up; any other
+        string, such as " 0/1" or "00/1", is read as 'prime/pos' digits."""
+        k = self._label_index.get(s)
+        if k is not None:
+            return k
         m = re.fullmatch(r"(\d+)/(\d+)", s.strip())
         if not m:
             raise ProfileError(f"bad embedding label {s!r}, expected 'prime/pos'")

@@ -11,15 +11,18 @@ claims never rest on this set.
 
 The enumeration is integer-only: on the 1/den grid every window and bound of
 those families is an integer multiple of 1/den, so `_block_plan` restates them
-times den in a `BlockPlan`, and nothing below it builds a `Fraction`.  Each
-block is solved in two steps.  `_prune` cuts the candidate ranges by bounds
-consistency around the cycle of height edges, so the first entry runs over
-its live interval only.  `_block_runs` descends through the middle entries
-and solves the last one as one to three ranges, yielding ascending runs
-(prefix, lo, hi).  A bound another one implies (the genericity tail bound) is
-not restated.  The `Fraction` definitions in `degrees` and `regions` stay the
-oracle; the tests check the plan, the range helpers and the enumeration
-against them.  `feasible_d_grid` and the sweeps share this one descent.
+times den in a `BlockPlan`, and nothing below it builds a `Fraction`.  A
+block's plan is built in one integer pass and one constructor call: the
+anchored sums by Horner's rule, the candidate ranges and height windows, and
+then the ranges cut in place by `_prune`, bounds consistency around the cycle
+of height edges, so the first entry runs over its live interval only.
+`_block_runs` grows the candidates' prefixes one entry at a time through the
+middle entries and solves the last one as one to three ranges, yielding
+ascending runs (prefix, lo, hi).  A bound another one implies (the
+genericity tail bound) is not restated.  The `Fraction` definitions in
+`degrees` and `regions` stay the oracle; the tests check the plan, the range
+helpers and the enumeration against them.  `feasible_d_grid`, the counting
+pass (`_block_count`) and the record pass share this one descent.
 
 `verify_sigma_up` sweeps every grid point of the membership region and checks
 that all surviving d push the quotient into the canonical locus.  Only
@@ -107,6 +110,7 @@ from fractions import Fraction
 from heapq import merge
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 from .degrees import CuspInput, DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
@@ -221,8 +225,7 @@ def _on_grid(h: DegreeVector, den: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockPlan:
+class BlockPlan(NamedTuple):
     """Integer data of one block of h on the 1/den grid.
 
     Every entry is the matching rational times den: `block` holds h's
@@ -246,9 +249,10 @@ class BlockPlan:
 
 
 def _block_plan(
-    p: int, den: int, s: tuple[int, ...], generic_active: bool, pin
+    p: int, den: int, s: tuple[int, ...], generic_active: bool, pin, prune: bool = True
 ) -> BlockPlan:
-    """Integer candidate ranges and constraint constants for one block of h.
+    """Integer candidate ranges and constraint constants for one block of h,
+    the ranges cut by `_prune` unless `prune` is false.
 
     `s` is the block of h times den, and `pin` is None or the pinned range
     (pos, lo, hi) inside the block.  The plan restates the Fraction families
@@ -263,28 +267,30 @@ def _block_plan(
     the per-value predicate `_gen3_edge_ok`): there the h-side height window
     is {0} unless h = 1, and a d-side height of 0 with d < 1 needs p times
     the predecessor entry to be 0; where h = 1 the plan caps the predecessor
-    entry at 0.
+    entry at 0.  Every bound is a min or a max, so the order they are taken
+    in does not matter.
     """
     f = len(s)
-    zero_one = all(v == 0 or v == den for v in s)
-    rhs = tuple(
-        sum(p ** (f - 1 - k) * (den - s[(start + k) % f]) for k in range(f))
-        for start in range(f)
-    )
+    rhs = []
+    for start in range(f):
+        r = 0  # Horner's rule over the block read cyclically from start
+        for k in range(start, start + f):
+            r = r * p + den - s[k % f]
+        rhs.append(r)
+    # self-anchored inequality bound: p^{f-1} d <= weighted rhs
+    top = p ** (f - 1)
     lo = [0] * f
-    hi = [den] * f
-    for pos in range(f):
-        pred = (pos - 1) % f
-        if generic_active:
+    hi = [min(den, r // top) for r in rhs]
+    if generic_active:
+        zero_one = all(v == 0 or v == den for v in s)
+        for pos in range(f):
             if s[pos] == den:
-                hi[pred] = min(hi[pred], 0)
+                hi[pos - 1] = min(hi[pos - 1], 0)
             if zero_one:
                 if s[pos] == den and s[(pos + 1) % f] == 0:
                     lo[pos] = max(lo[pos], _ceil_div(den, p))
                 else:
                     hi[pos] = min(hi[pos], 0)
-        # self-anchored inequality bound: p^{f-1} d <= weighted rhs
-        hi[pos] = min(hi[pos], rhs[pos] // p ** (f - 1))
     if pin is not None:
         pos0, plo, phi = pin
         lo[pos0] = max(lo[pos0], plo)
@@ -294,12 +300,16 @@ def _block_plan(
     for pos in range(f):
         # hodge_height times den: min(x, y) when they differ, else [x, den].
         # Entries lie in [0, den], so both values do and its clamp never bites.
-        x = p * s[(pos - 1) % f]
+        x = p * s[pos - 1]
         y = den - s[pos]
-        wlo.append(min(x, y))
-        whi.append(min(x, y) if x != y else den)
+        m = x if x < y else y
+        wlo.append(m)
+        whi.append(m if x != y else den)
+    if prune:
+        _prune(p, den, lo, hi, wlo, whi, rhs)
     return BlockPlan(
-        p, f, den, s, tuple(lo), tuple(hi), tuple(wlo), tuple(whi), rhs, generic_active
+        p, f, den, s, tuple(lo), tuple(hi), tuple(wlo), tuple(whi), tuple(rhs),
+        generic_active,
     )
 
 
@@ -326,52 +336,57 @@ def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
     return ranges
 
 
-def _pred_ranges(plan: BlockPlan, pos, clo, chi) -> list[tuple[int, int]]:
-    """Ranges of the entry before pos passing the height edge at pos with
-    some entry at pos in [clo, chi].
+def _pred_branches(p, den, wlo, whi, clo, chi) -> tuple[int, int, int, int, int, int]:
+    """(lo1, hi1, lo2, hi2, lo3, hi3): the entry before an edge of h-side
+    window [wlo, whi] passes it with some entry after it in [clo, chi]
+    exactly on these three closed ranges; a range with lo > hi is empty.
 
     With x = p*a_prev and y = den - a_cur as in `_hodge_edge_ranges`, the
     branches solve y > x, y = x and y < x for a_prev.  For one a_cur
-    (clo == chi) the ranges are disjoint and ascending.
+    (clo == chi) the nonempty ranges are disjoint and ascending.
     """
-    den, p = plan.den, plan.p
-    wlo, whi = plan.wlo[pos], plan.whi[pos]
-    ranges = []
-    lo1, hi1 = _ceil_div(wlo, p), min(whi, den - clo - 1) // p
-    if lo1 <= hi1:
-        ranges.append((lo1, hi1))
-    lo1, hi1 = _ceil_div(den - chi, p), min(whi, den - clo) // p
-    if lo1 <= hi1:
-        ranges.append((lo1, hi1))
+    top = min(whi, den - clo)
     y = max(wlo, den - chi)  # the least y in the window
-    if y <= min(whi, den - clo):
-        ranges.append((y // p + 1, den))
-    return ranges
+    return (
+        _ceil_div(wlo, p),
+        min(whi, den - clo - 1) // p,
+        _ceil_div(den - chi, p),
+        top // p,
+        y // p + 1 if y <= top else den + 1,
+        den,
+    )
 
 
-def _prune(plan: BlockPlan) -> BlockPlan:
-    """`plan` with lo/hi cut by bounds consistency around the cycle.
+def _pred_ranges(plan: BlockPlan, pos, clo, chi) -> list[tuple[int, int]]:
+    """The nonempty `_pred_branches` of the height edge at pos, as ranges."""
+    b = _pred_branches(plan.p, plan.den, plan.wlo[pos], plan.whi[pos], clo, chi)
+    return [(b[i], b[i + 1]) for i in (0, 2, 4) if b[i] <= b[i + 1]]
+
+
+def _prune(p, den, lo, hi, wlo, whi, rhs) -> None:
+    """Cut the bounds lo/hi of a block, in place, by bounds consistency
+    around the cycle.
 
     A round first caps each entry by every anchored inequality with the other
     entries at their lower bounds.  Then, from the last entry back to the
-    first, entry q keeps the values that some value of entry q + 1 within its
-    bounds supports across the height edge at q + 1 (`_pred_ranges`; the wrap
-    edge for q = f - 1).  Rounds repeat until no bound moves or a range is
-    empty.  Only values that start no feasible tuple are cut; the bounds may
-    stay wider than that.
+    first, entry q keeps the hull of the values in its bounds that some value
+    of entry q + 1 within its bounds supports across the height edge at
+    q + 1 (`_pred_branches`; the wrap edge for q = f - 1).  Rounds repeat
+    until no bound moves or a range is empty.  Only values that start no
+    feasible tuple are cut; the bounds may stay wider than that.
     """
-    p, f, rhs = plan.p, plan.f, plan.rhs
-    lo, hi = list(plan.lo), list(plan.hi)
+    f = len(lo)
+    top = p ** (f - 1)
     moved = all(lo[q] <= hi[q] for q in range(f))
     while moved:
         moved = False
         for start in range(f):
             total = 0
-            for k in range(f):
-                total = total * p + lo[(start + k) % f]
-            w = p ** (f - 1)
-            for k in range(f):
-                q = (start + k) % f
+            for k in range(start, start + f):
+                total = total * p + lo[k % f]
+            w = top
+            for k in range(start, start + f):
+                q = k % f
                 cap = (rhs[start] - total) // w + lo[q]
                 if cap < hi[q]:
                     hi[q] = cap
@@ -379,21 +394,23 @@ def _prune(plan: BlockPlan) -> BlockPlan:
                 w //= p
         for q in reversed(range(f)):
             nxt = (q + 1) % f
-            new_lo, new_hi = hi[q] + 1, lo[q] - 1
+            cur_lo, cur_hi = lo[q], hi[q]
+            new_lo, new_hi = cur_hi + 1, cur_lo - 1
             if lo[nxt] <= hi[nxt]:
-                for rlo, rhi in _pred_ranges(plan, nxt, lo[nxt], hi[nxt]):
-                    rlo, rhi = max(rlo, lo[q]), min(rhi, hi[q])
+                b = _pred_branches(p, den, wlo[nxt], whi[nxt], lo[nxt], hi[nxt])
+                for i in (0, 2, 4):
+                    rlo = b[i] if b[i] > cur_lo else cur_lo
+                    rhi = b[i + 1] if b[i + 1] < cur_hi else cur_hi
                     if rlo <= rhi:
-                        new_lo, new_hi = min(new_lo, rlo), max(new_hi, rhi)
-            if new_lo != lo[q] or new_hi != hi[q]:
+                        if rlo < new_lo:
+                            new_lo = rlo
+                        if rhi > new_hi:
+                            new_hi = rhi
+            if new_lo != cur_lo or new_hi != cur_hi:
                 lo[q], hi[q] = new_lo, new_hi
                 moved = new_lo <= new_hi
                 if not moved:
                     break
-    return BlockPlan(
-        p, f, plan.den, plan.block, tuple(lo), tuple(hi), plan.wlo, plan.whi, rhs,
-        plan.generic,
-    )
 
 
 def _self_edge_ranges(plan: BlockPlan) -> list[tuple[int, int]]:
@@ -418,13 +435,14 @@ def _self_edge_ranges(plan: BlockPlan) -> list[tuple[int, int]]:
     return ranges
 
 
-def _last_ranges(plan: BlockPlan, assign) -> list[tuple[int, int]]:
-    """Ranges of the last entry that complete assign[:f-1], ascending.
+def _last_ranges(plan: BlockPlan, prefix) -> list[tuple[int, int]]:
+    """Ranges of the last entry that complete `prefix`, the first f - 1
+    entries, ascending.
 
     The height edges into the last entry and around the wrap (the self edge
     when f = 1) give one to three ranges.  The bounds and one upper bound per
     anchored inequality clip them, so every value left passes every family
-    when the prefix lies within the bounds.  assign[f-1] must be 0.
+    when the prefix lies within the bounds.
     """
     p, f = plan.p, plan.f
     last = f - 1
@@ -433,16 +451,17 @@ def _last_ranges(plan: BlockPlan, assign) -> list[tuple[int, int]]:
         ranges = _self_edge_ranges(plan)
     else:
         ranges = _intersect_ranges(
-            _hodge_edge_ranges(plan, last, assign[last - 1]),
-            _pred_ranges(plan, 0, assign[0], assign[0]),  # the wrap edge
+            _hodge_edge_ranges(plan, last, prefix[last - 1]),
+            _pred_ranges(plan, 0, prefix[0], prefix[0]),  # the wrap edge
         )
-    # assign[last] is 0, and the last entry's weight in the sum anchored at
-    # start is p^start
+    # with the last entry at 0, each anchored sum caps it; its weight in the
+    # sum anchored at start is p^start
+    d = (*prefix, 0)
     w = 1
     for start in range(f):
         total = 0
-        for k in range(f):
-            total = total * p + assign[(start + k) % f]
+        for k in range(start, start + f):
+            total = total * p + d[k % f]
         cap = (plan.rhs[start] - total) // w
         if cap < hi:
             hi = cap
@@ -471,38 +490,26 @@ Run = tuple[tuple[int, ...], int, int]
 def _block_runs(plan: BlockPlan) -> list[Run]:
     """The block's candidates as runs (prefix, lo, hi), in lexicographic order.
 
-    A run stands for the tuples prefix + (a,) with lo <= a <= hi.  The first
-    entry loops over its bounds (pruned by `_prune` first), a middle entry
-    over the disjoint ascending ranges `_hodge_edge_ranges` leaves, and the
-    last entry is solved as ranges by `_last_ranges`.
+    A run stands for the tuples prefix + (a,) with lo <= a <= hi.  The
+    prefixes grow one entry at a time, in ascending order: the first entry
+    over its bounds (pruned by `_prune`), a middle entry over the disjoint
+    ascending ranges `_hodge_edge_ranges` leaves within its bounds.  The last
+    entry is solved as ranges by `_last_ranges`.
     """
-    f = plan.f
-    lo, hi = plan.lo, plan.hi
+    f, lo, hi = plan.f, plan.lo, plan.hi
     if any(lo[pos] > hi[pos] for pos in range(f)):
         return []
-    last = f - 1
-    runs: list[Run] = []
-    assign = [0] * f
-
-    def descend(pos: int) -> None:
-        if pos == last:
-            prefix = tuple(assign[:last])
-            for rlo, rhi in _last_ranges(plan, assign):
-                runs.append((prefix, rlo, rhi))
-            return
-        if pos == 0:
-            for a in range(lo[0], hi[0] + 1):
-                assign[0] = a
-                descend(1)
-            return
-        for rlo, rhi in _hodge_edge_ranges(plan, pos, assign[pos - 1]):
-            rlo, rhi = max(rlo, lo[pos]), min(rhi, hi[pos])
-            for a in range(rlo, rhi + 1):
-                assign[pos] = a
-                descend(pos + 1)
-
-    descend(0)
-    return runs
+    prefixes = [()] if f == 1 else [(a,) for a in range(lo[0], hi[0] + 1)]
+    for pos in range(1, f - 1):
+        prefixes = [
+            prefix + (a,)
+            for prefix in prefixes
+            for rlo, rhi in _hodge_edge_ranges(plan, pos, prefix[-1])
+            for a in range(max(rlo, lo[pos]), min(rhi, hi[pos]) + 1)
+        ]
+    return [
+        (prefix, rlo, rhi) for prefix in prefixes for rlo, rhi in _last_ranges(plan, prefix)
+    ]
 
 
 def _run_failures(plan: BlockPlan, prefix, lo, hi) -> int:
@@ -563,18 +570,15 @@ def _block_keys(
         yield scaled[off : off + f], local_pin
 
 
-def _block(p: int, den: int, generic_active: bool, s, pin) -> tuple[BlockPlan, list[Run]]:
-    """(plan, runs) of one block, the plan pruned."""
-    plan = _prune(_block_plan(p, den, s, generic_active, pin))
-    return plan, _block_runs(plan)
-
-
 def _blocks(
     profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum, verdict
 ):
     """(plan, runs) of every block of the scaled h, the plans pruned."""
-    keys = _block_keys(profile, scaled, den, generic_active, stratum, verdict)
-    return [_block(profile.p, den, generic_active, *key) for key in keys]
+    out = []
+    for s, pin in _block_keys(profile, scaled, den, generic_active, stratum, verdict):
+        plan = _block_plan(profile.p, den, s, generic_active, pin)
+        out.append((plan, _block_runs(plan)))
+    return out
 
 
 def _feasible_tuples(blocks):
@@ -666,12 +670,13 @@ def _point_in(profile, den, windows, scaled, stratum) -> tuple[bool, bool]:
     return _within(windows, scaled), pure
 
 
-def _block_count(plan: BlockPlan, runs) -> tuple[int, int]:
+def _block_count(plan: BlockPlan) -> tuple[int, int]:
     """(candidates, failures) of one block, counted on its runs."""
-    return (
-        sum(hi - lo + 1 for _, lo, hi in runs),
-        sum(_run_failures(plan, *run) for run in runs),
-    )
+    candidates = failures = 0
+    for prefix, lo, hi in _block_runs(plan):
+        candidates += hi - lo + 1
+        failures += _run_failures(plan, prefix, lo, hi)
+    return candidates, failures
 
 
 def _fold(counts) -> tuple[int, int]:
@@ -834,8 +839,8 @@ def _share(profile, den, drop_genericity, windows, sizes, n, k):
             for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
                 count = table.get(key)
                 if count is None:
-                    plan, runs = _block(profile.p, den, generic, *key)
-                    count = table[key] = _block_count(plan, runs)
+                    plan = _block_plan(profile.p, den, key[0], generic, key[1])
+                    count = table[key] = _block_count(plan)
                 counts.append(count)
             point_pairs, point_cx = _fold(counts)
             pairs += size * point_pairs
@@ -868,8 +873,8 @@ def _records(profile: PrimeProfile, den: int, generic: bool, orbits, failed):
     ascending, with the cell's stratum; `merge` makes one lexicographic
     stream of them.  The cells' points are distinct, so no two strata are
     compared.  Each point's failures are expanded from its blocks' runs,
-    each distinct block planned once, from a table of `_block` results keyed
-    by `_block_keys`.
+    each distinct block planned once, from a table of its plan and runs
+    keyed by `_block_keys`.
     """
     streams = []
     for cell in _cells(profile.g, den):
@@ -882,11 +887,27 @@ def _records(profile: PrimeProfile, den: int, generic: bool, orbits, failed):
         blocks = []
         for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
             if key not in table:
-                table[key] = _block(profile.p, den, generic, *key)
+                plan = _block_plan(profile.p, den, key[0], generic, key[1])
+                table[key] = plan, _block_runs(plan)
             blocks.append(table[key])
         for d_scaled in _feasible_tuples(blocks):
             for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
                 yield scaled, d_scaled, beta, lhs
+
+
+def _check_sweep(profile: PrimeProfile, den: int, workers: int) -> None:
+    """Refuse a sweep's den, worker count and grid before any work: den at
+    least 1, 1 to `MAX_WORKERS` workers, g * den at most `GRID_CAP` and g at
+    most `strata.ENUMERATION_MAX_G`.  Each refusal is a `ValueError`."""
+    if den < 1:
+        raise ValueError(f"den must be at least 1, got {den}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
+    g = profile.g
+    if g * den > GRID_CAP:
+        raise GridTooLarge(f"{g} * {den} exceeds cap {GRID_CAP}")
+    if g > ENUMERATION_MAX_G:
+        raise EnumerationBound(f"g={g} exceeds enumeration bound {ENUMERATION_MAX_G}")
 
 
 def _run_sweep(
@@ -899,8 +920,8 @@ def _run_sweep(
 ) -> dict:
     """Sweep the grid points in two passes and fold the results.
 
-    The sweep refuses a profile above `strata.ENUMERATION_MAX_G` and more
-    than `MAX_WORKERS` workers before it walks a cell or starts a process.
+    The sweep refuses its arguments (`_check_sweep`, and a negative record
+    cap) before it walks a cell or starts a process.
     `_orbits` then maps every cell of the cube (`_cells`) to its canonical
     cell, once, here in the parent, and the orbit sizes are its counts.
     The counting pass counts each orbit once, at its canonical cell: each
@@ -925,19 +946,12 @@ def _run_sweep(
     `max_counterexamples` records are kept: the lexicographically first by
     embedding index, with no sort.
     """
-    if den < 1:
-        raise ValueError(f"den must be at least 1, got {den}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
+    _check_sweep(profile, den, workers)
     if max_counterexamples < 0:
         raise ValueError(
             f"max_counterexamples must be at least 0, got {max_counterexamples}"
         )
-    if profile.g * den > GRID_CAP:
-        raise GridTooLarge(f"{profile.g} * {den} exceeds cap {GRID_CAP}")
     g = profile.g
-    if g > ENUMERATION_MAX_G:
-        raise EnumerationBound(f"g={g} exceeds enumeration bound {ENUMERATION_MAX_G}")
     total = 2**g + g * 2 ** (g - 1) * (den - 1)
     windows = _windows(profile, den) if saturation_only else None
     orbits = _orbits(profile, den)

@@ -739,6 +739,37 @@ def test_suite_den_below_one_is_usage_error(capsys, den):
     assert captured.err.splitlines() == [f"error: den must be at least 1, got {den}"]
 
 
+@pytest.mark.parametrize(
+    "profile,den,workers",
+    [
+        ("p=3;f=5,5", "2", "65"),
+        # g * den over the grid cap
+        ("p=3;f=2", "5001", "1"),
+        # g above the enumeration bound
+        ("p=2;f=13", "1", "1"),
+    ],
+)
+def test_suite_refuses_bad_sweep_arguments_before_any_check(
+    capsys, monkeypatch, profile, den, workers
+):
+    """`suite` refuses what its sweeps would refuse before its first check
+    runs, with the line `verify sigma-up` prints for the same arguments."""
+    args = ["--profile", profile, "--den", den, "--workers", workers]
+    assert cli.run(["verify", "sigma-up", *args]) == 2
+    want = capsys.readouterr().err
+
+    def unrun(*args):
+        raise AssertionError("a suite check ran before the sweep arguments were checked")
+
+    monkeypatch.setattr(cli, "_suite_census", unrun)
+    start = time.perf_counter()
+    code = cli.run(["suite", *args])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == want and want.startswith("error: ")
+
+
 @st.composite
 def suite_profile_text(draw):
     """A profile text with p in {2, 3, 4, 5} and g up to 3, a malformed one,

@@ -75,6 +75,31 @@ def test_validation():
     DegreeVector(PrimeProfile(3, (2, 1)), (F(1), F(1), F(0)), cusp=True)
 
 
+@pytest.mark.parametrize(
+    "value,ok",
+    [
+        (F(0), True),
+        (F(1), True),
+        ("2/2", True),
+        ("-0", True),
+        (F(999_999_999, 10**9), True),
+        (F(-1, 10**9), False),
+        (F(10**9 + 1, 10**9), False),
+        ("-1/3", False),
+        (2, False),
+    ],
+)
+def test_entry_range_is_closed_unit_interval(value, ok):
+    """The [0, 1] check read off numerator and denominator accepts both ends
+    and refuses the nearest values outside."""
+    profile = PrimeProfile(3, (1,))
+    if ok:
+        assert dv(profile, value).entries == (F(value),)
+    else:
+        with pytest.raises(DegreeVectorError, match=r"must lie in \[0, 1\]"):
+            dv(profile, value)
+
+
 @pytest.mark.parametrize("text", ["p=3;f=2,1", "p=2;f=1,3"])
 def test_cusp_accepts_exactly_the_blockwise_constant_vertices(text):
     profile = parse_profile(text)

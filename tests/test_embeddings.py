@@ -1,6 +1,8 @@
 """Indexing and shift laws, checked against a position-level oracle."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,6 +112,62 @@ def test_indexing_round_trip():
 def test_index_of_label_rejects_labels_naming_no_embedding(label):
     with pytest.raises(ProfileError, match="names no embedding"):
         PrimeProfile(3, (2, 1)).index_of_label(label)
+
+
+def _compositions(n: int):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _regex_index_of_label(profile: PrimeProfile, s: str) -> int:
+    """The label reader before the label table: a 'prime/pos' regex on the
+    stripped string."""
+    m = re.fullmatch(r"(\d+)/(\d+)", s.strip())
+    if not m:
+        raise ProfileError(f"bad embedding label {s!r}, expected 'prime/pos'")
+    try:
+        return profile.index(int(m.group(1)), int(m.group(2)))
+    except IndexError:
+        raise ProfileError(f"label {s!r} names no embedding of {profile}") from None
+
+
+def test_label_table_matches_prime_and_position():
+    """On every profile up to g = 12, the label of k is 'prime/pos' and
+    reads back as k."""
+    for g in range(1, 13):
+        for f in _compositions(g):
+            profile = PrimeProfile(3, f)
+            k = 0
+            for i, d in enumerate(f):
+                for pos in range(d):
+                    assert profile.label(k) == f"{i}/{pos}"
+                    assert profile.index_of_label(profile.label(k)) == k
+                    k += 1
+            with pytest.raises(IndexError):
+                profile.label(g)
+            with pytest.raises(IndexError):
+                profile.label(-1)
+
+
+@pytest.mark.parametrize(
+    "label", ["0/1 ", " 0/1", "00/1", "0/01", "x", "3/0", "1/0", "0/2", "", "0 / 1", "-0/1"]
+)
+def test_index_of_label_reads_other_strings_as_before(label):
+    """A string that is not a label exactly gives the regex reader's index
+    or its error, word for word."""
+    profile = PrimeProfile(3, (2, 1))
+    try:
+        want = _regex_index_of_label(profile, label)
+    except ProfileError as exc:
+        with pytest.raises(ProfileError) as got:
+            profile.index_of_label(label)
+        assert str(got.value) == str(exc)
+    else:
+        assert profile.index_of_label(label) == want
 
 
 def test_shift_example():

@@ -52,7 +52,6 @@ from stratgrid.hecke import (
     _point_in,
     _pred_ranges,
     _pin_for,
-    _prune,
     _quotient_vcan_failures,
     _run_failures,
     _self_edge_ranges,
@@ -209,7 +208,8 @@ def test_block_plan_matches_fraction_definitions():
         for h in _vertex_and_edge_points(profile, den):
             for i in range(profile.n_primes):
                 f, off = profile.f[i], profile.offsets[i]
-                plan = _block_plan(p, den, _on_grid(h, den)[off : off + f], True, None)
+                s = _on_grid(h, den)[off : off + f]
+                plan = _block_plan(p, den, s, True, None, prune=False)
                 assert plan.block == tuple(h[off + pos] * den for pos in range(f))
                 for pos in range(f):
                     w = hodge_height(h, off + pos)
@@ -327,10 +327,10 @@ def _raynaud_ok(plan, assign) -> bool:
 
 
 def _plans():
-    """Plans of the first block, genericity on and off.  (p + 1) divides 8, so
-    the self edge of p=3;f=1 has a value where x = y; at p=5;f=1 den 7 it has
-    none.  At p=2;f=3 den 4 the anchored inequalities cap the last entry below
-    its edges and bounds."""
+    """Unpruned plans of the first block, genericity on and off.  (p + 1)
+    divides 8, so the self edge of p=3;f=1 has a value where x = y; at
+    p=5;f=1 den 7 it has none.  At p=2;f=3 den 4 the anchored inequalities
+    cap the last entry below its edges and bounds."""
     for prof, den in [
         ("p=3;f=2", 6),
         ("p=2;f=2", 5),
@@ -343,7 +343,13 @@ def _plans():
         f = profile.f[0]
         for h in _vertex_and_edge_points(profile, den):
             for generic in (True, False):
-                yield _block_plan(profile.p, den, _on_grid(h, den)[:f], generic, None), den
+                s = _on_grid(h, den)[:f]
+                yield _block_plan(profile.p, den, s, generic, None, prune=False), den
+
+
+def _pruned(plan):
+    """The plan `_block_plan` builds, pruned, from the same block."""
+    return _block_plan(plan.p, plan.den, plan.block, plan.generic, None)
 
 
 def _in_ranges(a, ranges) -> bool:
@@ -412,11 +418,11 @@ def test_last_ranges_match_predicates():
     and around the wrap (the self edge when f = 1), and every anchored
     inequality."""
     for unpruned, den in _plans():
-        for plan in (unpruned, _prune(unpruned)):
+        for plan in (unpruned, _pruned(unpruned)):
             f = plan.f
             bounds = [range(plan.lo[q], plan.hi[q] + 1) for q in range(f - 1)]
             for prefix in product(*bounds):
-                allowed = _last_ranges(plan, [*prefix, 0])
+                allowed = _last_ranges(plan, prefix)
                 assert _ascending(allowed), (plan, prefix, allowed)
                 for a in range(den + 1):
                     d = (*prefix, a)
@@ -448,7 +454,7 @@ def test_prune_keeps_every_live_entry():
     the pruned bounds, and the descent over them finds the same runs."""
     for plan, den in _plans():
         runs = _block_runs(plan)
-        pruned = _prune(plan)
+        pruned = _pruned(plan)
         assert _block_runs(pruned) == runs, plan
         for prefix, lo, hi in runs:
             for d in ((*prefix, lo), (*prefix, hi)):
@@ -547,7 +553,7 @@ def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
         return 0, pure, 0, 0, []
     scaled, stratum = point
     blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
-    pairs, cx_total = _fold([_block_count(*block) for block in blocks])
+    pairs, cx_total = _fold([_block_count(plan) for plan, _ in blocks])
     records = []
     if cx_total and keep:
         for d_scaled in _feasible_tuples(blocks):
@@ -1126,6 +1132,52 @@ def test_sweep_plans_each_block_once(prof, plans, monkeypatch):
     assert len(keys) == len(set(keys)) == plans
 
 
+# The benchmark's one-worker sweeps, with the blocks each plans and the
+# purity round trips each makes.
+SERIAL_SWEEPS = [
+    ("sigma-up", "p=3;f=2", 135, 225, 0),
+    ("sigma-up", "p=5;f=3", 75, 280, 0),
+    ("sigma-up", "p=3;f=2,1", 135, 360, 0),
+    ("saturation", "p=3;f=2", 135, 89, 449),
+]
+
+
+def test_serial_sweeps_plan_954_blocks_and_run_449_round_trips(monkeypatch, capsys):
+    """The serial benchmark sweeps plan each distinct block once, 954 in
+    all, and saturation runs its purity round trip at each of its In
+    points, canonical or not, 449 in all."""
+    plans = []
+    trips = []
+    plan = hecke._block_plan
+    from_json_dict = DegreeVector.from_json_dict.__func__
+
+    def counted_plan(*args):
+        plans.append(args)
+        return plan(*args)
+
+    def counted_trip(cls, profile, data):
+        trips.append(data)
+        return from_json_dict(cls, profile, data)
+
+    monkeypatch.setattr(hecke, "_block_plan", counted_plan)
+    monkeypatch.setattr(DegreeVector, "from_json_dict", classmethod(counted_trip))
+    for check, prof, den, n_plans, n_trips in SERIAL_SWEEPS:
+        plans.clear()
+        trips.clear()
+        argv = ["verify", check, "--profile", prof, "--den", str(den), "--workers", "1"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert (len(plans), len(trips)) == (n_plans, n_trips), (check, prof)
+        if check == "saturation":
+            in_points = 0
+            for scaled, stratum in _sweep_points(parse_profile(prof), den):
+                free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
+                in_points += stratum.decide(True, free, den) is Verdict.IN
+            assert in_points == n_trips
+    assert sum(row[3] for row in SERIAL_SWEEPS) == 954
+    assert sum(row[4] for row in SERIAL_SWEEPS) == 449
+
+
 @pytest.mark.parametrize(
     "prof,den",
     [
@@ -1171,3 +1223,40 @@ def test_integer_window_matches_in_interval_region(prof, den):
         seen.add(got)
     # the single-prime profiles meet both sides of their windows
     assert seen == ({False} if profile.n_primes > 1 else {True, False})
+
+
+# ---------------------------------------------------------------------------
+# relations that need no oracle
+
+
+@pytest.mark.parametrize(
+    "prof,den,k",
+    [
+        ("p=3;f=2", 9, 2),
+        ("p=3;f=2", 9, 3),
+        ("p=3;f=3", 9, 2),
+        ("p=3;f=3", 9, 3),
+        ("p=5;f=2,1", 5, 2),
+        ("p=5;f=2,1", 5, 3),
+        ("p=5;f=3", 25, 5),
+    ],
+)
+def test_den_refinement_keeps_the_coarse_feasible_set(prof, den, k):
+    """Every family is a statement about rationals, so refining the grid
+    adds candidates and removes none: `feasible_d_grid(h, k * den)` on the
+    1/den grid is `feasible_d_grid(h, den)`, at every vertex and edge point
+    of the coarse grid, genericity on and dropped.  One exact answer
+    against another, with no oracle."""
+    profile = parse_profile(prof)
+    nonempty = 0
+    for h in _vertex_and_edge_points(profile, den):
+        for drop in (False, True):
+            coarse = [d.entries for d in feasible_d_grid(h, den, drop)]
+            fine = [
+                d.entries
+                for d in feasible_d_grid(h, k * den, drop)
+                if all(den % v.denominator == 0 for v in d.entries)
+            ]
+            assert fine == coarse, (h.entries, drop)
+            nonempty += bool(coarse)
+    assert nonempty

@@ -1,7 +1,9 @@
-"""Capture the deterministic reports of a checkout, and byte-compare two captures.
+"""Capture the deterministic reports of a checkout, byte-compare two captures,
+and pin the reports' digests in the repository.
 
     python3 tools/golden.py capture DIR   # write every report below to DIR
     python3 tools/golden.py compare A B   # exit 0 iff A and B hold the same bytes
+    python3 tools/golden.py digest        # write tests/data/report_digests.json
 
 `capture` runs each command through `stratgrid.cli.run --out`, importing
 stratgrid from the `src` directory next to this script: a copy of the script
@@ -50,15 +52,24 @@ directly.  The report set:
   delta(p, j) or 1 - delta(p, 1), with the generic flag on and off, one file
   per profile.
 
+`digest` captures into a temporary directory and writes, for each command,
+its exit code and the SHA-256 of its report (null where it wrote none, on
+exit 2), and the SHA-256 of each record set.  `tests/test_golden.py`
+recomputes the digests of the fast commands in tier-1.  Running `digest`
+again and diffing the file against the repository checks the whole set; a
+change that alters report bytes on purpose commits the new file.
+
 Stdlib only; tier-1 does not collect it.  A capture of the 952 commands (936
 reports and 16 exit-2 errors), the 2 feasible sets and the 6 region-query
 sets takes about 16 s on two cores.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -115,6 +126,7 @@ REGION_QUERIES = (
     ("p=5;f=1,1,1,1", 5),
 )
 EXIT_CODES = "exit_codes.json"
+DIGESTS = os.path.join(ROOT, "tests", "data", "report_digests.json")
 
 
 def compositions(n: int):
@@ -296,6 +308,44 @@ def _file_name(name: str) -> str:
     return name.replace(";", "_").replace("=", "").replace(",", ".") + ".json"
 
 
+def file_digest(path: str):
+    """SHA-256 of a file's bytes in hex, or None when there is no file."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def digests(out_dir: str) -> dict:
+    """The digests of a capture in `out_dir`: each command's exit code and
+    report digest, and the digest of every other file, the record sets."""
+    with open(os.path.join(out_dir, EXIT_CODES), encoding="utf-8") as fh:
+        codes = json.load(fh)
+    reports = {
+        name: {"exit": code, "sha256": file_digest(os.path.join(out_dir, _file_name(name)))}
+        for name, code in codes.items()
+    }
+    written = {_file_name(name) for name in codes} | {EXIT_CODES}
+    record_sets = {
+        name: file_digest(os.path.join(out_dir, name))
+        for name in sorted(os.listdir(out_dir))
+        if name not in written
+    }
+    return {"reports": reports, "record_sets": record_sets}
+
+
+def digest(path: str = DIGESTS) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        capture(tmp)
+        found = digests(tmp)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(found, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
 def capture(out_dir: str) -> int:
     from stratgrid import cli
 
@@ -345,7 +395,12 @@ def main(argv: list[str]) -> int:
         return capture(argv[1])
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
-    print("usage: golden.py capture DIR | golden.py compare A B", file=sys.stderr)
+    if argv == ["digest"]:
+        return digest()
+    print(
+        "usage: golden.py capture DIR | golden.py compare A B | golden.py digest",
+        file=sys.stderr,
+    )
     return 2
 
 
