@@ -519,10 +519,7 @@ class GF:
         self.elements = [tuple(reversed(t)) for t in product(range(p), repeat=r)]
         # reversed so the constant coordinate varies fastest: index 1 is one
         self._index = {t: i for i, t in enumerate(self.elements)}
-        self.gen = self._find_generator()
-        self.exp = [1]
-        for _ in range(q - 2):
-            self.exp.append(self._mul_coeffs(self.exp[-1], self.gen))
+        self.gen, self.exp = self._find_generator()
         self.dlog = {e: i for i, e in enumerate(self.exp)}
         self._traces = [self._frobenius_trace(i) for i in range(q)]
 
@@ -574,14 +571,16 @@ class GF:
         assert all(c == 0 for c in t[1:])
         return t[0]
 
-    def _find_generator(self) -> int:
+    def _find_generator(self) -> tuple[int, list[int]]:
+        """The least generator g of F_q^x and its powers 1, g, ..., g^(q-2),
+        from one walk: an element's powers up to 1 give its order."""
         for i in range(1, self.q):
-            order, cur = 1, i
+            powers, cur = [1], i
             while cur != 1:
+                powers.append(cur)
                 cur = self._mul_coeffs(cur, i)
-                order += 1
-            if order == self.q - 1:
-                return i
+            if len(powers) == self.q - 1:
+                return i, powers
         raise AssertionError("no generator found")
 
 
@@ -952,15 +951,6 @@ class TwistReport:
     passed: bool
     mismatch_index: tuple | None
     conductor: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "mismatch_index": list(self.mismatch_index)
-            if self.mismatch_index is not None
-            else None,
-            "conductor": self.conductor,
-        }
 
 
 def verify_twist_identity(

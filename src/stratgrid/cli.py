@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from random import Random
 
 from .characters import (
@@ -50,7 +51,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process, on the first `run`."""
     top = _Parser(prog="stratgrid", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -10,12 +10,13 @@ statements ("every surviving d lands in the canonical locus") but existence
 claims never rest on this set.
 
 The enumeration is integer-only: on the 1/den grid every window and bound of
-those families is an integer multiple of 1/den, so `_block_plan` restates them
-times den in a `BlockPlan`, and nothing below it builds a `Fraction`.  A
-block's plan is built in one integer pass and one constructor call: the
+those families is an integer multiple of 1/den, so `_plan_bounds` restates
+them times den, and nothing below it builds a `Fraction`.  A block's plan is
+built in one integer pass and one constructor call: `_plan_bounds` takes the
 anchored sums by Horner's rule, the candidate ranges and height windows, and
-then the ranges cut in place by `_prune`, bounds consistency around the cycle
-of height edges, so the first entry runs over its live interval only.
+`_block_plan` cuts the ranges in place by `_prune`, bounds consistency around
+the cycle of height edges, so the first entry runs over its live interval
+only.  A `BlockPlan` holds only the integers the descent reads.
 `_block_runs` grows the candidates' prefixes one entry at a time through the
 middle entries and solves the last one as one to three ranges, yielding
 ascending runs (prefix, lo, hi).  A bound another one implies (the
@@ -96,10 +97,11 @@ lexicographic within a cell, and merges the streams into one lexicographic
 stream.  Each point's failures come ordered by d and then beta, so the first
 records of the merged stream are the first by embedding index, and the pass
 stops at the cap: each point it expands gives at least one record, and there
-is no `_canonical` call and no sort, whatever the worker count.  It plans
-each distinct block once, from a table of its own that holds the runs; the
-counting table holds only counts.  A record's lhs stays an integer, times
-den, until `_cx_record` writes it.
+is no `_canonical` call and no sort, whatever the worker count.  It reads
+its blocks through `_blocks`, from a table of its own that holds each
+distinct block's plan and runs, so each is planned once; the counting table
+holds only counts.  A record's lhs stays an integer, times den, until
+`_cx_record` writes it.
 """
 from __future__ import annotations
 
@@ -226,49 +228,45 @@ def _on_grid(h: DegreeVector, den: int) -> tuple[int, ...]:
 
 
 class BlockPlan(NamedTuple):
-    """Integer data of one block of h on the 1/den grid.
+    """Integer data of one block of h on the 1/den grid: what the descent
+    reads.
 
-    Every entry is the matching rational times den: `block` holds h's
-    entries, `lo`/`hi` the candidate range of each entry of d, `wlo`/`whi`
-    the window of `degrees.hodge_height` at each position, and `rhs` the
-    weighted sum of 1 - h anchored at each position (the right-hand side of
-    `degrees.raynaud_feasible`).  `generic` says whether the genericity
-    families apply.
+    Every entry is the matching rational times den: `lo`/`hi` the candidate
+    range of each entry of d, cut by `_prune`, `wlo`/`whi` the window of
+    `degrees.hodge_height` at each position, and `rhs` the weighted sum of
+    1 - h anchored at each position (the right-hand side of
+    `degrees.raynaud_feasible`).  The genericity families are already in
+    the bounds.
     """
 
     p: int
     f: int
     den: int
-    block: tuple[int, ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     wlo: tuple[int, ...]
     whi: tuple[int, ...]
     rhs: tuple[int, ...]
-    generic: bool
 
 
-def _block_plan(
-    p: int, den: int, s: tuple[int, ...], generic_active: bool, pin, prune: bool = True
-) -> BlockPlan:
-    """Integer candidate ranges and constraint constants for one block of h,
-    the ranges cut by `_prune` unless `prune` is false.
+def _plan_bounds(p: int, den: int, s: tuple[int, ...], generic_active: bool, pin):
+    """(lo, hi, wlo, whi, rhs) of one block of h, as lists, before `_prune`.
 
     `s` is the block of h times den, and `pin` is None or the pinned range
-    (pos, lo, hi) inside the block.  The plan restates the Fraction families
+    (pos, lo, hi) inside the block.  The bounds restate the Fraction families
     of `degrees` (`hodge_height`, `raynaud_feasible`,
     `genericity_constraints`) and the ordinary-block rule times den; those
-    definitions stay the oracle the plan is tested against.  Two genericity
-    rules are implied and not restated.  The tail bound (d <= delta_star
-    where h = 1): there the k = 0 term of the anchored sum is 0, so the
-    self-anchored bound caps d at sum_{k>=1} p^-k (1 - h_(pos+k)) <=
-    delta_star(p, f).  The vanishing rule (where h's predecessor entry is 0
-    and d < 1, d's predecessor entry is 0; `tests/test_hecke.py` holds it as
-    the per-value predicate `_gen3_edge_ok`): there the h-side height window
-    is {0} unless h = 1, and a d-side height of 0 with d < 1 needs p times
-    the predecessor entry to be 0; where h = 1 the plan caps the predecessor
-    entry at 0.  Every bound is a min or a max, so the order they are taken
-    in does not matter.
+    definitions stay the oracle the bounds are tested against.  Two
+    genericity rules are implied and not restated.  The tail bound
+    (d <= delta_star where h = 1): there the k = 0 term of the anchored sum
+    is 0, so the self-anchored bound caps d at sum_{k>=1} p^-k (1 - h_(pos+k))
+    <= delta_star(p, f).  The vanishing rule (where h's predecessor entry is
+    0 and d < 1, d's predecessor entry is 0; `tests/test_hecke.py` holds it
+    as the per-value predicate `_gen3_edge_ok`): there the h-side height
+    window is {0} unless h = 1, and a d-side height of 0 with d < 1 needs p
+    times the predecessor entry to be 0; where h = 1 the bounds cap the
+    predecessor entry at 0.  Every bound is a min or a max, so the order
+    they are taken in does not matter.
     """
     f = len(s)
     rhs = []
@@ -305,12 +303,15 @@ def _block_plan(
         m = x if x < y else y
         wlo.append(m)
         whi.append(m if x != y else den)
-    if prune:
-        _prune(p, den, lo, hi, wlo, whi, rhs)
-    return BlockPlan(
-        p, f, den, s, tuple(lo), tuple(hi), tuple(wlo), tuple(whi), tuple(rhs),
-        generic_active,
-    )
+    return lo, hi, wlo, whi, rhs
+
+
+def _block_plan(p: int, den: int, s: tuple[int, ...], generic_active: bool, pin) -> BlockPlan:
+    """The block's `_plan_bounds`, the ranges cut in place by `_prune`, in
+    one `BlockPlan`."""
+    lo, hi, wlo, whi, rhs = _plan_bounds(p, den, s, generic_active, pin)
+    _prune(p, den, lo, hi, wlo, whi, rhs)
+    return BlockPlan(p, len(s), den, tuple(lo), tuple(hi), tuple(wlo), tuple(whi), tuple(rhs))
 
 
 def _hodge_edge_ranges(plan: BlockPlan, pos, a_prev) -> list[tuple[int, int]]:
@@ -532,18 +533,20 @@ def _run_failures(plan: BlockPlan, prefix, lo, hi) -> int:
     return fails
 
 
-def _pin_for(stratum: StratumCase, verdict: Verdict, scaled, den: int):
+def _pin_for(stratum: StratumCase, scaled, den: int):
     """Pinned range (beta0, lo, hi) at the free coordinate, or None.
 
-    (`stratum`, `verdict`) is the point's `sigma_case`.  This pin is the
-    sweep's one use of the local model on a bad stratum.  The range is
-    `bk_newton_degree`'s value times den, compared in integers: the threshold
-    delta_j when the free value lies above it (empty when delta_j is off the
-    grid), the free value below it, and at least the free value at it.
-    `bk_newton_degree` stays the `Fraction` definition the tests check this
-    range against.
+    `stratum` is the point's `stratum_case`.  This pin is the sweep's one
+    use of the local model on a bad stratum.  It reads the stratum alone: a
+    pin is asked for only where the genericity families apply, so with h
+    generic, and `StratumCase.decide` makes a generic `bad_partial_eta`
+    point In or Indeterminate, never Out.  The range is `bk_newton_degree`'s
+    value times den, compared in integers: the threshold delta_j when the
+    free value lies above it (empty when delta_j is off the grid), the free
+    value below it, and at least the free value at it.  `bk_newton_degree`
+    stays the `Fraction` definition the tests check this range against.
     """
-    if stratum.kind != "bad_partial_eta" or verdict is Verdict.OUT:
+    if stratum.kind != "bad_partial_eta":
         return None
     beta0, s = stratum.beta0, scaled[stratum.beta0]
     q = stratum.threshold.denominator
@@ -557,12 +560,11 @@ def _pin_for(stratum: StratumCase, verdict: Verdict, scaled, den: int):
     return beta0, s, den
 
 
-def _block_keys(
-    profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum, verdict
-):
+def _block_keys(profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum):
     """(block of scaled, local pin) of every block: what `_block_plan` reads
-    of the point, p, den and the genericity flag aside."""
-    pin = _pin_for(stratum, verdict, scaled, den) if generic_active else None
+    of the point, p, den and the genericity flag aside; the pin only where
+    the genericity families apply."""
+    pin = _pin_for(stratum, scaled, den) if generic_active else None
     for f, off in zip(profile.f, profile.offsets):
         local_pin = None
         if pin is not None and off <= pin[0] < off + f:
@@ -571,13 +573,18 @@ def _block_keys(
 
 
 def _blocks(
-    profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum, verdict
+    profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum, table: dict
 ):
-    """(plan, runs) of every block of the scaled h, the plans pruned."""
+    """(plan, runs) of every block of the scaled h, read from `table` by its
+    `_block_keys` key and planned only on a miss.  A table holds one sweep's
+    blocks, or one call's when it is a fresh `{}`."""
     out = []
-    for s, pin in _block_keys(profile, scaled, den, generic_active, stratum, verdict):
-        plan = _block_plan(profile.p, den, s, generic_active, pin)
-        out.append((plan, _block_runs(plan)))
+    for key in _block_keys(profile, scaled, den, generic_active, stratum):
+        block = table.get(key)
+        if block is None:
+            plan = _block_plan(profile.p, den, key[0], generic_active, key[1])
+            block = table[key] = plan, _block_runs(plan)
+        out.append(block)
     return out
 
 
@@ -611,9 +618,8 @@ def feasible_d_grid(
     if h.profile.g * den > GRID_CAP:
         raise GridTooLarge(f"{h.profile.g} * {den} exceeds cap {GRID_CAP}")
     scaled = _on_grid(h, den)
-    blocks = _blocks(
-        h.profile, scaled, den, h.generic and not drop_genericity, *sigma_case(h)
-    )
+    stratum = stratum_case(h.profile, *_entry_masks(scaled, den))
+    blocks = _blocks(h.profile, scaled, den, h.generic and not drop_genericity, stratum, {})
     return [
         DegreeVector(h.profile, tuple(Fraction(a, den) for a in d))
         for d in _feasible_tuples(blocks)
@@ -836,7 +842,7 @@ def _share(profile, den, drop_genericity, windows, sizes, n, k):
                 continue
             points_in += size
             counts = []
-            for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
+            for key in _block_keys(profile, scaled, den, generic, stratum):
                 count = table.get(key)
                 if count is None:
                     plan = _block_plan(profile.p, den, key[0], generic, key[1])
@@ -873,8 +879,8 @@ def _records(profile: PrimeProfile, den: int, generic: bool, orbits, failed):
     ascending, with the cell's stratum; `merge` makes one lexicographic
     stream of them.  The cells' points are distinct, so no two strata are
     compared.  Each point's failures are expanded from its blocks' runs,
-    each distinct block planned once, from a table of its plan and runs
-    keyed by `_block_keys`.
+    read by `_blocks` from the pass's one table of plans and runs, so each
+    distinct block is planned once.
     """
     streams = []
     for cell in _cells(profile.g, den):
@@ -884,12 +890,7 @@ def _records(profile: PrimeProfile, den: int, generic: bool, orbits, failed):
             streams.append([(_cell_point(cell, t), stratum) for t in sorted(free)])
     table = {}
     for scaled, stratum in merge(*streams):
-        blocks = []
-        for key in _block_keys(profile, scaled, den, generic, stratum, Verdict.IN):
-            if key not in table:
-                plan = _block_plan(profile.p, den, key[0], generic, key[1])
-                table[key] = plan, _block_runs(plan)
-            blocks.append(table[key])
+        blocks = _blocks(profile, scaled, den, generic, stratum, table)
         for d_scaled in _feasible_tuples(blocks):
             for beta, lhs in _quotient_vcan_failures(profile, d_scaled, den):
                 yield scaled, d_scaled, beta, lhs

@@ -577,6 +577,54 @@ def test_twisted_sum_quadratic_flip():
     assert twisted_sum(quad, 2) == -gauss_sum(quad)
 
 
+# Relations that tie one exact Gauss sum to another, with no oracle.
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5, 7) for r in (2, 3)])
+def test_hasse_davenport(p, r):
+    """g_{p^r}(psi o N) = (-1)^(r-1) g_p(psi)^r for every character psi of
+    F_p^x, N the norm from F_{p^r}, in conductor lcm(p, p - 1) (Ireland and
+    Rosen, ch. 11, sec. 4).  It ties GF(p^r)'s generator, tables and traces
+    to GF(p)'s: N(gen) = gen^((q - 1)/(p - 1)) lies in F_p, where an
+    element's index is its residue, and psi o N sends gen to
+    zeta_(p-1)^(k a) for psi = zeta_(p-1)^k at F_p's generator and a the
+    discrete log of N(gen)."""
+    small, big = GF(p), GF(p**r)
+    q = big.q
+    norm = big.pow(big.gen, (q - 1) // (p - 1))
+    assert 1 <= norm < p
+    a = small.dlog[norm]
+    M = conductor(p, p - 1)
+    for psi in all_field_chars(small):
+        lifted = FieldChar(big, psi.exp * a * ((q - 1) // (p - 1)))
+        want = gauss_sum(psi, M) ** r * (-1) ** (r - 1)
+        assert gauss_sum(lifted, M) == want, (p, r, psi.exp)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_galois_action_on_gauss_sums(q):
+    """sigma_t: zeta_M -> zeta_M^t, t prime to M = lcm(p, q - 1), acts on
+    g(psi) by two laws: sigma_t(g(psi)) = g(psi^t) when t = 1 mod p, and
+    sigma_t(g(psi)) = conj(psi)(c) g(psi) when t = 1 mod q - 1 and t = c
+    mod p.  Every character of every field with q <= 27 that `GF` builds."""
+    F = GF(q)
+    M = conductor(F.p, q - 1)
+    ts = [t for t in range(1, M) if math.gcd(t, M) == 1]
+    cases = 0
+    for psi in all_field_chars(F):
+        W = gauss_sum(psi, M)
+        for t in ts:
+            if (t - 1) % F.p == 0:
+                assert W.galois(t) == gauss_sum(FieldChar(F, psi.exp * t), M), (q, psi.exp, t)
+                cases += 1
+            if (t - 1) % (q - 1) == 0:
+                c = t % F.p  # an element of F_p: its index is its residue
+                assert W.galois(t) == psi.inverse().value(c, M) * W, (q, psi.exp, t)
+                cases += 1
+    # t = 1 makes two cases per character; every field but F_2 has others
+    assert cases > 2 * (q - 1) or q == 2
+
+
 # ---------------------------------------------------------------------------
 # companion coefficients and the twist identity
 
@@ -690,7 +738,6 @@ def test_twist_identity_corrupted_control_fails():
     rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, 1, seed, corrupt=True)
     assert not rep.passed
     assert rep.mismatch_index == (1, 1)
-    assert rep.to_json_dict()["mismatch_index"] == [1, 1]
 
 
 def test_twist_identity_corruption_masked_cases_raise():

@@ -864,6 +864,25 @@ def test_workers_env_fallback(monkeypatch):
     assert cli._workers(ns) == 1
 
 
+def test_second_run_builds_no_parser(monkeypatch, capsys):
+    """The argparse tree is built once per process: a second `run` makes no
+    `_Parser`, and keeps its one-line usage error."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert cli.run(["gauss", "--q", "5", "--char-exp", "2"]) == 0
+    built.clear()
+    assert cli.run(["gauss", "--q", "5", "--char-exp", "1"]) == 0
+    assert cli.run(["gauss", "--q", "5"]) == 2
+    assert built == []
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
 def test_usage_errors(capsys):
     assert cli.run([]) == 2
     assert cli.run(["nonsense"]) == 2

@@ -25,6 +25,7 @@ from stratgrid.cli import run
 from stratgrid.embeddings import parse_profile
 from stratgrid.hecke import (
     BkResult,
+    BlockPlan,
     GridTooLarge,
     bk_newton_degree,
     feasible_d_grid,
@@ -49,6 +50,7 @@ from stratgrid.hecke import (
     _last_ranges,
     _on_grid,
     _orbits,
+    _plan_bounds,
     _point_in,
     _pred_ranges,
     _pin_for,
@@ -209,18 +211,18 @@ def test_block_plan_matches_fraction_definitions():
             for i in range(profile.n_primes):
                 f, off = profile.f[i], profile.offsets[i]
                 s = _on_grid(h, den)[off : off + f]
-                plan = _block_plan(p, den, s, True, None, prune=False)
-                assert plan.block == tuple(h[off + pos] * den for pos in range(f))
+                lo, hi, wlo, whi, plan_rhs = _plan_bounds(p, den, s, True, None)
+                assert s == tuple(h[off + pos] * den for pos in range(f))
                 for pos in range(f):
                     w = hodge_height(h, off + pos)
-                    assert (plan.wlo[pos], plan.whi[pos]) == (w.lower * den, w.upper * den)
+                    assert (wlo[pos], whi[pos]) == (w.lower * den, w.upper * den)
                     rhs = sum(
                         p ** (f - 1 - k) * (1 - h[off + (pos + k) % f]) for k in range(f)
                     )
-                    assert plan.rhs[pos] == rhs * den
+                    assert plan_rhs[pos] == rhs * den
                     if h[off + pos] == 1:
                         # the plan omits the tail bound: the self-anchored bound implies it
-                        assert F(plan.hi[pos], den) <= delta_star(p, f)
+                        assert F(hi[pos], den) <= delta_star(p, f)
 
 
 def test_block_plan_rejects_off_grid_h():
@@ -262,7 +264,7 @@ def test_pin_matches_bk_newton_degree(prof, den):
     for h in _vertex_and_edge_points(profile, den):
         case, verdict = sigma_case(h)
         scaled = _on_grid(h, den)
-        pin = _pin_for(case, verdict, scaled, den)
+        pin = _pin_for(case, scaled, den)
         if case.kind != "bad_partial_eta" or verdict is Verdict.OUT:
             assert pin is None
             continue
@@ -273,6 +275,25 @@ def test_pin_matches_bk_newton_degree(prof, den):
         else:
             want = {v for v in range(den + 1) if F(v, den) == res.value}
         assert pin[0] == b and set(range(pin[1], pin[2] + 1)) == want, (h.entries, pin)
+
+
+@pytest.mark.parametrize("prof,den", [("p=3;f=3", 12), ("p=2;f=4", 6)])
+def test_feasible_reads_the_stratum_not_sigma_case(prof, den, monkeypatch):
+    """`feasible_d_grid` names the stratum from h's face masks, as the sweeps
+    do, and its pin reads the stratum alone: with `hecke.sigma_case` made
+    to raise, it gives the sets it gave before, at every vertex and edge
+    point, genericity on and dropped.  Both profiles have pinned points."""
+    profile = parse_profile(prof)
+    points = list(_vertex_and_edge_points(profile, den))
+    assert any(sigma_case(h)[0].kind == "bad_partial_eta" for h in points)
+    want = [[feasible_d_grid(h, den, drop) for drop in (False, True)] for h in points]
+
+    def refuse(h):
+        raise AssertionError("feasible_d_grid called sigma_case")
+
+    monkeypatch.setattr(hecke, "sigma_case", refuse)
+    for h, sets in zip(points, want):
+        assert [feasible_d_grid(h, den, drop) for drop in (False, True)] == sets, h.entries
 
 
 def test_feasible_errors():
@@ -307,12 +328,12 @@ def _hodge_edge_ok(plan, pos, a_prev, a_cur) -> bool:
     return m <= plan.whi[pos]
 
 
-def _gen3_edge_ok(plan, pos, a_prev, a_cur) -> bool:
+def _gen3_edge_ok(plan, block, generic, pos, a_prev, a_cur) -> bool:
     # predecessor entry must vanish under a Zero predecessor with d below 1
-    if not plan.generic:
+    if not generic:
         return True
     pred = (pos - 1) % plan.f
-    if plan.block[pred] == 0 and a_cur < plan.den and a_prev != 0:
+    if block[pred] == 0 and a_cur < plan.den and a_prev != 0:
         return False
     return True
 
@@ -327,10 +348,12 @@ def _raynaud_ok(plan, assign) -> bool:
 
 
 def _plans():
-    """Unpruned plans of the first block, genericity on and off.  (p + 1)
-    divides 8, so the self edge of p=3;f=1 has a value where x = y; at
-    p=5;f=1 den 7 it has none.  At p=2;f=3 den 4 the anchored inequalities
-    cap the last entry below its edges and bounds."""
+    """Unpruned plans of the first block, genericity on and off, as (plan,
+    den, block, generic): the plan holds `_plan_bounds`, and the block and
+    the flag it was built from ride beside it.  (p + 1) divides 8, so the
+    self edge of p=3;f=1 has a value where x = y; at p=5;f=1 den 7 it has
+    none.  At p=2;f=3 den 4 the anchored inequalities cap the last entry
+    below its edges and bounds."""
     for prof, den in [
         ("p=3;f=2", 6),
         ("p=2;f=2", 5),
@@ -344,12 +367,14 @@ def _plans():
         for h in _vertex_and_edge_points(profile, den):
             for generic in (True, False):
                 s = _on_grid(h, den)[:f]
-                yield _block_plan(profile.p, den, s, generic, None, prune=False), den
+                bounds = _plan_bounds(profile.p, den, s, generic, None)
+                plan = BlockPlan(profile.p, f, den, *map(tuple, bounds))
+                yield plan, den, s, generic
 
 
-def _pruned(plan):
+def _pruned(plan, block, generic):
     """The plan `_block_plan` builds, pruned, from the same block."""
-    return _block_plan(plan.p, plan.den, plan.block, plan.generic, None)
+    return _block_plan(plan.p, plan.den, block, generic, None)
 
 
 def _in_ranges(a, ranges) -> bool:
@@ -363,19 +388,19 @@ def _ascending(ranges) -> bool:
 
 
 def test_hodge_edge_ranges_match_predicate():
-    for plan, den in _plans():
+    for plan, den, block, _ in _plans():
         for pos in range(1, plan.f):
             for a_prev in range(den + 1):
                 allowed = _hodge_edge_ranges(plan, pos, a_prev)
                 for a in range(den + 1):
                     want = _hodge_edge_ok(plan, pos, a_prev, a)
                     got = any(lo <= a <= hi for lo, hi in allowed)
-                    assert got == want, (plan.block, pos, a_prev, a)
+                    assert got == want, (block, pos, a_prev, a)
 
 
 def test_pred_ranges_match_predicate():
     """Every entry before pos and every interval of the entry at pos."""
-    for plan, den in _plans():
+    for plan, den, _, _ in _plans():
         for pos in range(plan.f):
             for clo in range(den + 1):
                 for chi in range(clo, den + 1):
@@ -390,8 +415,8 @@ def test_pred_ranges_match_predicate():
 def test_vanishing_rule_is_implied():
     """The descent does not restate the vanishing rule: within a generic
     plan's bounds, every pair passing the height edge at pos passes it."""
-    for plan, den in _plans():
-        if not plan.generic:
+    for plan, den, block, generic in _plans():
+        if not generic:
             continue
         for pos in range(plan.f):
             prev = (pos - 1) % plan.f
@@ -400,11 +425,11 @@ def test_vanishing_rule_is_implied():
                     if plan.f == 1 and a != b:
                         continue  # a size-1 block couples its entry with itself
                     if _hodge_edge_ok(plan, pos, a, b):
-                        assert _gen3_edge_ok(plan, pos, a, b), (plan, pos, a, b)
+                        assert _gen3_edge_ok(plan, block, generic, pos, a, b), (plan, pos, a, b)
 
 
 def test_self_edge_ranges_match_predicate():
-    for plan, den in _plans():
+    for plan, den, _, _ in _plans():
         if plan.f == 1:
             allowed = _self_edge_ranges(plan)
             assert _ascending(allowed), (plan, allowed)
@@ -417,8 +442,8 @@ def test_last_ranges_match_predicates():
     within the bounds: its bounds, the height edge and vanishing rule into it
     and around the wrap (the self edge when f = 1), and every anchored
     inequality."""
-    for unpruned, den in _plans():
-        for plan in (unpruned, _pruned(unpruned)):
+    for unpruned, den, block, generic in _plans():
+        for plan in (unpruned, _pruned(unpruned, block, generic)):
             f = plan.f
             bounds = [range(plan.lo[q], plan.hi[q] + 1) for q in range(f - 1)]
             for prefix in product(*bounds):
@@ -429,9 +454,9 @@ def test_last_ranges_match_predicates():
                     want = (
                         plan.lo[-1] <= a <= plan.hi[-1]
                         and _hodge_edge_ok(plan, f - 1, d[(f - 2) % f], a)
-                        and _gen3_edge_ok(plan, f - 1, d[(f - 2) % f], a)
+                        and _gen3_edge_ok(plan, block, generic, f - 1, d[(f - 2) % f], a)
                         and _hodge_edge_ok(plan, 0, a, d[0])
-                        and _gen3_edge_ok(plan, 0, a, d[0])
+                        and _gen3_edge_ok(plan, block, generic, 0, a, d[0])
                         and _raynaud_ok(plan, d)
                     )
                     assert _in_ranges(a, allowed) == want, (plan, d)
@@ -439,7 +464,7 @@ def test_last_ranges_match_predicates():
 
 def test_run_failures_match_quotient_test():
     """A run's failure count is the quotient test summed over its tuples."""
-    for plan, den in _plans():
+    for plan, den, _, _ in _plans():
         profile = parse_profile(f"p={plan.p};f={plan.f}")
         for prefix, lo, hi in _block_runs(plan):
             want = sum(
@@ -452,9 +477,9 @@ def test_run_failures_match_quotient_test():
 def test_prune_keeps_every_live_entry():
     """Every entry of every candidate the unpruned descent keeps lies inside
     the pruned bounds, and the descent over them finds the same runs."""
-    for plan, den in _plans():
+    for plan, den, block, generic in _plans():
         runs = _block_runs(plan)
-        pruned = _pruned(plan)
+        pruned = _pruned(plan, block, generic)
         assert _block_runs(pruned) == runs, plan
         for prefix, lo, hi in runs:
             for d in ((*prefix, lo), (*prefix, hi)):
@@ -476,7 +501,7 @@ def test_prune_cuts_first_entry_to_live_interval(prof, den):
         verdict = stratum.decide(True, free, den)
         if verdict is not Verdict.IN:
             continue
-        for plan, runs in _blocks(profile, scaled, den, True, stratum, verdict):
+        for plan, runs in _blocks(profile, scaled, den, True, stratum, {}):
             if plan.f == 1:
                 continue
             firsts = {prefix[0] for prefix, _, _ in runs}
@@ -552,7 +577,7 @@ def _sweep_point(profile, den, drop_genericity, saturation_only, keep, point):
     if not point_in:
         return 0, pure, 0, 0, []
     scaled, stratum = point
-    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, Verdict.IN)
+    blocks = _blocks(profile, scaled, den, not drop_genericity, stratum, {})
     pairs, cx_total = _fold([_block_count(plan) for plan, _ in blocks])
     records = []
     if cx_total and keep:
@@ -1130,6 +1155,37 @@ def test_sweep_plans_each_block_once(prof, plans, monkeypatch):
     monkeypatch.setattr(hecke, "_block_plan", counted)
     verify_sigma_up(parse_profile(prof), 135)
     assert len(keys) == len(set(keys)) == plans
+
+
+def test_record_pass_plans_each_block_once(monkeypatch):
+    """With genericity dropped and every record kept on p=3;f=2,1@27, the
+    record pass plans each distinct (block, local pin) once: it reads every
+    point's blocks through `_blocks`, from its one table, and blocks recur
+    from point to point."""
+    profile, den = parse_profile("p=3;f=2,1"), 27
+    orbits = _orbits(profile, den)
+    counted_pass = _share(profile, den, True, None, Counter(orbits.values()), 1, 0)
+    cx_total, failed = counted_pass[3], counted_pass[4]
+    keys = []
+    points = []
+    plan = hecke._block_plan
+    merge = hecke.merge
+
+    def counted(p, den, s, generic_active, pin):
+        keys.append((s, pin))
+        return plan(p, den, s, generic_active, pin)
+
+    def counted_merge(*streams):
+        for point in merge(*streams):
+            points.append(point[0])
+            yield point
+
+    monkeypatch.setattr(hecke, "_block_plan", counted)
+    monkeypatch.setattr(hecke, "merge", counted_merge)
+    records = list(hecke._records(profile, den, False, orbits, failed))
+    assert len(records) == cx_total > 0
+    assert len(keys) == len(set(keys)) > 0
+    assert len(points) * profile.n_primes > len(keys)
 
 
 # The benchmark's one-worker sweeps, with the blocks each plans and the
