@@ -3,8 +3,9 @@ Gauss sums, and a one-shot suite runner with deterministic JSON reports.
 
 Exit codes: 0 success, 1 verification failure (counterexamples found),
 2 usage error.  Reports are valid JSON on every non-usage path.  A sweep that
-checks no pairs, or a twist that runs no trials, adds one `warning:` line on
-stderr and changes nothing else.
+checks no pairs, a generic sigma-up sweep whose pinned points lie off the grid
+(so that some check no d), or a twist that runs no trials, adds one `warning:`
+line on stderr and changes nothing else.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .characters import (
 )
 from .degrees import DegreeVector, pair_of_degvec, w_T_deg
 from .embeddings import parse_profile
-from .hecke import _check_sweep, saturation_check, verify_sigma_up
+from .hecke import _check_sweep, _off_grid_pins, saturation_check, verify_sigma_up
 from .regions import coverage_check, in_sigma, in_sigma_S, in_vcan, Verdict
 from .strata import _face_masks, closure_set, codim, enumerate_admissible, pi_image, w_T_pair
 
@@ -394,12 +395,29 @@ _DISPATCH = {
 }
 
 
-def _vacuous_sweeps(report: dict) -> list[dict]:
-    """Sweep reports that checked no pairs: the report itself, or a suite's sweeps."""
+def _sweep_warnings(report: dict) -> list[str]:
+    """The `warning:` lines of the report's sweeps, the report itself or a
+    suite's, in order: one when a sweep checks no pairs, and one when a
+    generic sigma-up sweep holds pinned In points whose pin is off the grid
+    (`hecke._off_grid_pins`), so that they check no d."""
     sweeps = [c["report"] for c in report.get("checks", ()) if c["name"] in _SWEEPS]
     if report.get("check") in _SWEEPS:
         sweeps.append(report)
-    return [r for r in sweeps if r["pairs_checked"] == 0]
+    lines = []
+    for sweep in sweeps:
+        if sweep["pairs_checked"] == 0:
+            profile = parse_profile(sweep["profile"])
+            lines.append(f"warning: {sweep['check']} on {profile} checked no pairs")
+        if sweep["check"] == "sigma-up" and not sweep["scenario"]["drop_genericity"]:
+            p, f, den = sweep["profile"]["p"], sweep["profile"]["f"], sweep["den"]
+            pins = _off_grid_pins(p, f, den)
+            if pins:
+                deltas = ", ".join(f"delta({p}, {j}) = {dj}" for j, dj in pins)
+                lines.append(
+                    f"warning: sigma-up on {parse_profile(sweep['profile'])} leaves pinned"
+                    f" points unchecked: {deltas} is off the 1/{den} grid"
+                )
+    return lines
 
 
 def run(argv=None) -> int:
@@ -415,9 +433,8 @@ def run(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for sweep in _vacuous_sweeps(report):
-        profile = parse_profile(sweep["profile"])
-        print(f"warning: {sweep['check']} on {profile} checked no pairs", file=sys.stderr)
+    for line in _sweep_warnings(report):
+        print(line, file=sys.stderr)
     if report.get("check") == "twist" and report["runs"] == 0:
         print(f"warning: twist on q={report['q']}, n={report['n']} ran no trials", file=sys.stderr)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -8,6 +8,7 @@ named by its face masks, the entries equal to 0 and to 1 (`_entry_masks`).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,6 +31,9 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# the longest string `_as_fraction` reads on its fast path: `int` checks no
+# string this short against its digit limit, whatever that limit is set to
+_FAST_CHARS = sys.int_info.str_digits_check_threshold
 
 
 class DegreeVectorError(ValueError):
@@ -50,7 +54,31 @@ class ProfileMismatch(ValueError):
 
 def _as_fraction(v) -> Fraction:
     """A Fraction, an int or a fraction string as an exact rational.  Booleans
-    are refused, and so is exponent notation: "1e-2000000" is slow to read."""
+    are refused, and so is exponent notation: "1e-2000000" is slow to read.
+
+    Two fast paths come first, decided on the exact type, not through
+    `isinstance`.  A `Fraction` is returned as is.  A string of ASCII
+    digits, optionally followed by "/" and ASCII digits naming a nonzero
+    denominator, is the form `to_json_dict` writes; it is read as
+    `Fraction(int(num), int(den))`.  On such a string `Fraction(str)` reads
+    the same two digit strings with `int` and reduces the same pair, so the
+    value is the same, without the regex.  The fast path takes only strings
+    of at most `_FAST_CHARS` characters, which `int` never checks against
+    its digit limit.  Every other value, a zero denominator or a longer
+    string among them, takes the general path below, with its messages.
+    """
+    t = type(v)
+    if t is Fraction:
+        return v
+    if t is str and len(v) <= _FAST_CHARS and v.isascii():
+        num, slash, den = v.partition("/")
+        if num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit():
+                d = int(den)
+                if d:
+                    return Fraction(int(num), d)
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
@@ -81,13 +109,24 @@ class DegreeVector:
     cusp: bool = False
 
     def __post_init__(self) -> None:
-        entries = tuple(_as_fraction(v) for v in self.entries)
+        # one pass converts and range-checks; a conversion error is raised at
+        # once, the length and range errors after the pass, in that order
+        entries = []
+        in_range = True
+        for v in self.entries:
+            if type(v) is not Fraction:
+                v = _as_fraction(v)
+            # 0 <= v <= 1 read off v's numerator and its positive denominator
+            n, d = v.as_integer_ratio()
+            if n < 0 or n > d:
+                in_range = False
+            entries.append(v)
+        entries = tuple(entries)
         if len(entries) != self.profile.g:
             raise DegreeVectorError(
                 f"need {self.profile.g} entries for {self.profile}, got {len(entries)}"
             )
-        # 0 <= v <= 1 read off v's numerator and its positive denominator
-        if any(v.numerator < 0 or v.numerator > v.denominator for v in entries):
+        if not in_range:
             raise DegreeVectorError("degree entries must lie in [0, 1]")
         if self.cusp:
             profile = self.profile
@@ -106,7 +145,7 @@ class DegreeVector:
 
     def to_json_dict(self) -> dict:
         return {
-            "deg": {self.profile.label(k): str(v) for k, v in enumerate(self.entries)},
+            "deg": dict(zip(self.profile._labels, map(str, self.entries))),
             "generic": self.generic,
             "cusp": self.cusp,
         }
@@ -119,12 +158,17 @@ class DegreeVector:
         if not isinstance(deg, dict):
             raise DegreeVectorError(f"'deg' must map labels to degrees, got {deg!r}")
         entries = [None] * profile.g
+        exact = profile._label_index
         for label, val in deg.items():
-            k = profile.index_of_label(label)
+            k = exact.get(label)
+            if k is None:
+                k = profile.index_of_label(label)
             if entries[k] is not None:
                 raise DegreeVectorError(f"two labels name embedding {profile.label(k)}")
             entries[k] = _as_fraction(val)
-        if any(e is None for e in entries):
+        # each label filled a distinct entry, so they are all filled exactly
+        # when there are g labels
+        if len(deg) != profile.g:
             missing = [profile.label(k) for k, e in enumerate(entries) if e is None]
             raise DegreeVectorError(f"missing degree entries for {missing}")
         return cls(

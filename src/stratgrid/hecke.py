@@ -81,11 +81,16 @@ canonical cells only; each of their points is decided by its own free
 value, since a verdict can change along an edge at a threshold, and counts
 for its whole orbit.  Saturation still visits every point: the purity round
 trip is a per-point check, and running it only at representatives would
-loosen it; it counts at the canonical cells only.  With n workers the pass
-is cut into n shares of every n-th point, taken in cell order, so the shares
-hold near-equal parts of every edge.  A share decides a cell only where it
-holds one of its points; the parent runs one share and a child process each
-of the others, and hands each the orbit sizes.
+loosen it; it counts at the canonical cells only.  At every In point the
+round trip runs in full: the point's `DegreeVector` is built from the
+sweep's grid values a / den (`Windows.grid`, built once per sweep),
+serialized by `to_json_dict`, parsed back by `from_json_dict`, and the
+parsed vector decided by `sigma_case`.  No parsed vector and no verdict is
+shared between points.  With n workers the pass is cut into n shares of
+every n-th point, taken in cell order, so the shares hold near-equal parts
+of every edge.  A share decides a cell only where it holds one of its
+points; the parent runs one share and a child process each of the others,
+and hands each the orbit sizes.
 
 The records come from the cells too, and are lexicographic by
 construction.  A point fails exactly when its least image does, so the
@@ -560,6 +565,30 @@ def _pin_for(stratum: StratumCase, scaled, den: int):
     return beta0, s, den
 
 
+def _off_grid_pins(p: int, f, den: int) -> list[tuple[int, Fraction]]:
+    """(j, delta_j) of each j at which a generic sweep of the profile with
+    prime p and block sizes f, on the 1/den grid, holds an In point whose
+    pin `_pin_for` leaves empty, so that the point checks no d.
+
+    Such a point is a `bad_partial_eta` point: beta0 Open, then a run of j
+    Zeros, then a One, inside one block, so the block has f >= j + 2; every
+    other block all One keeps the face nowhere etale.  Its pin is empty
+    exactly when its free value t lies above delta_j and delta_j * den is
+    not an integer.  delta_j has denominator p^j (`regions.delta`), so the
+    second test is p^j not dividing den, and some t in 1..den-1 lies above
+    delta_j exactly when den - 1 does.  Saturation counts no such point:
+    beta0's block holds a One, so its sum exceeds den, above the window.
+    """
+    out = []
+    for j in range(1, max(f) - 1):
+        threshold = delta(p, j)
+        if den % threshold.denominator and (den - 1) * threshold.denominator > (
+            threshold.numerator * den
+        ):
+            out.append((j, threshold))
+    return out
+
+
 def _block_keys(profile: PrimeProfile, scaled, den: int, generic_active: bool, stratum):
     """(block of scaled, local pin) of every block: what `_block_plan` reads
     of the point, p, den and the genericity flag aside; the pin only where
@@ -638,13 +667,24 @@ def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dic
     return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": lhs}
 
 
-def _windows(profile: PrimeProfile, den: int) -> tuple[tuple[int, int, int, int], ...]:
+class Windows(NamedTuple):
+    """What saturation reads besides the stratum: each block's window in
+    integers, (off, f, lo, hi) as `_windows` builds it, and `grid`, the
+    den + 1 values a / den for a = 0..den, from which `_point_in` builds a
+    point's `DegreeVector` without a `Fraction` call per entry."""
+
+    blocks: tuple[tuple[int, int, int, int], ...]
+    grid: tuple[Fraction, ...]
+
+
+def _windows(profile: PrimeProfile, den: int) -> Windows:
     """Saturation's window of each block in integers: (off, f, lo, hi) such
     that the block's sum s of the scaled h, over den, lies strictly inside
     the block's `istar_interval` exactly when lo < s < hi.  For an integer s,
     s > x * den iff s > floor(x * den), and s < y * den iff s < ceil(y * den).
     `regions.in_interval_region` is the `Fraction` oracle the tests check
-    this window and `_within` against.
+    this window and `_within` against.  The grid values are built here, once
+    per sweep.
     """
     out = []
     for f, off in zip(profile.f, profile.offsets):
@@ -652,25 +692,32 @@ def _windows(profile: PrimeProfile, den: int) -> tuple[tuple[int, int, int, int]
         lo = window.lo.numerator * den // window.lo.denominator
         hi = _ceil_div(window.hi.numerator * den, window.hi.denominator)
         out.append((off, f, lo, hi))
-    return tuple(out)
+    return Windows(tuple(out), tuple(Fraction(a, den) for a in range(den + 1)))
 
 
-def _within(windows, scaled) -> bool:
-    return all(lo < sum(scaled[off : off + f]) < hi for off, f, lo, hi in windows)
+def _within(windows: Windows, scaled) -> bool:
+    return all(lo < sum(scaled[off : off + f]) < hi for off, f, lo, hi in windows.blocks)
 
 
 def _point_in(profile, den, windows, scaled, stratum) -> tuple[bool, bool]:
     """(in, pure) of one grid point, the scaled h on `stratum`: its
     `StratumCase` verdict and, on a saturation sweep (`windows` is the
     sweep's `_windows`, else None), the window test and the purity round
-    trip."""
+    trip.
+
+    The round trip runs in full at every In point: it builds the point's
+    `DegreeVector` from the grid values, serializes it with `to_json_dict`,
+    parses that back with `DegreeVector.from_json_dict`, and decides the
+    parsed vector with `sigma_case`, from its strings alone.  Only the grid
+    values are shared between points, and no verdict is."""
     free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
     if stratum.decide(True, free, den) is not Verdict.IN:
         return False, True
     if windows is None:
         return True, True
     # structural check: membership reads only the serialized data
-    h = DegreeVector(profile, tuple(Fraction(a, den) for a in scaled), generic=True)
+    grid = windows.grid
+    h = DegreeVector(profile, tuple([grid[a] for a in scaled]), generic=True)
     back = DegreeVector.from_json_dict(profile, h.to_json_dict())
     pure = sigma_case(back)[1] is Verdict.IN
     return _within(windows, scaled), pure

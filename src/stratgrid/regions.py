@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .degrees import DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
@@ -61,11 +62,14 @@ class Verdict(Enum):
     INDETERMINATE = "indeterminate"
 
 
+@cache
 def delta(p: int, j: int) -> Fraction:
     """Partial geometric sum 1/p + ... + 1/p^j, for p >= 2.
 
     In closed form it is (p^j - 1) / (p - 1) over p^j, in lowest terms: the
-    numerator 1 + p + ... + p^(j-1) is 1 mod p.
+    numerator 1 + p + ... + p^(j-1) is 1 mod p.  It is a pure function of
+    two small integers, so each value is built once per process and shared:
+    `stratum_case` asks for it at every bad point.  No decision is cached.
     """
     if j < 1:
         raise ValueError(f"delta needs j >= 1, got {j}")

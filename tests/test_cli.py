@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 import contextlib
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -11,8 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from stratgrid import cli
 from stratgrid.characters import GF, UnitGroup, conductor
+from stratgrid.degrees import _entry_masks
 from stratgrid.embeddings import parse_profile
-from stratgrid.hecke import MAX_WORKERS
+from stratgrid.hecke import MAX_WORKERS, _pin_for
+from stratgrid.regions import Verdict, stratum_case
 
 
 def run_json(capsys, argv):
@@ -669,6 +672,28 @@ def test_strata_and_coverage_fuzz_keep_the_exit_contract(argv):
         assert rep["count"] == len(rep["strata"])
 
 
+def _pin_warnings(profile, den: int) -> list[str]:
+    """The off-grid pin warning a generic sigma-up sweep prints, from a brute
+    count: each point of the cube that is In and whose pin is empty names
+    its delta_j."""
+    thresholds = {}
+    for scaled in itertools.product(range(den + 1), repeat=profile.g):
+        stratum = stratum_case(profile, *_entry_masks(scaled, den))
+        free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
+        pin = _pin_for(stratum, scaled, den)
+        if stratum.decide(True, free, den) is Verdict.IN and pin and pin[1] > pin[2]:
+            thresholds[stratum.j] = stratum.threshold
+    if not thresholds:
+        return []
+    deltas = ", ".join(
+        f"delta({profile.p}, {j}) = {thresholds[j]}" for j in sorted(thresholds)
+    )
+    return [
+        f"warning: sigma-up on {profile} leaves pinned points unchecked:"
+        f" {deltas} is off the 1/{den} grid"
+    ]
+
+
 SWEEP_FUZZ_PROFILES = ("p=3;f=2", "p=3;f=2,1", "p=2;f=1,1", "p=3;f=1,2,1", "p=5;f=3")
 
 
@@ -706,6 +731,8 @@ def test_sweep_fuzz_keeps_the_exit_contract(check, profile, den, drop, cap):
     warnings = []
     if rep["pairs_checked"] == 0:
         warnings.append(f"warning: {check} on {profile} checked no pairs")
+    if check == "sigma-up" and not drop:
+        warnings += _pin_warnings(parse_profile(profile), den)
     assert lines == warnings
 
 
@@ -815,11 +842,12 @@ def test_suite_fuzz_keeps_the_exit_contract(profile, den, seed):
     assert rep["check"] == "suite" and rep["den"] == den and rep["seed"] == seed
     assert code == (0 if rep["pass"] else 1)
     assert rep["pass"] == all(c["pass"] for c in rep["checks"])
-    warnings = [
-        f"warning: {c['name']} on {parse_profile(profile)} checked no pairs"
-        for c in rep["checks"]
-        if c["name"] in ("sigma-up", "saturation") and c["report"]["pairs_checked"] == 0
-    ]
+    warnings = []
+    for c in rep["checks"]:
+        if c["name"] in ("sigma-up", "saturation") and c["report"]["pairs_checked"] == 0:
+            warnings.append(f"warning: {c['name']} on {parse_profile(profile)} checked no pairs")
+        if c["name"] == "sigma-up":
+            warnings += _pin_warnings(parse_profile(profile), den)
     assert lines == warnings
 
 

@@ -1,11 +1,12 @@
 """Degree-vector laws: stratum compatibility, flips, heights, inequalities."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratgrid.embeddings import PrimeProfile, parse_profile
 from stratgrid.degrees import (
@@ -15,6 +16,7 @@ from stratgrid.degrees import (
     GenericFlagRequired,
     HodgeInterval,
     ProfileMismatch,
+    _as_fraction,
     _entry_masks,
     genericity_constraints,
     hodge_height,
@@ -129,6 +131,106 @@ def test_json_round_trip():
     assert DegreeVector.from_json_dict(profile, data) == h
     with pytest.raises(DegreeVectorError):
         DegreeVector.from_json_dict(profile, {"deg": {"0/0": "1/2"}})
+
+
+@given(degvec())
+def test_json_round_trip_returns_the_vector(h):
+    assert DegreeVector.from_json_dict(h.profile, h.to_json_dict()) == h
+
+
+def _general_as_fraction(v) -> Fraction:
+    """`_as_fraction` without its fast paths: the general path alone, kept
+    as the oracle the fast paths are checked against."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, str):
+        if "e" in v or "E" in v:
+            raise DegreeVectorError(f"bad fraction string {v!r}: no exponent notation")
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise DegreeVectorError(f"bad fraction string {v!r}: {e}") from None
+    raise DegreeVectorError(f"cannot interpret {v!r} as an exact rational")
+
+
+def _digits(min_size=0):
+    """Digit runs: short ASCII ones, ones past `int`'s 4300-digit limit, and
+    ones holding non-ASCII decimal digits."""
+    return st.one_of(
+        st.text("0123456789", min_size=min_size, max_size=6),
+        st.sampled_from(["0", "00", "10"]),
+        st.integers(4290, 4310).map(lambda n: "7" * n),
+        st.text("0123456789\u0663\uff17\u096a\u00b2", min_size=max(min_size, 1), max_size=4),
+    )
+
+
+@st.composite
+def fraction_text(draw):
+    """A string near the fraction grammar: signs, surrounding spaces, "_"
+    between digits, ".", "e"/"E", zero denominators and long digit runs."""
+    sign = draw(st.sampled_from(["", "", "+", "-"]))
+    num = draw(_digits())
+    if draw(st.booleans()):
+        num = draw(st.sampled_from(["", "1_0", "1__0", "_1", "1.5", ".5", "1e3", "2E1"]))
+    text = sign + num
+    kind = draw(st.integers(0, 3))
+    if kind == 1:
+        text += "/" + draw(_digits())
+    elif kind == 2:
+        text += "/" + draw(st.sampled_from(["0", "00", "-3", "+3", "1_0", "2.0", " 3"]))
+    elif kind == 3:
+        text += draw(st.sampled_from(["/", "//2", "/3/4", "x"]))
+    pad = draw(st.sampled_from(["", " ", "\t", "\n"]))
+    return draw(st.sampled_from([text, pad + text, text + pad, pad + text + pad]))
+
+
+@settings(max_examples=400)
+@given(st.one_of(fraction_text(), st.text(max_size=8)))
+@example("47/135")
+@example("1/0")
+@example("0/0")
+@example("1" * 5000)
+@example("1/" + "1" * 5000)
+@example("\u0663/4")
+@example("\u00b2")
+@example("1/\u00b2")
+@example("1e-2000000")
+def test_as_fraction_matches_the_general_path(text):
+    """On every string the fast paths return what `Fraction(str)` returns,
+    where the general path accepts it, and raise its error with its message
+    where it refuses."""
+    try:
+        want = _general_as_fraction(text)
+    except DegreeVectorError as e:
+        with pytest.raises(DegreeVectorError) as got:
+            _as_fraction(text)
+        assert str(got.value) == str(e)
+    else:
+        got = _as_fraction(text)
+        assert type(got) is Fraction and got == want
+
+
+def test_construction_errors_keep_their_order():
+    """A malformed entry is named before a wrong length or an entry out of
+    range, and a wrong length before an entry out of range."""
+    profile = PrimeProfile(3, (2,))
+    with pytest.raises(DegreeVectorError, match="bad fraction string 'x'"):
+        DegreeVector(profile, ("2", "x"))
+    with pytest.raises(DegreeVectorError, match="need 2 entries"):
+        DegreeVector(profile, ("2", "3", "4"))
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, None, b"1/2", F(1, 3), 7, -2])
+def test_as_fraction_matches_the_general_path_off_strings(value):
+    try:
+        want = _general_as_fraction(value)
+    except DegreeVectorError as e:
+        with pytest.raises(DegreeVectorError, match=re.escape(str(e))):
+            _as_fraction(value)
+    else:
+        assert _as_fraction(value) == want
 
 
 def test_from_json_dict_rejects_deg_that_is_not_a_mapping():

@@ -48,6 +48,7 @@ from stratgrid.hecke import (
     _held_cells,
     _hodge_edge_ranges,
     _last_ranges,
+    _off_grid_pins,
     _on_grid,
     _orbits,
     _plan_bounds,
@@ -64,6 +65,7 @@ from stratgrid.hecke import (
 )
 from stratgrid.regions import (
     Verdict,
+    delta,
     delta_star,
     in_interval_region,
     sigma_case,
@@ -786,6 +788,92 @@ def test_saturation_vacuous_on_mixed_profile():
     # so no grid point meets all of them at once
     rep = saturation_check(parse_profile("p=3;f=2,1"), 6)
     assert rep["pass"] and rep["points_in"] == 0
+
+
+def test_saturation_purity_fails_when_serialization_drops_the_flag(monkeypatch, capsys):
+    """With `to_json_dict` made to drop the generic flag, each parsed In
+    point is decided as a non-generic vector, so membership no longer
+    reads only the serialized data: saturation reports it impure, fails,
+    and exits 1."""
+    to_json_dict = DegreeVector.to_json_dict
+
+    def flagless(self):
+        data = to_json_dict(self)
+        del data["generic"]
+        return data
+
+    monkeypatch.setattr(DegreeVector, "to_json_dict", flagless)
+    argv = ["verify", "saturation", "--profile", "p=3;f=2", "--den", "24", "--workers", "1"]
+    assert run(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["membership_pure"] is False and rep["pass"] is False
+    assert rep["counterexample_total"] == 0 and rep["points_in"] > 0
+
+
+def _emptied_pins(profile, den) -> dict:
+    """{j: number of In points on a bad_partial_eta stratum with that j whose
+    pin is empty}, counted point by point over the sweep's grid."""
+    emptied = Counter()
+    for scaled, stratum in _sweep_points(profile, den):
+        free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
+        if stratum.decide(True, free, den) is not Verdict.IN:
+            continue
+        pin = _pin_for(stratum, scaled, den)
+        if pin is not None and pin[1] > pin[2]:
+            emptied[stratum.j] += 1
+    return emptied
+
+
+@pytest.mark.parametrize("prof", ["p=2;f=4", "p=3;f=4", "p=5;f=4", "p=3;f=2,3"])
+def test_off_grid_pins_match_the_brute_count(prof):
+    """`_off_grid_pins` names exactly the j at which some In point's pin is
+    empty, at every den up to 20, den 1 included."""
+    profile = parse_profile(prof)
+    for den in range(1, 21):
+        got = _off_grid_pins(profile.p, profile.f, den)
+        assert [j for j, _ in got] == sorted(_emptied_pins(profile, den)), den
+        assert all(dj == delta(profile.p, j) for j, dj in got)
+
+
+@pytest.mark.parametrize(
+    "prof,den,emptied",
+    [
+        ("p=5;f=3", 24, 57),
+        ("p=3;f=3", 10, 18),
+        ("p=5;f=3", 25, 0),
+        ("p=3;f=3", 27, 0),
+        ("p=5;f=4", 50, 0),
+    ],
+)
+def test_off_grid_pin_warning_appears_exactly_when_points_check_no_d(
+    prof, den, emptied, capsys
+):
+    """A generic sigma-up sweep warns exactly when some In point's pin is
+    off the grid, naming each such delta_j; the report and exit code stay
+    as they are, and saturation, which counts no pinned point, and a sweep
+    without genericity give no line."""
+    profile = parse_profile(prof)
+    counts = _emptied_pins(profile, den)
+    assert sum(counts.values()) == emptied
+    assert [j for j, _ in _off_grid_pins(profile.p, profile.f, den)] == sorted(counts)
+    args = ["--profile", prof, "--den", str(den), "--workers", "1"]
+    assert run(["verify", "sigma-up", *args]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == verify_sigma_up(profile, den)
+    lines = captured.err.splitlines()
+    if emptied:
+        deltas = ", ".join(
+            f"delta({profile.p}, {j}) = {delta(profile.p, j)}" for j in sorted(counts)
+        )
+        assert lines == [
+            f"warning: sigma-up on {prof} leaves pinned points unchecked:"
+            f" {deltas} is off the 1/{den} grid"
+        ]
+    else:
+        assert lines == []
+    for extra in (["saturation"], ["sigma-up", "--drop-genericity"]):
+        run(["verify", *extra, *args])
+        assert "pinned" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
