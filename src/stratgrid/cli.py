@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from random import Random
 
@@ -313,8 +312,7 @@ def _suite_atkin_lehner(profile, den, rng):
     bad = 0
     n = profile.n_primes
     for _ in range(samples):
-        entries = tuple(Fraction(rng.randint(0, den), den) for _ in range(profile.g))
-        h = DegreeVector(profile, entries)
+        h = DegreeVector.from_grid(profile, [rng.randint(0, den) for _ in range(profile.g)], den)
         T = tuple(i for i in range(n) if rng.random() < 0.5)
         if w_T_deg(w_T_deg(h, T), T) != h:
             bad += 1

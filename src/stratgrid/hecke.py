@@ -82,15 +82,15 @@ value, since a verdict can change along an edge at a threshold, and counts
 for its whole orbit.  Saturation still visits every point: the purity round
 trip is a per-point check, and running it only at representatives would
 loosen it; it counts at the canonical cells only.  At every In point the
-round trip runs in full: the point's `DegreeVector` is built from the
-sweep's grid values a / den (`Windows.grid`, built once per sweep),
-serialized by `to_json_dict`, parsed back by `from_json_dict`, and the
-parsed vector decided by `sigma_case`.  No parsed vector and no verdict is
-shared between points.  With n workers the pass is cut into n shares of
-every n-th point, taken in cell order, so the shares hold near-equal parts
-of every edge.  A share decides a cell only where it holds one of its
-points; the parent runs one share and a child process each of the others,
-and hands each the orbit sizes.
+round trip runs in full: the point's `DegreeVector` is built from its
+integers over den (`DegreeVector.from_grid`), serialized by
+`to_json_dict`, parsed back by `from_json_dict`, and the parsed vector
+decided by `sigma_case`, which reads its integers.  No vector, string or
+verdict is shared between points.  With n workers the pass is cut into n
+shares of every n-th point, taken in cell order, so the shares hold
+near-equal parts of every edge.  A share decides a cell only where it
+holds one of its points; the parent runs one share and a child process each
+of the others, and hands each the orbit sizes.
 
 The records come from the cells too, and are lexicographic by
 construction.  A point fails exactly when its least image does, so the
@@ -119,7 +119,7 @@ from itertools import product
 from math import prod
 from typing import NamedTuple
 
-from .degrees import CuspInput, DegreeVector, _entry_masks
+from .degrees import CuspInput, DegreeVector, _entry_masks, _fraction_texts
 from .embeddings import PrimeProfile
 from .regions import (
     StratumCase,
@@ -223,13 +223,15 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _on_grid(h: DegreeVector, den: int) -> tuple[int, ...]:
-    """h's entries times den, which must be integers: a plan is never rounded."""
-    out = []
-    for v in h.entries:
-        if den % v.denominator:
-            raise ValueError(f"degree {v} is not on the 1/{den} grid")
-        out.append(v.numerator * (den // v.denominator))
-    return tuple(out)
+    """h's entries times den, which must be integers: a plan is never rounded.
+
+    They are when h's own denominator divides den; else the error names the
+    first entry off the grid."""
+    if den % h.den:
+        v = next(v for v in h.entries if den % v.denominator)
+        raise ValueError(f"degree {v} is not on the 1/{den} grid")
+    m = den // h.den
+    return tuple([a * m for a in h.scaled])
 
 
 class BlockPlan(NamedTuple):
@@ -649,10 +651,7 @@ def feasible_d_grid(
     scaled = _on_grid(h, den)
     stratum = stratum_case(h.profile, *_entry_masks(scaled, den))
     blocks = _blocks(h.profile, scaled, den, h.generic and not drop_genericity, stratum, {})
-    return [
-        DegreeVector(h.profile, tuple(Fraction(a, den) for a in d))
-        for d in _feasible_tuples(blocks)
-    ]
+    return [DegreeVector.from_grid(h.profile, d, den) for d in _feasible_tuples(blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -660,31 +659,24 @@ def feasible_d_grid(
 
 
 def _cx_record(profile: PrimeProfile, den, h_scaled, d_scaled, beta, lhs) -> dict:
-    def degs(scaled):
-        return {profile.label(k): str(Fraction(a, den)) for k, a in enumerate(scaled)}
-
-    lhs = str(Fraction(lhs, den))
-    return {"h": degs(h_scaled), "d": degs(d_scaled), "beta": beta, "lhs": lhs}
-
-
-class Windows(NamedTuple):
-    """What saturation reads besides the stratum: each block's window in
-    integers, (off, f, lo, hi) as `_windows` builds it, and `grid`, the
-    den + 1 values a / den for a = 0..den, from which `_point_in` builds a
-    point's `DegreeVector` without a `Fraction` call per entry."""
-
-    blocks: tuple[tuple[int, int, int, int], ...]
-    grid: tuple[Fraction, ...]
+    """One record as the report prints it; each value a / den is written by
+    `degrees._fraction_texts`, as `str(Fraction(a, den))` would be."""
+    labels = profile._labels
+    return {
+        "h": dict(zip(labels, _fraction_texts(h_scaled, den))),
+        "d": dict(zip(labels, _fraction_texts(d_scaled, den))),
+        "beta": beta,
+        "lhs": _fraction_texts((lhs,), den)[0],
+    }
 
 
-def _windows(profile: PrimeProfile, den: int) -> Windows:
+def _windows(profile: PrimeProfile, den: int) -> tuple[tuple[int, int, int, int], ...]:
     """Saturation's window of each block in integers: (off, f, lo, hi) such
     that the block's sum s of the scaled h, over den, lies strictly inside
     the block's `istar_interval` exactly when lo < s < hi.  For an integer s,
     s > x * den iff s > floor(x * den), and s < y * den iff s < ceil(y * den).
     `regions.in_interval_region` is the `Fraction` oracle the tests check
-    this window and `_within` against.  The grid values are built here, once
-    per sweep.
+    these windows and `_within` against.
     """
     out = []
     for f, off in zip(profile.f, profile.offsets):
@@ -692,11 +684,11 @@ def _windows(profile: PrimeProfile, den: int) -> Windows:
         lo = window.lo.numerator * den // window.lo.denominator
         hi = _ceil_div(window.hi.numerator * den, window.hi.denominator)
         out.append((off, f, lo, hi))
-    return Windows(tuple(out), tuple(Fraction(a, den) for a in range(den + 1)))
+    return tuple(out)
 
 
-def _within(windows: Windows, scaled) -> bool:
-    return all(lo < sum(scaled[off : off + f]) < hi for off, f, lo, hi in windows.blocks)
+def _within(windows, scaled) -> bool:
+    return all(lo < sum(scaled[off : off + f]) < hi for off, f, lo, hi in windows)
 
 
 def _point_in(profile, den, windows, scaled, stratum) -> tuple[bool, bool]:
@@ -706,18 +698,18 @@ def _point_in(profile, den, windows, scaled, stratum) -> tuple[bool, bool]:
     trip.
 
     The round trip runs in full at every In point: it builds the point's
-    `DegreeVector` from the grid values, serializes it with `to_json_dict`,
-    parses that back with `DegreeVector.from_json_dict`, and decides the
-    parsed vector with `sigma_case`, from its strings alone.  Only the grid
-    values are shared between points, and no verdict is."""
+    `DegreeVector` from its integers (`DegreeVector.from_grid`), serializes
+    it with `to_json_dict`, parses that back with
+    `DegreeVector.from_json_dict`, and decides the parsed vector with
+    `sigma_case`, from its strings alone.  No vector, string or verdict is
+    shared between points."""
     free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
     if stratum.decide(True, free, den) is not Verdict.IN:
         return False, True
     if windows is None:
         return True, True
     # structural check: membership reads only the serialized data
-    grid = windows.grid
-    h = DegreeVector(profile, tuple([grid[a] for a in scaled]), generic=True)
+    h = DegreeVector.from_grid(profile, scaled, den, generic=True)
     back = DegreeVector.from_json_dict(profile, h.to_json_dict())
     pure = sigma_case(back)[1] is Verdict.IN
     return _within(windows, scaled), pure

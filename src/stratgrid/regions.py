@@ -4,7 +4,10 @@ The central predicate is three-valued: In, Out, or Indeterminate.  A point
 qualifies only when its stratum has codimension at most 1 and no block is
 entirely Zero; codimension-1 points split by goodness, and the bad cases gate
 on the free coordinate against geometric series thresholds.  Everything is
-exact rational arithmetic.
+exact.  The queries read a vector's entries as integers over its one
+denominator (`DegreeVector.scaled` and `den`) and compare them with the
+thresholds' numerators and denominators; `in_interval_region` reads the
+`Fraction` view and stays the oracle of hecke's integer windows.
 
 A point's stratum is named by its face masks, the entries equal to 0 and
 those equal to 1, and `strata.classify_face` decides it on them.  Charts and
@@ -113,25 +116,20 @@ def in_interval_region(h: DegreeVector) -> bool:
 def in_vcan(h: DegreeVector) -> bool:
     """Canonical-locus test: blockwise p*pred + value > 1, or value > 0 when f=1.
 
-    With pred = a / d_a and value = b / d_b the test p*a*d_b + b*d_a > d_a*d_b
-    runs in integers.
+    With the entries a / den, the test is p*a_pred + a > den, in integers.
     """
     profile = h.profile
-    p = profile.p
-    entries = h.entries
+    p, den, scaled = profile.p, h.den, h.scaled
     for f, off in zip(profile.f, profile.offsets):
         if f == 1:
-            if entries[off].numerator <= 0:
+            if scaled[off] <= 0:
                 return False
             continue
-        block = entries[off : off + f]
-        prev = block[-1]
-        a, da = prev.numerator, prev.denominator
-        for cur in block:
-            b, db = cur.numerator, cur.denominator
-            if p * a * db + b * da <= da * db:
+        a = scaled[off + f - 1]
+        for b in scaled[off : off + f]:
+            if p * a + b <= den:
                 return False
-            a, da = b, db
+            a = b
     return True
 
 
@@ -187,10 +185,11 @@ def stratum_case(profile: PrimeProfile, zeros: int, ones: int) -> StratumCase:
 
 
 def sigma_case(h: DegreeVector) -> tuple[StratumCase, Verdict]:
-    """The stratum data of h and its verdict."""
-    stratum = stratum_case(h.profile, *_entry_masks(h.entries, 1))
-    free = ZERO if stratum.beta0 is None else h[stratum.beta0]
-    return stratum, stratum.decide(h.generic, free.numerator, free.denominator)
+    """The stratum data of h and its verdict, read off h's integers."""
+    scaled, den = h.scaled, h.den
+    stratum = stratum_case(h.profile, *_entry_masks(scaled, den))
+    free = 0 if stratum.beta0 is None else scaled[stratum.beta0]
+    return stratum, stratum.decide(h.generic, free, den)
 
 
 def in_sigma(h: DegreeVector) -> Verdict:
@@ -214,8 +213,9 @@ def in_sigma_S(h: DegreeVector, S) -> Verdict:
 
     Each chart is decided on h's masks swapped on T's blocks, with free value
     1 - h at beta0 in a flipped block, passed to `decide` as the integers
-    den - num over den.  The generic flag carries over, so a vector flagged
-    generic is assumed generic in every chart.
+    den - a over den, where h's entry there is a / den.  The generic flag
+    carries over, so a vector flagged generic is assumed generic in every
+    chart.
 
     Two charts stand for all 2^|S|:
 
@@ -244,7 +244,8 @@ def in_sigma_S(h: DegreeVector, S) -> Verdict:
         if not (0 <= i < profile.n_primes):
             raise ValueError(f"prime index {i} out of range for {profile}")
         flippable |= blocks[i]
-    zeros, ones = _entry_masks(h.entries, 1)
+    scaled, den = h.scaled, h.den
+    zeros, ones = _entry_masks(scaled, den)
     t0 = _whole_blocks(profile, zeros) & flippable
     flips = [t0]
     opens = profile.full_mask & ~(zeros | ones)
@@ -256,9 +257,9 @@ def in_sigma_S(h: DegreeVector, S) -> Verdict:
     def chart(flip: int) -> Verdict:
         stratum = stratum_case(profile, *_swap_on(zeros, ones, flip))
         b = stratum.beta0
-        num, den = 0, 1
+        num = 0
         if b is not None:
-            num, den = h[b].numerator, h[b].denominator
+            num = scaled[b]
             if flip >> b & 1:
                 num = den - num
         return stratum.decide(h.generic, num, den)

@@ -1,14 +1,18 @@
 """Degree-vector laws: stratum compatibility, flips, heights, inequalities."""
 from __future__ import annotations
 
+import json
+import pickle
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratgrid.embeddings import PrimeProfile, parse_profile
+from stratgrid.embeddings import PrimeProfile, ProfileError, parse_profile
 from stratgrid.degrees import (
     CuspInput,
     DegreeVector,
@@ -18,6 +22,7 @@ from stratgrid.degrees import (
     ProfileMismatch,
     _as_fraction,
     _entry_masks,
+    _fraction_texts,
     genericity_constraints,
     hodge_height,
     pair_of_degvec,
@@ -139,8 +144,9 @@ def test_json_round_trip_returns_the_vector(h):
 
 
 def _general_as_fraction(v) -> Fraction:
-    """`_as_fraction` without its fast paths: the general path alone, kept
-    as the oracle the fast paths are checked against."""
+    """The general path alone, as `Fraction(str)` reads each string: the
+    oracle `_as_fraction` and the digit path of `from_json_dict` are checked
+    against."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
@@ -153,6 +159,14 @@ def _general_as_fraction(v) -> Fraction:
         except (ValueError, ZeroDivisionError) as e:
             raise DegreeVectorError(f"bad fraction string {v!r}: {e}") from None
     raise DegreeVectorError(f"cannot interpret {v!r} as an exact rational")
+
+
+def _outcome(build):
+    """What `build()` returns, or the type and message of the error it raises."""
+    try:
+        return True, build()
+    except (DegreeVectorError, ProfileError) as e:
+        return False, (type(e), str(e))
 
 
 def _digits(min_size=0):
@@ -191,6 +205,8 @@ def fraction_text(draw):
 @example("47/135")
 @example("1/0")
 @example("0/0")
+@example("1/00")
+@example("2/4")
 @example("1" * 5000)
 @example("1/" + "1" * 5000)
 @example("\u0663/4")
@@ -198,18 +214,28 @@ def fraction_text(draw):
 @example("1/\u00b2")
 @example("1e-2000000")
 def test_as_fraction_matches_the_general_path(text):
-    """On every string the fast paths return what `Fraction(str)` returns,
-    where the general path accepts it, and raise its error with its message
-    where it refuses."""
+    """On every string `_as_fraction`, and a one-entry vector parsed by
+    `from_json_dict`, whose digit path reads the strings `to_json_dict`
+    writes straight into integers, hold what `Fraction(str)` returns where
+    the general path accepts it, and raise its error with its message where
+    it refuses."""
+    data = {"deg": {"0/0": text}}
     try:
         want = _general_as_fraction(text)
     except DegreeVectorError as e:
         with pytest.raises(DegreeVectorError) as got:
             _as_fraction(text)
         assert str(got.value) == str(e)
+        ok, parsed = _outcome(lambda: DegreeVector.from_json_dict(PrimeProfile(3, (1,)), data))
+        assert not ok and parsed == (DegreeVectorError, str(e))
     else:
         got = _as_fraction(text)
         assert type(got) is Fraction and got == want
+        ok, parsed = _outcome(lambda: DegreeVector.from_json_dict(PrimeProfile(3, (1,)), data))
+        if 0 <= want <= 1:
+            assert ok and parsed.entries == (want,) and parsed.den == want.denominator
+        else:
+            assert parsed == (DegreeVectorError, "degree entries must lie in [0, 1]")
 
 
 def test_construction_errors_keep_their_order():
@@ -375,3 +401,305 @@ def test_flips_equal_validated_vectors(h, data):
     assert w_T_deg(h, T, generic=flag) == DegreeVector(
         profile, flipped, generic=generic, cusp=h.cusp
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer vector against a `Fraction` reference
+
+
+@dataclass(frozen=True)
+class RefVector:
+    """A degree vector held as `Fraction`s: the oracle the integer
+    `DegreeVector` is checked against.  Its constructor, codec and errors
+    are those of the `Fraction` dataclass the integer vector replaced, with
+    every value read by the general path `_general_as_fraction`."""
+
+    profile: PrimeProfile
+    entries: tuple
+    generic: bool = False
+    cusp: bool = False
+
+    def __post_init__(self):
+        entries = tuple(_general_as_fraction(v) for v in self.entries)
+        if len(entries) != self.profile.g:
+            raise DegreeVectorError(
+                f"need {self.profile.g} entries for {self.profile}, got {len(entries)}"
+            )
+        if not all(0 <= v <= 1 for v in entries):
+            raise DegreeVectorError("degree entries must lie in [0, 1]")
+        if self.cusp:
+            for f, off in zip(self.profile.f, self.profile.offsets):
+                block = entries[off : off + f]
+                if block[0] not in (0, 1) or len(set(block)) != 1:
+                    raise DegreeVectorError(
+                        "cusp vectors are 0/1 with blockwise-constant One-set"
+                    )
+        object.__setattr__(self, "entries", entries)
+
+    def __getitem__(self, k):
+        return self.entries[k]
+
+    def deg_prime(self, i):
+        off = self.profile.offsets[i]
+        return sum(self.entries[off : off + self.profile.f[i]], F(0))
+
+    def to_json_dict(self):
+        labels = [self.profile.label(k) for k in range(self.profile.g)]
+        return {
+            "deg": dict(zip(labels, map(str, self.entries))),
+            "generic": self.generic,
+            "cusp": self.cusp,
+        }
+
+    @classmethod
+    def from_json_dict(cls, profile, data):
+        if not isinstance(data, dict) or "deg" not in data:
+            raise DegreeVectorError(f"degree JSON needs a 'deg' mapping, got {data!r}")
+        deg = data["deg"]
+        if not isinstance(deg, dict):
+            raise DegreeVectorError(f"'deg' must map labels to degrees, got {deg!r}")
+        entries = [None] * profile.g
+        for label, val in deg.items():
+            k = profile.index_of_label(label)
+            if entries[k] is not None:
+                raise DegreeVectorError(f"two labels name embedding {profile.label(k)}")
+            entries[k] = _general_as_fraction(val)
+        missing = [profile.label(k) for k, e in enumerate(entries) if e is None]
+        if missing:
+            raise DegreeVectorError(f"missing degree entries for {missing}")
+        flags = {}
+        for name in ("generic", "cusp"):
+            flags[name] = data.get(name, False)
+            if not isinstance(flags[name], bool):
+                raise DegreeVectorError(f"{name!r} must be true or false, got {flags[name]!r}")
+        return cls(profile, tuple(entries), **flags)
+
+
+@st.composite
+def small_profiles(draw):
+    """A profile with p in {2, 3, 5, 7} and g <= 6."""
+    f = []
+    while not f or (sum(f) < 6 and draw(st.booleans())):
+        f.append(draw(st.integers(1, 6 - sum(f))))
+    return PrimeProfile(draw(st.sampled_from([2, 3, 5, 7])), tuple(f))
+
+
+# Mixed denominators: coprime ones side by side, powers of p, and a large
+# prime, so the lcm of a vector's denominators is rarely any one of them.
+DENS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 25, 27, 49, 100, 125, 2**31 - 1]
+
+
+@st.composite
+def entry_value(draw, refused=True):
+    """One entry as a constructor or a JSON mapping may hold it: a `Fraction`,
+    an int, a reduced or unreduced digit string, or, about one time in nine
+    when `refused`, a value the vector refuses."""
+    if refused and draw(st.integers(0, 8)) == 0:
+        bad = [F(-1, 3), F(4, 3), 2, -1, "3/2", "-1/3", "x", "1/0", "1e3", 1.5, True, None]
+        return draw(st.sampled_from(bad) | fraction_text())
+    den = draw(st.sampled_from(DENS))
+    v = F(draw(st.integers(0, den)), den)
+    form = draw(st.integers(0, 3))
+    if form == 1 and v.denominator == 1:
+        return int(v)
+    if form == 2:
+        return str(v)
+    if form == 3:
+        m = draw(st.integers(1, 4))
+        return f"{'0' * draw(st.integers(0, 1))}{v.numerator * m}/{v.denominator * m}"
+    return v
+
+
+@st.composite
+def vector_args(draw, refused=True):
+    """(profile, entries, generic, cusp): mostly a well-formed vector, at
+    times one with a wrong length, a bad entry, or a cusp flag its entries
+    may break."""
+    profile = draw(small_profiles())
+    g = profile.g
+    cusp = draw(st.integers(0, 5)) == 0
+    if cusp and draw(st.booleans()):
+        vals = []
+        for f in profile.f:
+            vals += [draw(st.sampled_from([F(0), F(1), 0, 1, "1", "2/2"]))] * f
+    else:
+        n = g if draw(st.integers(0, 9)) else draw(st.sampled_from([g - 1, g + 1]))
+        vals = [draw(entry_value(refused)) for _ in range(n)]
+    return profile, tuple(vals), draw(st.booleans()), cusp
+
+
+@settings(max_examples=300)
+@given(vector_args())
+def test_vector_matches_the_fraction_reference(args):
+    """Construction, errors and messages, the `Fraction` view, `h[k]`,
+    `deg_prime`, the JSON bytes and the round trip agree with the
+    reference."""
+    profile, vals, generic, cusp = args
+    ok, h = _outcome(lambda: DegreeVector(profile, vals, generic=generic, cusp=cusp))
+    ok_ref, ref = _outcome(lambda: RefVector(profile, vals, generic, cusp))
+    assert ok is ok_ref
+    if not ok:
+        assert h == ref
+        return
+    assert h.entries == ref.entries
+    assert all(type(v) is F for v in h.entries)
+    assert [h[k] for k in range(profile.g)] == list(ref.entries)
+    assert [h.deg_prime(i) for i in range(profile.n_primes)] == [
+        ref.deg_prime(i) for i in range(profile.n_primes)
+    ]
+    assert h.den == lcm(*(v.denominator for v in ref.entries))
+    assert json.dumps(h.to_json_dict()) == json.dumps(ref.to_json_dict())
+    back = DegreeVector.from_json_dict(profile, h.to_json_dict())
+    assert back == h and hash(back) == hash(h)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two well-formed vectors on one profile; half the time the second
+    holds the first's values, each written in another form."""
+    args = vector_args(refused=False).filter(lambda a: len(a[1]) == a[0].g)
+    profile, vals, generic, cusp = draw(args)
+    if draw(st.booleans()):
+        other = []
+        for v in vals:
+            v = _general_as_fraction(v)
+            m = draw(st.integers(1, 3))
+            forms = [v, str(v), f"{v.numerator * m}/{v.denominator * m}"]
+            other.append(draw(st.sampled_from(forms)))
+        other_flags = (generic, cusp) if draw(st.integers(0, 3)) else (not generic, cusp)
+    else:
+        other = [draw(entry_value(refused=False)) for _ in vals]
+        other_flags = (draw(st.booleans()), False)
+    return profile, vals, (generic, cusp), tuple(other), other_flags
+
+
+@settings(max_examples=300)
+@given(vector_pairs())
+def test_equality_and_hash_match_the_fraction_reference(pair):
+    """Two vectors are equal, either way round, exactly when their
+    references are; equal vectors hash alike and hold the same (scaled,
+    den), and a vector equals itself written over twice its denominator."""
+    profile, vals_a, (ga, ca), vals_b, (gb, cb) = pair
+    try:
+        refs = RefVector(profile, vals_a, ga, ca), RefVector(profile, vals_b, gb, cb)
+    except DegreeVectorError:  # the drawn entries broke a cusp flag
+        return
+    ha = DegreeVector(profile, vals_a, generic=ga, cusp=ca)
+    hb = DegreeVector(profile, vals_b, generic=gb, cusp=cb)
+    same = refs[0] == refs[1]
+    assert (ha == hb) is same and (hb == ha) is same and (ha != hb) is not same
+    if same:
+        assert hash(ha) == hash(hb) and (ha.scaled, ha.den) == (hb.scaled, hb.den)
+    # the same values over twice the denominator, through the grid constructor
+    twice = DegreeVector.from_grid(profile, [2 * a for a in ha.scaled], 2 * ha.den, ga, ca)
+    assert twice == ha and hash(twice) == hash(ha)
+    assert ha != refs[0] and ha != tuple(refs[0].entries)
+
+
+# Labels other than the exact ones: each names an embedding, or none.
+ODD_LABELS = [" 0/0", "00/1", "0/1 ", "1/0", "0/9", "9/0", "x", ""]
+
+
+@st.composite
+def json_args(draw):
+    """(profile, data): mostly a well-formed serialized vector, with its
+    values in every form `entry_value` draws; at times a label missing,
+    doubled or malformed, a flag that is not a boolean, or a `deg` that is
+    not a mapping."""
+    profile, vals, generic, cusp = draw(vector_args())
+    labels = [profile.label(k) for k in range(profile.g)]
+    deg = dict(zip(labels, vals))
+    if draw(st.integers(0, 5)) == 0:
+        deg[draw(st.sampled_from(ODD_LABELS))] = draw(entry_value())
+    if draw(st.integers(0, 7)) == 0 and deg:
+        del deg[draw(st.sampled_from(sorted(deg)))]
+    keys = list(deg)
+    deg = {k: deg[k] for k in draw(st.permutations(keys))}
+    data = {"deg": deg}
+    for name, flag in (("generic", generic), ("cusp", cusp)):
+        if draw(st.booleans()):
+            bad = draw(st.sampled_from(["true", 1, None]))
+            data[name] = flag if draw(st.integers(0, 9)) else bad
+    if draw(st.integers(0, 19)) == 0:
+        data = draw(st.sampled_from([{}, {"deg": list(deg.values())}, [deg], None]))
+    return profile, data
+
+
+@settings(max_examples=400)
+@given(json_args())
+def test_from_json_dict_matches_the_fraction_reference(args):
+    """Every parse agrees with the reference: the vector, or the error and
+    its message."""
+    profile, data = args
+    ok, h = _outcome(lambda: DegreeVector.from_json_dict(profile, data))
+    ok_ref, ref = _outcome(lambda: RefVector.from_json_dict(profile, data))
+    assert ok is ok_ref
+    if not ok:
+        assert h == ref
+        return
+    assert h.entries == ref.entries and (h.generic, h.cusp) == (ref.generic, ref.cusp)
+    assert h.den == lcm(*(v.denominator for v in ref.entries))
+    assert json.dumps(h.to_json_dict()) == json.dumps(ref.to_json_dict())
+
+
+def test_coprime_denominators_past_the_digit_limit():
+    """Six entries over pairwise coprime denominators of 760 digits: their
+    lcm has more digits than `str` writes, and no step of the vector
+    writes it."""
+    m = 60 * 10**760  # m*k + 1 for k = 1..6 are pairwise coprime
+    dens = [m * k + 1 for k in range(1, 7)]
+    vals = tuple(F(1 if k % 2 else d - 1, d) for k, d in enumerate(dens))
+    profile = PrimeProfile(5, (2, 3, 1))
+    h = DegreeVector(profile, vals, generic=True)
+    assert h.den == prod(dens) and h.den > 10**4300
+    with pytest.raises(ValueError):
+        str(h.den)
+    ref = RefVector(profile, vals, generic=True)
+    assert h.entries == ref.entries and h.deg_prime(1) == ref.deg_prime(1)
+    data = h.to_json_dict()
+    assert json.dumps(data) == json.dumps(ref.to_json_dict())
+    back = DegreeVector.from_json_dict(profile, data)
+    assert back == h and hash(back) == hash(h)
+    assert w_T_deg(w_T_deg(h, {0, 2}), {0, 2}) == h
+    assert _entry_masks(h.scaled, h.den) == _entry_masks(ref.entries, 1)
+    assert DegreeVector.from_grid(profile, h.scaled, h.den, generic=True) == h
+    assert repr(h).startswith("DegreeVector(profile=PrimeProfile(p=5, f=(2, 3, 1)), entries=")
+
+
+def test_fraction_texts_write_what_str_of_a_fraction_writes():
+    """Every a / den with den <= 240 and 0 <= a <= den, and values past den,
+    as a record's lhs may be."""
+    for den in range(1, 241):
+        want = [str(F(a, den)) for a in range(den + 1)]
+        assert _fraction_texts(range(den + 1), den) == want, den
+        past = [2 * den, 3 * den + 1, 7 * den - 1]
+        assert _fraction_texts(past, den) == [str(F(a, den)) for a in past], den
+
+
+def test_from_grid_reduces_and_refuses_like_the_constructor():
+    profile = PrimeProfile(3, (2, 1))
+    h = DegreeVector.from_grid(profile, (6, 3, 12), 12, generic=True)
+    assert (h.scaled, h.den) == ((2, 1, 4), 4)
+    assert h == DegreeVector(profile, (F(1, 2), F(1, 4), F(1)), generic=True)
+    assert DegreeVector.from_grid(profile, (0, 0, 0), 9).den == 1
+    with pytest.raises(DegreeVectorError, match="need 3 entries"):
+        DegreeVector.from_grid(profile, (1, 2), 4)
+    with pytest.raises(DegreeVectorError, match=r"must lie in \[0, 1\]"):
+        DegreeVector.from_grid(profile, (1, 5, 0), 4)
+    with pytest.raises(DegreeVectorError, match=r"must lie in \[0, 1\]"):
+        DegreeVector.from_grid(profile, (1, -1, 0), 4)
+    with pytest.raises(DegreeVectorError, match="positive denominator"):
+        DegreeVector.from_grid(profile, (0, 0, 0), 0)
+    with pytest.raises(DegreeVectorError, match="cusp vectors"):
+        DegreeVector.from_grid(profile, (4, 0, 4), 4, cusp=True)
+
+
+def test_vectors_are_immutable_and_pickle():
+    h = dv(PrimeProfile(3, (2,)), "1/2", 1, generic=True)
+    for name in ("scaled", "den", "generic", "entries", "profile"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, None)
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and back.generic is True and back.entries == (F(1, 2), F(1))

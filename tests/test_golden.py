@@ -72,3 +72,29 @@ def test_fast_reports_match_their_digests(tmp_path, capsys):
         digest = golden.file_digest(str(path))
         assert {"exit": code, "sha256": digest} == pinned[name], name
     capsys.readouterr()
+
+
+def test_check_names_each_difference_and_leaves_the_file(tmp_path, monkeypatch, capsys):
+    """`golden.py check` exits 1 naming each differing, unpinned and missing
+    digest, exits 0 when all match, and never rewrites the pinned file."""
+    pinned = {
+        "reports": {"a": {"exit": 0, "sha256": "1"}, "b": {"exit": 1, "sha256": "2"}, "d": {}},
+        "record_sets": {"r.json": "3", "s.json": "4"},
+    }
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps(pinned), encoding="utf-8")
+    before = path.read_bytes()
+    found = {
+        "reports": {"a": {"exit": 0, "sha256": "1"}, "b": {"exit": 0, "sha256": "2"}, "c": {}},
+        "record_sets": {"r.json": "3", "s.json": "5"},
+    }
+    monkeypatch.setattr(golden, "capture", lambda out_dir: 0)
+    monkeypatch.setattr(golden, "digests", lambda out_dir: found)
+    assert golden.check(str(path)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["differs: b", "not pinned: c", "not recomputed: d", "differs: s.json"]
+    assert path.read_bytes() == before
+    found = pinned
+    assert golden.check(str(path)) == 0
+    assert capsys.readouterr().out.splitlines() == [f"5 of 5 digests match {path}"]
+    assert path.read_bytes() == before

@@ -2,16 +2,25 @@
 from __future__ import annotations
 
 import functools
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratgrid import regions
+from stratgrid.cli import run
 from stratgrid.embeddings import PrimeProfile
-from stratgrid.degrees import DegreeVector, w_T_deg
-from stratgrid.strata import ENUMERATION_MAX_G, EnumerationBound
+from stratgrid.degrees import CuspInput, DegreeVector, _entry_masks, pair_of_degvec, w_T_deg
+from stratgrid.hecke import saturation_check, verify_sigma_up
+from stratgrid.strata import (
+    ENUMERATION_MAX_G,
+    EnumerationBound,
+    _swap_on,
+    _whole_blocks,
+    pair_of_masks,
+)
 from stratgrid.regions import (
     Verdict,
     coverage_check,
@@ -365,3 +374,140 @@ def test_coverage_report_json():
     rep = coverage_check(PrimeProfile(3, (2,)))
     data = rep.to_json_dict()
     assert data["schema"] == "1" and data["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# the integer queries against their `Fraction` forms
+
+
+def sigma_case_fraction(h):
+    """`sigma_case` as it read a vector's `Fraction` entries."""
+    stratum = regions.stratum_case(h.profile, *_entry_masks(h.entries, 1))
+    free = F(0) if stratum.beta0 is None else h[stratum.beta0]
+    return stratum, stratum.decide(h.generic, free.numerator, free.denominator)
+
+
+def in_sigma_S_fraction(h, S):
+    """`in_sigma_S`'s two charts as they read a vector's `Fraction` entries."""
+    profile = h.profile
+    flippable = 0
+    for i in set(S):
+        flippable |= profile.block_mask(i)
+    zeros, ones = _entry_masks(h.entries, 1)
+    t0 = _whole_blocks(profile, zeros) & flippable
+    flips = [t0]
+    opens = profile.full_mask & ~(zeros | ones)
+    if opens.bit_count() == 1:
+        b0 = profile._block_of[opens.bit_length() - 1]
+        if b0 & flippable:
+            flips.append(t0 | b0)
+    verdicts = []
+    for flip in flips:
+        stratum = regions.stratum_case(profile, *_swap_on(zeros, ones, flip))
+        b = stratum.beta0
+        num, den = 0, 1
+        if b is not None:
+            num, den = h[b].numerator, h[b].denominator
+            if flip >> b & 1:
+                num = den - num
+        verdicts.append(stratum.decide(h.generic, num, den))
+    return next(v for v in (Verdict.IN, Verdict.INDETERMINATE, Verdict.OUT) if v in verdicts)
+
+
+def in_vcan_fraction(h):
+    """`in_vcan` as it read a vector's `Fraction` entries: with pred = a / d_a
+    and value = b / d_b, p*a*d_b + b*d_a > d_a*d_b."""
+    profile = h.profile
+    p = profile.p
+    for f, off in zip(profile.f, profile.offsets):
+        if f == 1:
+            if h[off].numerator <= 0:
+                return False
+            continue
+        block = h.entries[off : off + f]
+        a, da = block[-1].numerator, block[-1].denominator
+        for cur in block:
+            b, db = cur.numerator, cur.denominator
+            if p * a * db + b * da <= da * db:
+                return False
+            a, da = b, db
+    return True
+
+
+def pair_of_degvec_fraction(h):
+    if h.cusp:
+        raise CuspInput("cusp vectors do not define a stratum pair")
+    return pair_of_masks(h.profile, *_entry_masks(h.entries, 1))
+
+
+@st.composite
+def mixed_points(draw):
+    """Vectors on profiles with g <= 6 whose entries mix denominators: a
+    vertex with up to three entries replaced by a / den, delta(p, j),
+    1 - delta(p, 1), 1/2 or 2/3; or a cusp vector."""
+    f = []
+    while not f or (sum(f) < 6 and draw(st.booleans())):
+        f.append(draw(st.integers(1, 6 - sum(f))))
+    profile = PrimeProfile(draw(st.sampled_from([2, 3, 5, 7])), tuple(f))
+    p, g = profile.p, profile.g
+    generic = draw(st.booleans())
+    if draw(st.integers(0, 5)) == 0:
+        vals = []
+        for size in profile.f:
+            vals += [F(draw(st.integers(0, 1)))] * size
+        return DegreeVector(profile, tuple(vals), generic=generic, cusp=True)
+    den = draw(st.sampled_from([2, 3, 4, 5, 6, 9, 12, 25, 27, 100]))
+    specials = [delta(p, j) for j in range(1, max(f) + 1)] + [1 - delta(p, 1), F(1, 2), F(2, 3)]
+    entry = st.integers(1, den - 1).map(lambda a: F(a, den)) | st.sampled_from(specials)
+    vals = [F(draw(st.integers(0, 1))) for _ in range(g)]
+    for k in draw(st.lists(st.integers(0, g - 1), max_size=3, unique=True)):
+        vals[k] = draw(entry)
+    return DegreeVector(profile, tuple(vals), generic=generic)
+
+
+@settings(max_examples=400)
+@given(mixed_points())
+# one Open entry, in a block S flips: the second chart reads 1 - h there
+@example(DegreeVector(PrimeProfile(3, (2, 2)), (F(0), F(1), F(1, 3), F(1))))
+@example(DegreeVector(PrimeProfile(5, (2, 1)), (F(4, 5), F(1), F(1))))
+def test_integer_queries_match_their_fraction_forms(h):
+    """`sigma_case`, `in_sigma_S` on every S, `in_vcan` and
+    `pair_of_degvec` read `scaled` and `den`; each gives what its
+    `Fraction` form gives."""
+    assert sigma_case(h) == sigma_case_fraction(h)
+    primes = range(h.profile.n_primes)
+    for r in range(len(primes) + 1):
+        for S in combinations(primes, r):
+            assert in_sigma_S(h, S) is in_sigma_S_fraction(h, S), S
+    assert in_vcan(h) is in_vcan_fraction(h)
+    if h.cusp:
+        with pytest.raises(CuspInput):
+            pair_of_degvec(h)
+    else:
+        assert pair_of_degvec(h) == pair_of_degvec_fraction(h)
+
+
+def test_no_reader_outside_the_oracles_reads_entries(monkeypatch, capsys):
+    """With `DegreeVector.entries` made to raise, a saturation sweep with
+    In points, a sigma-up sweep that writes records, `regions check` on each
+    region and the region queries all run: none of them reads the
+    `Fraction` view."""
+    def refuse(self):
+        raise AssertionError("read DegreeVector.entries")
+
+    monkeypatch.setattr(DegreeVector, "entries", property(refuse))
+    profile = PrimeProfile(3, (2,))
+    rep = saturation_check(profile, 27)
+    assert rep["points_in"] > 0 and rep["membership_pure"] is True
+    rep = verify_sigma_up(profile, 12, drop_genericity=True)
+    assert rep["counterexamples"]
+    point = json.dumps({"deg": {"0/0": "1/2", "0/1": "1/3"}, "generic": True})
+    for region in (["sigma"], ["vcan"], ["sigmaS", "--S", "0"]):
+        argv = ["regions", "check", "--profile", "p=3;f=2", "--point", point, "--region"]
+        assert run([*argv, *region]) == 0
+    capsys.readouterr()
+    h = DegreeVector(PrimeProfile(5, (2, 1)), (F(1, 2), F(2, 3), 1), generic=True)
+    assert in_sigma(h) is Verdict.OUT and in_vcan(h)
+    assert in_sigma_S(h, (0, 1)) is Verdict.OUT
+    with pytest.raises(AssertionError, match="read DegreeVector.entries"):
+        h.entries

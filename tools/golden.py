@@ -4,6 +4,7 @@ and pin the reports' digests in the repository.
     python3 tools/golden.py capture DIR   # write every report below to DIR
     python3 tools/golden.py compare A B   # exit 0 iff A and B hold the same bytes
     python3 tools/golden.py digest        # write tests/data/report_digests.json
+    python3 tools/golden.py check         # compare with it, without writing it
 
 `capture` runs each command through `stratgrid.cli.run --out`, importing
 stratgrid from the `src` directory next to this script: a copy of the script
@@ -55,9 +56,12 @@ directly.  The report set:
 `digest` captures into a temporary directory and writes, for each command,
 its exit code and the SHA-256 of its report (null where it wrote none, on
 exit 2), and the SHA-256 of each record set.  `tests/test_golden.py`
-recomputes the digests of the fast commands in tier-1.  Running `digest`
-again and diffing the file against the repository checks the whole set; a
-change that alters report bytes on purpose commits the new file.
+recomputes the digests of the fast commands in tier-1.  `check` recomputes
+the whole set the same way and compares it with
+`tests/data/report_digests.json`, which it leaves as it is: it exits 0 when
+every digest and exit code matches, and 1 after naming each command or
+record set that differs, or that only one side has.  A change that alters
+report bytes on purpose runs `digest` and commits the new file.
 
 Stdlib only; tier-1 does not collect it.  A capture of the 952 commands (936
 reports and 16 exit-2 errors), the 2 feasible sets and the 6 region-query
@@ -346,6 +350,36 @@ def digest(path: str = DIGESTS) -> int:
     return 0
 
 
+def differences(pinned: dict, found: dict) -> list[str]:
+    """One line for each command or record set whose digest or exit code in
+    `found` differs from `pinned`, or that only one of them has."""
+    out = []
+    for section in ("reports", "record_sets"):
+        want, got = pinned.get(section, {}), found.get(section, {})
+        for name in sorted(want.keys() | got.keys()):
+            if name not in got:
+                out.append(f"not recomputed: {name}")
+            elif name not in want:
+                out.append(f"not pinned: {name}")
+            elif want[name] != got[name]:
+                out.append(f"differs: {name}")
+    return out
+
+
+def check(path: str = DIGESTS) -> int:
+    with open(path, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    with tempfile.TemporaryDirectory() as tmp:
+        capture(tmp)
+        found = digests(tmp)
+    lines = differences(pinned, found)
+    for line in lines:
+        print(line)
+    total = sum(len(found[section]) for section in ("reports", "record_sets"))
+    print(f"{total - len(lines)} of {total} digests match {path}")
+    return 1 if lines else 0
+
+
 def capture(out_dir: str) -> int:
     from stratgrid import cli
 
@@ -397,8 +431,11 @@ def main(argv: list[str]) -> int:
         return compare(argv[1], argv[2])
     if argv == ["digest"]:
         return digest()
+    if argv == ["check"]:
+        return check()
     print(
-        "usage: golden.py capture DIR | golden.py compare A B | golden.py digest",
+        "usage: golden.py capture DIR | golden.py compare A B | golden.py digest"
+        " | golden.py check",
         file=sys.stderr,
     )
     return 2
