@@ -418,9 +418,6 @@ class CyclotomicInt:
             return o
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -448,9 +445,6 @@ class CyclotomicInt:
             return self.m == other.m and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -472,14 +466,6 @@ class CyclotomicInt:
         for i, c in enumerate(self.coeffs):
             out[i * step] += c
         return CyclotomicInt.make(M, out)
-
-    def __str__(self):
-        terms = [
-            (f"{c}" if i == 0 else f"{c}*z^{i}")
-            for i, c in enumerate(self.coeffs)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
 
 
 def conductor(*orders: int) -> int:
@@ -765,13 +751,6 @@ class UnitChar:
     group: UnitGroup
     exps: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for (_, d), k in zip(self.group.gens, self.exps):
-            out = lcm(out, d // gcd(k % d, d))
-        return out
-
     def is_trivial(self) -> bool:
         return all(
             k % d == 0 for (_, d), k in zip(self.group.gens, self.exps)
@@ -857,8 +836,6 @@ class CoeffFamily:
     Indices with a non-unit second coordinate carry coefficient zero.
     """
 
-    q: int
-    n: int
     full: dict
     reduced: dict
 
@@ -903,7 +880,7 @@ def build_companion_coeffs(
     s,
     C,
     seed: TwistSeed,
-    M: int | None = None,
+    M: int,
 ) -> tuple[CoeffFamily, CoeffFamily]:
     """Extend a seed to the companion pair (a, b) by the scaling relations.
 
@@ -912,8 +889,6 @@ def build_companion_coeffs(
     the reduced a-family at divisible indices, zero at non-unit v throughout.
     The scalars r, s, C may be ints or CyclotomicInt values.
     """
-    if M is None:
-        M = conductor(field.p, field.q - 1, group.n, group.exponent)
     q, n = field.q, group.n
     units = set(group.units)
     want = {(u, v) for u in range(1, q) for v in group.units}
@@ -941,8 +916,8 @@ def build_companion_coeffs(
                 )
     b_reduced = {v: seed.b_reduced[v].embed(M) for v in units}
     return (
-        CoeffFamily(q, n, a_full, a_reduced),
-        CoeffFamily(q, n, b_full, b_reduced),
+        CoeffFamily(a_full, a_reduced),
+        CoeffFamily(b_full, b_reduced),
     )
 
 

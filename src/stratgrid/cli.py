@@ -136,7 +136,11 @@ def _cmd_strata_enumerate(ns):
 
 def _cmd_regions_check(ns):
     profile = parse_profile(ns.profile)
-    h = DegreeVector.from_json_dict(profile, json.loads(ns.point))
+    try:
+        point = json.loads(ns.point)
+    except RecursionError as e:
+        raise ValueError(f"bad point JSON: {e}") from None
+    h = DegreeVector.from_json_dict(profile, point)
     report = {
         "schema": SCHEMA,
         "check": "region",
@@ -428,18 +432,24 @@ def run(argv=None) -> int:
     handler = _DISPATCH[(ns.command, getattr(ns, "subcommand", None))]
     try:
         report, failed = handler(ns)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if ns.out:
+        # written before any warning, so that a path that cannot be written
+        # leaves the one `error:` line alone on stderr
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     for line in _sweep_warnings(report):
         print(line, file=sys.stderr)
     if report.get("check") == "twist" and report["runs"] == 0:
         print(f"warning: twist on q={report['q']}, n={report['n']} ran no trials", file=sys.stderr)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not ns.out:
         sys.stdout.write(text)
     return 1 if failed else 0
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .embeddings import PrimeProfile
-from .strata import StratumPair, _whole_blocks, pair_of_masks
+from .strata import StratumPair, _prime_blocks, _whole_blocks, pair_of_masks
 
 __all__ = [
     "DegreeVectorError",
@@ -336,15 +336,8 @@ def w_T_deg(h: DegreeVector, T, generic: bool | None = None) -> DegreeVector:
     over unchanged.
     """
     profile, den = h.profile, h.den
-    tset = set(T)
-    for i in tset:
-        if not (0 <= i < profile.n_primes):
-            raise ValueError(f"prime index {i} out of range for {profile}")
-    scaled = list(h.scaled)
-    for i in tset:
-        off = profile.offsets[i]
-        for k in range(off, off + profile.f[i]):
-            scaled[k] = den - scaled[k]
+    flip = _prime_blocks(profile, T)
+    scaled = [den - a if flip >> k & 1 else a for k, a in enumerate(h.scaled)]
     return DegreeVector.from_grid(
         profile, scaled, den, h.generic if generic is None else generic, h.cusp
     )
@@ -358,14 +351,8 @@ class HodgeInterval:
     upper: Fraction
     exact: bool
 
-    def contains(self, v: Fraction) -> bool:
-        return self.lower <= v <= self.upper
-
     def intersects(self, other: "HodgeInterval") -> bool:
         return max(self.lower, other.lower) <= min(self.upper, other.upper)
-
-    def to_json_dict(self) -> dict:
-        return {"lower": str(self.lower), "upper": str(self.upper), "exact": self.exact}
 
 
 def _clamp01(v: Fraction) -> Fraction:

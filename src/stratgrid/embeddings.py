@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 MAX_G = 64  # masks stay cheap ints; enumeration bounds are tighter and live elsewhere
+MAX_P = 2**31  # trial division decides any p below it in milliseconds
 
 
 class ProfileError(ValueError):
@@ -47,8 +48,8 @@ class PrimeProfile:
     f: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ProfileError(f"p must be a rational prime, got {self.p!r}")
+        if not isinstance(self.p, int) or self.p >= MAX_P or not _is_prime(self.p):
+            raise ProfileError(f"p must be a rational prime below 2^31, got {self.p!r}")
         if not self.f or any(
             not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in self.f
         ):
@@ -149,7 +150,7 @@ def parse_profile(text: str | dict) -> PrimeProfile:
         if s.startswith("{"):
             try:
                 data = json.loads(s)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise ProfileError(f"bad profile JSON: {e}") from None
         else:
             m = re.fullmatch(r"p\s*=\s*(\d+)\s*;\s*f\s*=\s*(\d+(?:\s*,\s*\d+)*)", s)

@@ -33,6 +33,7 @@ from .strata import (
     ENUMERATION_MAX_G,
     Badness,
     EnumerationBound,
+    _prime_blocks,
     _swap_on,
     _whole_blocks,
     classify_face,
@@ -238,12 +239,7 @@ def in_sigma_S(h: DegreeVector, S) -> Verdict:
     in S also T0 plus that block, folded by `_combine`.
     """
     profile = h.profile
-    blocks = profile._block_masks
-    flippable = 0
-    for i in sorted(set(S)):
-        if not (0 <= i < profile.n_primes):
-            raise ValueError(f"prime index {i} out of range for {profile}")
-        flippable |= blocks[i]
+    flippable = _prime_blocks(profile, S)
     scaled, den = h.scaled, h.den
     zeros, ones = _entry_masks(scaled, den)
     t0 = _whole_blocks(profile, zeros) & flippable

@@ -13,11 +13,12 @@ admissible; `classify_face` works on them.  It reads the profile's block
 table (`_block_of`, the block mask of each embedding) and does everything
 after beta0 as bit operations inside beta0's block, where the successor is
 the next bit up and wraps to the block's lowest bit; no shift operator runs
-per face.  Two mask operations serve strata, regions and degree vectors
+per face.  Three mask operations serve strata, regions and degree vectors
 alike: `_whole_blocks`, the blocks lying wholly inside a mask (an all-Zero
 block makes a stratum etale, so a face is nowhere etale exactly when
-`_whole_blocks` of its Zero mask is empty), and `_swap_on`, the flip
-v -> 1 - v on a union of blocks, which exchanges the two masks there.
+`_whole_blocks` of its Zero mask is empty); `_prime_blocks`, the blocks of a
+set of primes T, the one place such a set is checked; and `_swap_on`, the
+flip v -> 1 - v on a union of blocks, which exchanges the two masks there.
 """
 from __future__ import annotations
 
@@ -166,26 +167,32 @@ def pi_image(pair: StratumPair) -> list[int]:
     return _supersets(pair.phi & pair.eta, full & ~pair.phi & ~pair.eta)
 
 
+def _prime_blocks(profile: PrimeProfile, T) -> int:
+    """Union of the blocks of the primes in T, read in one pass.  An index
+    outside the profile's primes is refused with a `ValueError` naming the
+    least one."""
+    out = 0
+    bad = []
+    for i in T:
+        if 0 <= i < profile.n_primes:
+            out |= profile._block_masks[i]
+        else:
+            bad.append(i)
+    if bad:
+        raise ValueError(f"prime index {min(bad)} out of range for {profile}")
+    return out
+
+
 def w_T_pair(pair: StratumPair, T) -> StratumPair:
     """Blockwise transport: on each prime in T, (phi, eta) -> (r(eta), l(phi))."""
     profile = pair.profile
-    tset = set(T)
-    for i in tset:
-        if not (0 <= i < profile.n_primes):
-            raise ValueError(f"prime index {i} out of range for {profile}")
+    flip = _prime_blocks(profile, T)
     phi, eta = pair.phi, pair.eta
-    new_phi, new_eta = 0, 0
-    r_eta = shift_right(profile, eta)
-    l_phi = shift_left(profile, phi)
-    for i in range(profile.n_primes):
-        b = profile.block_mask(i)
-        if i in tset:
-            new_phi |= r_eta & b
-            new_eta |= l_phi & b
-        else:
-            new_phi |= phi & b
-            new_eta |= eta & b
-    return StratumPair(profile, new_phi, new_eta)
+    return StratumPair(
+        profile,
+        (phi & ~flip) | (shift_right(profile, eta) & flip),
+        (eta & ~flip) | (shift_left(profile, phi) & flip),
+    )
 
 
 @dataclass(frozen=True)

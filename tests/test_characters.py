@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratgrid import characters
 from stratgrid.characters import (
     ConductorTooLarge,
     CoeffFamily,
@@ -718,6 +719,21 @@ def test_twist_laws_find_row_zero_of_trivial_psi_p(q, n):
         vanishes = unit_twisted_sum(psi_n.inverse(), 1 % n, M).is_zero()
         want = None if vanishes else (0, U.units[0])
         assert twist_laws(F, U, FieldChar(F, 0), psi_n, M) == want, psi_n.exps
+
+
+def test_twist_laws_name_a_failing_row_past_zero(monkeypatch):
+    """With T(2) off by one, the seed-free factor first fails on row 2, at
+    the first unit; W(psi_n^-1) is nonzero there, so the row sees it."""
+    F, U, M = _setup(5, 3)
+    psi_p = FieldChar(F, 1)
+    psi_n = all_unit_chars(U)[0]
+    assert not unit_twisted_sum(psi_n.inverse(), 1, M).is_zero()
+    assert twist_laws(F, U, psi_p, psi_n, M) is None
+    real = characters.twisted_sum
+    monkeypatch.setattr(
+        characters, "twisted_sum", lambda psi, t, M=None: real(psi, t, M) + int(t == 2)
+    )
+    assert twist_laws(F, U, psi_p, psi_n, M) == (2, U.units[0])
 
 
 def test_twist_identity_root_of_unity_scalars():

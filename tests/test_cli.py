@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stratgrid import cli
-from stratgrid.characters import GF, UnitGroup, conductor
+from stratgrid.characters import GF, FieldChar, UnitGroup, conductor
 from stratgrid.degrees import _entry_masks
 from stratgrid.embeddings import parse_profile
 from stratgrid.hecke import MAX_WORKERS, _pin_for
 from stratgrid.regions import Verdict, stratum_case
+from stratgrid.strata import enumerate_admissible
 
 
 def run_json(capsys, argv):
@@ -882,6 +883,87 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["check"] == "gauss"
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss", "--q", "5", "--char-exp", "1"],
+        # a saturation sweep of two primes checks no pairs, so it warns
+        ["verify", "saturation", "--profile", "p=3;f=1,1", "--den", "2"],
+    ],
+    ids=["gauss", "warning"],
+)
+def test_out_that_cannot_be_written_is_usage_error(tmp_path, capsys, target, argv):
+    """A report path in a missing directory, or a path that is a directory,
+    ends in one `error:` line and exit 2, with no warning before it."""
+    out = tmp_path / "missing" / "report.json" if target == "missing" else tmp_path
+    assert_one_line_usage_error(capsys, cli.run([*argv, "--out", str(out)]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regions", "check", "--profile", "p=3;f=2", "--region", "sigma", "--point", "[" * 100000],
+        ["strata", "enumerate", "--profile", '{"p":3,"f":' + "[" * 100000 + "}"],
+    ],
+    ids=["point", "profile"],
+)
+def test_deeply_nested_json_is_usage_error(capsys, argv):
+    """JSON nested past the decoder's recursion limit is a usage error."""
+    assert_one_line_usage_error(capsys, cli.run(argv))
+
+
+def test_huge_prime_is_refused_before_trial_division(capsys):
+    """p = 10^15 + 37 is prime, and trial division up to its square root
+    takes seconds; p at or above `MAX_P` is refused first."""
+    start = time.perf_counter()
+    code = cli.run(["strata", "enumerate", "--profile", "p=1000000000000037;f=1"])
+    assert time.perf_counter() - start < 1
+    assert_one_line_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "check,target,name,fault",
+    [
+        ("poset-laws", cli, "closure_set", lambda pair: enumerate_admissible(pair.profile)),
+        ("poset-laws", cli, "pi_image", lambda pair: []),
+        ("poset-laws", cli, "_face_masks", lambda pair: (0, 0)),
+        ("atkin-lehner", cli, "w_T_deg", lambda h, T, flip=cli.w_T_deg: flip(h, T, generic=True)),
+        ("atkin-lehner", cli, "w_T_pair", lambda pair, T: pair),
+        (
+            "gauss-laws",
+            cli,
+            "gauss_sum",
+            lambda psi, M=None, gauss=cli.gauss_sum: gauss(psi, M) + (M is None),
+        ),
+        (
+            "gauss-laws",
+            FieldChar,
+            "at_minus_one",
+            lambda psi, M, value=FieldChar.at_minus_one: -value(psi, M),
+        ),
+    ],
+    ids=[
+        "closure below the pair",
+        "empty pi image",
+        "no open coordinates",
+        "flip not an involution",
+        "pair not transported",
+        "trivial gauss sum",
+        "wrong psi(-1)",
+    ],
+)
+def test_suite_law_violation_fails_the_suite(capsys, monkeypatch, check, target, name, fault):
+    """Each violation counter of the suite's laws counts its fault, fails
+    its check and no other, and makes `suite` exit 1 with a JSON report."""
+    monkeypatch.setattr(target, name, fault)
+    code, rep = run_json(capsys, ["suite", "--profile", "p=3;f=2,1", "--den", "6"])
+    assert code == 1 and rep["pass"] is False
+    failed = [c for c in rep["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == [check]
+    assert failed[0]["violations"] > 0
 
 
 def test_workers_env_fallback(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stratgrid.embeddings import (
+    MAX_P,
     PrimeProfile,
     ProfileError,
     parse_profile,
@@ -81,6 +82,25 @@ def test_parse_string_and_json_agree():
 def test_parse_rejects(bad):
     with pytest.raises(ProfileError):
         parse_profile(bad)
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [('{"p": 3, "f": [2', "Expecting"), ('{"p": 3, "f": ' + "[" * 100000 + "}", "recursion")],
+    ids=["truncated", "nested"],
+)
+def test_bad_profile_json_names_itself(text, reason):
+    with pytest.raises(ProfileError, match=f"^bad profile JSON: .*{reason}"):
+        parse_profile(text)
+
+
+def test_prime_at_or_above_the_bound_is_refused():
+    """p below `MAX_P` is decided by trial division; p at or above it is
+    refused before any, prime or not."""
+    assert PrimeProfile(2**31 - 1, (1,)).p == 2**31 - 1
+    for p in (MAX_P, 10**15 + 37, 2**61 - 1):
+        with pytest.raises(ProfileError, match="below 2\\^31"):
+            PrimeProfile(p, (1,))
 
 
 def test_boolean_residue_degree_rejected():

@@ -704,6 +704,32 @@ def test_share_error_exits_2_and_leaves_no_child(failing, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_child_share_error_is_sent_to_the_parent(monkeypatch):
+    """`_share_child` sends (False, the exception) for a share that raises,
+    and closes its end of the pipe; at two workers the parent raises share
+    1's error again and leaves no child."""
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    share = hecke._share
+
+    def stub(*args):
+        if args[-1] == 1:
+            raise ArithmeticError("share 1 failed")
+        return share(*args)
+
+    monkeypatch.setattr(hecke, "_share", stub)
+    conn, send = multiprocessing.Pipe(duplex=False)
+    hecke._share_child(send, 1)
+    ok, exc = conn.recv()
+    assert ok is False and type(exc) is ArithmeticError and send.closed
+    conn.close()
+    with pytest.raises(ArithmeticError, match="share 1 failed"):
+        verify_sigma_up(parse_profile("p=3;f=2"), 24, workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_starts_fewer_children_than_cells(monkeypatch):
     """p=3;f=2 at den 4 has 8 cells, so workers=50 makes 8 shares: 7
     children, counted by a fake that runs each share in-process."""

@@ -17,9 +17,11 @@ from stratgrid.hecke import saturation_check, verify_sigma_up
 from stratgrid.strata import (
     ENUMERATION_MAX_G,
     EnumerationBound,
+    _prime_blocks,
     _swap_on,
     _whole_blocks,
     pair_of_masks,
+    w_T_pair,
 )
 from stratgrid.regions import (
     Verdict,
@@ -203,6 +205,27 @@ def test_sigma_S_union():
     # the flip lands on (3/4, 1): a good codim-1 point, so the union is In
     assert in_sigma_S(low, {0}) is Verdict.IN
     assert in_sigma_S(low, set()) is Verdict.OUT
+
+
+def test_prime_blocks_is_the_union_of_the_primes_blocks():
+    profile = PrimeProfile(3, (2, 1, 3))
+    assert _prime_blocks(profile, ()) == 0
+    assert _prime_blocks(profile, [2, 0, 2]) == 0b111011
+    assert _prime_blocks(profile, range(3)) == profile.full_mask
+
+
+@pytest.mark.parametrize("T,bad", [({2}, 2), ((5, -1, 0), -1), ([3, 1, 2], 2)])
+def test_prime_index_out_of_range_is_refused_alike(T, bad):
+    """`w_T_pair`, `w_T_deg` and `in_sigma_S` refuse a set of primes with
+    one `ValueError`, naming its least index outside the profile."""
+    profile = PrimeProfile(3, (2, 1))
+    h = dv(profile, "1/2", 0, 1)
+    want = f"prime index {bad} out of range for {profile}"
+    for call in (w_T_pair, w_T_deg, in_sigma_S):
+        arg = pair_of_degvec(h) if call is w_T_pair else h
+        with pytest.raises(ValueError) as err:
+            call(arg, T)
+        assert err.type is ValueError and str(err.value) == want, call
 
 
 def test_sigma_S_indeterminate_propagates():
