@@ -472,11 +472,15 @@ def conductor(*orders: int) -> int:
     """lcm of the given orders, rejected when the ring would exceed COEFF_CAP.
 
     The ring Z[x]/Phi_M has phi(M) coefficients, counted without building
-    Phi_M: a rejected conductor costs no polynomial division.
+    Phi_M: a rejected conductor costs no polynomial division.  phi(M) is at
+    least sqrt(M / 2), so M above 2 COEFF_CAP^2 is rejected before M is
+    factored, whose trial division takes O(sqrt M) steps.
     """
     M = 1
     for d in orders:
         M = lcm(M, d)
+    if M > 2 * COEFF_CAP**2:
+        raise ConductorTooLarge(f"conductor {M} needs more than {COEFF_CAP} coefficients")
     size = _euler_phi(M)
     if size > COEFF_CAP:
         raise ConductorTooLarge(f"conductor {M} needs {size} coefficients")

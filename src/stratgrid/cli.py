@@ -2,14 +2,18 @@
 Gauss sums, and a one-shot suite runner with deterministic JSON reports.
 
 Exit codes: 0 success, 1 verification failure (counterexamples found),
-2 usage error.  Reports are valid JSON on every non-usage path.  A sweep that
-checks no pairs, a generic sigma-up sweep whose pinned points lie off the grid
-(so that some check no d), or a twist that runs no trials, adds one `warning:`
-line on stderr and changes nothing else.
+2 usage error.  Reports are valid JSON on every non-usage path.
+
+Each leaf of the argparse tree names its handler, which returns the report,
+whether it failed, and its `warning:` lines: one for a sweep that checks no
+pairs, one for a generic sigma-up sweep whose pinned points lie off the grid
+(so that some check no d), and one for a twist that runs no trials.  `run`
+prints them on stderr after the report is written; they change nothing else.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -40,7 +44,6 @@ from .strata import _face_masks, closure_set, codim, enumerate_admissible, pi_im
 
 SCHEMA = "1"
 SUITE_RNG_SEED = 20240601
-_SWEEPS = ("sigma-up", "saturation")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,11 +56,13 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process, on the first `run`."""
+    """The argparse tree, built once per process, on the first `run`; each
+    leaf names its handler as `handler`."""
     top = _Parser(prog="stratgrid", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, profile=True):
+    def add_common(p, handler, profile=True):
+        p.set_defaults(handler=handler)
         if profile:
             p.add_argument("--profile", required=True, help='e.g. "p=3;f=2,1"')
         p.add_argument("--out", help="write the JSON report to this path")
@@ -65,32 +70,32 @@ def _build_parser() -> argparse.ArgumentParser:
     strata = sub.add_parser("strata", help="stratum enumeration")
     strata_sub = strata.add_subparsers(dest="subcommand", required=True)
     enum = strata_sub.add_parser("enumerate", help="list admissible pairs")
-    add_common(enum)
+    add_common(enum, _cmd_strata_enumerate)
     enum.add_argument("--codim", type=int, default=None)
     enum.add_argument("--nowhere-etale", action="store_true", default=False)
 
     regions = sub.add_parser("regions", help="membership and coverage")
     regions_sub = regions.add_subparsers(dest="subcommand", required=True)
     check = regions_sub.add_parser("check", help="membership of one point")
-    add_common(check)
+    add_common(check, _cmd_regions_check)
     check.add_argument("--point", required=True, help="degree-vector JSON")
     check.add_argument("--region", required=True, choices=("sigma", "vcan", "sigmaS"))
     check.add_argument("--S", default=None, help="comma-separated prime indices")
     coverage = regions_sub.add_parser("coverage", help="chart coverage check")
-    add_common(coverage)
+    add_common(coverage, _cmd_regions_coverage)
 
     verify = sub.add_parser("verify", help="verification sweeps")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     for name in ("sigma-up", "saturation"):
         v = verify_sub.add_parser(name)
-        add_common(v)
+        add_common(v, _cmd_verify_sweep)
         v.add_argument("--den", type=int, default=24)
         v.add_argument("--max-counterexamples", type=int, default=5)
         v.add_argument("--workers", type=int, default=None)
         if name == "sigma-up":
             v.add_argument("--drop-genericity", action="store_true", default=False)
     twist = verify_sub.add_parser("twist")
-    add_common(twist, profile=False)
+    add_common(twist, _cmd_verify_twist, profile=False)
     twist.add_argument("--q", type=int, required=True)
     twist.add_argument("--n", type=int, required=True)
     twist.add_argument("--trials", type=int, default=10)
@@ -98,12 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
     twist.add_argument("--corrupt", action="store_true", default=False)
 
     gauss = sub.add_parser("gauss", help="Gauss sum coefficient vector")
-    add_common(gauss, profile=False)
+    add_common(gauss, _cmd_gauss, profile=False)
     gauss.add_argument("--q", type=int, required=True)
     gauss.add_argument("--char-exp", type=int, required=True)
 
     suite = sub.add_parser("suite", help="run every check once")
-    add_common(suite)
+    add_common(suite, _cmd_suite)
     suite.add_argument("--den", type=int, default=24)
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--workers", type=int, default=None)
@@ -111,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _workers(ns) -> int:
-    if getattr(ns, "workers", None) is not None:
+    if ns.workers is not None:
         return ns.workers
     env = os.environ.get("TOOL_WORKERS")
     return int(env) if env else 1
@@ -131,7 +136,7 @@ def _cmd_strata_enumerate(ns):
         "count": len(pairs),
         "strata": [p.to_json_dict() for p in pairs],
     }
-    return report, False
+    return report, False, []
 
 
 def _cmd_regions_check(ns):
@@ -158,33 +163,42 @@ def _cmd_regions_check(ns):
         S = sorted({int(tok) for tok in ns.S.split(",") if tok.strip() != ""})
         report["S"] = S
         report["verdict"] = in_sigma_S(h, S).value
-    return report, False
+    return report, False, []
 
 
 def _cmd_regions_coverage(ns):
     report = coverage_check(parse_profile(ns.profile)).to_json_dict()
-    return report, not report["pass"]
+    return report, not report["pass"], []
 
 
-def _cmd_verify_sigma_up(ns):
-    report = verify_sigma_up(
-        parse_profile(ns.profile),
-        ns.den,
-        drop_genericity=ns.drop_genericity,
-        max_counterexamples=ns.max_counterexamples,
-        workers=_workers(ns),
-    )
-    return report, not report["pass"]
+def _sweep_warnings(profile, sweep: dict) -> list[str]:
+    """The `warning:` lines of a sweep report on `profile`: one when it
+    checks no pairs, and one when a generic sigma-up sweep holds pinned In
+    points whose pin is off the grid (`hecke._off_grid_pins`), so that they
+    check no d."""
+    lines = []
+    if sweep["pairs_checked"] == 0:
+        lines.append(f"warning: {sweep['check']} on {profile} checked no pairs")
+    if sweep["check"] == "sigma-up" and not sweep["scenario"]["drop_genericity"]:
+        pins = _off_grid_pins(profile.p, profile.f, sweep["den"])
+        if pins:
+            deltas = ", ".join(f"delta({profile.p}, {j}) = {dj}" for j, dj in pins)
+            lines.append(
+                f"warning: sigma-up on {profile} leaves pinned points unchecked:"
+                f" {deltas} is off the 1/{sweep['den']} grid"
+            )
+    return lines
 
 
-def _cmd_verify_saturation(ns):
-    report = saturation_check(
-        parse_profile(ns.profile),
-        ns.den,
-        max_counterexamples=ns.max_counterexamples,
-        workers=_workers(ns),
-    )
-    return report, not report["pass"]
+def _cmd_verify_sweep(ns):
+    """`verify sigma-up` and `verify saturation`."""
+    profile = parse_profile(ns.profile)
+    options = {"max_counterexamples": ns.max_counterexamples, "workers": _workers(ns)}
+    if ns.subcommand == "sigma-up":
+        report = verify_sigma_up(profile, ns.den, drop_genericity=ns.drop_genericity, **options)
+    else:
+        report = saturation_check(profile, ns.den, **options)
+    return report, not report["pass"], _sweep_warnings(profile, report)
 
 
 def _twist_mismatch(field, group, psi_p, psi_n, M, seed, corrupt):
@@ -195,55 +209,63 @@ def _twist_mismatch(field, group, psi_p, psi_n, M, seed, corrupt):
 
 
 def _twist_runs(q, n, trials, seed, corrupt):
-    """Trials of the twist identity on every character pair: (runs, failures, M).
+    """Trials of the twist identity on every character pair:
+    (runs, failure total, the first five failure records, M).
 
     Trial 0 of a pair runs for real.  When `twist_laws` hold, every trial of
     the pair passes, or with `corrupt` fails at `_detectable_index`: C = 1,
     W(psi_p) != 0 and S_n(v) != 0 there, so no seed hides the perturbation.
     The other trials take that answer if trial 0 agrees with it.  If a law
-    fails or trial 0 disagrees, every trial runs for real.
+    fails or trial 0 disagrees, every trial runs for real.  With one trial
+    there is nothing to take, so neither is computed.
     """
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    # lcm(p, q - 1, n) divides M, so a ring too large for it is refused
-    # before any table of F_q or (Z/n)^x is built
+    # lcm(q - 1, n) and then lcm(p, q - 1, n) divide M, so a ring too large
+    # for them is refused before q is factored and before any table of F_q
+    # or (Z/n)^x is built; a q below 2 is refused as no prime power at once
+    if q > 1:
+        conductor(q - 1, n)
     conductor(_prime_power(q)[0], q - 1, n)
     field, group = GF(q), UnitGroup(n)
     M = conductor(field.p, q - 1, n, group.exponent)
-    failures = []
-    runs = 0
+    failures, total, runs = [], 0, 0
     for psi_p in all_field_chars(field):
         if psi_p.is_trivial():
             continue
         for psi_n in all_unit_chars(group):
             if corrupt and psi_n.is_trivial():
                 continue
+            runs += trials
             first = _twist_mismatch(field, group, psi_p, psi_n, M, seed, corrupt)
-            predicted = _detectable_index(group, psi_n, M) if corrupt else None
-            if first == predicted and twist_laws(field, group, psi_p, psi_n, M) is None:
-                mismatches = [first] * trials
+            predicted = _detectable_index(group, psi_n, M) if corrupt and trials > 1 else None
+            derivable = trials > 1 and first == predicted
+            if derivable and twist_laws(field, group, psi_p, psi_n, M) is None:
+                # every trial takes trial 0's answer: count them all, list five
+                failed = 0 if first is None else trials
+                found = [(k, first) for k in range(min(failed, 5))]
             else:
-                mismatches = [first] + [
+                indices = [first] + [
                     _twist_mismatch(field, group, psi_p, psi_n, M, seed + k, corrupt)
                     for k in range(1, trials)
                 ]
-            runs += trials
-            for k, index in enumerate(mismatches):
-                if index is not None:
-                    failures.append(
-                        {
-                            "psi_p": psi_p.exp,
-                            "psi_n": list(psi_n.exps),
-                            "seed": seed + k,
-                            "mismatch_index": list(index),
-                        }
-                    )
-    return runs, failures, M
+                found = [(k, index) for k, index in enumerate(indices) if index is not None]
+                failed = len(found)
+            total += failed
+            for k, index in found[: 5 - len(failures)]:
+                failures.append(
+                    {
+                        "psi_p": psi_p.exp,
+                        "psi_n": list(psi_n.exps),
+                        "seed": seed + k,
+                        "mismatch_index": list(index),
+                    }
+                )
+    return runs, total, failures, M
 
 
 def _cmd_verify_twist(ns):
-    runs, failures, M = _twist_runs(ns.q, ns.n, ns.trials, ns.seed, ns.corrupt)
-    passed = not failures
+    runs, total, failures, M = _twist_runs(ns.q, ns.n, ns.trials, ns.seed, ns.corrupt)
     report = {
         "schema": SCHEMA,
         "check": "twist",
@@ -254,18 +276,18 @@ def _cmd_verify_twist(ns):
         "corrupt": ns.corrupt,
         "conductor": M,
         "runs": runs,
-        "failure_total": len(failures),
-        "failures": failures[:5],
-        "pass": passed,
+        "failure_total": total,
+        "failures": failures,
+        "pass": total == 0,
     }
-    return report, not passed
+    warnings = [f"warning: twist on q={ns.q}, n={ns.n} ran no trials"] if runs == 0 else []
+    return report, total > 0, warnings
 
 
 def _cmd_gauss(ns):
-    conductor(_prime_power(ns.q)[0])  # p divides W's conductor: refuse before GF
-    # GF(q) tabulates all q elements.  A prime field passes the conductor check
-    # only when q - 1 = phi(q) is at most COEFF_CAP; a prime power is held to
-    # the same size before its tables are built.
+    # GF(q) tabulates all q elements, so q - 1 is held to COEFF_CAP before
+    # q is factored or its tables are built.  Then phi(p) = p - 1 < q is
+    # within the cap too; `gauss_sum` checks the conductor lcm(p, ord psi).
     if ns.q - 1 > COEFF_CAP:
         raise ValueError(f"GF({ns.q}) has q - 1 = {ns.q - 1} units, more than {COEFF_CAP}")
     psi = FieldChar(GF(ns.q), ns.char_exp)
@@ -279,7 +301,7 @@ def _cmd_gauss(ns):
         "conductor": W.m,
         "coeffs": list(W.coeffs),
     }
-    return report, False
+    return report, False, []
 
 
 def _suite_census(profile):
@@ -363,15 +385,8 @@ def _cmd_suite(ns):
     sat = saturation_check(profile, ns.den, workers=workers)
     checks.append({"name": "saturation", "pass": sat["pass"], "report": sat})
     checks.append(_suite_gauss_laws())
-    runs, failures, _ = _twist_runs(3, 4, 3, ns.seed, False)
-    checks.append(
-        {
-            "name": "twist-sample",
-            "runs": runs,
-            "violations": len(failures),
-            "pass": not failures,
-        }
-    )
+    runs, total, _, _ = _twist_runs(3, 4, 3, ns.seed, False)
+    checks.append({"name": "twist-sample", "runs": runs, "violations": total, "pass": total == 0})
     passed = all(c["pass"] for c in checks)
     report = {
         "schema": SCHEMA,
@@ -382,56 +397,34 @@ def _cmd_suite(ns):
         "checks": checks,
         "pass": passed,
     }
-    return report, not passed
+    return report, not passed, _sweep_warnings(profile, up) + _sweep_warnings(profile, sat)
 
 
-_DISPATCH = {
-    ("strata", "enumerate"): _cmd_strata_enumerate,
-    ("regions", "check"): _cmd_regions_check,
-    ("regions", "coverage"): _cmd_regions_coverage,
-    ("verify", "sigma-up"): _cmd_verify_sigma_up,
-    ("verify", "saturation"): _cmd_verify_saturation,
-    ("verify", "twist"): _cmd_verify_twist,
-    ("gauss", None): _cmd_gauss,
-    ("suite", None): _cmd_suite,
-}
-
-
-def _sweep_warnings(report: dict) -> list[str]:
-    """The `warning:` lines of the report's sweeps, the report itself or a
-    suite's, in order: one when a sweep checks no pairs, and one when a
-    generic sigma-up sweep holds pinned In points whose pin is off the grid
-    (`hecke._off_grid_pins`), so that they check no d."""
-    sweeps = [c["report"] for c in report.get("checks", ()) if c["name"] in _SWEEPS]
-    if report.get("check") in _SWEEPS:
-        sweeps.append(report)
-    lines = []
-    for sweep in sweeps:
-        if sweep["pairs_checked"] == 0:
-            profile = parse_profile(sweep["profile"])
-            lines.append(f"warning: {sweep['check']} on {profile} checked no pairs")
-        if sweep["check"] == "sigma-up" and not sweep["scenario"]["drop_genericity"]:
-            p, f, den = sweep["profile"]["p"], sweep["profile"]["f"], sweep["den"]
-            pins = _off_grid_pins(p, f, den)
-            if pins:
-                deltas = ", ".join(f"delta({p}, {j}) = {dj}" for j, dj in pins)
-                lines.append(
-                    f"warning: sigma-up on {parse_profile(sweep['profile'])} leaves pinned"
-                    f" points unchecked: {deltas} is off the 1/{den} grid"
-                )
-    return lines
+def _refuse_unwritable(path: str) -> None:
+    """Refuse a report path that is a directory, or whose directory does not
+    exist, with the error `open` would give, without creating or truncating
+    any file: the handler has not run yet."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or os.curdir):
+        code = errno.ENOENT
+    else:
+        return
+    raise ValueError(str(OSError(code, os.strerror(code), path)))
 
 
 def run(argv=None) -> int:
-    """Parse argv, dispatch, emit the JSON report, and return the exit code."""
+    """Parse argv, call the leaf's handler, emit the JSON report and the
+    handler's warnings, and return the exit code."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handler = _DISPATCH[(ns.command, getattr(ns, "subcommand", None))]
     try:
-        report, failed = handler(ns)
+        if ns.out:
+            _refuse_unwritable(ns.out)
+        report, failed, warnings = ns.handler(ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -445,10 +438,8 @@ def run(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    for line in _sweep_warnings(report):
+    for line in warnings:
         print(line, file=sys.stderr)
-    if report.get("check") == "twist" and report["runs"] == 0:
-        print(f"warning: twist on q={report['q']}, n={report['n']} ran no trials", file=sys.stderr)
     if not ns.out:
         sys.stdout.write(text)
     return 1 if failed else 0

@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from stratgrid import cli
+from stratgrid import characters, cli
 from stratgrid.characters import GF, FieldChar, UnitGroup, conductor
 from stratgrid.degrees import _entry_masks
 from stratgrid.embeddings import parse_profile
@@ -502,6 +502,40 @@ def test_verify_twist_reads_trials_off_the_laws(monkeypatch, q, n, corrupt):
             assert len(calls) == runs, name
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_twist_one_trial_reads_no_laws(capsys, monkeypatch, corrupt):
+    """With one trial per pair there is nothing to take from the laws, so
+    neither they nor the predicted index are computed."""
+
+    def unread(*args):
+        raise AssertionError("computed for a single trial")
+
+    monkeypatch.setattr(cli, "twist_laws", unread)
+    monkeypatch.setattr(cli, "_detectable_index", unread)
+    argv = ["verify", "twist", "--q", "5", "--n", "3", "--trials", "1"]
+    code, rep = run_json(capsys, argv + (["--corrupt"] if corrupt else []))
+    assert code == (1 if corrupt else 0)
+    assert rep["runs"] == (3 if corrupt else 6)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_twist_counts_trials_without_listing_them(capsys, corrupt):
+    """A trial count far past memory is reported from the laws in one pass:
+    the failure total counts every trial, and five records are kept."""
+    trials = 10**12
+    argv = ["verify", "twist", "--q", "3", "--n", "4", "--trials", str(trials)]
+    start = time.perf_counter()
+    code, rep = run_json(capsys, argv + (["--corrupt"] if corrupt else []))
+    assert time.perf_counter() - start < 1
+    if corrupt:  # the trivial psi_n is skipped, which leaves one pair
+        assert code == 1 and rep["runs"] == rep["failure_total"] == trials
+        assert [f["seed"] for f in rep["failures"]] == [0, 1, 2, 3, 4]
+        assert {tuple(f["mismatch_index"]) for f in rep["failures"]} == {(1, 1)}
+    else:
+        assert code == 0 and rep["runs"] == 2 * trials
+        assert rep["failure_total"] == 0 and rep["failures"] == []
+
+
 # ---------------------------------------------------------------------------
 # gauss
 
@@ -548,6 +582,59 @@ def test_large_conductor_is_refused_before_any_table(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "UnitGroup", unbuilt)
     code = cli.run(argv)
     assert_one_line_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss", "--q", "100000000000000003", "--char-exp", "1"],
+        ["verify", "twist", "--q", "1000000000000000003", "--n", "1"],
+        ["verify", "twist", "--q", "3", "--n", "1000000000000000003"],
+    ],
+)
+def test_huge_q_or_n_is_refused_before_trial_division(capsys, monkeypatch, argv):
+    """A q or n far above the cap is refused without factoring anything
+    larger than 2 COEFF_CAP^2 + 1: phi(M) >= sqrt(M / 2), so a conductor
+    M above 2 COEFF_CAP^2 is too large whatever its factors."""
+    factors = characters._prime_power_factors
+
+    def bounded(n):
+        if n > 2 * characters.COEFF_CAP**2 + 1:
+            raise AssertionError(f"trial division of {n}")
+        return factors(n)
+
+    monkeypatch.setattr(characters, "_prime_power_factors", bounded)
+    start = time.perf_counter()
+    code = cli.run(argv)
+    assert time.perf_counter() - start < 1
+    assert_one_line_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "twist", "--q", "0", "--n", "3"], "0 is not a prime power"),
+        (["verify", "twist", "--q", "1", "--n", "3"], "1 is not a prime power"),
+        (["verify", "twist", "--q=-10000000", "--n", "3"], "-10000000 is not a prime power"),
+        (["verify", "twist", "--q", "16", "--n", "3"], "only degrees up to 3 are supported"),
+        (["verify", "twist", "--q", "5", "--n", "0"], "modulus must be >= 1"),
+        (["verify", "twist", "--q", "5", "--n=-2"], "modulus must be >= 1"),
+        (
+            ["verify", "twist", "--q", "5", "--n", "3", "--trials", "0"],
+            "--trials must be at least 1, got 0",
+        ),
+        (["gauss", "--q", "0", "--char-exp", "1"], "0 is not a prime power"),
+        (["gauss", "--q", "1", "--char-exp", "1"], "1 is not a prime power"),
+        (["gauss", "--q", "16", "--char-exp", "1"], "only degrees up to 3 are supported"),
+    ],
+)
+def test_small_bad_q_or_n_keeps_its_message(capsys, argv, message):
+    """The conductor checks that come first pass these inputs by, so each
+    keeps the error of the check that has always refused it."""
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # A real twist trial costs about pairs * q * n * phi(M)^2 coefficient
@@ -900,6 +987,28 @@ def test_out_that_cannot_be_written_is_usage_error(tmp_path, capsys, target, arg
     ends in one `error:` line and exit 2, with no warning before it."""
     out = tmp_path / "missing" / "report.json" if target == "missing" else tmp_path
     assert_one_line_usage_error(capsys, cli.run([*argv, "--out", str(out)]))
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_out_that_cannot_be_written_is_refused_before_the_sweep(
+    tmp_path, capsys, monkeypatch, target
+):
+    """The report path is tried before the handler runs: the sweep is never
+    called, no file is made, and the one line is the error `open` gives."""
+
+    def unrun(*args, **kwargs):
+        raise AssertionError("the sweep ran before the report path was tried")
+
+    monkeypatch.setattr(cli, "saturation_check", unrun)
+    out = tmp_path / "missing" / "x.json" if target == "missing" else tmp_path
+    argv = ["verify", "saturation", "--profile", "p=5;f=2,2,2,2", "--den", "100"]
+    code = cli.run([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    with pytest.raises(OSError) as opened:
+        open(out, "w", encoding="utf-8")
+    assert captured.err == f"error: {opened.value}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
