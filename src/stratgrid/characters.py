@@ -16,9 +16,14 @@ The ring arithmetic runs in C big-integer operations:
 - A product packs each operand into one integer, a signed machine word per
   coefficient sized from the actual coefficient bound, and multiplies once
   (Kronecker substitution: von zur Gathen and Gerhard, *Modern Computer
-  Algebra*, section 8.4).  An operand with few nonzero coefficients, such as
-  a root of unity or an integer, stays schoolbook, one C-level row per
-  nonzero coefficient: packing costs several microseconds whatever the size.
+  Algebra*, section 8.4).  An operand with few nonzero coefficients stays
+  schoolbook, one C-level row per nonzero coefficient: packing costs several
+  microseconds whatever the size.
+- An operand with one nonzero term c x^i, such as a root of unity below
+  x^phi(m) or a coerced integer, is one row: the other operand times c,
+  shifted by i, then reduced.  An `int` operand of `CyclotomicInt` scales
+  coefficient by coefficient, with no reduction: a reduced element times an
+  integer stays reduced.
 - Reduction modulo Phi_m is the reversed-inverse (Newton) division on the
   packed integers.  1/Phi_m is -Psi_m repeated with period m, where
   Psi_m = (x^m - 1)/Phi_m, so the same Mobius product gives it.  A product
@@ -97,8 +102,8 @@ class TrivialCharacter(ValueError):
 # Costs in coefficient steps, measured: a schoolbook row (one nonzero
 # coefficient of a times all of b, in C) costs len(b) + _ROW_COST; packing
 # both operands and one big-integer product cost len(a) + len(b) +
-# _PACK_COST.  So monomials and other sparse operands stay schoolbook at any
-# length.
+# _PACK_COST.  So sparse operands stay schoolbook at any length; `_ring_mul`
+# takes a one-term operand as one row before it gets here.
 _ROW_COST = 16
 _PACK_COST = 48
 # Below this many schoolbook steps (leading coefficients times nonzero lower
@@ -357,9 +362,15 @@ def _reduce(a, m: int) -> list[int]:
 def _ring_mul(a, b, m: int) -> list[int]:
     """a b mod Phi_m, for a and b of at most phi(m) coefficients.
 
-    A product that is packed and then divided packed stays one integer in
-    between: its digits are sized for the division from the start.
+    An operand with one nonzero term c x^i makes the product one row, the
+    other operand times c shifted by i, which is then reduced.  A product
+    that is packed and then divided packed stays one integer in between: its
+    digits are sized for the division from the start.
     """
+    for x, y in ((a, b), (b, a)):
+        if len(x) - x.count(0) == 1:
+            i = _top(x)
+            return _reduce([0] * i + list(map(mul, y, repeat(x[i]))), m)
     plan = _operands(a, b)
     div = _divisor(m)
     if plan is None:
@@ -419,6 +430,9 @@ class CyclotomicInt:
         return self + (-o)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # a reduced element times an integer stays reduced
+            return CyclotomicInt(self.m, tuple(map(mul, self.coeffs, repeat(other))))
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -458,7 +472,10 @@ class CyclotomicInt:
         return CyclotomicInt.make(self.m, out)
 
     def embed(self, M: int) -> "CyclotomicInt":
-        """Image in the conductor-M ring via zeta_m = zeta_M^(M/m)."""
+        """Image in the conductor-M ring via zeta_m = zeta_M^(M/m); the element
+        itself when M = m."""
+        if M == self.m:
+            return self
         if M % self.m != 0:
             raise ValueError(f"{self.m} does not divide {M}")
         step = M // self.m
@@ -744,8 +761,10 @@ class FieldChar:
         """Value at the nonzero element of index i, in the conductor-M ring."""
         return CyclotomicInt.zeta(M, self.exponent(i, M))
 
-    def at_minus_one(self, M: int) -> CyclotomicInt:
-        return self.value(self.field.neg(1), M)
+    def at_minus_one(self, M: int) -> int:
+        """psi(-1) as the integer +-1.  psi(-1)^2 = psi(1) = 1, so its
+        exponent in the conductor-M ring is 0 or M/2, and zeta_M^(M/2) = -1."""
+        return -1 if self.exponent(self.field.neg(1), M) else 1
 
 
 @dataclass(frozen=True)
@@ -951,6 +970,14 @@ def verify_twist_identity(
     with S_n(v) the psi_n^-1-twisted sum over units.  With `corrupt` a single
     b-coefficient is perturbed after a was built; the report then names the
     first index where the sides differ.
+
+    Each side is one product per index:
+        A_u * a(u,v)  and  B_v * (b(u,v) - s * b0(v) * [u == 0]),
+    with A_u = W(psi_n^-1) T(u) once per row and B_v = C W(psi_p) S_n(v) once
+    per column.  Z[zeta_M] is commutative, so these are the elements written
+    above, and as every element is held reduced modulo Phi_M they compare
+    equal exactly when those do: the verdict and the first mismatch index are
+    the same.
     """
     if psi_p.is_trivial():
         raise TrivialCharacter("the identity degenerates for trivial psi_p")
@@ -963,24 +990,19 @@ def verify_twist_identity(
             raise ValueError("corruption is invisible when C is zero")
         target = _detectable_index(group, psi_n, M)
         b_full[target] = b_full[target] + 1
-    w_n_inv = unit_twisted_sum(psi_n.inverse(), 1 % group.n, M)
-    w_p = gauss_sum(psi_p, M)
-    s_n = {v: unit_twisted_sum(psi_n.inverse(), v, M) for v in range(group.n)}
-    mismatch = None
+    chi = psi_n.inverse()
+    w_n_inv = unit_twisted_sum(chi, 1 % group.n, M)
+    cw_p = Cc * gauss_sum(psi_p, M)
+    cols = [cw_p * unit_twisted_sum(chi, v, M) for v in range(group.n)]  # B_v
     for u in range(field.q):
-        w_tw = w_n_inv * twisted_sum(psi_p, u, M)
-        for v in range(group.n):
-            lhs = w_tw * a.at(u, v)
-            core = s_n[v] * b_full[(u, v)]
+        row = w_n_inv * twisted_sum(psi_p, u, M)  # A_u
+        for v, col in enumerate(cols):
+            bv = b_full[(u, v)]
             if u == 0 and v in b.reduced:
-                core = core - sc * s_n[v] * b.reduced[v]
-            rhs = Cc * w_p * core
-            if lhs != rhs:
-                mismatch = (u, v)
-                break
-        if mismatch:
-            break
-    return TwistReport(mismatch is None, mismatch, M)
+                bv = bv - sc * b.reduced[v]
+            if row * a.at(u, v) != col * bv:
+                return TwistReport(False, (u, v), M)
+    return TwistReport(True, None, M)
 
 
 def twist_laws(

@@ -16,6 +16,7 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
 from functools import cache
 from random import Random
@@ -401,15 +402,22 @@ def _cmd_suite(ns):
 
 
 def _refuse_unwritable(path: str) -> None:
-    """Refuse a report path that is a directory, or whose directory does not
-    exist, with the error `open` would give, without creating or truncating
-    any file: the handler has not run yet."""
+    """Refuse a report path that is a directory, or whose parent is missing
+    or is not a directory, with the error `open` would give, without
+    creating or truncating any file: the handler has not run yet.  The errno
+    is the one `os.stat` of the parent raises, or ENOTDIR when the parent
+    exists but is not a directory."""
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(path) or os.curdir):
-        code = errno.ENOENT
     else:
-        return
+        try:
+            parent = os.stat(os.path.dirname(path) or os.curdir)
+        except OSError as exc:
+            code = exc.errno
+        else:
+            if stat.S_ISDIR(parent.st_mode):
+                return
+            code = errno.ENOTDIR
     raise ValueError(str(OSError(code, os.strerror(code), path)))
 
 

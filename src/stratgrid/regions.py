@@ -18,7 +18,8 @@ from at most two charts: T0, the all-Zero blocks of S, and on a
 codimension-1 point whose Open entry's block is in S also T0 plus that
 block (`in_sigma_S` argues why no other chart can add to them).  The
 coverage check needs only whether a flipped face is etale, which is
-`strata._whole_blocks` of its Zero mask, so it names no stratum.
+`strata._whole_blocks` of its Zero mask, so it names no stratum; it
+tabulates that once over all 2^g masks.
 """
 from __future__ import annotations
 
@@ -312,7 +313,10 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     mask.  Flipping them swaps the two masks there (`strata._swap_on`), so
     the flipped face's Zero mask is the old Zeros off the flip and the old
     Ones on it, and the flipped face is etale exactly when `_whole_blocks`
-    of that mask is not empty, the test `classify_face` makes.
+    of that mask is not empty, the test `classify_face` makes.  Every mask
+    met is a subset of the g coordinates, so `_whole_blocks` is tabulated
+    once over all 2^g masks and every T0, T0 + T2 and flipped-face test
+    reads the table.
 
     The check visits 2^g vertices and g * 2^(g-1) edges, so it refuses a
     profile above the enumeration bound with `EnumerationBound`.
@@ -321,17 +325,15 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     if g > ENUMERATION_MAX_G:
         raise EnumerationBound(f"g={g} exceeds enumeration bound {ENUMERATION_MAX_G}")
     full = profile.full_mask
-
-    def flips_to_etale(zeros: int, ones: int, flip: int) -> bool:
-        return _whole_blocks(profile, (zeros & ~flip) | (ones & flip)) != 0
+    whole = [_whole_blocks(profile, m) for m in range(full + 1)]
 
     vertex_failures = []
     for ones in _corner_masks(range(g)):
         zeros = full & ~ones
-        t0 = _whole_blocks(profile, zeros)  # blocks of T0: all Zero
-        t0_t2 = full & ~_whole_blocks(profile, ones)  # T0 + T2: not all One
+        t0 = whole[zeros]  # blocks of T0: all Zero
+        t0_t2 = full & ~whole[ones]  # T0 + T2: not all One
         for tag, flip in (("T0", t0), ("T0+T2", t0_t2)):
-            if flips_to_etale(zeros, ones, flip):
+            if whole[(zeros & ~flip) | (ones & flip)]:  # the flipped face is etale
                 vertex_failures.append({"vertex": _coords_json(g, zeros, ones), "flip": tag})
     edge_failures = []
     # The gap record of each block size whose tail leaves (0, 1) uncovered,
@@ -354,11 +356,11 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
         closed = full & ~(1 << beta0)
         for ones in _corner_masks(k for k in range(g) if k != beta0):
             zeros = closed & ~ones
-            t0 = _whole_blocks(profile, zeros)  # beta0 is Open: never its block
+            t0 = whole[zeros]  # beta0 is Open: never its block
             issues = [
                 {"flip": tag, "issue": "etale"}
                 for tag, flip in (("T0", t0), ("T0+p0", t0 | b0))
-                if flips_to_etale(zeros, ones, flip)
+                if whole[(zeros & ~flip) | (ones & flip)]
             ]
             if gap:
                 issues.append(gap)

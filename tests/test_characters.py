@@ -45,6 +45,8 @@ from stratgrid.characters import (
 )
 
 GAUSS_ORDERS = (3, 4, 5, 7, 8, 9, 11, 13)
+# Every field `GF` builds with q <= 27 (16 needs degree 4).
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
 
 
 def _poly_mul(a, b) -> tuple[int, ...]:
@@ -242,6 +244,60 @@ def test_ring_mul_matches_schoolbook_oracles(m, data):
     assert len(got) == deg
     want = oracle_poly_rem(oracle_poly_mul(a, b), cyclotomic_poly(m))
     assert oracle_poly_trim(list(got)) == want
+
+
+# Integer scalars for the scaling path: 0, +-1 and the edges of the signed
+# 8-, 16-, 32- and 64-bit words and past them.
+SCALARS = (0, 1, -1) + tuple(
+    k for e in (7, 15, 31, 63, 64, 200) for x in (2**e - 1, 2**e) for k in (x, -x)
+)
+
+
+def _ring_elements(m):
+    """Reduced elements of conductor m: two dense ones, with small and with
+    wide coefficients, and a root of unity."""
+    rng = Random(m)
+    return [
+        CyclotomicInt.make(m, [rng.randint(-9, 9) for _ in range(m)]),
+        CyclotomicInt.make(m, [rng.randint(-(2**70), 2**70) for _ in range(m)]),
+        CyclotomicInt.zeta(m, m // 2 + 1),
+    ]
+
+
+def _oracle_ring_product(a, b, m):
+    return oracle_poly_rem(oracle_poly_mul(a, b), cyclotomic_poly(m))
+
+
+@pytest.mark.parametrize("m", REM_CONDUCTORS)
+def test_int_scalar_products_match_oracles(m):
+    """An exact `int` scales coefficient by coefficient, in either operand
+    order, and the result is the reduced product; a bool still coerces."""
+    deg = len(cyclotomic_poly(m)) - 1
+    for z in _ring_elements(m):
+        for k in SCALARS:
+            want = _oracle_ring_product((k,), z.coeffs, m)
+            for got in (z * k, k * z):
+                assert got.m == m and len(got.coeffs) == deg
+                assert oracle_poly_trim(list(got.coeffs)) == want, (m, k)
+        assert True * z == 1 * z and z * True == z * 1
+        assert False * z == 0 * z
+
+
+@pytest.mark.parametrize("m", REM_CONDUCTORS)
+def test_monomial_products_match_oracles(m):
+    """c x^i for i < phi(m) is one nonzero term: the product is one shifted,
+    scaled row, reduced, in either operand order."""
+    deg = len(cyclotomic_poly(m)) - 1
+    rng = Random(m)
+    spots = sorted({0, deg - 1, *rng.sample(range(deg), min(deg, 6))})
+    for z in _ring_elements(m):
+        for i in spots:
+            for c in (1, -1, 7, 2**63, -(2**64) - 3):
+                mono = CyclotomicInt(m, (0,) * i + (c,) + (0,) * (deg - 1 - i))
+                want = _oracle_ring_product(mono.coeffs, z.coeffs, m)
+                for got in (mono * z, z * mono):
+                    assert len(got.coeffs) == deg
+                    assert oracle_poly_trim(list(got.coeffs)) == want, (m, i, c)
 
 
 def _worst_case_dividend(m):
@@ -482,6 +538,19 @@ def test_gauss_sum_laws(q):
         assert W * W.galois(M - 1) == q
 
 
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_at_minus_one_is_the_value_at_minus_one(q):
+    """psi(-1) is the integer +-1 and equals the value of psi at -1, at the
+    conductor lcm(p, q - 1) and at a proper multiple of it."""
+    F = GF(q)
+    M = conductor(F.p, q - 1)
+    for N in (M, conductor(2 * M)):
+        for psi in all_field_chars(F):
+            sign = psi.at_minus_one(N)
+            assert sign in (1, -1)
+            assert sign == psi.value(F.neg(1), N), (q, N, psi.exp)
+
+
 # Term-by-term character sums in ring arithmetic: the oracle for the
 # exponent-counting sums.  Powers of zeta are memoised here only to keep the
 # oracle fast at M = 506.
@@ -522,7 +591,7 @@ def oracle_unit_twisted_sum(chi, v, M):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27])
+@pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_character_sums_match_term_by_term_oracle(q):
     """Every character, and every t for q <= 13 (t in {0, 1, 2} above)."""
     F = GF(q)
@@ -602,7 +671,7 @@ def test_hasse_davenport(p, r):
         assert gauss_sum(lifted, M) == want, (p, r, psi.exp)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27])
+@pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_galois_action_on_gauss_sums(q):
     """sigma_t: zeta_M -> zeta_M^t, t prime to M = lcm(p, q - 1), acts on
     g(psi) by two laws: sigma_t(g(psi)) = g(psi^t) when t = 1 mod p, and
@@ -667,8 +736,55 @@ def test_build_companion_coeffs_rejects_bad_seed():
             build_companion_coeffs(F, U, psi_p, psi_n, 2, 3, 1, bad, M)
 
 
+def literal_twist_mismatch(field, group, psi_p, psi_n, r, s, C, seed, corrupt=False):
+    """The first index where the cross-multiplied identity fails, or None,
+    with each side associated as `verify_twist_identity`'s docstring writes
+    it: (W(psi_n^-1) T(u)) a(u,v) against
+    (C W(psi_p)) [S_n(v) b(u,v) - (s S_n(v)) b0(v) [u == 0]]."""
+    M = conductor(field.p, field.q - 1, group.n, group.exponent)
+    a, b = build_companion_coeffs(field, group, psi_p, psi_n, r, s, C, seed, M)
+    sc, Cc = characters._scalar(s, M), characters._scalar(C, M)
+    b_full = dict(b.full)
+    if corrupt:
+        target = _detectable_index(group, psi_n, M)
+        b_full[target] = b_full[target] + 1
+    w_n_inv = unit_twisted_sum(psi_n.inverse(), 1 % group.n, M)
+    w_p = gauss_sum(psi_p, M)
+    s_n = {v: unit_twisted_sum(psi_n.inverse(), v, M) for v in range(group.n)}
+    for u in range(field.q):
+        w_tw = w_n_inv * twisted_sum(psi_p, u, M)
+        for v in range(group.n):
+            lhs = w_tw * a.at(u, v)
+            core = s_n[v] * b_full[(u, v)]
+            if u == 0 and v in b.reduced:
+                core = core - sc * s_n[v] * b.reduced[v]
+            rhs = Cc * w_p * core
+            if lhs != rhs:
+                return (u, v)
+    return None
+
+
+def _assert_matches_literal(F, U, psi_p, psi_n, r, s, C, seed):
+    """`verify_twist_identity` names the literal loop's first mismatch, on
+    the clean seed and with `corrupt`; both raise where the perturbation
+    cannot be seen."""
+    for corrupt in (False, True):
+        try:
+            want = literal_twist_mismatch(F, U, psi_p, psi_n, r, s, C, seed, corrupt)
+        except ValueError:
+            with pytest.raises(ValueError):
+                verify_twist_identity(F, U, psi_p, psi_n, r, s, C, seed, corrupt)
+            continue
+        rep = verify_twist_identity(F, U, psi_p, psi_n, r, s, C, seed, corrupt)
+        assert rep.mismatch_index == want, (psi_p.exp, psi_n.exps, corrupt)
+        assert rep.passed is (want is None)
+
+
 @pytest.mark.parametrize("q,n", [(3, 4), (5, 3), (9, 4)])
 def test_twist_identity_all_characters(q, n):
+    """Every seed passes, and one product per side of each index names the
+    same first mismatch as the identity evaluated literally, clean and
+    with `corrupt`, on every character pair."""
     F, U, M = _setup(q, n)
     for psi_p in all_field_chars(F):
         if psi_p.is_trivial():
@@ -679,6 +795,7 @@ def test_twist_identity_all_characters(q, n):
                 rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, 1, seed)
                 assert rep.passed, (psi_p.exp, psi_n.exps, sd, rep.mismatch_index)
                 assert rep.conductor == M
+                _assert_matches_literal(F, U, psi_p, psi_n, 2, 3, 1, seed)
 
 
 TWIST_PAIRS = [(3, 4), (5, 3), (9, 4), (4, 5), (7, 6), (8, 3)]
@@ -737,13 +854,24 @@ def test_twist_laws_name_a_failing_row_past_zero(monkeypatch):
 
 
 def test_twist_identity_root_of_unity_scalars():
+    """r, s and C roots of unity, of the identity's conductor and of a
+    smaller one that embeds: the seed passes, and the first mismatch matches
+    the literal loop's, clean and with `corrupt`."""
     F, U, M = _setup(5, 3)
+    assert M == 60
     psi_p = FieldChar(F, 1)
     psi_n = [c for c in all_unit_chars(U) if not c.is_trivial()][0]
     seed = random_twist_seed(F, U, M, 11)
     C = CyclotomicInt.zeta(M, 7)
     rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, C, seed)
     assert rep.passed
+    for psi_n in all_unit_chars(U):
+        for r, s, C in (
+            (2, 3, CyclotomicInt.zeta(M, 7)),
+            (CyclotomicInt.zeta(M, 5), CyclotomicInt.zeta(M, 59), CyclotomicInt.zeta(M, 31)),
+            (CyclotomicInt.zeta(12, 5), CyclotomicInt.zeta(4), CyclotomicInt.zeta(15, 2)),
+        ):
+            _assert_matches_literal(F, U, psi_p, psi_n, r, s, C, seed)
 
 
 def test_twist_identity_corrupted_control_fails():

@@ -989,7 +989,7 @@ def test_out_that_cannot_be_written_is_usage_error(tmp_path, capsys, target, arg
     assert_one_line_usage_error(capsys, cli.run([*argv, "--out", str(out)]))
 
 
-@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("target", ["missing", "directory", "file parent"])
 def test_out_that_cannot_be_written_is_refused_before_the_sweep(
     tmp_path, capsys, monkeypatch, target
 ):
@@ -1000,7 +1000,16 @@ def test_out_that_cannot_be_written_is_refused_before_the_sweep(
         raise AssertionError("the sweep ran before the report path was tried")
 
     monkeypatch.setattr(cli, "saturation_check", unrun)
-    out = tmp_path / "missing" / "x.json" if target == "missing" else tmp_path
+    made = []
+    if target == "missing":
+        out = tmp_path / "missing" / "x.json"
+    elif target == "directory":
+        out = tmp_path
+    else:
+        parent = tmp_path / "file.txt"
+        parent.write_text("kept\n", encoding="utf-8")
+        made.append(parent)
+        out = parent / "x.json"
     argv = ["verify", "saturation", "--profile", "p=5;f=2,2,2,2", "--den", "100"]
     code = cli.run([*argv, "--out", str(out)])
     captured = capsys.readouterr()
@@ -1008,7 +1017,7 @@ def test_out_that_cannot_be_written_is_refused_before_the_sweep(
     with pytest.raises(OSError) as opened:
         open(out, "w", encoding="utf-8")
     assert captured.err == f"error: {opened.value}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == made
 
 
 @pytest.mark.parametrize(
