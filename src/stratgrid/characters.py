@@ -1,9 +1,36 @@
 """Exact cyclotomic arithmetic, characters of small finite rings, Gauss sums,
 and the coefficientwise twist identity for companion coefficient families.
 
-Everything is computed in rings Z[x]/Phi_m(x) with integer coefficients; no
-floating point and no division.  The one inverse the twist identity would
-need, 1/W(psi), is removed by cross-multiplying both sides.
+Gauss sums, and every element a caller reads, are computed in rings
+Z[x]/Phi_m(x) with integer coefficients; no floating point and no division.
+The one inverse the twist identity would need, 1/W(psi), is removed by
+cross-multiplying both sides.
+
+The twist checks (`verify_twist_identity`, `twist_laws`) print no
+coefficient, only a verdict and the first index where two elements differ.
+They decide each comparison by evaluating both sides at every primitive
+M-th root of unity modulo primes l = 1 (mod M) below 2^30 (von zur Gathen
+and Gerhard, *Modern Computer Algebra*, chapters 5 and 8), so a product is
+phi(M) multiplications of one-digit integers.  That is exact:
+
+- Modulo such an l there is an w of exact order M, and its powers w^k, k
+  prime to M, are phi(M) distinct roots of Phi_M.  zeta_M -> w^k is a ring
+  map, so a difference D of the two sides that vanishes at all of them has
+  its phi(M) power-basis coefficients, a polynomial of degree below phi(M),
+  all divisible by l.
+- Each side is a product of factors, each a sum of terms c zeta_M^e.  The
+  product of those sums, folded modulo x^M - 1, has coefficients at most
+  the product of the factors' L1 norms (the sums of |c|), and reducing it
+  modulo Phi_M grows them at most `_divisor(M).growth` times.  So with B
+  that growth times the larger product, every coefficient of D is at most
+  2B in absolute value.
+- The primes are taken until their product exceeds 2B; a coefficient of D
+  divisible by all of them is then 0.  So the sides agree at every point
+  exactly when they are equal.
+
+With the CLI's r = 2, s = 3, C = 1 and seed coefficients up to 9, one
+30-bit prime covers M = 12, 24, 60, 156, 506 and 2436 (B is below 2^27 at
+M = 2436).  `_Evaluation` never stops short of the bound.
 
 Every term of a character sum is a power zeta_M^e, so the sums are counted in
 Z[x]/(x^M - 1), one counter per exponent e mod M, and reduced once modulo
@@ -52,7 +79,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mod, mul, sub
 from random import Random
 
 __all__ = [
@@ -272,7 +299,9 @@ class _Divisor:
     (x^m - 1)/Phi_m of degree below m: they repeat with period m.  Phi_m is
     palindromic for m >= 2, so this is also 1/rev(Phi_m).  `growth`, 1 plus
     the L1 norms of one period of the series and of Phi_m multiplied, bounds
-    how much a packed division can grow a coefficient.
+    how much a packed division can grow a coefficient.  At m = 1 the series
+    is left empty, and its period-one norm, that of 1/(x - 1) =
+    -(1 + x + ...), is 1.
     """
 
     m: int
@@ -287,7 +316,7 @@ def _divisor(m: int) -> _Divisor:
     phi = cyclotomic_poly(m)
     terms = tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
     series = tuple(_cyclotomic_series(m, m, -1)) if m > 1 else ()
-    growth = 1 + sum(map(abs, series)) * sum(map(abs, phi))
+    growth = 1 + (sum(map(abs, series)) if m > 1 else 1) * sum(map(abs, phi))
     return _Divisor(m, len(phi) - 1, terms, series, growth)
 
 
@@ -502,6 +531,138 @@ def conductor(*orders: int) -> int:
     if size > COEFF_CAP:
         raise ConductorTooLarge(f"conductor {M} needs {size} coefficients")
     return M
+
+
+# ---------------------------------------------------------------------------
+# evaluation at the primitive M-th roots of unity modulo primes l = 1 (mod M)
+
+_EVAL_PRIME_LIMIT = 1 << 30
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n < 2^32 is prime: Miller-Rabin to the bases 2, 7 and 61,
+    which no composite below 4,759,123,141 passes."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 61):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _eval_primes(M: int):
+    """The primes l = 1 (mod M) below 2^30, descending."""
+    for l in range((_EVAL_PRIME_LIMIT - 2) // M * M + 1, 1, -M):
+        if _is_prime(l):
+            yield l
+
+
+def _root_of_order(M: int, l: int) -> int:
+    """The first of g^((l - 1)/M), g = 1, 2, ..., of exact order M modulo the
+    prime l."""
+    cofactor = (l - 1) // M
+    primes = [p for _, p in _prime_power_factors(M)]
+    for g in range(1, l):
+        w = pow(g, cofactor, l)
+        if all(pow(w, M // p, l) != 1 for p in primes):
+            return w
+    raise AssertionError(f"no root of order {M} modulo {l}")
+
+
+class _Evaluation:
+    """Z[zeta_M] -> the product over primes l of F_l^phi(M), zeta_M -> w_l^k.
+
+    The primes are l = 1 (mod M) below 2^30, from the largest down: at
+    least one, and as many as it takes for their product `modulus` to exceed
+    2 `bound`.  w_l has exact order M modulo l, and k runs over the units of
+    Z/M.  An element is a list of residues, one per point (l, k), and is
+    never changed in place; sums, products and equality act pointwise.  The
+    module docstring says why two elements whose coefficients are at most
+    `bound` are equal exactly when their lists are.
+    """
+
+    def __init__(self, M: int, bound: int):
+        units = [k for k in range(M) if gcd(k, M) == 1]
+        candidates = _eval_primes(M)
+        primes, roots, pows, modulus = [], [], [], 1
+        while not primes or modulus <= 2 * bound:
+            l = next(candidates, None)
+            if l is None:
+                raise ValueError(f"primes 1 mod {M} below 2^30 cannot exceed twice {bound}")
+            w = _root_of_order(M, l)
+            powers = [1] * M
+            for j in range(1, M):
+                powers[j] = powers[j - 1] * w % l
+            primes.append(l)
+            roots.append(w)
+            pows += powers
+            modulus *= l
+        self.M, self.modulus = M, modulus
+        self.primes, self.roots = tuple(primes), tuple(roots)
+        self._pows = pows
+        self._points = [(i * M, k) for i in range(len(primes)) for k in units]
+        self._mods = [l for l in primes for _ in units]
+        self.zero = [0] * len(self._mods)
+        self._zetas = {}
+
+    def zeta(self, e: int) -> list[int]:
+        """zeta_M^e, gathered from the power tables once per e mod M."""
+        e %= self.M
+        got = self._zetas.get(e)
+        if got is None:
+            M, pows = self.M, self._pows
+            got = self._zetas[e] = [pows[base + e * k % M] for base, k in self._points]
+        return got
+
+    def terms(self, terms) -> list[int]:
+        """The sum of c zeta_M^e over the pairs (c, e) of `terms`."""
+        rows = [self.zeta(e) if c == 1 else map(mul, self.zeta(e), repeat(c)) for c, e in terms]
+        if len(rows) < 2:
+            return list(map(mod, rows[0], self._mods)) if rows else self.zero
+        return list(map(mod, map(sum, zip(*rows)), self._mods))
+
+    def element(self, x) -> list[int]:
+        """An int, or a `CyclotomicInt` of a conductor dividing M."""
+        if isinstance(x, int):
+            return self.terms(((x, 0),))
+        if self.M % x.m:
+            raise ValueError(f"{x.m} does not divide {self.M}")
+        step = self.M // x.m
+        return self.terms((c, i * step) for i, c in enumerate(x.coeffs) if c)
+
+    def mul(self, x, y) -> list[int]:
+        """x y, where x may also be an int."""
+        if isinstance(x, int):
+            return y if x == 1 else list(map(mod, map(mul, y, repeat(x)), self._mods))
+        return list(map(mod, map(mul, x, y), self._mods))
+
+    def add(self, x, y) -> list[int]:
+        return list(map(mod, map(add, x, y), self._mods))
+
+    def sub(self, x, y) -> list[int]:
+        return list(map(mod, map(sub, x, y), self._mods))
+
+    def equal_products(self, x, y, z, w) -> bool:
+        """Whether x y = z w, in one pass."""
+        return not any(map(mod, map(sub, map(mul, x, y), map(mul, z, w)), self._mods))
+
+
+def _l1(x) -> int:
+    """The L1 norm of an int or `CyclotomicInt` as a sum of c zeta^e terms."""
+    return abs(x) if isinstance(x, int) else sum(map(abs, x.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -826,24 +987,31 @@ def gauss_sum(psi: FieldChar, M: int | None = None) -> CyclotomicInt:
     return twisted_sum(psi, 1, M)
 
 
-def twisted_sum(psi: FieldChar, t: int, M: int | None = None) -> CyclotomicInt:
-    """Sum of psi(j) zeta_p^Tr(jt); equals psi^-1(t) W(psi) for t != 0, else 0."""
+def _twisted_exponents(psi: FieldChar, t: int, M: int) -> list[int]:
+    """The exponents e of the q - 1 terms zeta_M^e of the psi-twisted sum at t."""
     field = psi.field
-    if M is None:
-        M = conductor(field.p, psi.order)
     exponent, step = psi._exponents(M), M // field.p
     trace, times = field.trace, field.mul
-    return _zeta_sum(
-        M, (exponent(j) + trace(times(j, t)) * step for j in range(1, field.q))
-    )
+    return [exponent(j) + trace(times(j, t)) * step for j in range(1, field.q)]
+
+
+def _unit_twisted_exponents(chi: UnitChar, v: int, M: int) -> list[int]:
+    """The exponents e of the terms zeta_M^e of the chi-twisted sum at v,
+    one per unit of Z/n."""
+    n = chi.group.n
+    return [chi.exponent(j, M) + (j * v % n) * (M // n) for j in chi.group.units]
+
+
+def twisted_sum(psi: FieldChar, t: int, M: int | None = None) -> CyclotomicInt:
+    """Sum of psi(j) zeta_p^Tr(jt); equals psi^-1(t) W(psi) for t != 0, else 0."""
+    if M is None:
+        M = conductor(psi.field.p, psi.order)
+    return _zeta_sum(M, _twisted_exponents(psi, t, M))
 
 
 def unit_twisted_sum(chi: UnitChar, v: int, M: int) -> CyclotomicInt:
     """Sum of chi(j) zeta_n^(jv) over units j of Z/n."""
-    n = chi.group.n
-    return _zeta_sum(
-        M, (chi.exponent(j, M) + (j * v % n) * (M // n) for j in chi.group.units)
-    )
+    return _zeta_sum(M, _unit_twisted_exponents(chi, v, M))
 
 
 # ---------------------------------------------------------------------------
@@ -868,23 +1036,32 @@ class CoeffFamily:
 
 @dataclass(frozen=True)
 class TwistSeed:
-    """Free data: b on (u != 0, v unit) and the reduced family b0 on units."""
+    """Free data: b on (u != 0, v unit) and the reduced family b0 on units.
+
+    Each value is a monomial (c, e), standing for c zeta_M^e in the ring of
+    the conductor M the seed is used at.
+    """
 
     b_full: dict
     b_reduced: dict
 
 
 def random_twist_seed(field: GF, group: UnitGroup, M: int, seed: int) -> TwistSeed:
+    """Monomials c zeta_M^e with c in 1..9 and e in 0..M-1, drawn in index
+    order, c before e."""
     rng = Random(seed)
     b_full = {}
     for u in range(1, field.q):
         for v in group.units:
-            b_full[(u, v)] = rng.randint(1, 9) * CyclotomicInt.zeta(M, rng.randrange(M))
-    b_reduced = {
-        v: rng.randint(1, 9) * CyclotomicInt.zeta(M, rng.randrange(M))
-        for v in group.units
-    }
+            b_full[(u, v)] = (rng.randint(1, 9), rng.randrange(M))
+    b_reduced = {v: (rng.randint(1, 9), rng.randrange(M)) for v in group.units}
     return TwistSeed(b_full, b_reduced)
+
+
+def _check_seed(field: GF, group: UnitGroup, seed: TwistSeed) -> None:
+    want = {(u, v) for u in range(1, field.q) for v in group.units}
+    if set(seed.b_full) != want or set(seed.b_reduced) != set(group.units):
+        raise InconsistentSeed("seed support must be exactly the full-order indices")
 
 
 def _scalar(x, M: int) -> CyclotomicInt:
@@ -892,6 +1069,47 @@ def _scalar(x, M: int) -> CyclotomicInt:
     if isinstance(x, int):
         return CyclotomicInt.from_int(M, x)
     return x.embed(M)
+
+
+class _PowerBasis:
+    """Z[zeta_M] held reduced modulo Phi_M, as `_companion` reads a ring."""
+
+    mul = staticmethod(mul)
+
+    def __init__(self, M: int):
+        self.M = M
+        self.zero = CyclotomicInt.from_int(M, 0)
+
+    def zeta(self, e: int) -> CyclotomicInt:
+        return CyclotomicInt.zeta(self.M, e)
+
+
+def _companion(field, group, psi_p, psi_n, r, s, C, b_full, b_reduced, ring):
+    """The scaling relations: the companion pair (a, b) of a seed, in `ring`
+    (`_PowerBasis` or `_Evaluation`), which r, s, C and the seed's values
+    b_full and b_reduced are elements of already.
+
+    b carries the seed on full-order indices and s times the reduced family
+    on divisible ones; a is C psi_p(u) psi_n(v) b(u, v) at full order and r
+    times the reduced a-family C psi_n(v) b0(v) at divisible indices; both
+    are zero at non-unit v.
+    """
+    M, times, zeta = ring.M, ring.mul, ring.zeta
+    e_p = psi_p._exponents(M)
+    e_n = {v: psi_n.exponent(v, M) for v in group.units}
+    a_reduced = {v: times(C, times(zeta(e), b_reduced[v])) for v, e in e_n.items()}
+    a_full, b_out = {}, {}
+    for u in range(field.q):
+        for v in range(group.n):
+            if v not in e_n:
+                b_out[(u, v)] = a_full[(u, v)] = ring.zero
+            elif u == 0:
+                b_out[(u, v)] = times(s, b_reduced[v])
+                a_full[(u, v)] = times(r, a_reduced[v])
+            else:
+                bval = b_out[(u, v)] = b_full[(u, v)]
+                a_full[(u, v)] = times(C, times(zeta(e_p(u) + e_n[v]), bval))
+    return CoeffFamily(a_full, a_reduced), CoeffFamily(b_out, dict(b_reduced))
 
 
 def build_companion_coeffs(
@@ -905,43 +1123,86 @@ def build_companion_coeffs(
     seed: TwistSeed,
     M: int,
 ) -> tuple[CoeffFamily, CoeffFamily]:
-    """Extend a seed to the companion pair (a, b) by the scaling relations.
+    """Extend a seed to the companion pair (a, b) by the scaling relations
+    (`_companion`), in the power basis of the conductor-M ring.
 
-    b carries the seed on full-order indices and s times the reduced family on
-    divisible ones; a is C psi_p(u) psi_n(v) b(u, v) at full order and r times
-    the reduced a-family at divisible indices, zero at non-unit v throughout.
     The scalars r, s, C may be ints or CyclotomicInt values.
     """
-    q, n = field.q, group.n
-    units = set(group.units)
-    want = {(u, v) for u in range(1, q) for v in group.units}
-    if set(seed.b_full) != want or set(seed.b_reduced) != units:
-        raise InconsistentSeed("seed support must be exactly the full-order indices")
-    rc, sc, Cc = _scalar(r, M), _scalar(s, M), _scalar(C, M)
-    zero = CyclotomicInt.from_int(M, 0)
-    b_full, a_full = {}, {}
-    a_reduced = {v: Cc * psi_n.value(v, M) * seed.b_reduced[v].embed(M) for v in units}
-    for u in range(q):
-        for v in range(n):
-            if v not in units:
-                b_full[(u, v)] = zero
-                a_full[(u, v)] = zero
-            elif u == 0:
-                b_full[(u, v)] = sc * seed.b_reduced[v].embed(M)
-                a_full[(u, v)] = rc * a_reduced[v]
-            else:
-                bval = seed.b_full[(u, v)].embed(M)
-                b_full[(u, v)] = bval
-                a_full[(u, v)] = (
-                    Cc
-                    * CyclotomicInt.zeta(M, psi_p.exponent(u, M) + psi_n.exponent(v, M))
-                    * bval
-                )
-    b_reduced = {v: seed.b_reduced[v].embed(M) for v in units}
-    return (
-        CoeffFamily(a_full, a_reduced),
-        CoeffFamily(b_full, b_reduced),
-    )
+    _check_seed(field, group, seed)
+    ring = _PowerBasis(M)
+    b_full = {k: c * ring.zeta(e) for k, (c, e) in seed.b_full.items()}
+    b_reduced = {v: c * ring.zeta(e) for v, (c, e) in seed.b_reduced.items()}
+    r, s, C = (_scalar(x, M) for x in (r, s, C))
+    return _companion(field, group, psi_p, psi_n, r, s, C, b_full, b_reduced, ring)
+
+
+class _TwistTable:
+    """What the twist checks of one command share, all in one `_Evaluation`:
+    T(u) for the psi_p whose pairs are running, S_n(v) for each chi met, and
+    the seed of each trial t with its evaluated values.
+
+    A check whose bound needs more primes than `ring` has gets a new ring,
+    and the table starts over.  The table lives as long as the command.
+    """
+
+    def __init__(self, field: GF, group: UnitGroup, M: int):
+        self.field, self.group, self.M = field, group, M
+        self.ring = None
+        self._seeds = {}  # t -> the seed of trial t
+        self._trial = {}  # id(seed) -> t, for the seeds held above
+        self._start_over()
+
+    def _start_over(self):
+        self._rows = None  # (psi_p, [T(u) for u in F_q])
+        self._cols = {}  # chi -> [S_n(v) for v in Z/n]
+        self._values = {}  # t -> the evaluated values of the seed of trial t
+
+    def evaluation(self, bound: int) -> _Evaluation:
+        """The table's ring, made anew when its modulus is not above 2 bound."""
+        if self.ring is None or self.ring.modulus <= 2 * bound:
+            self.ring = _Evaluation(self.M, bound)
+            self._start_over()
+        return self.ring
+
+    def row_sums(self, psi_p: FieldChar) -> list:
+        """T(u) = sum of psi_p(j) zeta_p^Tr(ju) for every u of F_q."""
+        if self._rows is None or self._rows[0] != psi_p:
+            sums = [self._sum(_twisted_exponents(psi_p, u, self.M)) for u in range(self.field.q)]
+            self._rows = (psi_p, sums)
+        return self._rows[1]
+
+    def unit_sums(self, chi: UnitChar) -> list:
+        """S_n(v) = sum of chi(j) zeta_n^(jv) over units j, for every v of Z/n."""
+        if chi not in self._cols:
+            self._cols[chi] = [
+                self._sum(_unit_twisted_exponents(chi, v, self.M)) for v in range(self.group.n)
+            ]
+        return self._cols[chi]
+
+    def _sum(self, exponents) -> list:
+        return self.ring.terms(zip(repeat(1), exponents))
+
+    def seed(self, t: int) -> TwistSeed:
+        """`random_twist_seed` of trial t, drawn once per command."""
+        if t not in self._seeds:
+            seed = self._seeds[t] = random_twist_seed(self.field, self.group, self.M, t)
+            self._trial[id(seed)] = t
+        return self._seeds[t]
+
+    def seed_values(self, seed: TwistSeed) -> tuple[dict, dict]:
+        """The seed's b_full and b_reduced evaluated; kept for the seeds that
+        `seed` drew."""
+        t = self._trial.get(id(seed))
+        if t is not None and t in self._values:
+            return self._values[t]
+        monomial = self.ring.terms
+        values = (
+            {k: monomial((m,)) for k, m in seed.b_full.items()},
+            {v: monomial((m,)) for v, m in seed.b_reduced.items()},
+        )
+        if t is not None:
+            self._values[t] = values
+        return values
 
 
 @dataclass(frozen=True)
@@ -961,6 +1222,7 @@ def verify_twist_identity(
     C,
     seed: TwistSeed,
     corrupt: bool = False,
+    table: _TwistTable | None = None,
 ) -> TwistReport:
     """Check the cross-multiplied twist identity coefficientwise.
 
@@ -975,38 +1237,61 @@ def verify_twist_identity(
         A_u * a(u,v)  and  B_v * (b(u,v) - s * b0(v) * [u == 0]),
     with A_u = W(psi_n^-1) T(u) once per row and B_v = C W(psi_p) S_n(v) once
     per column.  Z[zeta_M] is commutative, so these are the elements written
-    above, and as every element is held reduced modulo Phi_M they compare
-    equal exactly when those do: the verdict and the first mismatch index are
-    the same.
+    above.  At a non-unit v both families are zero, and so are both sides:
+    only units v are compared, which leaves the first mismatch where it was.
+
+    The sides are compared in an `_Evaluation` whose primes multiply to more
+    than 2B, which makes each comparison exact (module docstring).  B is
+    `_divisor(M).growth` times the larger of the sides' products of L1
+    norms, where T(u) and W(psi_p) = T(1) are sums of q - 1 roots of unity,
+    S_n(v) and W(psi_n^-1) = S_n(1) sums of phi(n) of them, a seed value
+    c zeta^e has norm |c| (|c| + 1 where `corrupt` adds 1), and
+    b(0,v) - s b0(v) has at most twice the norm of s b0(v).  `table` holds
+    what the checks of one command share; without it the call makes its own.
     """
     if psi_p.is_trivial():
         raise TrivialCharacter("the identity degenerates for trivial psi_p")
     M = conductor(field.p, field.q - 1, group.n, group.exponent)
-    a, b = build_companion_coeffs(field, group, psi_p, psi_n, r, s, C, seed, M)
-    sc, Cc = _scalar(s, M), _scalar(C, M)
+    _check_seed(field, group, seed)
+    if table is None:
+        table = _TwistTable(field, group, M)
+    norms = (field.q - 1) * len(group.units) * _l1(C)
+    b_top = max((abs(c) for c, _ in seed.b_full.values()), default=0)
+    b0_top = max(abs(c) for c, _ in seed.b_reduced.values())
+    lhs = norms * max(b_top, _l1(r) * b0_top)  # W(psi_n^-1) T(u) a(u,v)
+    rhs = norms * max(b_top + corrupt, 2 * _l1(s) * b0_top)  # C W(psi_p) S_n(v) (b - s b0)
+    ring = table.evaluation(_divisor(M).growth * max(lhs, rhs))
+    rv, sv, cv = (x if isinstance(x, int) else ring.element(x) for x in (r, s, C))
+    a, b = _companion(field, group, psi_p, psi_n, rv, sv, cv, *table.seed_values(seed), ring)
     b_full = dict(b.full)
     if corrupt:
-        if Cc.is_zero():
+        if _scalar(C, M).is_zero():
             raise ValueError("corruption is invisible when C is zero")
         target = _detectable_index(group, psi_n, M)
-        b_full[target] = b_full[target] + 1
-    chi = psi_n.inverse()
-    w_n_inv = unit_twisted_sum(chi, 1 % group.n, M)
-    cw_p = Cc * gauss_sum(psi_p, M)
-    cols = [cw_p * unit_twisted_sum(chi, v, M) for v in range(group.n)]  # B_v
-    for u in range(field.q):
-        row = w_n_inv * twisted_sum(psi_p, u, M)  # A_u
-        for v, col in enumerate(cols):
+        b_full[target] = ring.add(b_full[target], ring.element(1))
+    times = ring.mul
+    rows, sums = table.row_sums(psi_p), table.unit_sums(psi_n.inverse())
+    w_n_inv = sums[1 % group.n]
+    cw_p = times(cv, rows[1])  # T(1) = W(psi_p)
+    cols = [(v, times(cw_p, sums[v])) for v in group.units]  # B_v
+    for u, t_u in enumerate(rows):
+        row = times(w_n_inv, t_u)  # A_u
+        for v, col in cols:
             bv = b_full[(u, v)]
-            if u == 0 and v in b.reduced:
-                bv = bv - sc * b.reduced[v]
-            if row * a.at(u, v) != col * bv:
+            if u == 0:
+                bv = ring.sub(bv, times(sv, b.reduced[v]))
+            if not ring.equal_products(row, a.full[(u, v)], col, bv):
                 return TwistReport(False, (u, v), M)
     return TwistReport(True, None, M)
 
 
 def twist_laws(
-    field: GF, group: UnitGroup, psi_p: FieldChar, psi_n: UnitChar, M: int
+    field: GF,
+    group: UnitGroup,
+    psi_p: FieldChar,
+    psi_n: UnitChar,
+    M: int,
+    table: _TwistTable | None = None,
 ) -> tuple | None:
     """First index (u, v), in the order `verify_twist_identity` walks, where
     the seed-free factor of the twist identity fails; None if none does.
@@ -1019,17 +1304,24 @@ def twist_laws(
     psi_n(v) is a unit of Z[zeta_M], so the second factor is checked as
     W(psi_n^-1) [T(u) psi_p(u)] = W(psi_p) [S_n(v) psi_n^-1(v)]: one side
     per u and one per v.  The two laws make both brackets constant.
+
+    Every side is a product of a sum of q - 1 roots of unity, a sum of
+    phi(n) of them and one root, so it is compared in an `_Evaluation` of
+    bound `_divisor(M).growth` (q - 1) phi(n), exactly as
+    `verify_twist_identity` compares.  `table` is the command's, as there.
     """
+    if table is None:
+        table = _TwistTable(field, group, M)
+    ring = table.evaluation(_divisor(M).growth * (field.q - 1) * len(group.units))
+    times = ring.mul
     chi = psi_n.inverse()
-    w_n_inv = unit_twisted_sum(chi, 1 % group.n, M)
-    if not (w_n_inv * twisted_sum(psi_p, 0, M)).is_zero():
+    rows, cols = table.row_sums(psi_p), table.unit_sums(chi)
+    w_n_inv = cols[1 % group.n]
+    if times(w_n_inv, rows[0]) != ring.zero:
         return (0, group.units[0])
-    w_p = gauss_sum(psi_p, M)
-    rhs = [
-        (v, w_p * (unit_twisted_sum(chi, v, M) * chi.value(v, M))) for v in group.units
-    ]
+    rhs = [(v, times(rows[1], times(cols[v], ring.zeta(chi.exponent(v, M))))) for v in group.units]
     for u in range(1, field.q):
-        lhs = w_n_inv * (twisted_sum(psi_p, u, M) * psi_p.value(u, M))
+        lhs = times(w_n_inv, times(rows[u], ring.zeta(psi_p.exponent(u, M))))
         for v, side in rhs:
             if lhs != side:
                 return (u, v)

@@ -30,12 +30,12 @@ from .characters import (
     all_unit_chars,
     conductor,
     gauss_sum,
-    random_twist_seed,
     twist_laws,
     UnitGroup,
     verify_twist_identity,
     _detectable_index,
     _prime_power,
+    _TwistTable,
 )
 from .degrees import DegreeVector, pair_of_degvec, w_T_deg
 from .embeddings import parse_profile
@@ -202,10 +202,11 @@ def _cmd_verify_sweep(ns):
     return report, not report["pass"], _sweep_warnings(profile, report)
 
 
-def _twist_mismatch(field, group, psi_p, psi_n, M, seed, corrupt):
+def _twist_mismatch(table, psi_p, psi_n, seed, corrupt):
     """Mismatch index of one real trial (r = 2, s = 3, C = 1), or None."""
-    twist_seed = random_twist_seed(field, group, M, seed)
-    rep = verify_twist_identity(field, group, psi_p, psi_n, 2, 3, 1, twist_seed, corrupt=corrupt)
+    rep = verify_twist_identity(
+        table.field, table.group, psi_p, psi_n, 2, 3, 1, table.seed(seed), corrupt=corrupt, table=table
+    )
     return rep.mismatch_index
 
 
@@ -218,7 +219,8 @@ def _twist_runs(q, n, trials, seed, corrupt):
     W(psi_p) != 0 and S_n(v) != 0 there, so no seed hides the perturbation.
     The other trials take that answer if trial 0 agrees with it.  If a law
     fails or trial 0 disagrees, every trial runs for real.  With one trial
-    there is nothing to take, so neither is computed.
+    there is nothing to take, so neither is computed.  The checks share one
+    `_TwistTable`, which the command drops when it returns.
     """
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
@@ -230,6 +232,7 @@ def _twist_runs(q, n, trials, seed, corrupt):
     conductor(_prime_power(q)[0], q - 1, n)
     field, group = GF(q), UnitGroup(n)
     M = conductor(field.p, q - 1, n, group.exponent)
+    table = _TwistTable(field, group, M)
     failures, total, runs = [], 0, 0
     for psi_p in all_field_chars(field):
         if psi_p.is_trivial():
@@ -238,16 +241,16 @@ def _twist_runs(q, n, trials, seed, corrupt):
             if corrupt and psi_n.is_trivial():
                 continue
             runs += trials
-            first = _twist_mismatch(field, group, psi_p, psi_n, M, seed, corrupt)
+            first = _twist_mismatch(table, psi_p, psi_n, seed, corrupt)
             predicted = _detectable_index(group, psi_n, M) if corrupt and trials > 1 else None
             derivable = trials > 1 and first == predicted
-            if derivable and twist_laws(field, group, psi_p, psi_n, M) is None:
+            if derivable and twist_laws(field, group, psi_p, psi_n, M, table) is None:
                 # every trial takes trial 0's answer: count them all, list five
                 failed = 0 if first is None else trials
                 found = [(k, first) for k in range(min(failed, 5))]
             else:
                 indices = [first] + [
-                    _twist_mismatch(field, group, psi_p, psi_n, M, seed + k, corrupt)
+                    _twist_mismatch(table, psi_p, psi_n, seed + k, corrupt)
                     for k in range(1, trials)
                 ]
                 found = [(k, index) for k, index in enumerate(indices) if index is not None]

@@ -300,22 +300,39 @@ def test_monomial_products_match_oracles(m):
                     assert oracle_poly_trim(list(got.coeffs)) == want, (m, i, c)
 
 
-def _worst_case_dividend(m):
-    """Signs s_i and the column j such that r = sum s_i x^i mod Phi_m has the
-    largest |r_j| over all dividends of m coefficients in {-1, 0, 1}, and
-    that |r_j|."""
+def _remainder_rows(m, count):
+    """x^i mod Phi_m for i < count, each as phi(m) coefficients."""
     phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    row = [1] + [0] * (deg - 1)
+    row = [1] + [0] * (len(phi) - 2)
     rows = []
-    for _ in range(m):
+    for _ in range(count):
         rows.append(row)
         lead = row[-1]
         row = [0] + row[:-1]
         row = [x - lead * c for x, c in zip(row, phi)]
-    j = max(range(deg), key=lambda col: sum(abs(r[col]) for r in rows))
+    return rows
+
+
+def _worst_case_dividend(m):
+    """Signs s_i and the column j such that r = sum s_i x^i mod Phi_m has the
+    largest |r_j| over all dividends of m coefficients in {-1, 0, 1}, and
+    that |r_j|."""
+    rows = _remainder_rows(m, m)
+    j = max(range(len(rows[0])), key=lambda col: sum(abs(r[col]) for r in rows))
     signs = [(r[j] > 0) - (r[j] < 0) for r in rows]
     return signs, j, sum(abs(r[j]) for r in rows)
+
+
+@pytest.mark.parametrize("m", REM_CONDUCTORS + [24])
+def test_divisor_growth_bounds_the_worst_remainder(m):
+    """`_divisor(m).growth` is at least the largest |r_j| / max|a| over
+    remainders r = a mod Phi_m of dividends a of fewer than m + phi(m)
+    coefficients, the longest a packed division meets: column j's worst
+    case is the sum over i of |(x^i mod Phi_m)_j|.  The twist checks size
+    their primes by it too."""
+    rows = _remainder_rows(m, m + euler_phi(m))
+    worst = max(sum(abs(r[j]) for r in rows) for j in range(len(rows[0])))
+    assert characters._divisor(m).growth >= worst
 
 
 @pytest.mark.parametrize("m", [630, 770])
@@ -840,16 +857,19 @@ def test_twist_laws_find_row_zero_of_trivial_psi_p(q, n):
 
 def test_twist_laws_name_a_failing_row_past_zero(monkeypatch):
     """With T(2) off by one, the seed-free factor first fails on row 2, at
-    the first unit; W(psi_n^-1) is nonzero there, so the row sees it."""
+    the first unit; W(psi_n^-1) is nonzero there, so the row sees it.  The
+    extra term zeta^0 = 1 goes in where T(u) is summed, at the exponents."""
     F, U, M = _setup(5, 3)
     psi_p = FieldChar(F, 1)
     psi_n = all_unit_chars(U)[0]
     assert not unit_twisted_sum(psi_n.inverse(), 1, M).is_zero()
     assert twist_laws(F, U, psi_p, psi_n, M) is None
-    real = characters.twisted_sum
+    t2 = twisted_sum(psi_p, 2, M)
+    real = characters._twisted_exponents
     monkeypatch.setattr(
-        characters, "twisted_sum", lambda psi, t, M=None: real(psi, t, M) + int(t == 2)
+        characters, "_twisted_exponents", lambda psi, t, M: real(psi, t, M) + [0] * (t == 2)
     )
+    assert twisted_sum(psi_p, 2, M) == t2 + 1
     assert twist_laws(F, U, psi_p, psi_n, M) == (2, U.units[0])
 
 
@@ -925,3 +945,156 @@ def test_coeff_family_shape():
     assert isinstance(a, CoeffFamily) and isinstance(b, CoeffFamily)
     assert set(a.full) == {(u, v) for u in range(3) for v in range(4)}
     assert set(a.reduced) == set(U.units)
+
+
+def test_twist_identity_matches_literal_at_conductor_156():
+    """On every character pair of q = 13, n = 3 (M = 156, phi(M) = 48), the
+    evaluated check names the literal loop's first mismatch, clean and with
+    `corrupt`."""
+    F, U, M = _setup(13, 3)
+    assert M == 156
+    seed = random_twist_seed(F, U, M, 5)
+    for psi_p in all_field_chars(F):
+        if not psi_p.is_trivial():
+            for psi_n in all_unit_chars(U):
+                _assert_matches_literal(F, U, psi_p, psi_n, 2, 3, 1, seed)
+
+
+# ---------------------------------------------------------------------------
+# evaluation at the primitive M-th roots of unity modulo primes l = 1 (mod M)
+
+EVAL_CONDUCTORS = REM_CONDUCTORS + [24, 2436]
+
+
+def _two_prime_bound(M):
+    """The least bound whose evaluation ring takes a second prime."""
+    return (characters._Evaluation(M, 0).primes[0] + 1) // 2
+
+
+@pytest.mark.parametrize("M", EVAL_CONDUCTORS)
+def test_evaluation_points_are_the_roots_of_phi(M):
+    """Each w has exact order M modulo its prime l = 1 (mod M) below 2^30,
+    and the points w^k, k prime to M, are phi(M) distinct roots of Phi_M
+    modulo l."""
+    ring = characters._Evaluation(M, _two_prime_bound(M))
+    assert len(ring.primes) == 2 and ring.modulus == ring.primes[0] * ring.primes[1]
+    phi, size = cyclotomic_poly(M), euler_phi(M)
+    points = ring.zeta(1)
+    assert len(points) == 2 * size
+    for i, (l, w) in enumerate(zip(ring.primes, ring.roots)):
+        assert l < 2**30 and (l - 1) % M == 0
+        assert all(l % d for d in range(2, math.isqrt(l) + 1))
+        assert pow(w, M, l) == 1
+        assert all(pow(w, d, l) != 1 for d in range(1, M) if M % d == 0)
+        mine = points[i * size : (i + 1) * size]
+        assert len(set(mine)) == size
+        for x in mine:
+            value = 0
+            for c in reversed(phi):
+                value = (value * x + c) % l
+            assert value == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 12, 24, 60, 156]), st.data())
+def test_evaluation_respects_sums_and_products(M, data):
+    """Evaluation is a ring map on random elements: sums, differences,
+    products, integer scalars, powers of zeta and elements of a smaller
+    conductor, at one prime and at two."""
+    size = euler_phi(M)
+    coeffs = st.lists(st.integers(-50, 50), min_size=size, max_size=size)
+    x, y = (CyclotomicInt.make(M, data.draw(coeffs)) for _ in range(2))
+    c = data.draw(st.integers(-9, 9))
+    e = data.draw(st.integers(-2 * M, 2 * M))
+    ring = characters._Evaluation(M, data.draw(st.sampled_from([0, _two_prime_bound(M)])))
+    ev = ring.element
+    assert ev(x + y) == ring.add(ev(x), ev(y))
+    assert ev(x - y) == ring.sub(ev(x), ev(y))
+    assert ev(x * y) == ring.mul(ev(x), ev(y))
+    assert ev(c * y) == ring.mul(c, ev(y)) == ring.mul(ev(c), ev(y))
+    assert ring.equal_products(ev(x), ev(y), ev(x * y), ev(1))
+    assert ring.zeta(e) == ev(CyclotomicInt.zeta(M, e))
+    assert ring.terms([(c, e), (1, 0), (0, 1)]) == ev(c * CyclotomicInt.zeta(M, e) + 1)
+    m = data.draw(st.sampled_from([d for d in range(1, M + 1) if M % d == 0]))
+    assert ev(CyclotomicInt.zeta(m, e)) == ring.zeta(e * (M // m))
+    with pytest.raises(ValueError):
+        ev(CyclotomicInt.zeta(M + 1))
+
+
+@pytest.mark.parametrize("M", [12, 60, 156])
+def test_evaluation_tells_pairs_apart_under_its_bound(M):
+    """Pairs with coefficients up to the bound evaluate equal exactly when
+    they are equal.  A pair that differs by exactly l in one coefficient
+    agrees modulo l, so once the bound passes l / 2 the ring takes a second
+    prime, which tells the pair apart."""
+    rng = Random(M)
+    size = euler_phi(M)
+    for bound in (1, 1000, 2**40):
+        ring = characters._Evaluation(M, bound)
+        assert ring.modulus > 2 * bound
+        for _ in range(30):
+            x = [rng.randint(-bound, bound) for _ in range(size)]
+            y = list(x)
+            if rng.random() < 0.5:
+                y[rng.randrange(size)] = rng.randint(-bound, bound)
+            got = ring.element(CyclotomicInt(M, tuple(x))) == ring.element(CyclotomicInt(M, tuple(y)))
+            assert got is (x == y)
+    first = characters._Evaluation(M, 0).primes[0]
+    x, y = [0] * size, [0] * size
+    x[-1], y[-1] = (first + 1) // 2, -(first - 1) // 2
+    X, Y = CyclotomicInt(M, tuple(x)), CyclotomicInt(M, tuple(y))
+    one = characters._Evaluation(M, (first - 1) // 2)
+    assert one.primes == (first,) and one.element(X) == one.element(Y)
+    two = characters._Evaluation(M, (first + 1) // 2)
+    assert len(two.primes) == 2 and two.element(X) != two.element(Y)
+
+
+def test_twist_table_holds_each_trial_seed_and_its_values():
+    """`_TwistTable.seed(t)` is `random_twist_seed` at t, drawn once per
+    table; its evaluated values are kept per t and equal those of a fresh
+    draw.  T(u) follows psi_p and S_n(v) follows chi."""
+    F, U, M = _setup(9, 4)
+    table = characters._TwistTable(F, U, M)
+    ring = table.evaluation(1000)
+    fresh = characters._TwistTable(F, U, M)
+    assert fresh.evaluation(1000).primes == ring.primes
+    for t in (0, 1, 2, 1, 0):
+        seed = table.seed(t)
+        assert seed is table.seed(t) and seed == random_twist_seed(F, U, M, t)
+        assert table.seed_values(seed) is table.seed_values(seed)
+        assert table.seed_values(seed) == fresh.seed_values(random_twist_seed(F, U, M, t))
+    assert table.seed(0) != table.seed(1)
+    for psi in all_field_chars(F):
+        want = [ring.element(twisted_sum(psi, u, M)) for u in range(F.q)]
+        assert table.row_sums(psi) == want, psi.exp
+    for chi in all_unit_chars(U) * 2:
+        want = [ring.element(unit_twisted_sum(chi, v, M)) for v in range(U.n)]
+        assert table.unit_sums(chi) == want, chi.exps
+
+
+def test_twist_check_sizes_its_primes_by_growth_times_the_norms():
+    """The check's bound is `_divisor(M).growth` times the larger product of
+    the sides' L1 norms.  With C such that twice the norms stay below the
+    first prime and twice growth times them do not, the check takes a
+    second prime, and still passes, or names the corrupted index."""
+    F, U, M = _setup(5, 3)
+    growth = characters._divisor(M).growth
+    psi_p = FieldChar(F, 1)
+    psi_n = [c for c in all_unit_chars(U) if not c.is_trivial()][0]
+    seed = random_twist_seed(F, U, M, 4)
+    first = characters._Evaluation(M, 0).primes[0]
+    sums = (F.q - 1) * len(U.units)
+    b_top = max(c for c, _ in seed.b_full.values())
+    b0_top = max(c for c, _ in seed.b_reduced.values())
+    for corrupt in (False, True):
+        # r = 2, s = 3: a(0, v) has norm 2 C b0, b(0, v) - s b0(v) at most 6 b0
+        norms = sums * max(b_top + corrupt, 6 * b0_top)
+        C = first // (4 * norms)
+        assert 2 * C * norms < first < 2 * growth * C * norms
+        table = characters._TwistTable(F, U, M)
+        rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, C, seed, corrupt, table)
+        assert rep.mismatch_index == (_detectable_index(U, psi_n, M) if corrupt else None)
+        assert len(table.ring.primes) == 2 and table.ring.modulus > 2 * growth * C * norms
+        # the laws need one prime, and read the same table
+        assert twist_laws(F, U, psi_p, psi_n, M, table) is None
+        assert len(table.ring.primes) == 2

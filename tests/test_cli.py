@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import signal
 import time
 
 import pytest
@@ -518,14 +519,47 @@ def test_verify_twist_one_trial_reads_no_laws(capsys, monkeypatch, corrupt):
     assert rep["runs"] == (3 if corrupt else 6)
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise `TimeoutError` inside the block once `seconds` of wall time have
+    passed (a real-time interval timer and SIGALRM), so that a call which
+    would run for hours fails instead; the previous handler and timer are
+    put back afterwards."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    previous = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        signal.setitimer(signal.ITIMER_REAL, *previous)
+
+
+def test_deadline_stops_a_block_and_restores_the_handler():
+    handler = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(TimeoutError):
+        with deadline(0.05):
+            while True:
+                time.sleep(0.01)
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_verify_twist_counts_trials_without_listing_them(capsys, corrupt):
     """A trial count far past memory is reported from the laws in one pass:
-    the failure total counts every trial, and five records are kept."""
+    the failure total counts every trial, and five records are kept.  If the
+    laws or trial 0 disagree, every trial runs for real, so the call runs
+    under a deadline and fails in seconds rather than never returning."""
     trials = 10**12
     argv = ["verify", "twist", "--q", "3", "--n", "4", "--trials", str(trials)]
     start = time.perf_counter()
-    code, rep = run_json(capsys, argv + (["--corrupt"] if corrupt else []))
+    with deadline(5):
+        code, rep = run_json(capsys, argv + (["--corrupt"] if corrupt else []))
     assert time.perf_counter() - start < 1
     if corrupt:  # the trivial psi_n is skipped, which leaves one pair
         assert code == 1 and rep["runs"] == rep["failure_total"] == trials
