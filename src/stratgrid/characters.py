@@ -36,27 +36,27 @@ Every term of a character sum is a power zeta_M^e, so the sums are counted in
 Z[x]/(x^M - 1), one counter per exponent e mod M, and reduced once modulo
 Phi_M.  That is exact because Phi_M divides x^M - 1.
 
-The ring arithmetic runs in C big-integer operations:
+The ring arithmetic runs in C big-integer operations, and every product and
+every reduction takes one path:
 
 - Phi_m is the Mobius product of (1 - x^d)^mu(m/d) over d | m, one in-place
   pass per squarefree cofactor m/d.
-- A product packs each operand into one integer, a signed machine word per
-  coefficient sized from the actual coefficient bound, and multiplies once
-  (Kronecker substitution: von zur Gathen and Gerhard, *Modern Computer
-  Algebra*, section 8.4).  An operand with few nonzero coefficients stays
-  schoolbook, one C-level row per nonzero coefficient: packing costs several
-  microseconds whatever the size.
-- An operand with one nonzero term c x^i, such as a root of unity below
-  x^phi(m) or a coerced integer, is one row: the other operand times c,
-  shifted by i, then reduced.  An `int` operand of `CyclotomicInt` scales
-  coefficient by coefficient, with no reduction: a reduced element times an
-  integer stays reduced.
-- Reduction modulo Phi_m is the reversed-inverse (Newton) division on the
-  packed integers.  1/Phi_m is -Psi_m repeated with period m, where
-  Psi_m = (x^m - 1)/Phi_m, so the same Mobius product gives it.  A product
-  that is divided this way is never unpacked in between.  Short dividends
-  stay schoolbook over the nonzero terms of Phi_m, and a dividend of at most
-  phi(m) coefficients is not divided at all.
+- A product trims its operands, packs each into one integer, a signed digit
+  per coefficient, and multiplies once (Kronecker substitution: von zur
+  Gathen and Gerhard, *Modern Computer Algebra*, section 8.4).  A reduction
+  folds its dividend modulo x^m - 1, which Phi_m divides, and packs it.
+- The digits are sized once, for the division as well: the nonzero terms of
+  the sparser operand times the largest coefficients of both (for a
+  reduction, the dividend's largest coefficient), times
+  `_divisor(m).growth`.
+- The packed integer is reduced modulo Phi_m without being unpacked in
+  between.  A dividend of at most phi(m) coefficients is only unpacked; a
+  longer one goes through the reversed-inverse (Newton) division.  1/Phi_m
+  is -Psi_m repeated with period m, where Psi_m = (x^m - 1)/Phi_m, so the
+  same Mobius product gives it.
+- An `int` operand of `CyclotomicInt` scales coefficient by coefficient,
+  with no packing and no reduction: a reduced element times an integer
+  stays reduced.
 
 The twist identity is linear in the seed, and at every index both of its
 sides are the seed coefficient times a factor free of the seed.  Every seed
@@ -81,6 +81,8 @@ from itertools import compress, product, repeat
 from math import gcd, lcm
 from operator import add, mod, mul, sub
 from random import Random
+
+from .embeddings import _is_prime
 
 __all__ = [
     "ConductorTooLarge",
@@ -126,16 +128,6 @@ class TrivialCharacter(ValueError):
 # ---------------------------------------------------------------------------
 # integer polynomials (dense ascending coefficient sequences)
 
-# Costs in coefficient steps, measured: a schoolbook row (one nonzero
-# coefficient of a times all of b, in C) costs len(b) + _ROW_COST; packing
-# both operands and one big-integer product cost len(a) + len(b) +
-# _PACK_COST.  So sparse operands stay schoolbook at any length; `_ring_mul`
-# takes a one-term operand as one row before it gets here.
-_ROW_COST = 16
-_PACK_COST = 48
-# Below this many schoolbook steps (leading coefficients times nonzero lower
-# terms of Phi_m), the schoolbook remainder beats the packed one.
-_PACK_MIN_REM_STEPS = 500
 # Machine words that `array` packs in one call: byte size -> typecode.
 _WORDS = {array(t).itemsize: t for t in "qlihb"}
 
@@ -143,15 +135,6 @@ _WORDS = {array(t).itemsize: t for t in "qlihb"}
 def _top(a) -> int:
     """Index of the last nonzero coefficient of a, -1 if there is none."""
     return next(compress(range(len(a) - 1, -1, -1), reversed(a)), -1)
-
-
-def _schoolbook_mul(a, b) -> tuple[int, ...]:
-    """Product of a and b, one C-level row per nonzero coefficient of a."""
-    lb = len(b)
-    out = [0] * (len(a) + lb - 1)
-    for i in compress(range(len(a)), a):
-        out[i : i + lb] = map(add, out[i : i + lb], map(mul, b, repeat(a[i])))
-    return tuple(out)
 
 
 @lru_cache(maxsize=256)
@@ -204,17 +187,6 @@ def _word_size(bound: int) -> int:
     return size
 
 
-def _packed_mul(a, b, bound: int) -> list[int]:
-    """Product of a and b (len(a) + len(b) - 1 coefficients, untrimmed) by
-    Kronecker substitution: one big-integer product of the packed operands.
-
-    `bound` caps every product coefficient and every operand coefficient in
-    absolute value, so each fits one signed digit and the product is exact.
-    """
-    size = _word_size(bound)
-    return _unpack(_pack(a, size) * _pack(b, size), len(a) + len(b) - 1, size)
-
-
 def _high_digits(v: int, j: int, bits: int) -> int:
     """The packed digits of v from position j up, when every digit of v
     below j is a signed (bits)-bit digit."""
@@ -224,28 +196,7 @@ def _high_digits(v: int, j: int, bits: int) -> int:
 
 
 def _max_abs(a) -> int:
-    return max(max(a), -min(a))
-
-
-def _operands(a, b):
-    """(a, b, bound) for a product: the operands trimmed, the one with fewer
-    nonzero coefficients first, and a bound on the coefficients of the
-    product if packing it pays, else 0.  None if either operand is zero."""
-    ta, tb = _top(a), _top(b)
-    if ta < 0 or tb < 0:
-        return None
-    a, b = a[: ta + 1], b[: tb + 1]
-    na, nb = len(a) - a.count(0), len(b) - b.count(0)
-    if na > nb:
-        a, b, na = b, a, nb
-    if na * (len(b) + _ROW_COST) <= len(a) + len(b) + _PACK_COST:
-        return a, b, 0
-    return a, b, na * _max_abs(a) * _max_abs(b)
-
-
-def _product(a, b, bound: int):
-    """The product of operands prepared by `_operands`."""
-    return _packed_mul(a, b, bound) if bound else _schoolbook_mul(a, b)
+    return max(max(a, default=0), -min(a, default=0))
 
 
 def _mobius_factors(m: int) -> list[tuple[int, int]]:
@@ -268,8 +219,9 @@ def _over_one_minus(s: list[int], d: int) -> None:
 
 
 def _cyclotomic_series(m: int, n: int, power: int) -> list[int]:
-    """First n coefficients of Phi_m^power (power = 1 or -1) for m >= 2,
-    from Phi_m = prod over d | m of (1 - x^d)^mu(m/d)."""
+    """First n coefficients of the product over d | m of (1 - x^d)^mu(m/d),
+    raised to power = 1 or -1: that product is Phi_m for m >= 2, and
+    1 - x = rev(Phi_1) for m = 1."""
     s = [1] + [0] * (n - 1)
     for d, mu in _mobius_factors(m):
         if mu * power > 0:
@@ -293,20 +245,17 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 class _Divisor:
     """Phi_m as a divisor.
 
-    `terms` holds (j, c) for the nonzero coefficients c of x^j below the top.
-    For m >= 2, `series` holds the first m coefficients of the power series
-    1/Phi_m(x), which is -Psi_m(x) (1 + x^m + x^2m + ...) with Psi_m =
-    (x^m - 1)/Phi_m of degree below m: they repeat with period m.  Phi_m is
-    palindromic for m >= 2, so this is also 1/rev(Phi_m).  `growth`, 1 plus
-    the L1 norms of one period of the series and of Phi_m multiplied, bounds
-    how much a packed division can grow a coefficient.  At m = 1 the series
-    is left empty, and its period-one norm, that of 1/(x - 1) =
-    -(1 + x + ...), is 1.
+    `series` holds the first m coefficients of the power series
+    1/rev(Phi_m), which repeat with period m.  For m >= 2 Phi_m is
+    palindromic, and the series is 1/Phi_m(x) = -Psi_m(x) (1 + x^m + x^2m +
+    ...) with Psi_m = (x^m - 1)/Phi_m of degree below m; for m = 1 it is
+    1/(1 - x) = 1 + x + ....  `growth`, 1 plus the L1 norms of one period of
+    the series and of Phi_m multiplied, bounds how much a packed division
+    can grow a coefficient.
     """
 
     m: int
     deg: int
-    terms: tuple[tuple[int, int], ...]
     series: tuple[int, ...]
     growth: int
 
@@ -314,47 +263,33 @@ class _Divisor:
 @lru_cache(maxsize=None)
 def _divisor(m: int) -> _Divisor:
     phi = cyclotomic_poly(m)
-    terms = tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
-    series = tuple(_cyclotomic_series(m, m, -1)) if m > 1 else ()
-    growth = 1 + (sum(map(abs, series)) if m > 1 else 1) * sum(map(abs, phi))
-    return _Divisor(m, len(phi) - 1, terms, series, growth)
+    series = tuple(_cyclotomic_series(m, m, -1))
+    growth = 1 + sum(map(abs, series)) * sum(map(abs, phi))
+    return _Divisor(m, len(phi) - 1, series, growth)
 
 
 @lru_cache(maxsize=256)
 def _packed_divisor(m: int, k: int, size: int) -> tuple[int, int]:
-    """The first k coefficients of 1/Phi_m reversed, and Phi_m, packed."""
+    """The first k coefficients of 1/rev(Phi_m) reversed, and Phi_m, packed."""
     return _pack(_divisor(m).series[k - 1 :: -1], size), _pack(cyclotomic_poly(m), size)
 
 
-def _schoolbook_rem(a: list[int], terms, deg: int) -> list[int]:
-    """a mod the monic polynomial x^deg + sum c x^j over `terms`, in place."""
-    for top in range(len(a) - 1, deg - 1, -1):
-        lead = a[top]
-        if lead:
-            shift = top - deg
-            for j, c in terms:
-                a[shift + j] -= lead * c
-    del a[deg:]
-    return a
-
-
-def _packs_rem(n: int, div: _Divisor) -> bool:
-    """Whether a dividend of n coefficients is divided packed."""
-    return div.m > 1 and (n - div.deg) * len(div.terms) >= _PACK_MIN_REM_STEPS
-
-
 def _packed_rem(packed: int, n: int, div: _Divisor, size: int) -> list[int]:
-    """a mod Phi_m for a packed dividend a of n <= m + deg coefficients, by
-    the reversed-inverse (Newton) division on packed integers: two products
-    and one unpack.
+    """a mod Phi_m as exactly phi(m) coefficients, for a dividend a of
+    n <= m + deg coefficients packed in signed digits of `size` bytes.
 
-    With a = q Phi_m + r and k = n - deg, let h be the coefficients of a from
-    x^deg up and s the first k of 1/Phi_m.  Then rev(q) = rev(h) s mod x^k,
-    that is, q is h times rev(s) from x^(k-1) up; and r = a - q Phi_m.  Every
-    coefficient met, of a, h rev(s) and r, is at most max|a| times
+    A dividend of at most deg coefficients is its own remainder, and is only
+    unpacked.  A longer one goes through the reversed-inverse (Newton)
+    division on packed integers: two products and one unpack.  With
+    a = q Phi_m + r and k = n - deg, let h be the coefficients of a from
+    x^deg up and s the first k of 1/rev(Phi_m).  Then rev(q) = rev(h) s mod
+    x^k, that is, q is h times rev(s) from x^(k-1) up; and r = a - q Phi_m.
+    Every coefficient met, of a, h rev(s) and r, is at most max|a| times
     `div.growth`: the digits of `size` bytes must hold that.  The digits of
     q Phi_m need no bound, since a - q Phi_m = r exactly.
     """
+    if n <= div.deg:
+        return _unpack(packed, div.deg, size)
     k = n - div.deg
     bits = 8 * size
     rev_series, phi = _packed_divisor(div.m, k, size)
@@ -366,9 +301,8 @@ def _reduce(a, m: int) -> list[int]:
     """a mod Phi_m as exactly phi(m) coefficients, exact over the integers.
 
     Coefficients from x^m up are first folded down, since Phi_m divides
-    x^m - 1.  Schoolbook visits only the nonzero lower terms of Phi_m (Phi_506
-    has 41 nonzero coefficients of 221); the packed division wins once the
-    leading coefficients times those terms pass a few hundred steps.
+    x^m - 1; the rest is packed, its digits sized for the division, and
+    `_packed_rem` divides it.
     """
     div = _divisor(m)
     n = _top(a) + 1
@@ -379,37 +313,28 @@ def _reduce(a, m: int) -> list[int]:
             folded[: len(chunk)] = map(add, folded, chunk)
         a = folded
         n = _top(a) + 1
-    if n <= div.deg:
-        out = list(a[: div.deg])
-        return out + [0] * (div.deg - len(out))
-    if not _packs_rem(n, div):
-        return _schoolbook_rem(list(a[:n]), div.terms, div.deg)
+    a = a[:n]
     size = _word_size(_max_abs(a) * div.growth)
-    return _packed_rem(_pack(a[:n], size), n, div, size)
+    return _packed_rem(_pack(a, size), n, div, size)
 
 
 def _ring_mul(a, b, m: int) -> list[int]:
     """a b mod Phi_m, for a and b of at most phi(m) coefficients.
 
-    An operand with one nonzero term c x^i makes the product one row, the
-    other operand times c shifted by i, which is then reduced.  A product
-    that is packed and then divided packed stays one integer in between: its
-    digits are sized for the division from the start.
+    The trimmed operands are packed, multiplied once and divided by
+    `_packed_rem`, with no unpacking in between.  A product coefficient is a
+    sum of at most as many terms as the sparser operand has nonzero
+    coefficients, each at most max|a| max|b|; the digits hold that times
+    `_divisor(m).growth`, what the division needs, from the start.
     """
-    for x, y in ((a, b), (b, a)):
-        if len(x) - x.count(0) == 1:
-            i = _top(x)
-            return _reduce([0] * i + list(map(mul, y, repeat(x[i]))), m)
-    plan = _operands(a, b)
     div = _divisor(m)
-    if plan is None:
+    ta, tb = _top(a), _top(b)
+    if ta < 0 or tb < 0:
         return [0] * div.deg
-    a, b, bound = plan
-    n = len(a) + len(b) - 1
-    if not bound or not _packs_rem(n, div):
-        return _reduce(_product(a, b, bound), m)
-    size = _word_size(bound * div.growth)
-    return _packed_rem(_pack(a, size) * _pack(b, size), n, div, size)
+    a, b = a[: ta + 1], b[: tb + 1]
+    terms = min(len(a) - a.count(0), len(b) - b.count(0))
+    size = _word_size(terms * _max_abs(a) * _max_abs(b) * div.growth)
+    return _packed_rem(_pack(a, size) * _pack(b, size), ta + tb + 1, div, size)
 
 
 @dataclass(frozen=True)
@@ -537,30 +462,6 @@ def conductor(*orders: int) -> int:
 # evaluation at the primitive M-th roots of unity modulo primes l = 1 (mod M)
 
 _EVAL_PRIME_LIMIT = 1 << 30
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n < 2^32 is prime: Miller-Rabin to the bases 2, 7 and 61,
-    which no composite below 4,759,123,141 passes."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 61):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _eval_primes(M: int):

@@ -22,7 +22,8 @@ __all__ = [
 ]
 
 MAX_G = 64  # masks stay cheap ints; enumeration bounds are tighter and live elsewhere
-MAX_P = 2**31  # trial division decides any p below it in milliseconds
+# `_is_prime` is exact below 4,759,123,141, which is above this bound.
+MAX_P = 2**31
 
 
 class ProfileError(ValueError):
@@ -30,13 +31,27 @@ class ProfileError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n below 4,759,123,141: Miller-Rabin to the
+    bases 2, 7 and 61, which no composite below that passes (Jaeschke, "On
+    strong pseudoprimes to several bases", Math. Comp. 61, 1993)."""
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for p in (2, 3, 5, 7, 61):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

@@ -4,10 +4,12 @@ Every top-level import of a module is used in that module's code or
 re-exported through its `__all__`, and every `__all__` entry names something
 the module defines, once.  Every private top-level name is read somewhere in
 the package.  A name that loses its last caller takes its imports with it,
-and a private helper that loses its last caller goes too.
+and a private helper that loses its last caller goes too.  A module imports
+only from the layers below it.
 """
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,44 @@ def test_every_private_top_level_name_is_read_in_the_package():
         if private not in read
     }
     assert not unread, f"private names nothing in the package reads: {unread}"
+
+
+def _layers() -> list[str]:
+    """The modules in the order the package docstring lists its layers,
+    bottom up: each name followed by its parenthesized role."""
+    doc = ast.get_docstring(_tree("__init__"))
+    return re.findall(r"(\w+)\s+\(", doc[doc.index("Layers, bottom up:") :])
+
+
+def _package_imports(tree: ast.Module) -> dict[str, int]:
+    """The package modules a module imports anywhere in its code, with the
+    first line of each."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif node.module and node.module.startswith("stratgrid."):
+                names = [node.module.split(".")[1]]
+            else:
+                continue
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names if a.name.startswith("stratgrid.")]
+        else:
+            continue
+        for name in names:
+            out.setdefault(name, node.lineno)
+    return out
+
+
+def test_layers_name_every_module_once():
+    layers = _layers()
+    assert sorted(layers) == [m for m in MODULES if m != "__init__"]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__"])
+def test_each_module_imports_only_from_the_layers_below_it(name):
+    layers = _layers()
+    below = set(layers[: layers.index(name)])
+    upward = {m: line for m, line in _package_imports(_tree(name)).items() if m not in below}
+    assert not upward, f"{name}.py imports from its own or a higher layer: {upward}"

@@ -33,29 +33,15 @@ from stratgrid.characters import (
 )
 from stratgrid.characters import (
     _detectable_index,
-    _max_abs,
-    _operands,
-    _packed_mul,
     _prime_power,
     _prime_power_factors,
-    _product,
     _reduce,
     _ring_mul,
-    _schoolbook_mul,
 )
 
 GAUSS_ORDERS = (3, 4, 5, 7, 8, 9, 11, 13)
 # Every field `GF` builds with q <= 27 (16 needs degree 4).
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
-
-
-def _poly_mul(a, b) -> tuple[int, ...]:
-    """Product of two integer polynomials, trailing zeros trimmed.
-
-    Schoolbook when an operand has few nonzero coefficients, else packed.
-    """
-    plan = _operands(a, b)
-    return tuple(_product(*plan)) if plan else ()
 
 
 def euler_phi(m: int) -> int:
@@ -147,8 +133,8 @@ def test_cyclotomic_poly_matches_division_oracle():
         assert cyclotomic_poly(m) == oracle_cyclotomic_poly(m), m
 
 
-# Coefficients on both sides of the 64-bit packing word, and operands on both
-# sides of the schoolbook cutoff: empty, length 1, monomials, sparse, dense.
+# Coefficients on both sides of the 64-bit packing word, and operands of
+# every shape: empty, length 1, monomials, sparse, dense.
 small_coeff = st.integers(-9, 9)
 wide_coeff = st.one_of(
     st.integers(-(2**70), 2**70),
@@ -172,31 +158,33 @@ def poly_operands(draw, max_len=80):
     return out
 
 
+def _oracle_ring_product(a, b, m):
+    return oracle_poly_rem(oracle_poly_mul(a, b), cyclotomic_poly(m))
+
+
+# Conductors whose rings hold operands of up to 80 coefficients: phi(m) is
+# 128, 108 and 220.
+WIDE_CONDUCTORS = (272, 342, 506)
+
+
 @settings(max_examples=300, deadline=None)
-@given(poly_operands(), poly_operands(), st.booleans())
-def test_poly_mul_matches_schoolbook_oracle(a, b, as_tuple):
+@given(poly_operands(), poly_operands(), st.sampled_from(WIDE_CONDUCTORS), st.booleans())
+def test_ring_mul_of_mixed_operands_matches_schoolbook_oracles(a, b, m, as_tuple):
+    """Operands of any shape and fewer coefficients than phi(m), untrimmed,
+    as lists or tuples."""
+    want = _oracle_ring_product(a, b, m)
     if as_tuple:
         a, b = tuple(a), tuple(b)
-    assert _poly_mul(a, b) == oracle_poly_mul(a, b)
+    got = _ring_mul(a, b, m)
+    assert len(got) == len(cyclotomic_poly(m)) - 1
+    assert oracle_poly_trim(list(got)) == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(poly_operands(max_len=40), poly_operands(max_len=40))
-def test_both_product_paths_match_schoolbook_oracle(a, b):
-    """Rows and packing each agree with the oracle, whichever one the
-    operands would choose."""
-    want = oracle_poly_mul(a, b)
-    ta, tb = oracle_poly_trim(list(a)), oracle_poly_trim(list(b))
-    if not ta or not tb:
-        return
-    assert _schoolbook_mul(ta, tb) == want
-    bound = len(ta) * _max_abs(ta) * _max_abs(tb)
-    assert tuple(_packed_mul(ta, tb, bound)) == want
-
-
-def test_poly_mul_at_word_edges():
-    """Dense and sparse operands of many lengths, with coefficients at the
-    edges of the signed 8-, 16-, 32- and 64-bit words and past them."""
+def test_ring_mul_at_word_edges():
+    """Dense and sparse operands of many lengths, up to phi(506) = 220, with
+    coefficients at the edges of the signed 8-, 16-, 32- and 64-bit words
+    and past them."""
+    m = 506
     for n in (1, 2, 3, 5, 8, 12, 16, 40, 220):
         for top in (1, 2**7, 2**15, 2**31, 2**62, 2**63, 2**64, 2**200):
             a = [(-1) ** i * (top - i) for i in range(n)]
@@ -204,11 +192,28 @@ def test_poly_mul_at_word_edges():
             sparse = [0] * n
             sparse[-1] = -top
             for x, y in ((a, b), (a, a[::-1]), (sparse, b), (b, sparse), ([top], b)):
-                assert _poly_mul(x, y) == oracle_poly_mul(x, y)
+                got = _ring_mul(x, y, m)
+                assert oracle_poly_trim(list(got)) == _oracle_ring_product(x, y, m), (n, top)
+
+
+@pytest.mark.parametrize("m", [64, 128, 256])
+def test_ring_mul_sizes_digits_by_the_nonzero_terms(m):
+    """At m = 2^k, Phi_m = 1 + x^(m/2) and a division grows a coefficient at
+    most 5 times, so a dense square of phi(m) equal coefficients c, whose
+    middle coefficient is phi(m) c^2, needs digits sized by its count of
+    terms.  c runs to just past the edges of the signed 8-, 16-, 32- and
+    64-bit words."""
+    deg = m // 2
+    for bits in (8, 16, 32, 64):
+        c0 = math.isqrt(((1 << (bits - 1)) - 1) // deg)
+        for c in (c0, c0 + 1, -c0 - 1):
+            a = [c] * deg
+            got = _ring_mul(a, a, m)
+            assert oracle_poly_trim(got) == _oracle_ring_product(a, a, m), (m, bits, c)
 
 
 # Conductors for the remainder: small ones, and the wide rings of the Gauss
-# and twist checks (q = 13, 17, 19, 23) where the packed division runs.
+# and twist checks (q = 13, 17, 19, 23).
 REM_CONDUCTORS = [1, 2, 3, 12, 60, 110, 156, 272, 342, 506]
 
 
@@ -264,10 +269,6 @@ def _ring_elements(m):
     ]
 
 
-def _oracle_ring_product(a, b, m):
-    return oracle_poly_rem(oracle_poly_mul(a, b), cyclotomic_poly(m))
-
-
 @pytest.mark.parametrize("m", REM_CONDUCTORS)
 def test_int_scalar_products_match_oracles(m):
     """An exact `int` scales coefficient by coefficient, in either operand
@@ -285,8 +286,8 @@ def test_int_scalar_products_match_oracles(m):
 
 @pytest.mark.parametrize("m", REM_CONDUCTORS)
 def test_monomial_products_match_oracles(m):
-    """c x^i for i < phi(m) is one nonzero term: the product is one shifted,
-    scaled row, reduced, in either operand order."""
+    """c x^i for i < phi(m), one nonzero term, times dense elements in
+    either operand order: the digits are sized by that one term."""
     deg = len(cyclotomic_poly(m)) - 1
     rng = Random(m)
     spots = sorted({0, deg - 1, *rng.sample(range(deg), min(deg, 6))})
@@ -349,7 +350,8 @@ def test_reduce_worst_case_dividends_at_word_edges(m):
 
 
 def test_reduce_products_of_dense_elements_at_506():
-    """Squares and products of count vectors, the Gauss-law shape."""
+    """Squares and products of count vectors, the Gauss-law shape: reduced,
+    multiplied in the ring, and the unreduced product reduced."""
     M = 506
     phi = cyclotomic_poly(M)
     for seed in range(4):
@@ -358,10 +360,72 @@ def test_reduce_products_of_dense_elements_at_506():
         y = [rng.randint(0, 2**40) for _ in range(M)]
         xr, yr = _reduce(tuple(x), M), _reduce(tuple(y), M)
         assert oracle_poly_trim(list(xr)) == oracle_poly_rem(x, phi)
-        prod = _poly_mul(xr, yr)
-        assert prod == oracle_poly_mul(xr, yr)
-        got = _reduce(prod, M)
-        assert oracle_poly_trim(list(got)) == oracle_poly_rem(prod, phi)
+        assert oracle_poly_trim(list(yr)) == oracle_poly_rem(y, phi)
+        prod = oracle_poly_mul(xr, yr)
+        want = oracle_poly_rem(prod, phi)
+        assert oracle_poly_trim(_ring_mul(xr, yr, M)) == want
+        assert oracle_poly_trim(_ring_mul(xr, xr, M)) == oracle_poly_rem(
+            oracle_poly_mul(xr, xr), phi
+        )
+        assert oracle_poly_trim(_reduce(prod, M)) == want
+
+
+def _gauss_conductors():
+    """The conductors of the Gauss laws, conductor(p, q - 1), and of `gauss`,
+    conductor(p, ord psi), for every field `GF` builds with q <= 27."""
+    out = set()
+    for q in FIELD_ORDERS:
+        F = GF(q)
+        out.add(conductor(F.p, q - 1))
+        out |= {conductor(F.p, psi.order) for psi in all_field_chars(F)}
+    return sorted(out)
+
+
+SMALL_RINGS = sorted({1, 2, *_gauss_conductors()})
+
+
+def test_small_rings_cover_the_gauss_conductors():
+    assert {1, 2, 6, 14, 20, 24, 42, 506} <= set(SMALL_RINGS)
+
+
+def _small_ring_operands(rng, n):
+    """Operands of n coefficients: dense with small and with wide
+    coefficients, sparse, and a monomial, the wide ones up to 2^200."""
+    wide = 2 ** rng.choice((7, 31, 63, 64, 200))
+    sparse = [0] * n
+    for i in rng.sample(range(n), max(1, n // 5)):
+        sparse[i] = rng.randint(-wide, wide) or 1
+    monomial = [0] * n
+    monomial[rng.randrange(n)] = rng.choice((1, -1, wide, -wide - 1))
+    return [
+        [rng.randint(-9, 9) for _ in range(n)],
+        [rng.randint(-wide, wide) for _ in range(n)],
+        sparse,
+        monomial,
+    ]
+
+
+@pytest.mark.parametrize("m", SMALL_RINGS)
+def test_small_ring_products_and_reductions_match_oracles(m):
+    """Every ring the Gauss laws and `gauss` reach for q <= 27, and m = 1
+    and 2: products of reduced elements, products short enough to need no
+    division (at most phi(m) coefficients), and dividends of every length
+    up to past 2m, against the schoolbook oracles."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    rng = Random(m)
+    shapes = [(deg, deg), (deg, 1), (1, deg)]
+    shapes += [(i, deg + 1 - i) for i in {1, 2, deg // 2, deg} if 0 < i <= deg]  # deg terms
+    for na, nb in shapes:
+        for a, b in zip(_small_ring_operands(rng, na), _small_ring_operands(rng, nb)[::-1]):
+            got = _ring_mul(a, b, m)
+            assert len(got) == deg
+            assert oracle_poly_trim(got) == _oracle_ring_product(a, b, m), (m, a, b)
+    for n in sorted({0, 1, deg, deg + 1, m, m + 1, 2 * m + 3}):
+        for a in _small_ring_operands(rng, n) if n else [[]]:
+            got = _reduce(tuple(a), m)
+            assert len(got) == deg
+            assert oracle_poly_trim(got) == oracle_poly_rem(a, phi), (m, a)
 
 
 @pytest.mark.parametrize("m", list(range(1, 31)) + [60, 156])

@@ -1068,8 +1068,9 @@ def test_deeply_nested_json_is_usage_error(capsys, argv):
 
 
 def test_huge_prime_is_refused_before_trial_division(capsys):
-    """p = 10^15 + 37 is prime, and trial division up to its square root
-    takes seconds; p at or above `MAX_P` is refused first."""
+    """p = 10^15 + 37 is prime, but far above the bound below which
+    `_is_prime` is exact; p at or above `MAX_P` is refused before any
+    primality test."""
     start = time.perf_counter()
     code = cli.run(["strata", "enumerate", "--profile", "p=1000000000000037;f=1"])
     assert time.perf_counter() - start < 1

@@ -15,6 +15,7 @@ from stratgrid.embeddings import (
     shift_right,
     subset_to_indices,
 )
+from stratgrid.embeddings import _is_prime
 
 PROFILES = [
     PrimeProfile(3, (1,)),
@@ -101,6 +102,23 @@ def test_prime_at_or_above_the_bound_is_refused():
     for p in (MAX_P, 10**15 + 37, 2**61 - 1):
         with pytest.raises(ProfileError, match="below 2\\^31"):
             PrimeProfile(p, (1,))
+
+
+def test_is_prime_matches_a_sieve_and_refuses_strong_pseudoprimes():
+    """Miller-Rabin to the bases 2, 7 and 61 agrees with a sieve below 10^5,
+    and calls composite the strong pseudoprimes to smaller base sets below
+    its bound: to base 2 (2047, 3277), to 2, 3 and 5 (25326001) and to 2, 3,
+    5 and 7 (3215031751), as well as Carmichael numbers."""
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert [_is_prime(n) for n in range(limit)] == sieve
+    for n in (561, 1105, 2047, 3277, 25326001, 3215031751, 2**31 + 1, 2**32 - 1):
+        assert not _is_prime(n), n
+    for n in (2**31 - 1, 2**32 - 5, 4759123129):
+        assert _is_prime(n), n
 
 
 def test_boolean_residue_degree_rejected():

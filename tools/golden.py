@@ -32,8 +32,9 @@ directly.  The report set:
   default seed and trials and at `--seed 7 --trials 3`;
 - `verify twist` on the inputs that run no trial: q=2, n=3, and q=3, n=2 and
   q=4, n=1 with `--corrupt`;
-- `verify twist` at two large conductors, where the ring products are packed:
-  q=23, n=1 with `--trials 1` (phi(M) = 220) and q=13, n=3 (phi(M) = 48);
+- `verify twist` at two large conductors, whose checks evaluate at the most
+  roots of unity: q=23, n=1 with `--trials 1` (phi(M) = 220) and q=13, n=3
+  (phi(M) = 48);
 - `gauss` for every q <= 27 except 16 and every character exponent;
 - `regions coverage` on every profile with g <= 6 for p in {2, 3, 5, 7, 11};
 - `strata enumerate`, plain, with `--codim 1` and with `--nowhere-etale`, on
@@ -107,7 +108,7 @@ TWIST_SEEDED = ["--seed", "7", "--trials", "3"]
 # GF(2) has no nontrivial character; mod 2 and mod 1 every character is
 # trivial, which `--corrupt` skips.
 TWISTS_WITHOUT_TRIALS = ((2, 3, []), (3, 2, ["--corrupt"]), (4, 1, ["--corrupt"]))
-# Conductors whose rings are wide enough for the packed products.
+# Large conductors: the twist checks evaluate at phi(M) = 220 and 48 roots.
 LARGE_TWISTS = ((23, 1, ["--trials", "1"]), (13, 3, []))
 GAUSS_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27)
 COVERAGE_PRIMES = (2, 3, 5, 7, 11)
