@@ -33,8 +33,9 @@ With the CLI's r = 2, s = 3, C = 1 and seed coefficients up to 9, one
 M = 2436).  `_Evaluation` never stops short of the bound.
 
 Every term of a character sum is a power zeta_M^e, so the sums are counted in
-Z[x]/(x^M - 1), one counter per exponent e mod M, and reduced once modulo
-Phi_M.  That is exact because Phi_M divides x^M - 1.
+Z[x]/(x^M - 1), one counter per distinct exponent e mod M, and reduced once
+modulo Phi_M.  That is exact because Phi_M divides x^M - 1.  The counts are
+packed straight from the terms, so no M-long vector is built.
 
 The ring arithmetic runs in C big-integer operations, and every product and
 every reduction takes one path:
@@ -56,7 +57,9 @@ every reduction takes one path:
   same Mobius product gives it.
 - An `int` operand of `CyclotomicInt` scales coefficient by coefficient,
   with no packing and no reduction: a reduced element times an integer
-  stays reduced.
+  stays reduced.  An integer, and zeta_m^k for k mod m below phi(m), is its
+  own remainder, so `from_int`, such a `zeta` and `==` against an `int`
+  pack nothing either.
 
 The twist identity is linear in the seed, and at every index both of its
 sides are the seed coefficient times a factor free of the seed.  Every seed
@@ -75,11 +78,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product, repeat
 from math import gcd, lcm
-from operator import add, mod, mul, sub
+from operator import add, index, mod, mul, sub
 from random import Random
 
 from .embeddings import _is_prime
@@ -350,11 +354,16 @@ class CyclotomicInt:
 
     @staticmethod
     def from_int(m: int, c: int) -> "CyclotomicInt":
-        return CyclotomicInt.make(m, (c,))
+        """c as (c, 0, ..., 0): an integer is its own remainder."""
+        return CyclotomicInt(m, (index(c),) + (0,) * (_divisor(m).deg - 1))
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "CyclotomicInt":
+        """zeta_m^k: a unit vector when k mod m is below phi(m), else reduced."""
         k %= m
+        deg = _divisor(m).deg
+        if k < deg:
+            return CyclotomicInt(m, (0,) * k + (1,) + (0,) * (deg - k - 1))
         return CyclotomicInt.make(m, (0,) * k + (1,))
 
     def _coerce(self, other) -> "CyclotomicInt":
@@ -408,7 +417,7 @@ class CyclotomicInt:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == CyclotomicInt.from_int(self.m, other)
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         if isinstance(other, CyclotomicInt):
             return self.m == other.m and self.coeffs == other.coeffs
         return NotImplemented
@@ -876,11 +885,19 @@ def all_unit_chars(group: UnitGroup):
 
 
 def _zeta_sum(M: int, exponents) -> CyclotomicInt:
-    """Sum of zeta_M^e over the given exponents, reduced once."""
-    counts = [0] * M
-    for e in exponents:
-        counts[e % M] += 1
-    return CyclotomicInt.make(M, counts)
+    """Sum of zeta_M^e over the given exponents, reduced once.
+
+    The sum is packed from its terms, with no M-long list to build and scan:
+    `_packed_rem` gets the sum of c 2^(8 size e) over the distinct exponents
+    e mod M, c the count of e, with the digits sized from the largest count
+    times `_divisor(M).growth`, what the division needs.
+    """
+    counts = Counter(e % M for e in exponents)
+    div = _divisor(M)
+    size = _word_size(max(counts.values(), default=0) * div.growth)
+    packed = sum(c << (8 * size * e) for e, c in counts.items())
+    n = max(counts, default=-1) + 1
+    return CyclotomicInt(M, tuple(_packed_rem(packed, n, div, size)))
 
 
 def gauss_sum(psi: FieldChar, M: int | None = None) -> CyclotomicInt:

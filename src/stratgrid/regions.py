@@ -17,9 +17,13 @@ so no flipped vector is built.  The union over every T inside S is decided
 from at most two charts: T0, the all-Zero blocks of S, and on a
 codimension-1 point whose Open entry's block is in S also T0 plus that
 block (`in_sigma_S` argues why no other chart can add to them).  The
-coverage check needs only whether a flipped face is etale, which is
-`strata._whole_blocks` of its Zero mask, so it names no stratum; it
-tabulates that once over all 2^g masks.
+coverage check needs only whether a flipped face is etale, which is whether
+some block is all Zero after the flip, so it names no stratum and decides
+coverage per block: each flip picks a block from the face's pattern on that
+block alone, so one table per block size and flip, of the patterns it
+leaves all Zero, decides every face (`coverage_check` argues it).  The
+tables are empty, so only the p = 2 gaps fail, and faces are walked only to
+write those records.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from .degrees import DegreeVector, _entry_masks
 from .embeddings import PrimeProfile
@@ -285,8 +290,9 @@ class CoverageReport:
 def _corner_masks(positions) -> list[int]:
     """One-masks of all 0/1 assignments to positions, in product order.
 
-    The first position varies slowest, as in itertools.product, so reports
-    list faces in the same order as a coordinate-tuple enumeration would.
+    The first position varies slowest, as in itertools.product, so the masks
+    line up with `product("01", ...)` over the same positions, which writes
+    the reports' coordinates.
     """
     masks = [0]
     for k in positions:
@@ -295,12 +301,71 @@ def _corner_masks(positions) -> list[int]:
     return masks
 
 
-def _coords_json(g: int, zeros: int, ones: int) -> list[str]:
-    return ["1" if ones >> k & 1 else "0" if zeros >> k & 1 else "*" for k in range(g)]
+def _all_zero(zeros: int, ones: int, block: int) -> bool:
+    return zeros == block
+
+
+def _not_all_one(zeros: int, ones: int, block: int) -> bool:
+    return ones != block
+
+
+def _all_zero_or_open(zeros: int, ones: int, block: int) -> bool:
+    return zeros == block or zeros | ones != block
+
+
+# The flips `coverage_check` takes, each a tag and the rule that picks a block
+# from the face's Zero and One masks on that block, moved down to bit 0, with
+# `block` the block's own mask there.  At a vertex: T0, the all-Zero blocks,
+# and T0 + T2, the blocks not all One.  At an edge: T0, and T0 + p0, which
+# also takes the block holding the Open entry.
+_VERTEX_FLIPS = (("T0", _all_zero), ("T0+T2", _not_all_one))
+_EDGE_FLIPS = (("T0", _all_zero), ("T0+p0", _all_zero_or_open))
+
+
+@cache
+def _zeroed_faces(f: int, picks, edge: bool) -> frozenset:
+    """The faces of one block of size f, as (Zero, One) masks moved down to
+    bit 0, that the rule `picks` leaves all Zero: among the 2^f vertex
+    patterns, and with `edge` also the f 2^(f-1) patterns with one Open
+    entry."""
+    block = (1 << f) - 1
+    faces = [(block & ~ones, ones) for ones in range(block + 1)]
+    if edge:
+        faces += [
+            (block & ~bit & ~ones, ones)
+            for bit in (1 << k for k in range(f))
+            for ones in range(block + 1)
+            if not ones & bit
+        ]
+    return frozenset(
+        face for face in faces if _swap_on(*face, block if picks(*face, block) else 0)[0] == block
+    )
+
+
+def _etale_flips(profile: PrimeProfile, flips, edge: bool) -> list[tuple[str, list]]:
+    """The flips that leave some block of `profile` all Zero on some face, in
+    the order of `flips`, each with the `_zeroed_faces` table of every block."""
+    out = []
+    for tag, picks in flips:
+        tables = [_zeroed_faces(f, picks, edge) for f in profile.f]
+        if any(tables):
+            out.append((tag, tables))
+    return out
+
+
+def _is_etale(profile: PrimeProfile, tables: list, zeros: int, ones: int) -> bool:
+    """Whether the flip with per-block tables `tables` makes the face with
+    masks (zeros, ones) etale: whether some block's pattern is in its table."""
+    for table, f, off in zip(tables, profile.f, profile.offsets):
+        block = (1 << f) - 1
+        if (zeros >> off & block, ones >> off & block) in table:
+            return True
+    return False
 
 
 def coverage_check(profile: PrimeProfile) -> CoverageReport:
-    """Vertex and edge coverage of the degree cube by transported charts.
+    """Vertex and edge coverage of the degree cube by transported charts,
+    decided block by block.
 
     For every vertex, flipping the all-Zero blocks (with or without the mixed
     blocks) must land on nowhere-etale strata.  For every edge, the two
@@ -308,34 +373,49 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
     with t the tail sum of the free block; these cover (0,1) iff 1-t > t,
     which fails exactly when p = 2 and the free block has size >= 2.
 
-    A face is held as its Zero and One bitmasks.  T0 is `_whole_blocks` of
-    the Zero mask and T0 + T2 the complement of `_whole_blocks` of the One
-    mask.  Flipping them swaps the two masks there (`strata._swap_on`), so
-    the flipped face's Zero mask is the old Zeros off the flip and the old
-    Ones on it, and the flipped face is etale exactly when `_whole_blocks`
-    of that mask is not empty, the test `classify_face` makes.  Every mask
-    met is a subset of the g coordinates, so `_whole_blocks` is tabulated
-    once over all 2^g masks and every T0, T0 + T2 and flipped-face test
-    reads the table.
+    A face is held as its Zero and One bitmasks.  Flipping a set of blocks
+    swaps the two masks there (`strata._swap_on`), and the flipped face is
+    etale exactly when `_whole_blocks` of its Zero mask is not empty, the
+    test `classify_face` makes.  That factors over the blocks:
 
-    The check visits 2^g vertices and g * 2^(g-1) edges, so it refuses a
-    profile above the enumeration bound with `EnumerationBound`.
+    - The flipped face is etale exactly when some block is all Zero after
+      the flip: an OR over the blocks.
+    - Each flip the check takes (`_VERTEX_FLIPS`, `_EDGE_FLIPS`) picks each
+      block from the face's masks on that block alone, so whether a block is
+      all Zero after the flip depends only on the face's pattern there.
+    - `_zeroed_faces` tabulates, once per block size and rule, the patterns
+      the flip leaves all Zero.  A flip fails on some face exactly when some
+      block's table is not empty, since every combination of block patterns
+      is a face (at an edge the blocks other than the Open entry's hold
+      vertex patterns).
+
+    Every table is empty, which is the lemma the check exposes: a block is
+    all Zero after a swap exactly when it was all Zero and not flipped, or
+    all One and flipped.  T0 flips every all-Zero block and no all-One one,
+    and so do T0 + T2 and T0 + p0; a block holding the Open entry is
+    neither.  So no flip the check takes leaves a block all Zero, and only
+    the p = 2 gaps can fail.  The faces are walked to list etale flips, in
+    product order, only when some table is not empty; otherwise only the
+    edges of a block with a gap are walked, to write its gap records.
+
+    A report can list all 2^g vertices and g * 2^(g-1) edges, so the check
+    refuses a profile above the enumeration bound with `EnumerationBound`.
     """
     g = profile.g
     if g > ENUMERATION_MAX_G:
         raise EnumerationBound(f"g={g} exceeds enumeration bound {ENUMERATION_MAX_G}")
     full = profile.full_mask
-    whole = [_whole_blocks(profile, m) for m in range(full + 1)]
 
     vertex_failures = []
-    for ones in _corner_masks(range(g)):
-        zeros = full & ~ones
-        t0 = whole[zeros]  # blocks of T0: all Zero
-        t0_t2 = full & ~whole[ones]  # T0 + T2: not all One
-        for tag, flip in (("T0", t0), ("T0+T2", t0_t2)):
-            if whole[(zeros & ~flip) | (ones & flip)]:  # the flipped face is etale
-                vertex_failures.append({"vertex": _coords_json(g, zeros, ones), "flip": tag})
+    flips = _etale_flips(profile, _VERTEX_FLIPS, False)
+    if flips:
+        for ones, coords in zip(_corner_masks(range(g)), product("01", repeat=g)):
+            zeros = full & ~ones
+            for tag, tables in flips:
+                if _is_etale(profile, tables, zeros, ones):
+                    vertex_failures.append({"vertex": list(coords), "flip": tag})
     edge_failures = []
+    flips = _etale_flips(profile, _EDGE_FLIPS, True)
     # The gap record of each block size whose tail leaves (0, 1) uncovered,
     # built once and shared by every edge of that size.
     gaps = {}
@@ -351,22 +431,22 @@ def coverage_check(profile: PrimeProfile) -> CoverageReport:
                 "gap": [str(ONE - t), str(t)],
             }
     for beta0 in range(g):
-        b0 = profile._block_of[beta0]
-        gap = gaps.get(b0.bit_count())
+        gap = gaps.get(profile._block_of[beta0].bit_count())
+        if not (flips or gap):
+            continue
         closed = full & ~(1 << beta0)
-        for ones in _corner_masks(k for k in range(g) if k != beta0):
+        others = _corner_masks(k for k in range(g) if k != beta0)
+        for ones, rest in zip(others, product("01", repeat=g - 1)):
             zeros = closed & ~ones
-            t0 = whole[zeros]  # beta0 is Open: never its block
+            coords = [*rest[:beta0], "*", *rest[beta0:]]
             issues = [
                 {"flip": tag, "issue": "etale"}
-                for tag, flip in (("T0", t0), ("T0+p0", t0 | b0))
-                if whole[(zeros & ~flip) | (ones & flip)]
+                for tag, tables in flips
+                if _is_etale(profile, tables, zeros, ones)
             ]
             if gap:
                 issues.append(gap)
             for issue in issues:
-                edge_failures.append(
-                    {"edge": _coords_json(g, zeros, ones), "beta0": beta0, **issue}
-                )
+                edge_failures.append({"edge": coords, "beta0": beta0, **issue})
     passed = not vertex_failures and not edge_failures
     return CoverageReport(profile, passed, tuple(vertex_failures), tuple(edge_failures))

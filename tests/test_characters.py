@@ -336,6 +336,21 @@ def test_divisor_growth_bounds_the_worst_remainder(m):
     assert characters._divisor(m).growth >= worst
 
 
+@pytest.mark.parametrize("m", [506, 630, 770])
+def test_zeta_sum_digits_hold_the_division_growth(m):
+    """A character sum whose remainder outgrows its counts: 127, the largest
+    count a one-byte digit holds, of each exponent e whose x^e mod Phi_m is
+    positive in column j.  That coefficient is 127 times their sum, past a
+    byte, so the digits must be sized for the division's growth."""
+    rows = _remainder_rows(m, m)
+    j = max(range(len(rows[0])), key=lambda col: sum(r[col] for r in rows if r[col] > 0))
+    exponents = [e for e, r in enumerate(rows) if r[j] > 0 for _ in range(127)]
+    got = characters._zeta_sum(m, exponents).coeffs
+    assert got[j] == 127 * sum(r[j] for r in rows if r[j] > 0) > 127
+    counts = [127 if r[j] > 0 else 0 for r in rows]
+    assert got == tuple(_reduce(tuple(counts), m))
+
+
 @pytest.mark.parametrize("m", [630, 770])
 def test_reduce_worst_case_dividends_at_word_edges(m):
     """Dividends whose remainder just overflows each signed word: at these
@@ -426,6 +441,51 @@ def test_small_ring_products_and_reductions_match_oracles(m):
             got = _reduce(tuple(a), m)
             assert len(got) == deg
             assert oracle_poly_trim(got) == oracle_poly_rem(a, phi), (m, a)
+
+
+INTEGER_RINGS = sorted({*SMALL_RINGS, *REM_CONDUCTORS})
+
+
+@pytest.mark.parametrize("m", INTEGER_RINGS)
+def test_integer_elements_match_their_reductions(m):
+    """`from_int`, `zeta` below x^phi(m) and `==` against an int build no
+    packed element; each agrees with `_reduce` and `make`, m = 1 and 2
+    included."""
+    deg = len(cyclotomic_poly(m)) - 1
+    rng = Random(m)
+    for c in (0, 1, -1, 23, 2**70, -(2**200), True):
+        x = CyclotomicInt.from_int(m, c)
+        assert x.coeffs == tuple(_reduce((c,), m)) == CyclotomicInt.make(m, [c]).coeffs
+        assert all(type(v) is int for v in x.coeffs)
+    for k in range(-m - 1, 2 * m + 2):
+        want = _reduce((0,) * (k % m) + (1,), m)
+        assert CyclotomicInt.zeta(m, k).coeffs == tuple(want), k
+    elements = [CyclotomicInt.from_int(m, c) for c in (0, 5, -5)]
+    elements += [CyclotomicInt.zeta(m, k) for k in range(m)]
+    elements += [CyclotomicInt.make(m, [rng.randint(-3, 3) for _ in range(deg)]) for _ in range(5)]
+    elements += [CyclotomicInt.from_int(m, 5) + CyclotomicInt.zeta(m, k) for k in range(1, deg)]
+    for x in elements:
+        for c in (0, 1, -1, 5, -5):
+            assert (x == c) is (x.coeffs == tuple(_reduce((c,), m))), (x, c)
+
+
+@pytest.mark.parametrize("m", INTEGER_RINGS)
+def test_zeta_sums_packed_from_their_terms_match_count_vectors(m):
+    """`_zeta_sum` packs the counts of its exponents without an M-long list;
+    it agrees with the count vector reduced by `_reduce` and by the
+    schoolbook oracle, for exponents past m and below 0, many repeats of
+    one exponent, and none."""
+    rng = Random(m)
+    phi = cyclotomic_poly(m)
+    cases = [[], [0], [m - 1], [-1, m, 2 * m + 1], [rng.randrange(m)] * 1000]
+    cases += [[rng.randrange(-m, 3 * m) for _ in range(n)] for n in (1, 7, m, 3 * m)]
+    for exponents in cases:
+        counts = [0] * m
+        for e in exponents:
+            counts[e % m] += 1
+        got = characters._zeta_sum(m, exponents).coeffs
+        assert got == tuple(_reduce(tuple(counts), m)), exponents
+        assert oracle_poly_trim(list(got)) == oracle_poly_rem(counts, phi)
 
 
 @pytest.mark.parametrize("m", list(range(1, 31)) + [60, 156])

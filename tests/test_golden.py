@@ -28,11 +28,11 @@ def _arg(argv, flag: str) -> str:
 
 
 def _fast(name: str, argv) -> bool:
-    """Commands of a few milliseconds each, some 220 of them and about 1 s
-    in all on two cores: the benchmark's one-worker sweeps, the one-worker
-    sweeps at den 1 and 2, the twists with q <= 4, `gauss` for q <= 9,
-    coverage and strata on g <= 3, the one-worker suite and every cusp
-    check."""
+    """Commands of a few milliseconds each or less: the benchmark's
+    one-worker sweeps, the one-worker sweeps at den 1 and 2, the twists with
+    q <= 4, `gauss` for q <= 9, every coverage check (g <= 6, each well
+    under a millisecond since coverage is decided per block), strata on
+    g <= 3, the one-worker suite and every cusp check."""
     kind = _subcommand(argv)
     if kind in (("verify", "sigma-up"), ("verify", "saturation")):
         if _arg(argv, "--workers") != "1":
@@ -42,7 +42,9 @@ def _fast(name: str, argv) -> bool:
         return int(_arg(argv, "--q")) <= 4
     if kind == ("gauss",):
         return int(_arg(argv, "--q")) <= 9
-    if kind in (("regions", "coverage"), ("strata", "enumerate")):
+    if kind == ("regions", "coverage"):
+        return True
+    if kind == ("strata", "enumerate"):
         return parse_profile(_arg(argv, "--profile")).g <= 3
     if kind == ("suite",):
         return _arg(argv, "--workers") == "1"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratgrid.embeddings import PrimeProfile, shift_left, shift_right, subset_to_indices
+from stratgrid import regions
 from stratgrid.regions import CoverageReport, IntervalQ, coverage_check
 from stratgrid.strata import (
     Badness,
@@ -333,26 +334,40 @@ SMALL_PROFILES = [
 ]
 
 
+def rule_flip(profile: PrimeProfile, picks, zeros: int, ones: int) -> int:
+    """The blocks a flip rule of `regions` picks on a face: each block's
+    masks are moved down to bit 0 and handed to the rule."""
+    flip = 0
+    for i in range(profile.n_primes):
+        b = profile.block_mask(i)
+        off = profile.offsets[i]
+        if picks((zeros & b) >> off, (ones & b) >> off, b >> off):
+            flip |= b
+    return flip
+
+
 def coverage_oracle(profile: PrimeProfile) -> CoverageReport:
     """`coverage_check`'s report built the old way: faces from coordinate
-    strings, blocks from `block_mask`, each flip decided by naming the
-    flipped face's stratum with `classify_face_walk`, and the tail sums as
-    `Fraction` sums."""
+    strings, every face walked, each flip, as `regions`' flip rules pick it,
+    decided by naming the flipped face's stratum with `classify_face_walk`,
+    and the tail sums as `Fraction` sums.  The rules are read at each call,
+    so a test that swaps them in `regions` swaps them here too."""
     g = profile.g
-    blocks = [profile.block_mask(i) for i in range(profile.n_primes)]
 
-    def inside(mask: int) -> int:
-        return sum(b for b in blocks if mask & b == b)
-
-    def etale(zeros: int, ones: int, flip: int) -> bool:
-        return not classify_face_walk(profile, *_swap_on(zeros, ones, flip)).nowhere_etale
+    def etale_flips(flips, zeros: int, ones: int) -> list[str]:
+        return [
+            tag
+            for tag, picks in flips
+            if not classify_face_walk(
+                profile, *_swap_on(zeros, ones, rule_flip(profile, picks, zeros, ones))
+            ).nowhere_etale
+        ]
 
     vertex_failures = []
     for coords in itertools.product("01", repeat=g):
         zeros, ones = face("".join(coords))
-        for tag, flip in (("T0", inside(zeros)), ("T0+T2", profile.full_mask & ~inside(ones))):
-            if etale(zeros, ones, flip):
-                vertex_failures.append({"vertex": list(coords), "flip": tag})
+        for tag in etale_flips(regions._VERTEX_FLIPS, zeros, ones):
+            vertex_failures.append({"vertex": list(coords), "flip": tag})
     edge_failures = []
     for beta0 in range(g):
         i0 = profile.prime_of(beta0)
@@ -360,11 +375,9 @@ def coverage_oracle(profile: PrimeProfile) -> CoverageReport:
         for rest in itertools.product("01", repeat=g - 1):
             coords = list(rest[:beta0]) + ["*"] + list(rest[beta0:])
             zeros, ones = face("".join(coords))
-            t0 = inside(zeros)
             issues = [
                 {"flip": tag, "issue": "etale"}
-                for tag, flip in (("T0", t0), ("T0+p0", t0 | blocks[i0]))
-                if etale(zeros, ones, flip)
+                for tag in etale_flips(regions._EDGE_FLIPS, zeros, ones)
             ]
             if not 1 - t > t:
                 covered = [IntervalQ(t, Fraction(1)), IntervalQ(Fraction(0), 1 - t)]
@@ -384,6 +397,69 @@ def coverage_oracle(profile: PrimeProfile) -> CoverageReport:
 @pytest.mark.parametrize("profile", SMALL_PROFILES, ids=str)
 def test_coverage_matches_the_stratum_naming_oracle(profile):
     assert coverage_check(profile) == coverage_oracle(profile)
+
+
+@pytest.mark.parametrize("profile", SMALL_PROFILES, ids=str)
+def test_flip_rules_pick_the_transported_charts(profile):
+    """On every vertex and edge, the rules pick T0 (the all-Zero blocks),
+    T0 + T2 (the blocks not all One) and T0 + p0 (T0 and the Open entry's
+    block)."""
+    g, full = profile.g, profile.full_mask
+    blocks = [profile.block_mask(i) for i in range(profile.n_primes)]
+
+    def inside(mask: int) -> int:
+        return sum(b for b in blocks if mask & b == b)
+
+    (t0_tag, t0), (t2_tag, t0_t2) = regions._VERTEX_FLIPS
+    (e0_tag, e0), (p0_tag, t0_p0) = regions._EDGE_FLIPS
+    assert (t0_tag, t2_tag, e0_tag, p0_tag) == ("T0", "T0+T2", "T0", "T0+p0")
+    for coords in itertools.product("01", repeat=g):
+        zeros, ones = face("".join(coords))
+        assert rule_flip(profile, t0, zeros, ones) == inside(zeros)
+        assert rule_flip(profile, t0_t2, zeros, ones) == full & ~inside(ones)
+    for beta0 in range(g):
+        b0 = blocks[profile.prime_of(beta0)]
+        for rest in itertools.product("01", repeat=g - 1):
+            zeros, ones = face("".join(rest[:beta0]) + "*" + "".join(rest[beta0:]))
+            assert rule_flip(profile, e0, zeros, ones) == inside(zeros)
+            assert rule_flip(profile, t0_p0, zeros, ones) == inside(zeros) | b0
+
+
+def _flip_nothing(zeros, ones, block):
+    return False
+
+
+def _flip_everything(zeros, ones, block):
+    return True
+
+
+def _all_one(zeros, ones, block):
+    return ones == block
+
+
+# Wrong flip rules that leave blocks all Zero, so the check walks its faces
+# and lists etale flips: every rule flipping nothing or everything, or T0 + T2
+# and an edge's T0 taking the all-One blocks.
+WRONG_RULES = {
+    "nothing": ((_flip_nothing,) * 2, (_flip_nothing,) * 2),
+    "everything": ((_flip_everything,) * 2, (_flip_everything,) * 2),
+    "all-one": ((regions._all_zero, _all_one), (_all_one, regions._all_zero_or_open)),
+}
+
+
+@pytest.mark.parametrize("rules", WRONG_RULES, ids=str)
+def test_coverage_lists_the_etale_flips_of_wrong_rules_like_the_oracle(rules, monkeypatch):
+    """The listing path, which no profile reaches under the real rules: with
+    a wrong rule swapped in for both the check and the oracle, they report
+    the same failures face for face, and some profile fails on an etale
+    flip at a vertex and at an edge."""
+    (t0, t0_t2), (e0, t0_p0) = WRONG_RULES[rules]
+    monkeypatch.setattr(regions, "_VERTEX_FLIPS", (("T0", t0), ("T0+T2", t0_t2)))
+    monkeypatch.setattr(regions, "_EDGE_FLIPS", (("T0", e0), ("T0+p0", t0_p0)))
+    reports = [coverage_check(profile) for profile in SMALL_PROFILES]
+    assert reports == [coverage_oracle(profile) for profile in SMALL_PROFILES]
+    assert any(r.vertex_failures for r in reports)
+    assert any(e.get("issue") == "etale" for r in reports for e in r.edge_failures)
 
 
 def test_coverage_oracle_sees_etale_flips():
