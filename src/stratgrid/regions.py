@@ -10,7 +10,11 @@ thresholds' numerators and denominators; `in_interval_region` reads the
 `Fraction` view and stays the oracle of hecke's integer windows.
 
 A point's stratum is named by its face masks, the entries equal to 0 and
-those equal to 1, and `strata.classify_face` decides it on them.  Charts and
+those equal to 1, and `strata._face_class` decides it on them.  A chart is
+decided from one `StratumCase`, which `stratum_case` builds from that tuple
+with no `StratumClass` between.  The three kinds that carry no data (etale,
+codimension 0, codimension at least 2) are module constants: they are
+values, like `delta`'s, not decisions, so no decision is cached.  Charts and
 the coverage check work on the same masks: the chart of T flips v -> 1 - v
 on T's blocks, which `strata._swap_on` does by swapping the two masks there,
 so no flipped vector is built.  The union over every T inside S is decided
@@ -39,10 +43,10 @@ from .strata import (
     ENUMERATION_MAX_G,
     Badness,
     EnumerationBound,
+    _face_class,
     _prime_blocks,
     _swap_on,
     _whole_blocks,
-    classify_face,
 )
 
 __all__ = [
@@ -79,7 +83,10 @@ def delta(p: int, j: int) -> Fraction:
     In closed form it is (p^j - 1) / (p - 1) over p^j, in lowest terms: the
     numerator 1 + p + ... + p^(j-1) is 1 mod p.  It is a pure function of
     two small integers, so each value is built once per process and shared:
-    `stratum_case` asks for it at every bad point.  No decision is cached.
+    `stratum_case` asks for it at every bad point.  No decision is cached: a
+    chart is decided from one `StratumCase` built per call, and only the
+    data-free kinds (etale, codim 0, codim >= 2) are shared constants, which
+    are values and not decisions.
     """
     if j < 1:
         raise ValueError(f"delta needs j >= 1, got {j}")
@@ -173,22 +180,28 @@ class StratumCase:
         return Verdict.INDETERMINATE if free == thr else Verdict.IN
 
 
+# The kinds that carry no data, as values: every stratum of one of these
+# kinds decides the same, so `stratum_case` returns the one value.
+_ETALE = StratumCase("etale")
+_CODIM0 = StratumCase("codim0")
+_CODIM_GE2 = StratumCase("codim_ge2")
+
+
 def stratum_case(profile: PrimeProfile, zeros: int, ones: int) -> StratumCase:
     """Stratum data of the points whose entries are 0 on `zeros`, 1 on `ones`
-    and strictly between on the rest."""
-    cls = classify_face(profile, zeros, ones)
-    if not cls.nowhere_etale:
-        return StratumCase("etale")
-    if cls.badness is Badness.NOT_CODIM1:
-        return StratumCase("codim0" if zeros | ones == profile.full_mask else "codim_ge2")
-    beta0 = cls.beta0
-    if cls.badness is Badness.GOOD:
+    and strictly between on the rest, read off `strata._face_class`."""
+    nowhere, badness, beta0, j = _face_class(profile, zeros, ones)
+    if not nowhere:
+        return _ETALE
+    if badness is Badness.NOT_CODIM1:
+        return _CODIM0 if zeros | ones == profile.full_mask else _CODIM_GE2
+    if badness is Badness.GOOD:
         return StratumCase("good", beta0)
     p = profile.p
-    if cls.j is None:
+    if j is None:
         thr = delta_star(p, profile._block_of[beta0].bit_count())
         return StratumCase("bad_full_eta", beta0, None, thr)
-    return StratumCase("bad_partial_eta", beta0, cls.j, delta(p, cls.j))
+    return StratumCase("bad_partial_eta", beta0, j, delta(p, j))
 
 
 def sigma_case(h: DegreeVector) -> tuple[StratumCase, Verdict]:
@@ -202,16 +215,6 @@ def sigma_case(h: DegreeVector) -> tuple[StratumCase, Verdict]:
 def in_sigma(h: DegreeVector) -> Verdict:
     """Three-valued membership of a degree vector in the base region."""
     return sigma_case(h)[1]
-
-
-def _combine(verdicts) -> Verdict:
-    out = Verdict.OUT
-    for v in verdicts:
-        if v is Verdict.IN:
-            return Verdict.IN
-        if v is Verdict.INDETERMINATE:
-            out = Verdict.INDETERMINATE
-    return out
 
 
 def in_sigma_S(h: DegreeVector, S) -> Verdict:
@@ -242,7 +245,8 @@ def in_sigma_S(h: DegreeVector, S) -> Verdict:
       chart is Out.
 
     So the union is T0, and on a codim-1 point whose Open entry's block is
-    in S also T0 plus that block, folded by `_combine`.
+    in S also T0 plus that block: In if either chart is, else Indeterminate
+    if either is, else Out.
     """
     profile = h.profile
     flippable = _prime_blocks(profile, S)
@@ -256,7 +260,9 @@ def in_sigma_S(h: DegreeVector, S) -> Verdict:
         if b0 & flippable:
             flips.append(t0 | b0)
 
-    def chart(flip: int) -> Verdict:
+    generic = h.generic
+    out = Verdict.OUT
+    for flip in flips:
         stratum = stratum_case(profile, *_swap_on(zeros, ones, flip))
         b = stratum.beta0
         num = 0
@@ -264,9 +270,12 @@ def in_sigma_S(h: DegreeVector, S) -> Verdict:
             num = scaled[b]
             if flip >> b & 1:
                 num = den - num
-        return stratum.decide(h.generic, num, den)
-
-    return _combine(chart(flip) for flip in flips)
+        verdict = stratum.decide(generic, num, den)
+        if verdict is Verdict.IN:
+            return verdict
+        if verdict is Verdict.INDETERMINATE:
+            out = verdict
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ the complement of phi, and Open (free in (0,1)) on the rest.
 
 A face exists only as its Zero and One bitmasks (`_face_masks`, and
 `pair_of_masks` back), which are disjoint exactly when the pair is
-admissible; `classify_face` works on them.  It reads the profile's block
+admissible; `_face_class` works on them, the one definition of a face's
+class, which `classify_face` wraps in a `StratumClass` and
+`regions.stratum_case` reads as a tuple.  It reads the profile's block
 table (`_block_of`, the block mask of each embedding) and does everything
 after beta0 as bit operations inside beta0's block, where the successor is
 the next bit up and wraps to the block's lowest bit; no shift operator runs
@@ -203,9 +205,13 @@ class StratumClass:
     j: int | None = None
 
 
-def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
+def _face_class(profile: PrimeProfile, zeros: int, ones: int) -> tuple:
     """Nowhere-etale test plus goodness of codimension-1 strata, on the face
-    whose Zero and One coordinates are the bitmasks `zeros` and `ones`.
+    whose Zero and One coordinates are the bitmasks `zeros` and `ones`, as
+    the tuple (nowhere_etale, badness, beta0, j).
+
+    This is the one definition: `classify_face` wraps the tuple in a
+    `StratumClass`, and `regions.stratum_case` reads it directly.
 
     The stratum is etale when some block is all Zero.  On a codim-1 face
     exactly one embedding beta0 is Open.  The stratum is bad when the
@@ -223,16 +229,16 @@ def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
     nowhere = not _whole_blocks(profile, zeros)
     opens = full & ~(zeros | ones)
     if opens.bit_count() != 1:
-        return StratumClass(nowhere, Badness.NOT_CODIM1)
+        return nowhere, Badness.NOT_CODIM1, None, None
     beta0 = opens.bit_length() - 1
     block = profile._block_of[beta0]
     cur = opens << 1
     if not cur & block:
         cur = block & -block
     if cur & zeros == 0:
-        return StratumClass(nowhere, Badness.GOOD, beta0)
+        return nowhere, Badness.GOOD, beta0, None
     if ones & block == 0:
-        return StratumClass(nowhere, Badness.BAD, beta0, None)
+        return nowhere, Badness.BAD, beta0, None
     j = 0
     while cur & zeros:
         j += 1
@@ -240,7 +246,13 @@ def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
         if not cur & block:
             cur = block & -block
     assert cur & ones, "walk must stop at a One inside the block"
-    return StratumClass(nowhere, Badness.BAD, beta0, j)
+    return nowhere, Badness.BAD, beta0, j
+
+
+def classify_face(profile: PrimeProfile, zeros: int, ones: int) -> StratumClass:
+    """The `StratumClass` of the face with Zero mask `zeros` and One mask
+    `ones`: `_face_class`'s tuple, raising `InadmissiblePair` as it does."""
+    return StratumClass(*_face_class(profile, zeros, ones))
 
 
 def _face_masks(pair: StratumPair) -> tuple[int, int]:

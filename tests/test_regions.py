@@ -9,21 +9,25 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratgrid import regions
+from stratgrid import regions, strata
 from stratgrid.cli import run
 from stratgrid.embeddings import PrimeProfile
 from stratgrid.degrees import CuspInput, DegreeVector, _entry_masks, pair_of_degvec, w_T_deg
 from stratgrid.hecke import saturation_check, verify_sigma_up
 from stratgrid.strata import (
     ENUMERATION_MAX_G,
+    Badness,
     EnumerationBound,
+    InadmissiblePair,
     _prime_blocks,
     _swap_on,
     _whole_blocks,
+    classify_face,
     pair_of_masks,
     w_T_pair,
 )
 from stratgrid.regions import (
+    StratumCase,
     Verdict,
     coverage_check,
     delta,
@@ -235,6 +239,17 @@ def test_sigma_S_indeterminate_propagates():
     assert in_sigma_S(h, set()) is Verdict.INDETERMINATE
 
 
+def test_sigma_S_reads_the_second_chart_after_an_indeterminate_first():
+    """T0 is Indeterminate at the 2c threshold and the chart that flips the
+    Open entry's block is good, so the union is In: an Indeterminate chart
+    does not end the union."""
+    profile = PrimeProfile(3, (3,))
+    h = dv(profile, "1/3", 0, 1)
+    assert in_sigma(h) is Verdict.INDETERMINATE
+    assert in_sigma(w_T_deg(h, {0})) is Verdict.IN
+    assert in_sigma_S(h, {0}) is Verdict.IN
+
+
 @given(st.data())
 def test_sigma_S_monotone_in_S(data):
     profile = PrimeProfile(3, (2, 1))
@@ -354,6 +369,95 @@ def test_sigma_S_decides_at_most_two_charts(monkeypatch):
             assert 1 <= len(calls) <= 2, entries
             most = max(most, len(calls))
     assert most == 2
+
+
+def stratum_case_from_class(profile, zeros, ones):
+    """The `StratumCase` built from `classify_face`'s `StratumClass`."""
+    cls = classify_face(profile, zeros, ones)
+    if not cls.nowhere_etale:
+        return StratumCase("etale")
+    if cls.badness is Badness.NOT_CODIM1:
+        return StratumCase("codim0" if zeros | ones == profile.full_mask else "codim_ge2")
+    if cls.badness is Badness.GOOD:
+        return StratumCase("good", cls.beta0)
+    p = profile.p
+    if cls.j is None:
+        f = profile._block_of[cls.beta0].bit_count()
+        return StratumCase("bad_full_eta", cls.beta0, None, delta_star(p, f))
+    return StratumCase("bad_partial_eta", cls.beta0, cls.j, delta(p, cls.j))
+
+
+def face_masks(profile):
+    """The Zero and One masks of all 3^g faces."""
+    for coords in product("01*", repeat=profile.g):
+        zeros = sum(1 << k for k, c in enumerate(coords) if c == "0")
+        ones = sum(1 << k for k, c in enumerate(coords) if c == "1")
+        yield zeros, ones
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize(
+    "f", [(1,), (2,), (3,), (4,), (5,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1), (3, 1, 1)], ids=str
+)
+def test_stratum_case_matches_classify_face_on_every_face(p, f):
+    profile = PrimeProfile(p, f)
+    for zeros, ones in face_masks(profile):
+        want = stratum_case_from_class(profile, zeros, ones)
+        assert regions.stratum_case(profile, zeros, ones) == want, (zeros, ones)
+
+
+def test_stratum_case_refuses_the_masks_classify_face_refuses():
+    """Overlapping masks, and masks that leave the profile, raise
+    `InadmissiblePair` on both paths."""
+    profile = PrimeProfile(3, (2, 1))
+    for zeros, ones in ((0b001, 0b011), (0b111, 0b100), (0b1000, 0), (0, 0b1000), (-1, 0)):
+        with pytest.raises(InadmissiblePair):
+            classify_face(profile, zeros, ones)
+        with pytest.raises(InadmissiblePair):
+            regions.stratum_case(profile, zeros, ones)
+
+
+def test_data_free_kinds_are_constant_values():
+    """The three kinds that carry no data are module constants equal to
+    fresh values, and `stratum_case` returns them."""
+    constants = {
+        "etale": regions._ETALE,
+        "codim0": regions._CODIM0,
+        "codim_ge2": regions._CODIM_GE2,
+    }
+    for kind, case in constants.items():
+        assert case == StratumCase(kind) and case.kind == kind
+    profile = PrimeProfile(3, (2, 1))
+    assert regions.stratum_case(profile, 0b011, 0) is regions._ETALE
+    assert regions.stratum_case(profile, 0b001, 0b110) is regions._CODIM0
+    assert regions.stratum_case(profile, 0, 0b100) is regions._CODIM_GE2
+
+
+def test_queries_build_no_stratum_class(monkeypatch):
+    """`sigma_case`, `in_sigma` and `in_sigma_S` decide every chart from
+    `strata._face_class`'s tuple, with no `StratumClass` built."""
+    built = []
+
+    class Counted(strata.StratumClass):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(strata, "StratumClass", Counted)
+    profile = PrimeProfile(3, (2, 1))
+    classify_face(profile, 0b001, 0b110)
+    assert len(built) == 1, "the counting class must see classify_face"
+    built.clear()
+    for profile in (PrimeProfile(3, (2, 1)), PrimeProfile(2, (2, 1, 1)), PrimeProfile(5, (3,))):
+        everything = tuple(range(profile.n_primes))
+        for entries in vertex_and_edge_points(profile):
+            for generic in (True, False):
+                h = DegreeVector(profile, entries, generic=generic)
+                sigma_case(h)
+                in_sigma(h)
+                in_sigma_S(h, everything)
+                in_sigma_S(h, (0,))
+    assert built == []
 
 
 def test_w_equivariance_of_sigma_on_vertices():
