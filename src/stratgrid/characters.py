@@ -6,12 +6,13 @@ Z[x]/Phi_m(x) with integer coefficients; no floating point and no division.
 The one inverse the twist identity would need, 1/W(psi), is removed by
 cross-multiplying both sides.
 
-The twist checks (`verify_twist_identity`, `twist_laws`) print no
-coefficient, only a verdict and the first index where two elements differ.
-They decide each comparison by evaluating both sides at every primitive
-M-th root of unity modulo primes l = 1 (mod M) below 2^30 (von zur Gathen
-and Gerhard, *Modern Computer Algebra*, chapters 5 and 8), so a product is
-phi(M) multiplications of one-digit integers.  That is exact:
+The twist checks (`twist_trials`, which decides `verify twist`, and
+`verify_twist_identity` and `twist_laws`, which check one character pair)
+print no coefficient, only a verdict and the first index where two elements
+differ.  They decide each comparison by evaluating both sides at every
+primitive M-th root of unity modulo primes l = 1 (mod M) below 2^30 (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, chapters 5 and 8), so a
+product is phi(M) multiplications of one-digit integers.  That is exact:
 
 - Modulo such an l there is an w of exact order M, and its powers w^k, k
   prime to M, are phi(M) distinct roots of Phi_M.  zeta_M -> w^k is a ring
@@ -28,9 +29,13 @@ phi(M) multiplications of one-digit integers.  That is exact:
   divisible by all of them is then 0.  So the sides agree at every point
   exactly when they are equal.
 
-With the CLI's r = 2, s = 3, C = 1 and seed coefficients up to 9, one
-30-bit prime covers M = 12, 24, 60, 156, 506 and 2436 (B is below 2^27 at
-M = 2436).  `_Evaluation` never stops short of the bound.
+`_identity_bound` is the one definition of B.  `twist_trials` builds one
+`_Evaluation` per command, sized by it at the command's r = 2, s = 3, C = 1
+and seed coefficients up to 9, the largest `random_twist_seed` draws: every
+seed of the command, and the laws' sides, fit under that B, so the ring is
+never rebuilt.  One 30-bit prime covers M = 12, 24, 60, 156, 506 and 2436
+(B is below 2^27 at M = 2436).  `_Evaluation` never stops short of the
+bound.
 
 Every term of a character sum is a power zeta_M^e, so the sums are counted in
 Z[x]/(x^M - 1), one counter per distinct exponent e mod M, and reduced once
@@ -72,7 +77,9 @@ Rosen, *A Classical Introduction to Modern Number Theory*, chapter 8):
 
 where T(u) is the psi_p-twisted sum at u and S_n(v) the psi_n^-1-twisted sum
 over units; T(0) = 0 when psi_p is nontrivial.  `twist_laws` checks the
-factors; `verify_twist_identity` checks the identity on one seed.
+factors; `verify_twist_identity` checks the identity on one seed.  Both
+build their own ring and call the cores that `twist_trials` calls in the
+command's ring, `_laws_mismatch` and `_identity_mismatch`.
 """
 from __future__ import annotations
 
@@ -111,6 +118,7 @@ __all__ = [
     "TwistReport",
     "verify_twist_identity",
     "twist_laws",
+    "twist_trials",
     "COEFF_CAP",
 ]
 
@@ -964,15 +972,21 @@ class TwistSeed:
     b_reduced: dict
 
 
+# The largest seed coefficient `random_twist_seed` draws, and the scalars
+# r, s, C of every `twist_trials` trial.
+_SEED_TOP = 9
+_R, _S, _C = 2, 3, 1
+
+
 def random_twist_seed(field: GF, group: UnitGroup, M: int, seed: int) -> TwistSeed:
-    """Monomials c zeta_M^e with c in 1..9 and e in 0..M-1, drawn in index
-    order, c before e."""
+    """Monomials c zeta_M^e with c in 1.._SEED_TOP and e in 0..M-1, drawn in
+    index order, c before e."""
     rng = Random(seed)
     b_full = {}
     for u in range(1, field.q):
         for v in group.units:
-            b_full[(u, v)] = (rng.randint(1, 9), rng.randrange(M))
-    b_reduced = {v: (rng.randint(1, 9), rng.randrange(M)) for v in group.units}
+            b_full[(u, v)] = (rng.randint(1, _SEED_TOP), rng.randrange(M))
+    b_reduced = {v: (rng.randint(1, _SEED_TOP), rng.randrange(M)) for v in group.units}
     return TwistSeed(b_full, b_reduced)
 
 
@@ -1054,73 +1068,97 @@ def build_companion_coeffs(
     return _companion(field, group, psi_p, psi_n, r, s, C, b_full, b_reduced, ring)
 
 
-class _TwistTable:
-    """What the twist checks of one command share, all in one `_Evaluation`:
-    T(u) for the psi_p whose pairs are running, S_n(v) for each chi met, and
-    the seed of each trial t with its evaluated values.
+def _row_sums(ring: _Evaluation, psi_p: FieldChar) -> list:
+    """T(u) = sum of psi_p(j) zeta_p^Tr(ju) in `ring`, for every u of F_q."""
+    return [
+        ring.terms(zip(repeat(1), _twisted_exponents(psi_p, u, ring.M)))
+        for u in range(psi_p.field.q)
+    ]
 
-    A check whose bound needs more primes than `ring` has gets a new ring,
-    and the table starts over.  The table lives as long as the command.
+
+def _unit_sums(ring: _Evaluation, chi: UnitChar) -> list:
+    """S(v) = sum of chi(j) zeta_n^(jv) over units j in `ring`, for every v
+    of Z/n."""
+    return [
+        ring.terms(zip(repeat(1), _unit_twisted_exponents(chi, v, ring.M)))
+        for v in range(chi.group.n)
+    ]
+
+
+def _seed_values(ring: _Evaluation, seed: TwistSeed) -> tuple[dict, dict]:
+    """The seed's b_full and b_reduced in `ring`."""
+    monomial = ring.terms
+    return (
+        {k: monomial((m,)) for k, m in seed.b_full.items()},
+        {v: monomial((m,)) for v, m in seed.b_reduced.items()},
+    )
+
+
+def _identity_bound(field, group, M, r, s, C, b_top, b0_top, corrupt) -> int:
+    """B of the twist identity at scalars r, s, C, for seeds whose
+    coefficients are at most b_top on b_full and b0_top on b_reduced.
+
+    B is `_divisor(M).growth` times the larger of the sides' products of L1
+    norms, where T(u) and W(psi_p) = T(1) are sums of q - 1 roots of unity,
+    S_n(v) and W(psi_n^-1) = S_n(1) sums of phi(n) of them, a seed value
+    c zeta^e has norm |c| (|c| + 1 where `corrupt` adds 1), and
+    b(0,v) - s b0(v) has at most twice the norm of s b0(v).
     """
+    norms = (field.q - 1) * len(group.units) * _l1(C)
+    lhs = norms * max(b_top, _l1(r) * b0_top)  # W(psi_n^-1) T(u) a(u,v)
+    rhs = norms * max(b_top + corrupt, 2 * _l1(s) * b0_top)  # C W(psi_p) S_n(v) (b - s b0)
+    return _divisor(M).growth * max(lhs, rhs)
 
-    def __init__(self, field: GF, group: UnitGroup, M: int):
-        self.field, self.group, self.M = field, group, M
-        self.ring = None
-        self._seeds = {}  # t -> the seed of trial t
-        self._trial = {}  # id(seed) -> t, for the seeds held above
-        self._start_over()
 
-    def _start_over(self):
-        self._rows = None  # (psi_p, [T(u) for u in F_q])
-        self._cols = {}  # chi -> [S_n(v) for v in Z/n]
-        self._values = {}  # t -> the evaluated values of the seed of trial t
+def _identity_mismatch(psi_p, psi_n, r, s, C, values, rows, sums, corrupt, ring):
+    """The first index where the identity of `verify_twist_identity` fails,
+    or None: for the seed whose `_seed_values` are `values`, with `rows` the
+    `_row_sums` of psi_p and `sums` the `_unit_sums` of psi_n^-1, all in
+    `ring`.
 
-    def evaluation(self, bound: int) -> _Evaluation:
-        """The table's ring, made anew when its modulus is not above 2 bound."""
-        if self.ring is None or self.ring.modulus <= 2 * bound:
-            self.ring = _Evaluation(self.M, bound)
-            self._start_over()
-        return self.ring
+    With `corrupt`, b(1, v) gains 1 at the first unit v with S_n(v) != 0,
+    the first index whose perturbation the identity can see; S_n(v) has
+    coefficients at most growth phi(n), below the bound of any ring the
+    identity is compared in, so its value decides whether it is zero.
+    """
+    field, group = psi_p.field, psi_n.group
+    rv, sv, cv = (x if isinstance(x, int) else ring.element(x) for x in (r, s, C))
+    a, b = _companion(field, group, psi_p, psi_n, rv, sv, cv, *values, ring)
+    if corrupt:
+        v = next((v for v in group.units if any(sums[v])), None)
+        if v is None:
+            raise ValueError("every unit twisted sum vanishes; corruption would be invisible")
+        b.full[(1, v)] = ring.add(b.full[(1, v)], ring.element(1))
+    times = ring.mul
+    w_n_inv = sums[1 % group.n]
+    cw_p = times(cv, rows[1])  # T(1) = W(psi_p)
+    cols = [(v, times(cw_p, sums[v])) for v in group.units]  # B_v
+    for u, t_u in enumerate(rows):
+        row = times(w_n_inv, t_u)  # A_u
+        for v, col in cols:
+            bv = b.full[(u, v)]
+            if u == 0:
+                bv = ring.sub(bv, times(sv, b.reduced[v]))
+            if not ring.equal_products(row, a.full[(u, v)], col, bv):
+                return (u, v)
+    return None
 
-    def row_sums(self, psi_p: FieldChar) -> list:
-        """T(u) = sum of psi_p(j) zeta_p^Tr(ju) for every u of F_q."""
-        if self._rows is None or self._rows[0] != psi_p:
-            sums = [self._sum(_twisted_exponents(psi_p, u, self.M)) for u in range(self.field.q)]
-            self._rows = (psi_p, sums)
-        return self._rows[1]
 
-    def unit_sums(self, chi: UnitChar) -> list:
-        """S_n(v) = sum of chi(j) zeta_n^(jv) over units j, for every v of Z/n."""
-        if chi not in self._cols:
-            self._cols[chi] = [
-                self._sum(_unit_twisted_exponents(chi, v, self.M)) for v in range(self.group.n)
-            ]
-        return self._cols[chi]
-
-    def _sum(self, exponents) -> list:
-        return self.ring.terms(zip(repeat(1), exponents))
-
-    def seed(self, t: int) -> TwistSeed:
-        """`random_twist_seed` of trial t, drawn once per command."""
-        if t not in self._seeds:
-            seed = self._seeds[t] = random_twist_seed(self.field, self.group, self.M, t)
-            self._trial[id(seed)] = t
-        return self._seeds[t]
-
-    def seed_values(self, seed: TwistSeed) -> tuple[dict, dict]:
-        """The seed's b_full and b_reduced evaluated; kept for the seeds that
-        `seed` drew."""
-        t = self._trial.get(id(seed))
-        if t is not None and t in self._values:
-            return self._values[t]
-        monomial = self.ring.terms
-        values = (
-            {k: monomial((m,)) for k, m in seed.b_full.items()},
-            {v: monomial((m,)) for v, m in seed.b_reduced.items()},
-        )
-        if t is not None:
-            self._values[t] = values
-        return values
+def _laws_mismatch(psi_p, psi_n, rows, sums, ring):
+    """The first index where `twist_laws` finds the seed-free factor
+    failing, or None; `rows` and `sums` as in `_identity_mismatch`."""
+    times, M, group = ring.mul, ring.M, psi_n.group
+    chi = psi_n.inverse()
+    w_n_inv = sums[1 % group.n]
+    if times(w_n_inv, rows[0]) != ring.zero:
+        return (0, group.units[0])
+    rhs = [(v, times(rows[1], times(sums[v], ring.zeta(chi.exponent(v, M))))) for v in group.units]
+    for u in range(1, psi_p.field.q):
+        lhs = times(w_n_inv, times(rows[u], ring.zeta(psi_p.exponent(u, M))))
+        for v, side in rhs:
+            if lhs != side:
+                return (u, v)
+    return None
 
 
 @dataclass(frozen=True)
@@ -1140,7 +1178,6 @@ def verify_twist_identity(
     C,
     seed: TwistSeed,
     corrupt: bool = False,
-    table: _TwistTable | None = None,
 ) -> TwistReport:
     """Check the cross-multiplied twist identity coefficientwise.
 
@@ -1159,48 +1196,23 @@ def verify_twist_identity(
     only units v are compared, which leaves the first mismatch where it was.
 
     The sides are compared in an `_Evaluation` whose primes multiply to more
-    than 2B, which makes each comparison exact (module docstring).  B is
-    `_divisor(M).growth` times the larger of the sides' products of L1
-    norms, where T(u) and W(psi_p) = T(1) are sums of q - 1 roots of unity,
-    S_n(v) and W(psi_n^-1) = S_n(1) sums of phi(n) of them, a seed value
-    c zeta^e has norm |c| (|c| + 1 where `corrupt` adds 1), and
-    b(0,v) - s b0(v) has at most twice the norm of s b0(v).  `table` holds
-    what the checks of one command share; without it the call makes its own.
+    than 2B, B the `_identity_bound` of this seed, which makes each
+    comparison exact (module docstring).
     """
     if psi_p.is_trivial():
         raise TrivialCharacter("the identity degenerates for trivial psi_p")
     M = conductor(field.p, field.q - 1, group.n, group.exponent)
     _check_seed(field, group, seed)
-    if table is None:
-        table = _TwistTable(field, group, M)
-    norms = (field.q - 1) * len(group.units) * _l1(C)
+    if corrupt and _l1(C) == 0:
+        raise ValueError("corruption is invisible when C is zero")
     b_top = max((abs(c) for c, _ in seed.b_full.values()), default=0)
     b0_top = max(abs(c) for c, _ in seed.b_reduced.values())
-    lhs = norms * max(b_top, _l1(r) * b0_top)  # W(psi_n^-1) T(u) a(u,v)
-    rhs = norms * max(b_top + corrupt, 2 * _l1(s) * b0_top)  # C W(psi_p) S_n(v) (b - s b0)
-    ring = table.evaluation(_divisor(M).growth * max(lhs, rhs))
-    rv, sv, cv = (x if isinstance(x, int) else ring.element(x) for x in (r, s, C))
-    a, b = _companion(field, group, psi_p, psi_n, rv, sv, cv, *table.seed_values(seed), ring)
-    b_full = dict(b.full)
-    if corrupt:
-        if _scalar(C, M).is_zero():
-            raise ValueError("corruption is invisible when C is zero")
-        target = _detectable_index(group, psi_n, M)
-        b_full[target] = ring.add(b_full[target], ring.element(1))
-    times = ring.mul
-    rows, sums = table.row_sums(psi_p), table.unit_sums(psi_n.inverse())
-    w_n_inv = sums[1 % group.n]
-    cw_p = times(cv, rows[1])  # T(1) = W(psi_p)
-    cols = [(v, times(cw_p, sums[v])) for v in group.units]  # B_v
-    for u, t_u in enumerate(rows):
-        row = times(w_n_inv, t_u)  # A_u
-        for v, col in cols:
-            bv = b_full[(u, v)]
-            if u == 0:
-                bv = ring.sub(bv, times(sv, b.reduced[v]))
-            if not ring.equal_products(row, a.full[(u, v)], col, bv):
-                return TwistReport(False, (u, v), M)
-    return TwistReport(True, None, M)
+    ring = _Evaluation(M, _identity_bound(field, group, M, r, s, C, b_top, b0_top, corrupt))
+    rows, sums = _row_sums(ring, psi_p), _unit_sums(ring, psi_n.inverse())
+    index = _identity_mismatch(
+        psi_p, psi_n, r, s, C, _seed_values(ring, seed), rows, sums, corrupt, ring
+    )
+    return TwistReport(index is None, index, M)
 
 
 def twist_laws(
@@ -1209,7 +1221,6 @@ def twist_laws(
     psi_p: FieldChar,
     psi_n: UnitChar,
     M: int,
-    table: _TwistTable | None = None,
 ) -> tuple | None:
     """First index (u, v), in the order `verify_twist_identity` walks, where
     the seed-free factor of the twist identity fails; None if none does.
@@ -1226,24 +1237,11 @@ def twist_laws(
     Every side is a product of a sum of q - 1 roots of unity, a sum of
     phi(n) of them and one root, so it is compared in an `_Evaluation` of
     bound `_divisor(M).growth` (q - 1) phi(n), exactly as
-    `verify_twist_identity` compares.  `table` is the command's, as there.
+    `verify_twist_identity` compares.
     """
-    if table is None:
-        table = _TwistTable(field, group, M)
-    ring = table.evaluation(_divisor(M).growth * (field.q - 1) * len(group.units))
-    times = ring.mul
-    chi = psi_n.inverse()
-    rows, cols = table.row_sums(psi_p), table.unit_sums(chi)
-    w_n_inv = cols[1 % group.n]
-    if times(w_n_inv, rows[0]) != ring.zero:
-        return (0, group.units[0])
-    rhs = [(v, times(rows[1], times(cols[v], ring.zeta(chi.exponent(v, M))))) for v in group.units]
-    for u in range(1, field.q):
-        lhs = times(w_n_inv, times(rows[u], ring.zeta(psi_p.exponent(u, M))))
-        for v, side in rhs:
-            if lhs != side:
-                return (u, v)
-    return None
+    ring = _Evaluation(M, _divisor(M).growth * (field.q - 1) * len(group.units))
+    rows, sums = _row_sums(ring, psi_p), _unit_sums(ring, psi_n.inverse())
+    return _laws_mismatch(psi_p, psi_n, rows, sums, ring)
 
 
 def _detectable_index(group: UnitGroup, psi_n: UnitChar, M: int):
@@ -1252,3 +1250,78 @@ def _detectable_index(group: UnitGroup, psi_n: UnitChar, M: int):
         if not unit_twisted_sum(psi_n.inverse(), v, M).is_zero():
             return (1, v)
     raise ValueError("every unit twisted sum vanishes; corruption would be invisible")
+
+
+def twist_trials(q: int, n: int, trials: int, seed: int, corrupt: bool):
+    """`verify twist`: `trials` trials of the twist identity, at seeds seed,
+    seed + 1, ..., on every character pair (psi_p, psi_n) with psi_p
+    nontrivial, and psi_n too with `corrupt`.  Returns (runs, failure total,
+    the first five failure records, M).
+
+    Every trial takes r, s, C = `_R`, `_S`, `_C`.  Trial 0 of a pair runs
+    for real.  When the laws hold (`_laws_mismatch`), every trial of the pair
+    passes, or with `corrupt` fails at `_detectable_index`: C = 1,
+    W(psi_p) != 0 and S_n(v) != 0 there, so no seed hides the perturbation.
+    The other trials take that answer if trial 0 agrees with it.  If a law
+    fails or trial 0 disagrees, every trial runs for real.  With one trial
+    there is nothing to take, so neither is computed.
+
+    The command compares in one ring, sized by `_identity_bound` at
+    coefficients up to `_SEED_TOP`, which bounds every seed it can draw and
+    the laws' sides.  T(u) is summed once per psi_p, S_n(v) once per chi,
+    and each trial's seed drawn and evaluated once per trial number.
+    """
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    # lcm(q - 1, n) and then lcm(p, q - 1, n) divide M, so a ring too large
+    # for them is refused before q is factored and before any table of F_q
+    # or (Z/n)^x is built; a q below 2 is refused as no prime power at once
+    if q > 1:
+        conductor(q - 1, n)
+    conductor(_prime_power(q)[0], q - 1, n)
+    field, group = GF(q), UnitGroup(n)
+    M = conductor(field.p, q - 1, n, group.exponent)
+    ring = _Evaluation(M, _identity_bound(field, group, M, _R, _S, _C, _SEED_TOP, _SEED_TOP, corrupt))
+    values, unit_sums = {}, {}  # t -> the seed of trial t in `ring`; chi -> its sums
+
+    def mismatch(k):
+        """Mismatch index of trial k of the pair the loop below is on."""
+        t = seed + k
+        if t not in values:
+            values[t] = _seed_values(ring, random_twist_seed(field, group, M, t))
+        return _identity_mismatch(psi_p, psi_n, _R, _S, _C, values[t], rows, sums, corrupt, ring)
+
+    chars = [psi_n for psi_n in all_unit_chars(group) if not (corrupt and psi_n.is_trivial())]
+    failures, total, runs = [], 0, 0
+    for psi_p in all_field_chars(field):
+        if psi_p.is_trivial() or not chars:
+            continue
+        rows = _row_sums(ring, psi_p)
+        for psi_n in chars:
+            chi = psi_n.inverse()
+            if chi not in unit_sums:
+                unit_sums[chi] = _unit_sums(ring, chi)
+            sums = unit_sums[chi]
+            runs += trials
+            first = mismatch(0)
+            predicted = _detectable_index(group, psi_n, M) if corrupt and trials > 1 else None
+            derivable = trials > 1 and first == predicted
+            if derivable and _laws_mismatch(psi_p, psi_n, rows, sums, ring) is None:
+                # every trial takes trial 0's answer: count them all, list five
+                failed = 0 if first is None else trials
+                found = [(k, first) for k in range(min(failed, 5))]
+            else:
+                indices = [first] + [mismatch(k) for k in range(1, trials)]
+                found = [(k, index) for k, index in enumerate(indices) if index is not None]
+                failed = len(found)
+            total += failed
+            for k, index in found[: 5 - len(failures)]:
+                failures.append(
+                    {
+                        "psi_p": psi_p.exp,
+                        "psi_n": list(psi_n.exps),
+                        "seed": seed + k,
+                        "mismatch_index": list(index),
+                    }
+                )
+    return runs, total, failures, M

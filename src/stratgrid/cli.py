@@ -27,15 +27,9 @@ from .characters import (
     FieldChar,
     GF,
     all_field_chars,
-    all_unit_chars,
     conductor,
     gauss_sum,
-    twist_laws,
-    UnitGroup,
-    verify_twist_identity,
-    _detectable_index,
-    _prime_power,
-    _TwistTable,
+    twist_trials,
 )
 from .degrees import DegreeVector, pair_of_degvec, w_T_deg
 from .embeddings import parse_profile
@@ -202,74 +196,8 @@ def _cmd_verify_sweep(ns):
     return report, not report["pass"], _sweep_warnings(profile, report)
 
 
-def _twist_mismatch(table, psi_p, psi_n, seed, corrupt):
-    """Mismatch index of one real trial (r = 2, s = 3, C = 1), or None."""
-    rep = verify_twist_identity(
-        table.field, table.group, psi_p, psi_n, 2, 3, 1, table.seed(seed), corrupt=corrupt, table=table
-    )
-    return rep.mismatch_index
-
-
-def _twist_runs(q, n, trials, seed, corrupt):
-    """Trials of the twist identity on every character pair:
-    (runs, failure total, the first five failure records, M).
-
-    Trial 0 of a pair runs for real.  When `twist_laws` hold, every trial of
-    the pair passes, or with `corrupt` fails at `_detectable_index`: C = 1,
-    W(psi_p) != 0 and S_n(v) != 0 there, so no seed hides the perturbation.
-    The other trials take that answer if trial 0 agrees with it.  If a law
-    fails or trial 0 disagrees, every trial runs for real.  With one trial
-    there is nothing to take, so neither is computed.  The checks share one
-    `_TwistTable`, which the command drops when it returns.
-    """
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-    # lcm(q - 1, n) and then lcm(p, q - 1, n) divide M, so a ring too large
-    # for them is refused before q is factored and before any table of F_q
-    # or (Z/n)^x is built; a q below 2 is refused as no prime power at once
-    if q > 1:
-        conductor(q - 1, n)
-    conductor(_prime_power(q)[0], q - 1, n)
-    field, group = GF(q), UnitGroup(n)
-    M = conductor(field.p, q - 1, n, group.exponent)
-    table = _TwistTable(field, group, M)
-    failures, total, runs = [], 0, 0
-    for psi_p in all_field_chars(field):
-        if psi_p.is_trivial():
-            continue
-        for psi_n in all_unit_chars(group):
-            if corrupt and psi_n.is_trivial():
-                continue
-            runs += trials
-            first = _twist_mismatch(table, psi_p, psi_n, seed, corrupt)
-            predicted = _detectable_index(group, psi_n, M) if corrupt and trials > 1 else None
-            derivable = trials > 1 and first == predicted
-            if derivable and twist_laws(field, group, psi_p, psi_n, M, table) is None:
-                # every trial takes trial 0's answer: count them all, list five
-                failed = 0 if first is None else trials
-                found = [(k, first) for k in range(min(failed, 5))]
-            else:
-                indices = [first] + [
-                    _twist_mismatch(table, psi_p, psi_n, seed + k, corrupt)
-                    for k in range(1, trials)
-                ]
-                found = [(k, index) for k, index in enumerate(indices) if index is not None]
-                failed = len(found)
-            total += failed
-            for k, index in found[: 5 - len(failures)]:
-                failures.append(
-                    {
-                        "psi_p": psi_p.exp,
-                        "psi_n": list(psi_n.exps),
-                        "seed": seed + k,
-                        "mismatch_index": list(index),
-                    }
-                )
-    return runs, total, failures, M
-
-
 def _cmd_verify_twist(ns):
-    runs, total, failures, M = _twist_runs(ns.q, ns.n, ns.trials, ns.seed, ns.corrupt)
+    runs, total, failures, M = twist_trials(ns.q, ns.n, ns.trials, ns.seed, ns.corrupt)
     report = {
         "schema": SCHEMA,
         "check": "twist",
@@ -389,7 +317,7 @@ def _cmd_suite(ns):
     sat = saturation_check(profile, ns.den, workers=workers)
     checks.append({"name": "saturation", "pass": sat["pass"], "report": sat})
     checks.append(_suite_gauss_laws())
-    runs, total, _, _ = _twist_runs(3, 4, 3, ns.seed, False)
+    runs, total, _, _ = twist_trials(3, 4, 3, ns.seed, False)
     checks.append({"name": "twist-sample", "runs": runs, "violations": total, "pass": total == 0})
     passed = all(c["pass"] for c in checks)
     report = {

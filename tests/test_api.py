@@ -146,6 +146,19 @@ def _package_imports(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def test_cli_imports_no_private_name_from_characters():
+    """`characters.twist_trials` owns the `verify twist` decision, so the
+    front end needs none of the layer's private names."""
+    private = [
+        alias.name
+        for node in ast.walk(_tree("cli"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "characters"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"cli.py imports private names from characters: {private}"
+
+
 def test_layers_name_every_module_once():
     layers = _layers()
     assert sorted(layers) == [m for m in MODULES if m != "__init__"]

@@ -1173,27 +1173,100 @@ def test_evaluation_tells_pairs_apart_under_its_bound(M):
     assert len(two.primes) == 2 and two.element(X) != two.element(Y)
 
 
-def test_twist_table_holds_each_trial_seed_and_its_values():
-    """`_TwistTable.seed(t)` is `random_twist_seed` at t, drawn once per
-    table; its evaluated values are kept per t and equal those of a fresh
-    draw.  T(u) follows psi_p and S_n(v) follows chi."""
-    F, U, M = _setup(9, 4)
-    table = characters._TwistTable(F, U, M)
-    ring = table.evaluation(1000)
-    fresh = characters._TwistTable(F, U, M)
-    assert fresh.evaluation(1000).primes == ring.primes
-    for t in (0, 1, 2, 1, 0):
-        seed = table.seed(t)
-        assert seed is table.seed(t) and seed == random_twist_seed(F, U, M, t)
-        assert table.seed_values(seed) is table.seed_values(seed)
-        assert table.seed_values(seed) == fresh.seed_values(random_twist_seed(F, U, M, t))
-    assert table.seed(0) != table.seed(1)
-    for psi in all_field_chars(F):
-        want = [ring.element(twisted_sum(psi, u, M)) for u in range(F.q)]
-        assert table.row_sums(psi) == want, psi.exp
-    for chi in all_unit_chars(U) * 2:
-        want = [ring.element(unit_twisted_sum(chi, v, M)) for v in range(U.n)]
-        assert table.unit_sums(chi) == want, chi.exps
+def _rings(monkeypatch):
+    """The `_Evaluation` rings built from now on, in order, with the bound
+    each was built for."""
+    built = []
+    real = characters._Evaluation
+
+    def recorded(M, bound):
+        ring = real(M, bound)
+        built.append((ring, bound))
+        return ring
+
+    monkeypatch.setattr(characters, "_Evaluation", recorded)
+    return built
+
+
+def _counted(monkeypatch, name):
+    """Wrap `characters.<name>`; the returned list collects each call's
+    arguments and result."""
+    calls = []
+    real = getattr(characters, name)
+
+    def counted(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(characters, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("laws_hold", [True, False])
+def test_twist_trials_share_the_sums_and_seeds_of_one_command(monkeypatch, laws_hold):
+    """A `twist_trials` command draws `random_twist_seed` once per trial
+    number, sums T(u) once per psi_p and S(v) once per chi, all in its one
+    ring, and the sums are the evaluated `twisted_sum` and
+    `unit_twisted_sum`.  A failing law makes every trial run, so every trial
+    number is drawn."""
+    q, n, trials, seed = 4, 5, 3, 11
+    rings = _rings(monkeypatch)
+    draws = _counted(monkeypatch, "random_twist_seed")
+    rows = _counted(monkeypatch, "_row_sums")
+    cols = _counted(monkeypatch, "_unit_sums")
+    if not laws_hold:
+        monkeypatch.setattr(characters, "_laws_mismatch", lambda *args: (0, 0))
+    runs, total, _, M = characters.twist_trials(q, n, trials, seed, False)
+    F, U, _ = _setup(q, n)
+    assert runs == (q - 2) * len(all_unit_chars(U)) * trials and total == 0
+    [(ring, _)] = rings
+    assert [args[3] for args, _ in draws] == list(range(seed, seed + (1 if laws_hold else trials)))
+    for args, got in draws:
+        assert got == random_twist_seed(F, U, M, args[3])
+    assert [args[1].exp for args, _ in rows] == list(range(1, q - 1))
+    assert len({args[1].exps for args, _ in cols}) == len(cols) == len(all_unit_chars(U))
+    for (got_ring, psi), sums in rows:
+        assert got_ring is ring
+        assert sums == [ring.element(twisted_sum(psi, u, M)) for u in range(q)], psi.exp
+    for (got_ring, chi), sums in cols:
+        assert got_ring is ring
+        assert sums == [ring.element(unit_twisted_sum(chi, v, M)) for v in range(n)], chi.exps
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize(
+    "q,n,M", [(3, 4, 12), (9, 4, 24), (5, 3, 60), (13, 3, 156), (23, 1, 506), (29, 3, 2436)]
+)
+def test_twist_trials_compare_in_one_ring_of_one_prime(monkeypatch, q, n, M, corrupt):
+    """A command builds one ring, sized by `_identity_bound` at seed
+    coefficients up to 9, and one prime covers it at every golden
+    conductor.  A wider ring would give the same reports, only slower, so
+    the sums and the trials are stubbed out and only the ring is read."""
+    rings = _rings(monkeypatch)
+    monkeypatch.setattr(characters, "_row_sums", lambda ring, psi: [])
+    monkeypatch.setattr(characters, "_unit_sums", lambda ring, chi: [])
+    monkeypatch.setattr(characters, "_identity_mismatch", lambda *args: None)
+    assert characters.twist_trials(q, n, 1, 0, corrupt)[3] == M
+    F, U, _ = _setup(q, n)
+    [(ring, bound)] = rings
+    assert bound == characters._identity_bound(F, U, M, 2, 3, 1, 9, 9, corrupt)
+    assert len(ring.primes) == 1 and ring.modulus > 2 * bound
+
+
+@pytest.mark.parametrize("q,n", TWIST_PAIRS + [(13, 3)])
+def test_identity_bound_at_the_largest_coefficient_bounds_every_seed(q, n):
+    """The bound at b_top = b0_top = 9 is at least the bound of each seed of
+    trials 0 to 20, so the command's ring fits every seed it can draw."""
+    F, U, M = _setup(q, n)
+    for corrupt in (False, True):
+        top = characters._identity_bound(F, U, M, 2, 3, 1, 9, 9, corrupt)
+        for t in range(21):
+            seed = random_twist_seed(F, U, M, t)
+            b_top = max(c for c, _ in seed.b_full.values())
+            b0_top = max(c for c, _ in seed.b_reduced.values())
+            assert 1 <= b_top <= 9 and 1 <= b0_top <= 9
+            assert characters._identity_bound(F, U, M, 2, 3, 1, b_top, b0_top, corrupt) <= top
 
 
 def test_twist_check_sizes_its_primes_by_growth_times_the_norms():
@@ -1215,10 +1288,12 @@ def test_twist_check_sizes_its_primes_by_growth_times_the_norms():
         norms = sums * max(b_top + corrupt, 6 * b0_top)
         C = first // (4 * norms)
         assert 2 * C * norms < first < 2 * growth * C * norms
-        table = characters._TwistTable(F, U, M)
-        rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, C, seed, corrupt, table)
-        assert rep.mismatch_index == (_detectable_index(U, psi_n, M) if corrupt else None)
-        assert len(table.ring.primes) == 2 and table.ring.modulus > 2 * growth * C * norms
-        # the laws need one prime, and read the same table
-        assert twist_laws(F, U, psi_p, psi_n, M, table) is None
-        assert len(table.ring.primes) == 2
+        with pytest.MonkeyPatch.context() as m:
+            rings = _rings(m)
+            rep = verify_twist_identity(F, U, psi_p, psi_n, 2, 3, C, seed, corrupt)
+            assert rep.mismatch_index == (_detectable_index(U, psi_n, M) if corrupt else None)
+            [(ring, _)] = rings
+            assert len(ring.primes) == 2 and ring.modulus > 2 * growth * C * norms
+            # the laws need one prime
+            assert twist_laws(F, U, psi_p, psi_n, M) is None
+            assert len(rings[1][0].primes) == 1

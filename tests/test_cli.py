@@ -466,6 +466,28 @@ def test_verify_twist_warns_when_it_runs_no_trials(capsys, args):
     ]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "8"],
+        ["--n", "9"],
+        ["--n", "12"],
+        ["--n", "16"],
+        ["--n", "8", "--trials", "1"],
+    ],
+)
+def test_verify_twist_refuses_a_corrupt_control_it_cannot_see(capsys, args):
+    """A nontrivial imprimitive psi_n mod 8, 9, 12 or 16 has every unit
+    twisted sum zero, so no perturbation shows: `--corrupt` exits 2 rather
+    than report a vacuous control."""
+    code = cli.run(["verify", "twist", "--q", "3", *args, "--corrupt"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: every unit twisted sum vanishes; corruption would be invisible"
+    ]
+
+
 def _twist_bytes(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -482,22 +504,22 @@ def test_verify_twist_reads_trials_off_the_laws(monkeypatch, q, n, corrupt):
     argv = ["verify", "twist", "--q", str(q), "--n", str(n), "--seed", "7", "--trials", "3"]
     argv += ["--corrupt"] if corrupt else []
     calls = []
-    real = cli.verify_twist_identity
+    real = characters._identity_mismatch
 
-    def counted(*args, **kwargs):
-        calls.append(args[2:4])
-        return real(*args, **kwargs)
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
 
-    monkeypatch.setattr(cli, "verify_twist_identity", counted)
+    monkeypatch.setattr(characters, "_identity_mismatch", counted)
     derived = _twist_bytes(argv)
     runs = json.loads(derived[1])["runs"]
     assert runs == 3 * len(calls) == 3 * len(set(calls)) > 0
-    fallbacks = [("twist_laws", lambda *args: (0, 0))]
+    fallbacks = [("_laws_mismatch", lambda *args: (0, 0))]
     if corrupt:
         fallbacks.append(("_detectable_index", lambda *args: (0, 0)))
     for name, stub in fallbacks:
         with monkeypatch.context() as m:
-            m.setattr(cli, name, stub)
+            m.setattr(characters, name, stub)
             calls.clear()
             assert _twist_bytes(argv) == derived, name
             assert len(calls) == runs, name
@@ -511,8 +533,8 @@ def test_verify_twist_one_trial_reads_no_laws(capsys, monkeypatch, corrupt):
     def unread(*args):
         raise AssertionError("computed for a single trial")
 
-    monkeypatch.setattr(cli, "twist_laws", unread)
-    monkeypatch.setattr(cli, "_detectable_index", unread)
+    monkeypatch.setattr(characters, "_laws_mismatch", unread)
+    monkeypatch.setattr(characters, "_detectable_index", unread)
     argv = ["verify", "twist", "--q", "5", "--n", "3", "--trials", "1"]
     code, rep = run_json(capsys, argv + (["--corrupt"] if corrupt else []))
     assert code == (1 if corrupt else 0)
@@ -613,7 +635,8 @@ def test_large_conductor_is_refused_before_any_table(capsys, monkeypatch, argv):
         raise AssertionError("built a table before the conductor check")
 
     monkeypatch.setattr(cli, "GF", unbuilt)
-    monkeypatch.setattr(cli, "UnitGroup", unbuilt)
+    monkeypatch.setattr(characters, "GF", unbuilt)
+    monkeypatch.setattr(characters, "UnitGroup", unbuilt)
     code = cli.run(argv)
     assert_one_line_usage_error(capsys, code)
 
