@@ -100,3 +100,19 @@ def test_check_names_each_difference_and_leaves_the_file(tmp_path, monkeypatch, 
     assert golden.check(str(path)) == 0
     assert capsys.readouterr().out.splitlines() == [f"5 of 5 digests match {path}"]
     assert path.read_bytes() == before
+
+
+def test_compare_refuses_a_capture_it_cannot_read(tmp_path, capsys):
+    """`golden.py compare` on a missing directory, or on a file in place of
+    one, exits 2 with one `error:` line, the usage code, and not 1, which
+    means the captures differ; two readable captures still compare."""
+    capture = tmp_path / "capture"
+    capture.mkdir()
+    (capture / "a.json").write_text("{}\n", encoding="utf-8")
+    missing, plain = tmp_path / "missing", capture / "a.json"
+    for a, b in ((missing, capture), (capture, missing), (capture, plain)):
+        assert golden.main(["compare", str(a), str(b)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert golden.main(["compare", str(capture), str(capture)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1 identical, 0 differing, 0 unmatched"]

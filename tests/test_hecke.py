@@ -513,6 +513,134 @@ def test_prune_cuts_first_entry_to_live_interval(prof, den):
                 assert any(lo > hi for lo, hi in zip(plan.lo, plan.hi)), (scaled, plan)
 
 
+def _window_plans(p, den):
+    """One-entry plans of every h-side window 0 <= wlo <= whi <= den at the
+    edge pos 0, not only the windows a block of h makes; the range helpers
+    read nothing else of a plan."""
+    for wlo in range(den + 1):
+        for whi in range(wlo, den + 1):
+            yield BlockPlan(p, 1, den, (0,), (den,), (wlo,), (whi,), (0,))
+
+
+def _in_ranges_exactly(ranges, ok, ascending=True) -> bool:
+    """The ranges lie in [0, len(ok) - 1] and hold exactly the values a with
+    ok[a]; `ascending` also asks for disjoint ranges in ascending order."""
+    inside = all(0 <= lo and hi < len(ok) for lo, hi in ranges)
+    exact = all(_in_ranges(a, ranges) == want for a, want in enumerate(ok))
+    return inside and exact and (_ascending(ranges) or not ascending)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_range_helpers_match_predicate_on_every_window(p):
+    """`_hodge_edge_ranges`, `_pred_ranges` (every clo <= chi) and
+    `_self_edge_ranges` against `_hodge_edge_ok` on every window, den <= 10;
+    each range lies in [0, den] and the ranges of one value are ascending
+    and disjoint."""
+    for den in range(1, 11):
+        values = range(den + 1)
+        for plan in _window_plans(p, den):
+            # passes[a][k]: how many b < k pass the edge with a before it
+            passes = []
+            for a in values:
+                ok = [_hodge_edge_ok(plan, 0, a, b) for b in values]
+                assert _in_ranges_exactly(_hodge_edge_ranges(plan, 0, a), ok), (plan, a)
+                passes.append([sum(ok[:k]) for k in range(den + 2)])
+            ok = [_hodge_edge_ok(plan, 0, a, a) for a in values]
+            assert _in_ranges_exactly(_self_edge_ranges(plan), ok), plan
+            for clo in values:
+                for chi in range(clo, den + 1):
+                    allowed = _pred_ranges(plan, 0, clo, chi)
+                    ok = [passes[a][chi + 1] > passes[a][clo] for a in values]
+                    assert _in_ranges_exactly(allowed, ok, clo == chi), (plan, clo, chi)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_run_failures_match_quotient_test_on_every_run(p):
+    """`_run_failures` against `_quotient_vcan_failures` summed over every
+    run lo <= hi of every prefix, blocks of size 1 to 3, den <= 10 (size 3 to
+    den 6).  The tests that read the last entry fail on a tail of the run,
+    and that tail is empty, the whole run and a proper part of it, each on
+    some run.  `_run_failures` reads only p, f and den of its plan."""
+    tails = set()
+    for f in (1, 2, 3):
+        profile = parse_profile(f"p={p};f={f}")
+        for den in range(1, 11 if f < 3 else 7):
+            plan = BlockPlan(p, f, den, (0,) * f, (den,) * f, (0,) * f, (den,) * f, (0,) * f)
+            for prefix in product(range(den + 1), repeat=f - 1):
+                # per last entry a: failures, and whether a test reading a fails
+                fails, reads_last = [], []
+                for a in range(den + 1):
+                    found = _quotient_vcan_failures(profile, (*prefix, a), den)
+                    fails.append(len(found))
+                    reads_last.append(any(beta >= f - 2 for beta, _ in found))
+                for lo in range(den + 1):
+                    for hi in range(lo, den + 1):
+                        want = sum(fails[lo : hi + 1])
+                        assert _run_failures(plan, prefix, lo, hi) == want, (plan, prefix, lo, hi)
+                        tail = sum(reads_last[lo : hi + 1])
+                        tails.add("empty" if not tail else "whole" if tail > hi - lo else "part")
+    assert tails == {"empty", "whole", "part"}
+
+
+@pytest.mark.parametrize("prof,den", [("p=5;f=3", 25), ("p=3;f=2,1", 27)])
+@pytest.mark.parametrize("drop_genericity", [False, True])
+def test_prune_reaches_its_fixpoint(prof, den, drop_genericity, monkeypatch):
+    """On every plan of a serial sigma-up sweep, a second `_prune` moves no
+    bound, and the descent over the pruned bounds finds the runs of the
+    unpruned ones."""
+    calls = []
+    plan = hecke._block_plan
+
+    def recorded(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(hecke, "_block_plan", recorded)
+    verify_sigma_up(parse_profile(prof), den, drop_genericity)
+    assert calls
+    for p, _, s, generic_active, pin in calls:
+        bounds = _plan_bounds(p, den, s, generic_active, pin)
+        unpruned = BlockPlan(p, len(s), den, *map(tuple, bounds))
+        pruned = _block_plan(p, den, s, generic_active, pin)
+        lo, hi = list(pruned.lo), list(pruned.hi)
+        hecke._prune(p, den, lo, hi, pruned.wlo, pruned.whi, pruned.rhs)
+        assert (tuple(lo), tuple(hi)) == (pruned.lo, pruned.hi), (s, pin)
+        assert _block_runs(pruned) == _block_runs(unpruned), (s, pin)
+
+
+def test_integer_core_builds_no_fraction(monkeypatch):
+    """Warm generic sigma-up sweeps and a saturation sweep construct no
+    `Fraction`: the planner, the counter and the records stay in integers."""
+    sweeps = [
+        (verify_sigma_up, "p=5;f=3", 75),
+        (verify_sigma_up, "p=3;f=2,1", 135),
+        (saturation_check, "p=3;f=2", 135),
+    ]
+    for sweep, prof, den in sweeps:  # first calls fill the threshold caches
+        sweep(parse_profile(prof), den)
+    made = []
+    new = F.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted_new)
+    if hasattr(F, "_from_coprime_ints"):  # Python 3.12+: arithmetic skips __new__
+        coprime = F._from_coprime_ints
+
+        def counted_coprime(cls, numerator, denominator):
+            made.append((numerator, denominator))
+            return coprime(numerator, denominator)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
+    profiles = [(sweep, parse_profile(prof), den) for sweep, prof, den in sweeps]
+    for sweep, profile, den in profiles:
+        sweep(profile, den)
+    assert made == []
+    assert F(1, 3) + F(1, 6) == F(1, 2) and made  # the wrappers do count
+
+
 # ---------------------------------------------------------------------------
 # the pinned degree
 

@@ -3,6 +3,8 @@ and pin the reports' digests in the repository.
 
     python3 tools/golden.py capture DIR   # write every report below to DIR
     python3 tools/golden.py compare A B   # exit 0 iff A and B hold the same bytes
+                                          # (2 and one error line if A or B
+                                          # cannot be read)
     python3 tools/golden.py digest        # write tests/data/report_digests.json
     python3 tools/golden.py check         # compare with it, without writing it
 
@@ -429,7 +431,11 @@ def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "capture":
         return capture(argv[1])
     if len(argv) == 3 and argv[0] == "compare":
-        return compare(argv[1], argv[2])
+        try:
+            return compare(argv[1], argv[2])
+        except OSError as e:  # a capture that is missing or cannot be read
+            print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+            return 2
     if argv == ["digest"]:
         return digest()
     if argv == ["check"]:
